@@ -2,18 +2,20 @@
 
 Subsets of an n-point space are n-bit integer masks.  Structured
 capacities (additive, grid, distorted, sup) evaluate any mask on demand;
-explicit tables hold all 2^n values and are capped at n = 20.
+explicit tables hold all 2^n values and are capped at n = 20.  Bulk work
+converts masks to boolean membership arrays once and measures stacks of
+them with ``Capacity.measure_meet``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .xreal import EXTENDED, INF, UNIT, DegenerateInputError, DomainError
+from .xreal import EXTENDED, UNIT, DegenerateInputError, DomainError
 
 MAX_EXPLICIT_N = 20
 #: exhaustive checks run when the relevant pair count stays below this
@@ -42,12 +44,13 @@ class GroundSpace:
         if self.coords is not None:
             if len(self.coords) != self.n or len(self.widths) != self.n:
                 raise ValueError("coords/widths length must equal n")
-            cs = list(self.coords)
-            if any(c < 0 for c in cs):
-                raise ValueError("coordinates must be nonnegative")
-            if any(b <= a for a, b in zip(cs, cs[1:])):
+            # comparisons with NaN are false, so NaN fails every check
+            cs = np.asarray(self.coords, dtype=float)
+            if not (cs >= 0).all():
+                raise ValueError("coordinates must be nonnegative numbers")
+            if not (np.diff(cs) > 0).all():
                 raise ValueError("coordinates must be strictly increasing")
-            if any(w <= 0 for w in self.widths):
+            if not (np.asarray(self.widths, dtype=float) > 0).all():
                 raise ValueError("cell widths must be positive")
 
     @property
@@ -60,16 +63,26 @@ class GroundSpace:
         return np.asarray(self.coords, dtype=float)
 
 
+#: row b holds the bits of the byte b, least significant first
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").view(bool)
+_BYTE_BITS.setflags(write=False)
+
+
+def mask_bools(mask: int, n: int) -> np.ndarray:
+    """Membership vector of the subset ``mask`` of an n-point space (bits
+    at positions n and above are ignored).  The result may be a read-only
+    view."""
+    if n <= 8:  # one table row: cheaper than unpacking at this size
+        return _BYTE_BITS[mask & 0xFF, :n]
+    data = (mask & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n,
+                         bitorder="little").view(bool)
+
+
 def mask_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return out
+    """Ascending indices of the set bits of ``mask``."""
+    return np.flatnonzero(mask_bools(mask, mask.bit_length())).tolist()
 
 
 def indices_mask(indices: Iterable[int]) -> int:
@@ -79,16 +92,14 @@ def indices_mask(indices: Iterable[int]) -> int:
     return m
 
 
-def mask_bools(mask: int, n: int) -> np.ndarray:
-    return np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-
-
 @dataclass(frozen=True)
 class Capacity:
     """Monotone set function over subsets of a finite ground space.
 
     ``kind`` is one of ``additive``, ``grid``, ``distorted``, ``sup``,
-    ``explicit``, ``derived``.  Instances are immutable; evaluation is pure.
+    ``explicit``, ``derived``.  A derived capacity (from ``normalize``) is
+    m(B) = base(B n given) / base(given).  Instances are immutable;
+    evaluation is pure.
     """
 
     space: GroundSpace
@@ -97,33 +108,42 @@ class Capacity:
     weights: Optional[np.ndarray] = field(default=None, compare=False)
     table: Optional[np.ndarray] = field(default=None, compare=False)
     gamma: Optional[float] = None
-    fn: Optional[Callable[[int], float]] = field(default=None, compare=False)
+    base: Optional["Capacity"] = field(default=None, compare=False)
+    given: Optional[int] = None
 
     def __call__(self, mask: int) -> float:
-        n = self.space.n
         mask &= self.space.full_mask
         k = self.kind
         if k == "sup":
             return 0.0 if mask == 0 else 1.0
-        if k in ("additive", "grid"):
-            return float(sum(self.weights[i] for i in mask_indices(mask)))
-        if k == "distorted":
-            t = sum(self.weights[i] for i in mask_indices(mask))
-            return float(t**self.gamma)
+        if k in ("additive", "grid", "distorted"):
+            sel = self.weights[mask_bools(mask, self.space.n)]
+            # left to right, as a point-by-point sum adds (np.sum is pairwise)
+            t = float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
+            return t**self.gamma if k == "distorted" else t
         if k == "explicit":
             return float(self.table[mask])
-        return float(self.fn(mask))
+        return self.base(mask & self.given) / self.base(self.given)
+
+    def measure_meet(self, R: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Measures of the pairwise intersections of two stacks of subsets
+        given as boolean rows: entry (i, j) is mu(R[i] n S[j])."""
+        k = self.kind
+        if k in ("additive", "grid", "distorted"):
+            out = R.astype(float) @ (self.weights[:, None] * S.T)
+            return out**self.gamma if k == "distorted" else out
+        if k == "sup":
+            return (R.astype(float) @ S.T.astype(float) > 0).astype(float)
+        if k == "explicit":  # n <= 20, so table indices fit in int64
+            bits = R.astype(np.int64) << np.arange(self.space.n)
+            return self.table[bits @ S.T.astype(np.int64)]
+        given = mask_bools(self.given, self.space.n)
+        return self.base.measure_meet(R & given, S) / self.base(self.given)
 
     def measure_bools(self, sel: np.ndarray) -> float:
         """Measure of the subset given as a boolean array."""
-        k = self.kind
-        if k in ("additive", "grid"):
-            return float(self.weights[sel].sum())
-        if k == "distorted":
-            return float(self.weights[sel].sum() ** self.gamma)
-        if k == "sup":
-            return 1.0 if sel.any() else 0.0
-        return self(indices_mask(np.flatnonzero(sel)))
+        everything = np.ones((1, self.space.n), dtype=bool)
+        return float(self.measure_meet(sel[None, :], everything)[0, 0])
 
     def chain_measures(self, order: Sequence[int]) -> np.ndarray:
         """Measures of the nested prefixes of ``order``: entry k is
@@ -140,6 +160,8 @@ class Capacity:
             out = np.ones(len(order) + 1)
             out[0] = 0.0
             return out
+        if k == "explicit":  # the prefixes' masks are running sums of bits
+            return np.concatenate(([0.0], self.table[np.cumsum(1 << order)]))
         out = np.empty(len(order) + 1)
         out[0] = 0.0
         m = 0
@@ -181,8 +203,8 @@ def make_additive(weights: Sequence[float], space: Optional[GroundSpace] = None)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) == 0:
         raise InvalidCapacityError("weights must be a nonempty 1-d sequence")
-    if (w < 0).any():
-        raise InvalidCapacityError("weights must be nonnegative")
+    if not (w >= 0).all():  # also rejects NaN
+        raise InvalidCapacityError("weights must be nonnegative numbers")
     if w.sum() == 0:
         raise InvalidCapacityError("all-zero weights: the whole space must have positive measure")
     if space is None:
@@ -237,15 +259,15 @@ def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
         raise InvalidCapacityError("the empty set must have measure 0")
     if not t[-1] > 0.0:
         raise InvalidCapacityError("the whole space must have positive measure")
-    if (t < 0).any():
-        raise InvalidCapacityError("capacity values must be nonnegative")
+    if not (t >= 0).all():  # also rejects NaN
+        raise InvalidCapacityError("capacity values must be nonnegative numbers")
     if space is None:
         space = GroundSpace(n)
     elif space.n != n:
         raise InvalidCapacityError("table size must match the space")
     if range_tag is None:
-        range_tag = UNIT if float(np.nanmax(t)) <= 1.0 else EXTENDED
-    if range_tag == UNIT and float(np.nanmax(t)) > 1.0:
+        range_tag = UNIT if float(t.max()) <= 1.0 else EXTENDED
+    if range_tag == UNIT and float(t.max()) > 1.0:
         raise InvalidCapacityError("unit-range capacity has a value above 1")
     return Capacity(space=space, range=range_tag, kind="explicit", table=t)
 
@@ -274,12 +296,8 @@ def normalize(c: Capacity, A: int) -> Capacity:
     muA = c(A)
     if muA == 0.0 or math.isinf(muA):
         raise DegenerateInputError("normalize needs 0 < mu(A) < inf")
-    A &= c.space.full_mask
-
-    def fn(mask: int, _c=c, _A=A, _muA=muA) -> float:
-        return _c(mask & _A) / _muA
-
-    return Capacity(space=c.space, range=UNIT, kind="derived", fn=fn)
+    return Capacity(space=c.space, range=UNIT, kind="derived", base=c,
+                    given=A & c.space.full_mask)
 
 
 @dataclass

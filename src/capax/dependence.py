@@ -9,12 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import Capacity, GroundSpace, make_grid_lebesgue, mask_bools
+from .capacity import Capacity, make_grid_lebesgue, mask_bools
 from .integrals import SampleFunction, sample_function
 from .operators import AggOperator
 from .xreal import UNIT, DomainError
 
-PAIRWISE_LIMIT = 10_000
 POSDEP_TOL = 1e-12
 
 
@@ -27,40 +26,17 @@ class DependenceReport:
     slack: float = float("inf")  # worst margin found (posdep)
 
 
-def _comonotone_pairwise(f: np.ndarray, g: np.ndarray) -> Optional[tuple[int, int]]:
-    n = len(f)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (f[x] - f[y]) * (g[x] - g[y]) < 0:
-                return (x, y)
-    return None
-
-
-def _comonotone_sorted(f: np.ndarray, g: np.ndarray) -> Optional[tuple[int, int]]:
-    """Comonotone iff sorting by (f, g) leaves g nondecreasing."""
-    order = np.lexsort((g, f))
-    gs = g[order]
-    drops = np.flatnonzero(np.diff(gs) < 0)
-    if len(drops) == 0:
-        return None
-    i = drops[0]
-    return (int(order[i + 1]), int(order[i]))
-
-
-def is_comonotone(f: SampleFunction, g: SampleFunction,
-                  method: str = "auto") -> DependenceReport:
-    """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all point pairs."""
+def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
+    """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all point pairs, exactly and
+    in O(n log n): the pair is comonotone iff sorting the points by (f, g)
+    leaves g nondecreasing.  The witness is a pair (x, y) with
+    f(x) > f(y) and g(x) < g(y)."""
     if f.space.n != g.space.n:
         raise DomainError("comonotonicity needs a common space")
-    fv, gv = f.values, g.values
-    if method == "auto":
-        method = "pairwise" if f.space.n <= PAIRWISE_LIMIT else "sorted"
-    if method == "pairwise":
-        w = _comonotone_pairwise(fv, gv)
-    elif method == "sorted":
-        w = _comonotone_sorted(fv, gv)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    order = np.lexsort((g.values, f.values))
+    gs = g.values[order]
+    drops = np.flatnonzero(gs[1:] < gs[:-1])
+    w = None if len(drops) == 0 else (int(order[drops[0] + 1]), int(order[drops[0]]))
     return DependenceReport("comonotone", holds=w is None, witness=w)
 
 
@@ -78,27 +54,17 @@ def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
         raise DomainError("functions and capacity must share a space")
     selA = mask_bools(A, n)
     selB = mask_bools(B, n)
-    levels_a = np.unique(np.concatenate(([0.0], f.values[selA]))) if selA.any() else np.array([0.0])
-    levels_b = np.unique(np.concatenate(([0.0], g.values[selB]))) if selB.any() else np.array([0.0])
+    levels_a = np.unique(np.concatenate(([0.0], f.values[selA])))
+    levels_b = np.unique(np.concatenate(([0.0], g.values[selB])))
 
-    FA = (f.values[None, :] >= levels_a[:, None]) & selA[None, :]
-    GB = (g.values[None, :] >= levels_b[:, None]) & selB[None, :]
-    mFA = np.array([c.measure_bools(row) for row in FA])
-    mGB = np.array([c.measure_bools(row) for row in GB])
+    FA = (f.values >= levels_a[:, None]) & selA
+    GB = (g.values >= levels_b[:, None]) & selB
+    everything = np.ones((1, n), dtype=bool)
+    mFA = c.measure_meet(FA, everything)
+    mGB = c.measure_meet(GB, everything)
+    joint_w = c.measure_meet(FA, GB)
 
-    if c.kind in ("additive", "grid", "distorted"):
-        joint_w = FA.astype(float) @ (c.weights[:, None] * GB.T)
-        if c.kind == "distorted":
-            joint_w = joint_w**c.gamma
-    elif c.kind == "sup":
-        joint_w = (FA.astype(float) @ GB.T.astype(float) > 0).astype(float)
-    else:
-        joint_w = np.empty((len(levels_a), len(levels_b)))
-        for i in range(len(levels_a)):
-            for j in range(len(levels_b)):
-                joint_w[i, j] = c.measure_bools(FA[i] & GB[j])
-
-    rhs = tri.vec(mFA[:, None], mGB[None, :])
+    rhs = tri.vec(mFA, mGB.T)
     margin = joint_w - rhs
     i, j = np.unravel_index(np.argmin(margin), margin.shape)
     worst = float(margin[i, j])

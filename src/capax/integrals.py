@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .capacity import Capacity, GroundSpace, mask_indices
-from .xreal import (DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, in_range,
-                    sup_of)
+from .capacity import Capacity, GroundSpace, mask_bools
+from .xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
 from .operators import AggOperator, min_op, prod_op
 
 
@@ -98,16 +97,15 @@ def _check_compat(f: SampleFunction, c: Capacity, op: AggOperator = None):
 def _level_sets(f: SampleFunction, c: Capacity, A: int):
     """Distinct values of f on A in descending order with the measures of
     their level sets mu(A n {f >= v})."""
-    idx = np.array(mask_indices(A & f.space.full_mask), dtype=int)
+    idx = np.flatnonzero(mask_bools(A, f.space.n))
     if len(idx) == 0:
         return np.array([]), np.array([]), idx
     vals = f.values[idx]
     order = np.argsort(-vals, kind="stable")
     chain = c.chain_measures(idx[order])
     sorted_desc = vals[order]
-    # last index of each run of equal values -> measure of {f >= v}
-    distinct, last = np.unique(-sorted_desc, return_index=True)
-    distinct = -distinct  # ascending -> make descending below
+    distinct = -np.unique(-sorted_desc)  # descending
+    # points with value >= v form a prefix of the chain; its length indexes it
     counts = np.searchsorted(-sorted_desc, -distinct, side="right")
     return distinct, chain[counts], idx
 
@@ -122,18 +120,21 @@ def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,
     if A is None:
         A = f.space.full_mask
     distinct, measures, idx = _level_sets(f, c, A)
+    # an infinite value is evaluated at the top of the range
+    capped = len(distinct) > 0 and math.isinf(distinct[0])
+    levels = np.where(np.isinf(distinct), sup_of(c.range, cap), distinct)
 
     best = op.fn(0.0, c(A))
     best_level = 0.0
-    for v, m in zip(distinct, measures):
-        if math.isinf(v):
-            v = sup_of(c.range, cap)
-        t = op.fn(min(v, 1.0) if op.domain == UNIT else v, m)
-        if t > best:
-            best, best_level = t, float(v)
+    if len(levels):
+        t = op.vec(np.minimum(levels, 1.0) if op.domain == UNIT else levels,
+                   measures)
+        i = int(np.argmax(t))  # the first, i.e. highest, level of the max
+        if t[i] > best:
+            best, best_level = t[i], float(levels[i])
 
-    exact = op.zero_absorbing_right and op.left_continuous
-    cap_hit = False
+    exact = op.zero_absorbing_right and op.left_continuous and not capped
+    cap_hit = capped and c.range == EXTENDED
     if not op.zero_absorbing_right:
         # tail: sup over alpha above max f of alpha o mu(empty set)
         top = sup_of(c.range, cap)
@@ -208,9 +209,8 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
     # measure of {f >= alpha}: count points with value >= alpha
     vals_desc = np.sort(f.values[idx])[::-1] if len(idx) else np.array([])
     counts = np.searchsorted(-vals_desc, -grid, side="right")
-    chain_all = c.chain_measures(np.array(mask_indices(A & f.space.full_mask))[
-        np.argsort(-f.values[idx], kind="stable")]) if len(idx) else np.array([0.0])
-    grid_measures = chain_all[counts] if len(idx) else np.zeros_like(grid)
+    chain_all = c.chain_measures(idx[np.argsort(-f.values[idx], kind="stable")])
+    grid_measures = chain_all[counts]
 
     alphas = np.concatenate([grid, distinct[np.isfinite(distinct)]])
     meas = np.concatenate([grid_measures, measures[np.isfinite(distinct)]])

@@ -55,6 +55,30 @@ def test_02_sugeno_landmark():
     _passed(2, f"sugeno of identity = {value:.6f}, {elapsed:.2f}s")
 
 
+# seed-2024 summaries: (trials, hypothesis passes, violations, repr of min_slack)
+AUDIT_SUMMARIES_2024 = {
+    "jensen_sugeno": (1000, 1000, 0, "-3.3306690738754696e-16"),
+    "chebyshev_sugeno": (1000, 1000, 0, "-2.220446049250313e-16"),
+    "carlson_sugeno": (1000, 1000, 0, "-1.942890293094024e-16"),
+    "carlson_sugeno:min": (1000, 1000, 0, "-5.551115123125783e-17"),
+    "carlson_sugeno:product": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "carlson_sugeno:min_prod": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "carlson_sugeno:min_luk": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "carlson_sugeno:dombi": (1000, 1000, 0, "-2.220446049250313e-16"),
+    "carlson_sugeno:project_first": (1000, 1000, 0, "0.0"),
+    "carlson_sugeno_xu": (1000, 1000, 0, "0.0"),
+    "carlson_sugeno_wang": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "shilkret_example": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "lukasiewicz_example": (1000, 1000, 0, "0.0"),
+    "carlson_choquet_comonotone": (1000, 1000, 0, "-3.3306690738754696e-16"),
+    "carlson_choquet_submodular": (1000, 1000, 0, "-3.3306690738754696e-16"),
+    "carlson_choquet_subadditive": (1000, 1000, 0, "0.12153374974823193"),
+    "holder_choquet": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "jensen_choquet": (1000, 1000, 0, "-1.1102230246251565e-16"),
+    "chebyshev_choquet": (1000, 1000, 0, "-1.1102230246251565e-16"),
+}
+
+
 def test_03_theorem_audits_1000_trials_each():
     theorems = (
         ["jensen_sugeno", "chebyshev_sugeno", "carlson_sugeno"]
@@ -71,7 +95,11 @@ def test_03_theorem_audits_1000_trials_each():
         s = audit(tid, trials=1000, seed=2024)
         assert s.violation_count == 0, (tid, s.violations[:1])
         assert s.hypothesis_pass >= 900, (tid, s.hypothesis_pass)
+        # pinned: a refactor must not move any audit, not even in the last bit
+        assert (s.trials, s.hypothesis_pass, s.violation_count,
+                repr(s.min_slack)) == AUDIT_SUMMARIES_2024[tid], tid
         total_violations += s.violation_count
+    assert set(theorems) == set(AUDIT_SUMMARIES_2024)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _passed(3, f"{len(theorems)} audits x 1000 trials, "

@@ -11,6 +11,7 @@ from capax import (GroundSpace, InvalidCapacityError, check_modular,
                    indices_mask, make_additive, make_distorted, make_explicit,
                    make_grid_lebesgue, make_random_monotone, make_sup_capacity,
                    mask_indices, normalize)
+from capax.capacity import mask_bools
 from capax.xreal import DegenerateInputError
 
 
@@ -21,11 +22,111 @@ def test_mask_helpers_roundtrip():
     assert indices_mask([]) == 0
 
 
+def _bit_walk(mask, n):
+    """Set bits below n, read off the binary digits (linear in n)."""
+    return [i for i, d in enumerate(bin(mask)[:1:-1][:n]) if d == "1"]
+
+
+@pytest.mark.parametrize("mask, n", [
+    (0, 0), (0, 5), (1, 1), (0b10110101, 8), (0b110110101, 9),
+    (1 << 999, 1000), ((1 << 999) | 1, 1000),
+    (int.from_bytes(np.random.default_rng(4).bytes(12_500), "little"), 100_000),
+], ids=["empty", "empty5", "one", "8bits", "9bits", "high", "high_low", "1e5bits"])
+def test_mask_helpers_match_bit_walk(mask, n):
+    expected = _bit_walk(mask, n)
+    sel = mask_bools(mask, n)
+    assert sel.dtype == bool and sel.shape == (n,)
+    assert np.flatnonzero(sel).tolist() == expected
+    assert mask_indices(mask) == expected
+    assert indices_mask(expected) == mask
+
+
+def test_mask_bools_ignores_bits_beyond_the_space():
+    assert mask_bools(0b111111111, 3).tolist() == [True, True, True]
+    assert mask_bools((1 << 20) | 0b101, 10).tolist() == [True, False, True] + [False] * 7
+
+
+def _capacity_of_each_kind(rng):
+    n = 5
+    w = rng.uniform(0.1, 1.0, size=n)
+    _, grid = make_grid_lebesgue(0.0, 2.0, n)
+    explicit = make_random_monotone(n, rng)
+    return {
+        "additive": make_additive(w),
+        "grid": grid,
+        "distorted": make_distorted(w, gamma=0.6),
+        "sup": make_sup_capacity(GroundSpace(n)),
+        "explicit": explicit,
+        "derived": normalize(explicit, 0b01101),
+        "derived_additive": normalize(make_additive(w), 0b10110),
+    }
+
+
+@pytest.mark.parametrize("kind", ["additive", "grid", "distorted", "sup",
+                                  "explicit", "derived", "derived_additive"])
+def test_measure_meet_matches_per_subset_calls(kind):
+    rng = np.random.default_rng(9)
+    c = _capacity_of_each_kind(rng)[kind]
+    n = c.space.n
+    R = rng.uniform(size=(6, n)) < 0.5
+    S = rng.uniform(size=(4, n)) < 0.5
+    R[0] = False
+    S[1] = True
+    meet = c.measure_meet(R, S)
+    assert meet.shape == (6, 4)
+    for i in range(6):
+        for j in range(4):
+            assert meet[i, j] == pytest.approx(
+                c(indices_mask(np.flatnonzero(R[i] & S[j]))), abs=1e-15)
+    for row in R:
+        assert c.measure_bools(row) == pytest.approx(
+            c(indices_mask(np.flatnonzero(row))), abs=1e-15)
+
+
+def test_weighted_call_sums_left_to_right():
+    # np.sum adds pairwise; a measure must equal the point-by-point sum.
+    # Added one at a time, each 2**-53 rounds away against the leading 1.0.
+    w = np.array([1.0] + [2.0**-53] * 15 + list(np.random.default_rng(2).uniform(size=24)))
+    c = make_additive(w)
+    d = make_distorted(w, gamma=0.7)
+    assert c((1 << 16) - 1) == 1.0
+    for mask in (0, 1, (1 << 16) - 1, (1 << 40) - 1, 0xF0F0F0F0F0, 1 << 39 | 1 << 3):
+        t = 0.0
+        for i in _bit_walk(mask, 40):
+            t += float(w[i])
+        assert c(mask) == t
+        assert d(mask) == t**0.7
+
+
 def test_additive_measures_sum_of_weights():
     c = make_additive([0.1, 0.2, 0.3])
     assert c(0) == 0.0
     assert c(0b111) == pytest.approx(0.6)
     assert c(0b101) == pytest.approx(0.4)
+
+
+def test_constructors_reject_nan():
+    nan = float("nan")
+    with pytest.raises(InvalidCapacityError):
+        make_additive([0.5, nan])
+    with pytest.raises(InvalidCapacityError):
+        make_distorted([nan, 0.5], gamma=0.5)
+    with pytest.raises(InvalidCapacityError):
+        make_explicit([0.0, nan, 0.5, 1.0])
+    with pytest.raises(ValueError):
+        GroundSpace(2, coords=(0.1, nan), widths=(0.5, 0.5))
+    with pytest.raises(ValueError):
+        GroundSpace(2, coords=(nan, 0.2), widths=(0.5, 0.5))
+    with pytest.raises(ValueError):
+        GroundSpace(2, coords=(0.1, 0.2), widths=(0.5, nan))
+
+
+def test_ground_space_coordinate_checks():
+    GroundSpace(3, coords=(0.0, 0.5, 2.0), widths=(1.0, 1.0, 1.0))
+    for coords, widths in [((-0.1, 0.5), (1.0, 1.0)), ((0.5, 0.5), (1.0, 1.0)),
+                           ((0.5, 0.4), (1.0, 1.0)), ((0.1, 0.2), (1.0, 0.0))]:
+        with pytest.raises(ValueError):
+            GroundSpace(2, coords=coords, widths=widths)
 
 
 def test_additive_rejects_empty_and_zero_total():

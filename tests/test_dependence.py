@@ -27,14 +27,53 @@ def test_constant_function_comonotone_with_anything():
     assert is_comonotone(_fn([0.4, 0.4, 0.4]), _fn([0.9, 0.1, 0.5])).holds
 
 
+def _comonotone_by_definition(f, g):
+    """O(n^2) oracle: no pair (x, y) with f and g strictly ordered in
+    opposite directions (comparisons, so infinite values are exact)."""
+    n = len(f)
+    return not any((f[x] > f[y] and g[x] < g[y]) or (f[x] < f[y] and g[x] > g[y])
+                   for x in range(n) for y in range(n))
+
+
+def _random_pair(rng, n, comonotone):
+    # few distinct values so that ties are common, plus some infinities
+    pool = np.array([0.0, 0.25, 0.5, 1.0, 3.0, np.inf])
+    f = rng.choice(pool, size=n)
+    g = rng.choice(pool, size=n)
+    if comonotone:  # give g the order of f, ties broken arbitrarily
+        g = np.empty(n)
+        g[np.argsort(f, kind="stable")] = np.sort(rng.choice(pool, size=n))
+    return f, g
+
+
 def test_comonotone_methods_agree():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        f = _fn(rng.uniform(size=n))
-        g = _fn(rng.uniform(size=n))
-        assert (is_comonotone(f, g, method="pairwise").holds
-                == is_comonotone(f, g, method="sorted").holds)
+    seen = set()
+    for i in range(400):
+        n = int(rng.integers(1, 9))
+        f, g = _random_pair(rng, n, comonotone=i % 2 == 0)
+        expected = _comonotone_by_definition(f, g)
+        rep = is_comonotone(_fn(f), _fn(g))
+        assert rep.holds == expected, (f, g)
+        if not expected:
+            x, y = rep.witness
+            assert f[x] > f[y] and g[x] < g[y]
+        seen.add((i % 2 == 0, expected))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_comonotone_ties_and_infinities():
+    inf = np.inf
+    # ties in f allow any order of g; ties in g allow any order of f
+    assert is_comonotone(_fn([0.5, 0.5, 1.0]), _fn([0.9, 0.1, 0.9])).holds
+    assert is_comonotone(_fn([0.1, 0.7, 0.3]), _fn([0.2, 0.2, 0.2])).holds
+    assert is_comonotone(_fn([inf, inf, 1.0]), _fn([0.3, 0.9, 0.1])).holds
+    assert is_comonotone(_fn([1.0, inf]), _fn([2.0, inf])).holds
+    rep = is_comonotone(_fn([inf, 1.0]), _fn([0.0, 1.0]))
+    assert not rep.holds and rep.witness == (0, 1)
+    assert not is_comonotone(_fn([1.0, 2.0]), _fn([inf, 5.0])).holds
+    # differences whose product underflows to zero still count
+    assert not is_comonotone(_fn([0.0, 1e-200]), _fn([1e-200, 0.0])).holds
 
 
 def test_comonotone_rejects_mismatched_spaces():

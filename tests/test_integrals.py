@@ -12,7 +12,10 @@ from capax import (DomainError, GroundSpace, INF, brute_force_generalized_sugeno
                    lukasiewicz_op, make_additive, make_grid_lebesgue,
                    make_random_monotone, make_sup_capacity, min_op, pointwise,
                    power, prod_op, project_first_op, sample_function, shilkret,
-                   sugeno)
+                   sugeno, table_op)
+from capax.capacity import mask_bools
+from capax.integrals import _level_sets
+from capax.xreal import DEFAULT_CAP
 
 
 def uniform3():
@@ -87,8 +90,11 @@ def test_midpoint_grid_choquet_of_identity():
     assert choquet(from_formula(space, "x"), cap).value == pytest.approx(0.5)
 
 
-def _direct_sugeno_style(f, c, A, op):
-    """Independent oracle: loop over candidate levels with raw mask calls."""
+def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
+    """Independent oracle: loop over candidate levels with raw mask calls.
+    An infinite value is evaluated at the top of the range, and an operator
+    that does not absorb 0 on the right also sees the empty tail above it."""
+    top = 1.0 if c.range == "unit" else cap
     idx = [i for i in range(f.space.n) if (A >> i) & 1]
     best = op.fn(0.0, c(A))
     for alpha in sorted({f[i] for i in idx}):
@@ -96,9 +102,79 @@ def _direct_sugeno_style(f, c, A, op):
         for i in idx:
             if f[i] >= alpha:
                 mask |= 1 << i
-        lvl = min(alpha, 1.0) if op.domain == "unit" else alpha
+        a = top if math.isinf(alpha) else alpha
+        lvl = min(a, 1.0) if op.domain == "unit" else a
         best = max(best, op.fn(lvl, c(mask)))
+    if not op.zero_absorbing_right:
+        best = max(best, op.fn(top, 0.0))
     return best
+
+
+def _per_level_loop(f, c, A, op, cap=DEFAULT_CAP):
+    """The scalar evaluation order generalized_sugeno must reproduce:
+    descending levels, a strict > against the running best."""
+    distinct, measures, _ = _level_sets(f, c, A)
+    best, best_level = op.fn(0.0, c(A)), 0.0
+    for v, m in zip(distinct, measures):
+        if math.isinf(v):
+            v = cap if c.range == "extended" else 1.0
+        t = op.fn(min(v, 1.0) if op.domain == "unit" else v, m)
+        if t > best:
+            best, best_level = t, float(v)
+    if not op.zero_absorbing_right:
+        top = cap if c.range == "extended" else 1.0
+        if op.fn(top, 0.0) > best:
+            best, best_level = op.fn(top, 0.0), top
+    return best, best_level
+
+
+def _coarse_table_op():
+    # a 3-node product table: the max is often reached at several levels
+    return table_op([[0.0, 0.0, 0.0], [0.0, 0.25, 0.5], [0.0, 0.5, 1.0]],
+                    name="coarse")
+
+
+OPERATORS = {
+    "min": lambda rng: min_op(rng), "prod": lambda rng: prod_op(rng),
+    "lukasiewicz": lambda rng: lukasiewicz_op(), "dombi": lambda rng: dombi_op(),
+    "project_first": lambda rng: project_first_op(rng),
+    "table": lambda rng: _coarse_table_op(),
+}
+
+
+@pytest.mark.parametrize("opname, extended", [(name, False) for name in OPERATORS]
+                         + [(name, True) for name in ("min", "prod", "project_first")])
+def test_vectorized_sugeno_matches_oracles(opname, extended):
+    op = OPERATORS[opname]("extended" if extended else "unit")
+    pool = [0.0, 0.1, 0.5, 0.5, 0.9, 1.0] + ([2.5, 7.0, INF] if extended else [])
+    for seed in range(40):
+        rng = np.random.default_rng([seed, len(opname)])
+        n = int(rng.integers(1, 7))
+        if extended:
+            c = make_additive(rng.uniform(0.2, 1.5, size=n) + 1.0)
+        else:
+            c = make_random_monotone(n, rng)
+        f = sample_function(c.space, rng.choice(pool, size=n))
+        A = int(rng.integers(0, 2**n))
+        res = generalized_sugeno(f, c, A, op)
+        assert res.value == pytest.approx(_direct_sugeno_style(f, c, A, op),
+                                          rel=1e-12, abs=1e-14)
+        best, level = _per_level_loop(f, c, A, op)
+        assert (res.value, res.argmax_level) == (float(best), level)
+        capped = bool(np.isinf(f.values[mask_bools(A, n)]).any())
+        assert res.exact == (op.zero_absorbing_right and op.left_continuous
+                             and not capped)
+
+
+def test_infinite_level_evaluated_at_the_cap_is_flagged():
+    c = make_additive([1.0, 1.0])
+    res = shilkret(sample_function(c.space, [INF, 1.0]), c)
+    assert res.value == DEFAULT_CAP  # the cap times mu({f = inf}) = 1
+    assert res.argmax_level == DEFAULT_CAP
+    assert not res.exact
+    assert res.cap_hit
+    finite = shilkret(sample_function(c.space, [3.0, 1.0]), c)
+    assert (finite.value, finite.exact, finite.cap_hit) == (3.0, True, False)
 
 
 @pytest.mark.parametrize("opname", ["min", "prod", "lukasiewicz", "dombi"])
