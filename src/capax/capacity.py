@@ -5,6 +5,11 @@ capacities (additive, grid, distorted, sup) evaluate any mask on demand;
 explicit tables hold all 2^n values and are capped at n = 20.  Bulk work
 converts masks to boolean membership arrays once and measures stacks of
 them with ``Capacity.measure_meet``.
+
+The structural checkers compute the margins of all their pairs at once,
+from the capacity's value table (``Capacity.values``, n <= 20).  Sampled
+mode draws all its pairs in one batch from the same random stream the
+per-pair draws used, so a seed gives the same pairs, slack and witness.
 """
 
 from __future__ import annotations
@@ -145,6 +150,33 @@ class Capacity:
         everything = np.ones((1, self.space.n), dtype=bool)
         return float(self.measure_meet(sel[None, :], everything)[0, 0])
 
+    def values(self) -> np.ndarray:
+        """All 2^n measures, entry m being the measure of the mask m
+        (n <= MAX_EXPLICIT_N), equal bit for bit to evaluating each mask."""
+        n = self.space.n
+        if n > MAX_EXPLICIT_N:
+            raise DomainError(f"value tables are capped at n={MAX_EXPLICIT_N}")
+        k = self.kind
+        if k == "explicit":
+            return self.table
+        if k == "sup":
+            v = np.ones(2**n)
+            v[0] = 0.0
+            return v
+        if k == "derived":
+            return (self.base.values()[np.arange(2**n) & self.given]
+                    / self.base(self.given))
+        # subset sums adding the weights in ascending order, as __call__
+        # does; -0.0 is the exact identity of addition (0.0 + -0.0 is 0.0)
+        v = np.array([-0.0])
+        for w in self.weights.tolist():
+            v = np.concatenate((v, v + w))
+        v[0] = 0.0
+        if k == "distorted":  # Python's pow: numpy's may differ in the last bit
+            g = self.gamma
+            v = np.array([t**g for t in v.tolist()])
+        return v
+
     def chain_measures(self, order: Sequence[int]) -> np.ndarray:
         """Measures of the nested prefixes of ``order``: entry k is
         the measure of {order[0], ..., order[k-1]} (entry 0 is 0)."""
@@ -279,14 +311,9 @@ def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
         raise InvalidCapacityError(f"random explicit capacities are capped at n={MAX_EXPLICIT_N}")
     t = rng.uniform(size=2**n)
     t[0] = 0.0
-    for mask in range(1, 2**n):
-        m = mask
-        while m:
-            bit = m & -m
-            prev = t[mask ^ bit]
-            if prev > t[mask]:
-                t[mask] = prev
-            m ^= bit
+    for i in range(n):  # raise each set with bit i to its subset without it
+        v = t.reshape(-1, 2, 1 << i)
+        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     t /= t[-1]
     return make_explicit(t)
 
@@ -313,24 +340,65 @@ class PropertyReport:
     seed: Optional[int] = None
 
 
-def _margin(prop: str, c: Capacity, a: int, b: int) -> float:
-    """How far the pair (a, b) is from violating ``prop`` (negative = violation)."""
-    if prop == "monotone":  # b = a | single extra point
-        return c(b) - c(a)
-    va, vb = c(a), c(b)
-    vi, vu = c(a & b), c(a | b)
-    if prop == "submodular":
-        return va + vb - vi - vu
-    if prop == "subadditive":
-        return va + vb - vu
-    if prop == "modular":
-        return MODULAR_TOL - abs(va + vb - vi - vu)
-    raise ValueError(f"unknown property {prop!r}")
+def _worst_pair(prop: str, value, a: np.ndarray, b: np.ndarray):
+    """Smallest margin over the pairs of the broadcast arrays a and b
+    (negative = violation; the first in C order among equals) and, if it
+    is a violation, its pair.  ``value`` maps an array of masks to their
+    measures; monotone pairs have b = a | one extra point.  An inf - inf
+    margin is no evidence either way and is skipped."""
+    with np.errstate(invalid="ignore"):
+        va, vb = value(a), value(b)
+        if prop == "monotone":
+            margins = vb - va
+        elif prop == "subadditive":
+            margins = va + vb - value(a | b)
+        else:
+            margins = va + vb - value(a & b) - value(a | b)
+            if prop == "modular":
+                margins = MODULAR_TOL - np.abs(margins)
+    if margins.size == 0:
+        return math.inf, None
+    j = int(np.argmin(margins))
+    if np.isnan(margins.flat[j]):  # argmin stops at the first NaN
+        margins[np.isnan(margins)] = math.inf
+        j = int(np.argmin(margins))
+    slack = float(margins.flat[j])
+    if slack >= -MODULAR_TOL:
+        return slack, None
+    a, b = np.broadcast_arrays(a, b)
+    return slack, (int(a.flat[j]), int(b.flat[j]))
 
 
 def _random_mask(rng: np.random.Generator, n: int) -> int:
     nbytes = (n + 7) // 8
     return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << n) - 1)
+
+
+def _sampled_pairs(prop: str, n: int, rng: np.random.Generator, trials: int):
+    """The random pairs of ``trials`` trials, as int64 arrays for n <= 20
+    and as object arrays of Python ints above."""
+    full = (1 << n) - 1
+    if prop == "monotone":  # a bounded draw per trial: one trial at a time
+        pairs = []
+        for _ in range(trials):
+            a = _random_mask(rng, n)
+            free = [i for i in range(n) if not (a >> i) & 1]
+            if free:
+                pairs.append((a, a | (1 << free[int(rng.integers(len(free)))])))
+        dtype = np.int64 if n <= MAX_EXPLICIT_N else object
+        ab = np.array(pairs, dtype=dtype).reshape(-1, 2)
+        return ab[:, 0], ab[:, 1]
+    # rng.bytes(nbytes) takes ceil(nbytes / 4) words of this uint32 stream
+    nbytes = (n + 7) // 8
+    words = (nbytes + 3) // 4
+    u = rng.integers(0, 2**32, size=(trials, 2, words), dtype=np.uint32)
+    if n <= MAX_EXPLICIT_N:
+        ab = u[..., 0].astype(np.int64) & full
+    else:
+        rows = u.astype("<u4").reshape(-1, words)
+        ab = np.array([int.from_bytes(r.tobytes()[:nbytes], "little") & full
+                       for r in rows], dtype=object).reshape(trials, 2)
+    return ab[:, 0], ab[:, 1]
 
 
 def _check_property(prop: str, c: Capacity, mode: str, seed: int,
@@ -355,63 +423,32 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
             raise DomainError(f"{prop} is not known structurally for kind {c.kind!r}")
         return PropertyReport(prop, known, "structural", slack=0.0)
 
-    tol = MODULAR_TOL
-    worst = math.inf
-    witness = None
-
-    def consider(a: int, b: int):
-        nonlocal worst, witness
-        m = _margin(prop, c, a, b)
-        if m < worst:
-            worst = m
-            if m < -tol:
-                witness = (a, b)
+    if mode == "exhaustive" and pair_count > EXHAUSTIVE_PAIR_LIMIT:
+        raise DomainError("pair count too large for exhaustive checking")
+    if n <= MAX_EXPLICIT_N:
+        value = c.values().__getitem__
+    else:  # sampled pairs of a structured capacity: measured one by one
+        def value(masks):
+            return np.array([c(m) for m in masks.tolist()], dtype=float)
 
     if mode == "exhaustive":
-        if pair_count > EXHAUSTIVE_PAIR_LIMIT:
-            raise DomainError("pair count too large for exhaustive checking")
-        vals = c.table if c.kind == "explicit" else np.array(
-            [c(m) for m in range(2**n)])
         masks = np.arange(2**n)
-        if prop == "monotone":
-            worst_a = -1
+        if prop == "monotone":  # bit by bit, the sets without the bit
+            slack, witness = math.inf, None
             for i in range(n):
                 a = masks[(masks >> i) & 1 == 0]
-                margins = vals[a | (1 << i)] - vals[a]
-                j = int(np.argmin(margins))
-                if margins[j] < worst:
-                    worst = float(margins[j])
-                    worst_a = (int(a[j]), int(a[j] | (1 << i)))
-            witness = worst_a if worst < -tol else None
+                m, w = _worst_pair(prop, value, a, a | (1 << i))
+                if m < slack:
+                    slack, witness = m, w
         else:
-            A = masks[:, None]
-            B = masks[None, :]
-            if prop == "submodular":
-                margins = vals[A] + vals[B] - vals[A & B] - vals[A | B]
-            elif prop == "subadditive":
-                margins = vals[A] + vals[B] - vals[A | B]
-            else:  # modular
-                margins = tol - np.abs(vals[A] + vals[B]
-                                       - vals[A & B] - vals[A | B])
-            i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            worst = float(margins[i, j])
-            witness = (int(i), int(j)) if worst < -tol else None
+            slack, witness = _worst_pair(prop, value, masks[:, None], masks[None, :])
         return PropertyReport(prop, witness is None, "exhaustive",
-                              slack=worst, witness=witness)
+                              slack=slack, witness=witness)
 
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        if prop == "monotone":
-            a = _random_mask(rng, n)
-            free = [i for i in range(n) if not (a >> i) & 1]
-            if not free:
-                continue
-            i = free[int(rng.integers(len(free)))]
-            consider(a, a | (1 << i))
-        else:
-            consider(_random_mask(rng, n), _random_mask(rng, n))
+    a, b = _sampled_pairs(prop, n, np.random.default_rng(seed), trials)
+    slack, witness = _worst_pair(prop, value, a, b)
     return PropertyReport(prop, witness is None, "sampled",
-                          slack=worst, witness=witness, trials=trials, seed=seed)
+                          slack=slack, witness=witness, trials=trials, seed=seed)
 
 
 def check_monotone(c: Capacity, mode: str = "auto", seed: int = 0,

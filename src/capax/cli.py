@@ -13,16 +13,14 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import falsifier, inequalities as ineq
 from .capacity import (InvalidCapacityError, check_modular, check_monotone,
                        check_subadditive, check_submodular,
-                       make_grid_lebesgue, make_sup_capacity)
+                       make_grid_lebesgue)
 from .dependence import check_positive_dependence, is_comonotone
 from .integrals import (brute_force_generalized_sugeno, choquet, from_formula,
-                        generalized_sugeno, sample_function, shilkret, sugeno)
-from .operators import get_op, get_system
+                        generalized_sugeno, shilkret, sugeno)
+from .operators import get_op
 from .scenario import (SchemaError, capacity_from_spec, dump_result,
                        function_from_spec, load_document, space_from_spec,
                        subset_from_spec)

@@ -16,14 +16,12 @@ from typing import Optional
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import (GroundSpace, indices_mask, make_additive,
-                       make_distorted, make_explicit, make_grid_lebesgue,
-                       make_random_monotone, make_sup_capacity)
+from .capacity import make_random_monotone
 from .integrals import sample_function
 from .operators import builtin_systems, get_op, get_system
 from .scenario import (capacity_from_spec, capacity_to_spec, space_from_spec,
-                       space_to_spec, subset_from_spec, subset_to_spec)
-from .xreal import UNIT, DomainError
+                       subset_from_spec)
+from .xreal import DomainError
 
 VIOLATION_RTOL = 1e-9
 MAX_SHRINK_STEPS = 200

@@ -19,9 +19,9 @@ from .capacity import (Capacity, check_subadditive, check_submodular,
                        make_sup_capacity, normalize)
 from .dependence import (check_positive_dependence, is_comonotone,
                          make_uniform_example)
-from .integrals import (IntegralResult, SampleFunction, choquet, from_formula,
+from .integrals import (SampleFunction, choquet, from_formula,
                         generalized_sugeno, pointwise, power, sample_function,
-                        shilkret, sugeno)
+                        shilkret)
 from .operators import (AggOperator, OperatorSystem, check_chebyshev_condition,
                         check_power_condition, lukasiewicz_op, min_op, prod_op)
 from .xreal import INF, UNIT, DegenerateInputError, DomainError, xmul, xpow

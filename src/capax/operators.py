@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .xreal import EXTENDED, INF, UNIT, DomainError, in_range, xmul, xpow
+from .xreal import INF, UNIT, DomainError, in_range, xmul
 
 COND_TOL = 1e-12
 

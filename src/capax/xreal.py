@@ -52,9 +52,3 @@ def in_range(value: float, range_tag: str) -> bool:
     if range_tag == UNIT:
         return 0.0 <= value <= 1.0
     return value >= 0.0
-
-
-def check_range_tag(tag: str) -> str:
-    if tag not in (UNIT, EXTENDED):
-        raise DomainError(f"unknown range tag {tag!r}")
-    return tag
