@@ -194,13 +194,11 @@ class Capacity:
             return out
         if k == "explicit":  # the prefixes' masks are running sums of bits
             return np.concatenate(([0.0], self.table[np.cumsum(1 << order)]))
-        out = np.empty(len(order) + 1)
-        out[0] = 0.0
-        m = 0
-        for j, i in enumerate(order):
-            m |= 1 << int(i)
-            out[j + 1] = self(m)
-        return out
+        # a prefix of order meets given in the prefix of its inside points
+        inside = mask_bools(self.given, self.space.n)[order]
+        chain = self.base.chain_measures(order[inside])
+        return (chain[np.concatenate(([0], np.cumsum(inside)))]
+                / self.base(self.given))
 
     @property
     def total(self) -> float:

@@ -40,6 +40,14 @@ def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
     return DependenceReport("comonotone", holds=w is None, witness=w)
 
 
+def _levels(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of ``values`` together with 0: the first
+    of each run of equal sorted values."""
+    v = np.concatenate(([0.0], values))
+    v.sort()
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
                               B: int, c: Capacity, tri: AggOperator,
                               tol: float = POSDEP_TOL) -> DependenceReport:
@@ -54,8 +62,8 @@ def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
         raise DomainError("functions and capacity must share a space")
     selA = mask_bools(A, n)
     selB = mask_bools(B, n)
-    levels_a = np.unique(np.concatenate(([0.0], f.values[selA])))
-    levels_b = np.unique(np.concatenate(([0.0], g.values[selB])))
+    levels_a = _levels(f.values[selA])
+    levels_b = _levels(g.values[selB])
 
     FA = (f.values >= levels_a[:, None]) & selA
     GB = (g.values >= levels_b[:, None]) & selB

@@ -19,8 +19,8 @@ from . import inequalities as ineq
 from .capacity import make_random_monotone
 from .integrals import sample_function
 from .operators import builtin_systems, get_op, get_system
-from .scenario import (capacity_from_spec, capacity_to_spec, space_from_spec,
-                       subset_from_spec)
+from .scenario import (SchemaError, capacity_from_spec, capacity_to_spec,
+                       space_from_spec, subset_from_spec)
 from .xreal import DomainError
 
 VIOLATION_RTOL = 1e-9
@@ -97,6 +97,12 @@ def _trial_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng([seed, i])
 
 
+def _pick(rng, seq):
+    """One element of seq, drawn as rng.choice(seq) draws it (same value,
+    same use of the stream) without converting seq to an array."""
+    return seq[rng.integers(len(seq))]
+
+
 def _nonempty_mask(rng, n: int) -> int:
     m = int(rng.integers(1, 2**n))
     return m
@@ -148,8 +154,8 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
     if name == "jensen_sugeno":
         space, cap = _unit_space_cap(rng, n)
         f = rng.uniform(size=n)
-        params = {"op": str(rng.choice(["min", "prod", "dombi"])),
-                  "s": float(rng.choice([1.5, 2.0, 3.0]))}
+        params = {"op": _pick(rng, ["min", "prod", "dombi"]),
+                  "s": _pick(rng, [1.5, 2.0, 3.0])}
         return Scenario(theorem, seed, space, cap, {"f": f.tolist()},
                         {"A": _mask_list(_nonempty_mask(rng, n), n)}, params)
 
@@ -157,22 +163,22 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
         space, cap = _unit_space_cap(rng, n)
         f1, f2 = _comonotone_family(rng, n, 2)
         A = _nonempty_mask(rng, n)
-        params = {"system": str(rng.choice(SUGENO_SYSTEM_NAMES))}
+        params = {"system": _pick(rng, SUGENO_SYSTEM_NAMES)}
         return Scenario(theorem, seed, space, cap,
                         {"f1": f1.tolist(), "f2": f2.tolist()},
                         {"A": _mask_list(A, n), "B": _mask_list(A, n)}, params)
 
     if name == "carlson_sugeno":
-        system = theorem.split(":", 1)[1] if ":" in theorem else str(
-            rng.choice(SUGENO_SYSTEM_NAMES))
+        system = (theorem.split(":", 1)[1] if ":" in theorem
+                  else _pick(rng, SUGENO_SYSTEM_NAMES))
         space, cap = _unit_space_cap(rng, n)
         f, g, h = _comonotone_family(rng, n, 3)
         A = _nonempty_mask(rng, n)
         params = {"system": system,
-                  "p": float(rng.choice([1.0, 1.5, 2.0, 3.0])),
-                  "q": float(rng.choice([1.0, 1.5, 2.0, 3.0])),
-                  "r": float(rng.choice([0.5, 1.0, 2.0])),
-                  "s": float(rng.choice([0.5, 1.0, 2.0]))}
+                  "p": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
+                  "q": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
+                  "r": _pick(rng, [0.5, 1.0, 2.0]),
+                  "s": _pick(rng, [0.5, 1.0, 2.0])}
         return Scenario(theorem, seed, space, cap,
                         {"f": f.tolist(), "g": g.tolist(), "h": h.tolist()},
                         {"A": _mask_list(A, n), "B": _mask_list(A, n)}, params)
@@ -181,8 +187,8 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
         space, cap = _unit_space_cap(rng, n)
         f, g, h = _comonotone_family(rng, n, 3, low=0.2)
         A = _nonempty_mask(rng, n)
-        params = {"p": float(rng.choice([1.0, 1.5, 2.0, 3.0])),
-                  "q": float(rng.choice([1.0, 1.5, 2.0, 3.0]))}
+        params = {"p": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
+                  "q": _pick(rng, [1.0, 1.5, 2.0, 3.0])}
         return Scenario(theorem, seed, space, cap,
                         {"f": f.tolist(), "g": g.tolist(), "h": h.tolist()},
                         {"A": _mask_list(A, n)}, params)
@@ -199,18 +205,18 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
                         {"A": _mask_list((1 << n) - 1, n)}, {})
 
     if name == "lukasiewicz_example":
-        params = {"phi": str(rng.choice(["identity", "square", "sqrt"])),
-                  "psi": str(rng.choice(["identity", "square", "sqrt"])),
+        params = {"phi": _pick(rng, ["identity", "square", "sqrt"]),
+                  "psi": _pick(rng, ["identity", "square", "sqrt"]),
                   "n": int(rng.integers(50, 201)),
-                  "p": float(rng.choice([1.0, 1.5, 2.0, 3.0])),
-                  "q": float(rng.choice([1.0, 1.5, 2.0, 3.0]))}
+                  "p": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
+                  "q": _pick(rng, [1.0, 1.5, 2.0, 3.0])}
         return Scenario(theorem, seed, {"n": params["n"]}, {"type": "grid"},
                         {}, {}, params)
 
     if name == "jensen_choquet":
         space, cap = _unit_space_cap(rng, n)
         f = rng.uniform(size=n)
-        params = {"exponent": float(rng.choice([1.0, 1.5, 2.0, 3.0]))}
+        params = {"exponent": _pick(rng, [1.0, 1.5, 2.0, 3.0])}
         return Scenario(theorem, seed, space, cap, {"f": f.tolist()},
                         {"A": _mask_list(_nonempty_mask(rng, n), n)}, params)
 
@@ -224,10 +230,10 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
     if name == "carlson_choquet_comonotone":
         space, cap = _unit_space_cap(rng, n)
         f, g, h = _comonotone_family(rng, n, 3, low=0.2)
-        params = {"p": float(rng.choice([1.0, 2.0, 3.0])),
-                  "q": float(rng.choice([1.0, 2.0, 3.0])),
-                  "r": float(rng.choice([0.5, 1.0, 2.0])),
-                  "s": float(rng.choice([0.5, 1.0, 2.0]))}
+        params = {"p": _pick(rng, [1.0, 2.0, 3.0]),
+                  "q": _pick(rng, [1.0, 2.0, 3.0]),
+                  "r": _pick(rng, [0.5, 1.0, 2.0]),
+                  "s": _pick(rng, [0.5, 1.0, 2.0])}
         return Scenario(theorem, seed, space, cap,
                         {"f": f.tolist(), "g": g.tolist(), "h": h.tolist()},
                         {"A": _mask_list(_nonempty_mask(rng, n), n)}, params)
@@ -236,7 +242,7 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
         space = {"n": n}
         cap = _submodular_cap(rng, n)
         vals = rng.uniform(0.05, 1.0, size=(3, n))
-        params = {"p": float(rng.choice([1.5, 2.0, 3.0]))}
+        params = {"p": _pick(rng, [1.5, 2.0, 3.0])}
         if name == "holder_choquet":
             return Scenario(theorem, seed, space, cap,
                             {"phi": vals[0].tolist(), "psi": vals[1].tolist()},
@@ -250,7 +256,7 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
         space = _coord_space(rng, n)
         cap = _submodular_cap(rng, n)
         vals = rng.uniform(0.05, 1.0, size=(3, n))
-        params = {"p": float(rng.choice([1.5, 2.0, 3.0]))}
+        params = {"p": _pick(rng, [1.5, 2.0, 3.0])}
         return Scenario(theorem, seed, space, cap,
                         {"f": vals[0].tolist(), "g": vals[1].tolist(),
                          "h": vals[2].tolist()},
@@ -384,13 +390,13 @@ def _unconstrained_scenario(theorem: str, dropped: str, seed: int,
                    ("g" if name == "chebyshev_choquet" else "f2"):
                    rng.uniform(size=n).tolist()}
             params = {} if name == "chebyshev_choquet" else {
-                "system": str(rng.choice(SUGENO_SYSTEM_NAMES))}
+                "system": _pick(rng, SUGENO_SYSTEM_NAMES)}
         else:
             fns = {"f": rng.uniform(0.2, 1.0, size=n).tolist(),
                    "g": rng.uniform(0.2, 1.0, size=n).tolist(),
                    "h": rng.uniform(0.2, 1.0, size=n).tolist()}
             if name == "carlson_sugeno":
-                params = {"system": str(rng.choice(SUGENO_SYSTEM_NAMES)),
+                params = {"system": _pick(rng, SUGENO_SYSTEM_NAMES),
                           "p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
             else:
                 params = {"p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
@@ -408,7 +414,7 @@ def _unconstrained_scenario(theorem: str, dropped: str, seed: int,
             fns["h"] = rng.uniform(0.05, 1.0, size=n).tolist()
         return Scenario(theorem, seed, {"n": n}, cap, fns,
                         {"A": _mask_list((1 << n) - 1, n)},
-                        {"p": float(rng.choice([1.5, 2.0, 3.0]))})
+                        {"p": _pick(rng, [1.5, 2.0, 3.0])})
     raise DomainError(f"hypothesis {dropped!r} cannot be dropped for {theorem!r}")
 
 
@@ -454,7 +460,7 @@ def shrink(scn: Scenario, require_hypotheses: bool = False) -> Scenario:
         for cand in _shrink_candidates(current):
             try:
                 rep = run_scenario(cand)
-            except (DomainError, ValueError):
+            except (DomainError, SchemaError):
                 continue
             if is_violation(rep, require_hypotheses=require_hypotheses):
                 current = cand

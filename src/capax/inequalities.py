@@ -72,34 +72,32 @@ def _report(theorem, hypotheses, lhs, rhs, rtol=REL_TOL,
 
 # ---------------------------------------------------------------------------
 # cached operator-condition samplers (scenario-independent, so one run per
-# operator/system suffices for a whole audit)
+# operator/system suffices for a whole audit).  A verdict is keyed by what
+# its sampler reads: the domain and the vectorized operators, by identity.
+# The built-in operators share module-level functions, so each built-in
+# has one key; every table_op has its own.
 
 _POWER_CACHE: dict = {}
 _CHEB_CACHE: dict = {}
 
 
 def _power_ok(op: AggOperator, s: float) -> HypothesisCheck:
-    key = (op.name, op.domain, round(float(s), 12))
-    if op.name != "custom" and key in _POWER_CACHE:
-        return _POWER_CACHE[key]
-    rep = check_power_condition(op, [s], seed=7)
-    hc = HypothesisCheck(f"power_condition[{op.name},s={s}]", rep.holds_on_grid,
-                         detail=f"{len(rep.violations)} grid violations")
-    if op.name != "custom":
-        _POWER_CACHE[key] = hc
-    return hc
+    key = (op.vec, op.domain, float(s))
+    if key not in _POWER_CACHE:
+        _POWER_CACHE[key] = check_power_condition(op, [s], seed=7)
+    rep = _POWER_CACHE[key]
+    return HypothesisCheck(f"power_condition[{op.name},s={s}]", rep.holds_on_grid,
+                           detail=f"{len(rep.violations)} grid violations")
 
 
 def _cheb_ok(system: OperatorSystem) -> HypothesisCheck:
-    key = (system.name, system.domain,
-           system.circ.name, system.box.name, system.lhd.name, system.tri.name)
-    if key in _CHEB_CACHE:
-        return _CHEB_CACHE[key]
-    rep = check_chebyshev_condition(system, seed=7)
-    hc = HypothesisCheck(f"chebyshev_condition[{system.name}]", rep.holds_on_grid,
-                         detail=f"{len(rep.violations)} grid violations")
-    _CHEB_CACHE[key] = hc
-    return hc
+    key = (system.domain, system.circ.vec, system.box.vec, system.tri.vec,
+           system.lhd.vec)
+    if key not in _CHEB_CACHE:
+        _CHEB_CACHE[key] = check_chebyshev_condition(system, seed=7)
+    rep = _CHEB_CACHE[key]
+    return HypothesisCheck(f"chebyshev_condition[{system.name}]", rep.holds_on_grid,
+                           detail=f"{len(rep.violations)} grid violations")
 
 
 def _gs(f, c, A, op) -> float:

@@ -32,9 +32,9 @@ class SampleFunction:
         v = np.asarray(self.values, dtype=float)
         if len(v) != self.space.n:
             raise DomainError("value count must match the space")
-        if np.isnan(v).any() or (v < 0).any():
+        if not v.min() >= 0:  # NaN fails this comparison too
             raise DomainError("sample values must be nonnegative")
-        if self.range == UNIT and (v > 1).any():
+        if self.range == UNIT and v.max() > 1:
             raise DomainError("unit-range sample has a value above 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -46,7 +46,7 @@ class SampleFunction:
 def sample_function(space: GroundSpace, values, range_tag: str = None) -> SampleFunction:
     v = np.asarray(values, dtype=float)
     if range_tag is None:
-        range_tag = UNIT if v.size and np.nanmax(v) <= 1.0 else EXTENDED
+        range_tag = UNIT if v.size and v.max() <= 1.0 else EXTENDED
     return SampleFunction(space, v, range_tag)
 
 
@@ -90,24 +90,26 @@ def _check_compat(f: SampleFunction, c: Capacity, op: AggOperator = None):
     if op is not None and op.domain == UNIT:
         if c.range == EXTENDED:
             raise DomainError(f"operator {op.name} needs a unit-range capacity")
-        if float(np.max(f.values, initial=0)) > 1.0:
+        # a unit-range sample was checked against 1 when it was built
+        if f.range != UNIT and float(np.max(f.values, initial=0)) > 1.0:
             raise DomainError(f"operator {op.name} needs unit-range function values")
 
 
 def _level_sets(f: SampleFunction, c: Capacity, A: int):
     """Distinct values of f on A in descending order with the measures of
     their level sets mu(A n {f >= v})."""
-    idx = np.flatnonzero(mask_bools(A, f.space.n))
+    idx = mask_bools(A, f.space.n).nonzero()[0]
     if len(idx) == 0:
         return np.array([]), np.array([]), idx
     vals = f.values[idx]
     order = np.argsort(-vals, kind="stable")
     chain = c.chain_measures(idx[order])
     sorted_desc = vals[order]
-    distinct = -np.unique(-sorted_desc)  # descending
-    # points with value >= v form a prefix of the chain; its length indexes it
-    counts = np.searchsorted(-sorted_desc, -distinct, side="right")
-    return distinct, chain[counts], idx
+    # the last point of each run of equal values ends the prefix of points
+    # with value >= that value; the prefix length indexes the chain
+    run_end = np.concatenate((sorted_desc[1:] != sorted_desc[:-1], [True]))
+    ends = run_end.nonzero()[0]
+    return sorted_desc[ends], chain[ends + 1], idx
 
 
 def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,

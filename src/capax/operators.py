@@ -75,6 +75,22 @@ def _dombi_vec(a, b):
     return np.where(d == 0, 0.0, out)
 
 
+def _luk_scalar(a: float, b: float) -> float:
+    return max(a + b - 1.0, 0.0)
+
+
+def _luk_vec(a, b):
+    return np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0)
+
+
+def _first_scalar(a: float, b: float) -> float:
+    return a
+
+
+def _first_vec(a, b):
+    return np.broadcast_arrays(np.asarray(a, dtype=float), b)[0].copy()
+
+
 def min_op(domain: str = UNIT) -> AggOperator:
     return AggOperator("min", domain, min, np.minimum)
 
@@ -84,11 +100,7 @@ def prod_op(domain: str = UNIT) -> AggOperator:
 
 
 def lukasiewicz_op() -> AggOperator:
-    return AggOperator(
-        "lukasiewicz", UNIT,
-        lambda a, b: max(a + b - 1.0, 0.0),
-        lambda a, b: np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0),
-    )
+    return AggOperator("lukasiewicz", UNIT, _luk_scalar, _luk_vec)
 
 
 def dombi_op() -> AggOperator:
@@ -96,12 +108,8 @@ def dombi_op() -> AggOperator:
 
 
 def project_first_op(domain: str = UNIT) -> AggOperator:
-    return AggOperator(
-        "project_first", domain,
-        lambda a, b: a,
-        lambda a, b: np.broadcast_arrays(np.asarray(a, dtype=float), b)[0].copy(),
-        zero_absorbing_right=False,
-    )
+    return AggOperator("project_first", domain, _first_scalar, _first_vec,
+                       zero_absorbing_right=False)
 
 
 def table_op(values: Sequence[Sequence[float]], name: str = "custom") -> AggOperator:
@@ -182,11 +190,10 @@ class OperatorSystem:
         )
 
 
-def builtin_systems() -> list[OperatorSystem]:
-    """The six named operator systems known to satisfy both conditions."""
+def _builtin_systems() -> dict[str, OperatorSystem]:
     mn, pr, lk, db = min_op(), prod_op(), lukasiewicz_op(), dombi_op()
     pf = project_first_op()
-    return [
+    systems = [
         OperatorSystem("min", circ=mn, box=mn, star=mn, lhd=mn, tri=mn),
         OperatorSystem("product", circ=pr, box=pr, star=pr, lhd=pr, tri=pr),
         OperatorSystem("min_prod", circ=mn, box=pr, star=pr, lhd=pr, tri=pr),
@@ -194,13 +201,23 @@ def builtin_systems() -> list[OperatorSystem]:
         OperatorSystem("dombi", circ=db, box=db, star=pr, lhd=db, tri=db),
         OperatorSystem("project_first", circ=pf, box=pr, star=pr, lhd=pr, tri=mn),
     ]
+    return {s.name: s for s in systems}
+
+
+#: built once: the systems are immutable
+_SYSTEMS = _builtin_systems()
+
+
+def builtin_systems() -> list[OperatorSystem]:
+    """The six named operator systems known to satisfy both conditions."""
+    return list(_SYSTEMS.values())
 
 
 def get_system(name: str) -> OperatorSystem:
-    for sys in builtin_systems():
-        if sys.name == name:
-            return sys
-    raise DomainError(f"unknown operator system {name!r}")
+    try:
+        return _SYSTEMS[name]
+    except KeyError:
+        raise DomainError(f"unknown operator system {name!r}")
 
 
 @dataclass

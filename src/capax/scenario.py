@@ -55,6 +55,20 @@ def _num(v, where: str, allow_inf: bool = False) -> float:
     return x
 
 
+def _nums(seq, where: str):
+    """Validate a list of finite nonnegative numbers as one array; on any
+    other input fall back to ``_num`` per element, which raises its error."""
+    if type(seq) is list and set(map(type, seq)) <= {int, float}:
+        try:
+            a = np.array(seq, dtype=float)
+        except OverflowError:  # an int beyond float range: the walk below
+            pass               # raises for the first bad element in order
+        else:
+            if a.min(initial=0.0) >= 0 and a.max(initial=0.0) < INF:  # NaN fails
+                return a
+    return [_num(v, where) for v in seq]
+
+
 def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
     """Build a space; grid mode also yields the Lebesgue capacity."""
     _require_keys(spec, SPACE_KEYS, "space")
@@ -87,14 +101,14 @@ def capacity_from_spec(spec: dict, space: GroundSpace,
     ctype = spec.get("type")
     try:
         if ctype == "additive":
-            return make_additive([_num(w, "weights") for w in spec["weights"]], space)
+            return make_additive(_nums(spec["weights"], "weights"), space)
         if ctype == "distorted":
-            return make_distorted([_num(w, "weights") for w in spec["weights"]],
+            return make_distorted(_nums(spec["weights"], "weights"),
                                   _num(spec["gamma"], "gamma"), space)
         if ctype == "sup":
             return make_sup_capacity(space)
         if ctype == "explicit":
-            return make_explicit([_num(v, "table") for v in spec["table"]], space)
+            return make_explicit(_nums(spec["table"], "table"), space)
         if ctype == "grid":
             if grid_capacity is None:
                 raise SchemaError("capacity type grid requires a grid space")
@@ -108,16 +122,16 @@ def capacity_from_spec(spec: dict, space: GroundSpace,
 
 def capacity_to_spec(c: Capacity) -> dict:
     if c.kind in ("additive",):
-        return {"type": "additive", "weights": [float(w) for w in c.weights]}
+        return {"type": "additive", "weights": c.weights.tolist()}
     if c.kind == "grid":
         return {"type": "grid"}
     if c.kind == "distorted":
-        return {"type": "distorted", "weights": [float(w) for w in c.weights],
+        return {"type": "distorted", "weights": c.weights.tolist(),
                 "gamma": float(c.gamma)}
     if c.kind == "sup":
         return {"type": "sup"}
     if c.kind == "explicit":
-        return {"type": "explicit", "table": [float(v) for v in c.table]}
+        return {"type": "explicit", "table": c.table.tolist()}
     raise ValueError(f"capacity kind {c.kind!r} is not serializable")
 
 

@@ -194,6 +194,44 @@ def test_chain_measures_match_direct_evaluation():
     assert chain[0] == 0.0
 
 
+def _derived_chain_loop(c, order):
+    """The per-prefix evaluation derived chain_measures replaced: one
+    __call__ per prefix mask."""
+    out = np.zeros(len(order) + 1)
+    m = 0
+    for j, i in enumerate(order):
+        m |= 1 << int(i)
+        out[j + 1] = c(m)
+    return out
+
+
+#: weighted bases now sum in chain order, not index order
+DERIVED_CHAIN_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", ["derived", "derived_additive", "sup",
+                                  "grid", "distorted", "twice"])
+def test_derived_chain_measures_match_per_prefix_calls(kind):
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        caps = _capacity_of_each_kind(rng)
+        if kind in ("derived", "derived_additive"):
+            c = caps[kind]
+        elif kind == "twice":
+            c = normalize(caps["derived"], 0b00101)
+        else:
+            c = normalize(caps[kind], int(rng.integers(1, 32)))
+        order = rng.permutation(c.space.n)
+        for stop in (0, 1, 3, c.space.n):
+            got = c.chain_measures(order[:stop])
+            want = _derived_chain_loop(c, order[:stop])
+            if kind in ("derived", "sup", "twice"):  # table lookups: exact
+                assert got.tolist() == want.tolist()
+            else:
+                np.testing.assert_allclose(got, want, rtol=DERIVED_CHAIN_RTOL,
+                                           atol=0)
+
+
 # --- structural property checks -------------------------------------------
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from capax import (GroundSpace, check_positive_dependence, is_comonotone,
                    lukasiewicz_op, make_additive, make_sup_capacity,
                    make_uniform_example, min_op, sample_function)
-from capax.dependence import INCREASING_BIJECTIONS
+from capax.dependence import INCREASING_BIJECTIONS, _levels
 from capax.xreal import DomainError
 
 
@@ -153,3 +153,21 @@ def test_sup_capacity_dependence_for_comonotone_pair():
                                      0b111, c, min_op()).holds
     assert not check_positive_dependence(f, 0b111, _fn([0.2, 0.8, 0.4]),
                                          0b111, c, min_op()).holds
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.4], [0.3, 0.7, 0.3, 0.1, 0.7], [0.0, 0.5, 0.0], [-0.0, 0.2, -0.0],
+    [float("inf"), 0.2, float("inf")], [0.4, 0.4, 0.4],
+])
+def test_positive_dependence_levels_match_unique(values):
+    v = np.array(values, dtype=float)
+    want = np.unique(np.concatenate(([0.0], v)))
+    # ==, not repr: np.unique's sort leaves the sign of a zero to chance
+    assert _levels(v).tolist() == want.tolist()
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, float("inf")]),
+                max_size=12))
+def test_positive_dependence_levels_match_unique_on_ties(values):
+    v = np.array(values, dtype=float)
+    assert _levels(v).tolist() == np.unique(np.concatenate(([0.0], v))).tolist()

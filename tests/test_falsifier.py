@@ -3,13 +3,16 @@ dropping."""
 
 import math
 
+import numpy as np
 import pytest
 
+from capax import falsifier
 from capax.falsifier import (DROPPABLE, THEOREM_ALIASES, THEOREM_IDS,
-                             Scenario, audit, canonical_theorem,
+                             Scenario, _pick, audit, canonical_theorem,
                              hunt_counterexample, is_violation,
                              random_scenario, run_scenario, shrink)
 from capax.inequalities import InequalityReport
+from capax.scenario import SchemaError
 from capax.xreal import DomainError
 
 
@@ -109,6 +112,54 @@ def test_shrink_preserves_violation():
     small = shrink(found)
     assert small.space["n"] <= found.space["n"]
     assert is_violation(run_scenario(small), require_hypotheses=False)
+
+
+def _violating_scenario():
+    for i in range(5000):
+        scn = falsifier._unconstrained_scenario("holder_choquet", "submodular", 3, i)
+        if is_violation(run_scenario(scn), require_hypotheses=False):
+            return scn
+    raise AssertionError("no violating scenario")
+
+
+def test_shrink_lets_unexpected_value_errors_through(monkeypatch):
+    scn = _violating_scenario()
+
+    def broken(cand):
+        raise ValueError("not a schema or domain error")
+
+    monkeypatch.setattr(falsifier, "run_scenario", broken)
+    with pytest.raises(ValueError, match="not a schema or domain error"):
+        shrink(scn)
+
+
+@pytest.mark.parametrize("error", [DomainError, SchemaError])
+def test_shrink_skips_candidates_that_fail_validation(monkeypatch, error):
+    scn = _violating_scenario()
+
+    def rejects(cand):
+        raise error("rejected")
+
+    monkeypatch.setattr(falsifier, "run_scenario", rejects)
+    assert shrink(scn) is scn
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("theorem, dropped", sorted(DROPPABLE))
+def test_hunt_witnesses_replay_as_violations(theorem, dropped, seed):
+    w = hunt_counterexample(theorem, dropped, 10_000, seed)
+    assert w is not None
+    assert is_violation(run_scenario(w), require_hypotheses=False)
+
+
+def test_pick_draws_like_rng_choice():
+    seqs = [["min", "prod", "dombi"], [1.5, 2.0, 3.0], [1.0, 1.5, 2.0, 3.0],
+            ["a"], list(range(7))]
+    for seed in range(1000):
+        r1, r2 = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+        for seq in seqs:
+            assert _pick(r1, seq) == r2.choice(seq)
+        assert r1.integers(2**62) == r2.integers(2**62)  # same stream position
 
 
 def test_all_theorem_audits_clean_smoke():

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from capax import (DomainError, GroundSpace, INF, choquet, from_formula,
-                   get_system, make_additive, make_distorted,
-                   make_grid_lebesgue, make_random_monotone, make_sup_capacity,
-                   min_op, power, prod_op, sample_function)
-from capax.inequalities import (carlson_choquet_comonotone,
+from capax import (DomainError, GroundSpace, INF, check_chebyshev_condition,
+                   check_power_condition, choquet, from_formula, get_system,
+                   make_additive, make_distorted, make_grid_lebesgue,
+                   make_random_monotone, make_sup_capacity, min_op, power,
+                   prod_op, sample_function, table_op)
+from capax import inequalities
+from capax.operators import OperatorSystem
+from capax.inequalities import (_cheb_ok, _power_ok, carlson_choquet_comonotone,
                                 carlson_choquet_subadditive,
                                 carlson_choquet_submodular, carlson_sugeno,
                                 carlson_sugeno_wang, carlson_sugeno_xu,
@@ -338,3 +341,47 @@ def test_reports_are_orientation_normalized():
     for rep in reps:
         assert rep.holds == (rep.lhs <= rep.rhs + 1e-9 * max(1.0, abs(rep.rhs)))
         assert rep.slack == pytest.approx(rep.rhs - rep.lhs)
+
+
+def test_power_verdict_is_not_shared_by_operators_with_one_name():
+    g = np.linspace(0.0, 1.0, 9)
+    passing = table_op(np.zeros((9, 9)), name="t")
+    failing = table_op(np.clip(np.add.outer(g, g), 0.0, 1.0), name="t")
+    assert _power_ok(passing, 2.0).passed
+    assert not check_power_condition(failing, [2.0], seed=7).holds_on_grid
+    assert not _power_ok(failing, 2.0).passed
+    assert _power_ok(passing, 2.0).passed
+
+
+def test_chebyshev_verdict_is_not_shared_by_systems_with_one_name():
+    def system(box_table):
+        box = table_op(box_table, name="t")
+        return OperatorSystem("s", circ=min_op(), box=box, star=prod_op(),
+                              lhd=min_op(), tri=min_op())
+
+    passing, failing = system(np.ones((5, 5))), system(np.zeros((5, 5)))
+    assert _cheb_ok(passing).passed
+    assert not check_chebyshev_condition(failing, seed=7).holds_on_grid
+    assert not _cheb_ok(failing).passed
+
+
+def test_builtin_operator_verdicts_are_sampled_once(monkeypatch):
+    monkeypatch.setattr(inequalities, "_POWER_CACHE", {})
+    monkeypatch.setattr(inequalities, "_CHEB_CACHE", {})
+    runs = []
+
+    def counting(sampler):
+        def run(*args, **kwargs):
+            runs.append(sampler.__name__)
+            return sampler(*args, **kwargs)
+        return run
+
+    for name in ("check_power_condition", "check_chebyshev_condition"):
+        monkeypatch.setattr(inequalities, name,
+                            counting(getattr(inequalities, name)))
+    # each call builds its operators afresh; they share one identity
+    lukasiewicz_carlson_example("identity", "square", 60, 2.0, 2.0)
+    assert "check_chebyshev_condition" in runs
+    first = len(runs)
+    lukasiewicz_carlson_example("sqrt", "identity", 80, 2.0, 2.0)
+    assert len(runs) == first

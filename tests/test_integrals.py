@@ -229,6 +229,83 @@ def test_sample_function_validation():
         sample_function(sp, [-0.1, 0.5])
 
 
+@pytest.mark.parametrize("values, range_tag, message", [
+    ([math.nan, 0.5], None, "sample values must be nonnegative"),
+    ([0.5, math.nan], "unit", "sample values must be nonnegative"),
+    ([math.nan, math.nan], None, "sample values must be nonnegative"),
+    ([0.5, -0.0, -1e-300], None, "sample values must be nonnegative"),
+    ([-INF, 0.5], "extended", "sample values must be nonnegative"),
+    ([0.5, 1.0 + 1e-15], "unit", "unit-range sample has a value above 1"),
+    ([INF, 0.5], "unit", "unit-range sample has a value above 1"),
+])
+def test_sample_function_errors_are_unchanged(values, range_tag, message):
+    sp = GroundSpace(len(values))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sample_function(sp, values, range_tag)
+
+
+def test_sample_function_range_tags():
+    sp = GroundSpace(3)
+    assert sample_function(sp, [0.0, -0.0, 1.0]).range == "unit"
+    assert sample_function(sp, [0.0, 0.5, 1.0 + 1e-15]).range == "extended"
+    assert sample_function(sp, [0.0, INF, 0.5]).range == "extended"
+
+
+def test_unit_operator_value_scan_by_range_tag():
+    sp = GroundSpace(3)
+    c = make_additive([0.2, 0.3, 0.5])
+    luk = lukasiewicz_op()
+    with pytest.raises(DomainError, match="needs unit-range function values"):
+        generalized_sugeno(sample_function(sp, [0.2, 1.5, 0.0]), c, op=luk)
+    # a sample tagged extended but inside [0, 1] still passes the scan
+    vals = [0.2, 1.0, 0.0]
+    assert (generalized_sugeno(sample_function(sp, vals, "extended"), c, op=luk)
+            == generalized_sugeno(sample_function(sp, vals), c, op=luk))
+
+
+def _level_sets_unique(f, c, A):
+    """The level-set step _level_sets replaced: np.unique for the levels
+    and a searchsorted for their prefix lengths."""
+    idx = np.flatnonzero(mask_bools(A, f.space.n))
+    if len(idx) == 0:
+        return np.array([]), np.array([]), idx
+    vals = f.values[idx]
+    order = np.argsort(-vals, kind="stable")
+    chain = c.chain_measures(idx[order])
+    sorted_desc = vals[order]
+    distinct = -np.unique(-sorted_desc)
+    counts = np.searchsorted(-sorted_desc, -distinct, side="right")
+    return distinct, chain[counts], idx
+
+
+LEVEL_SET_VALUES = [
+    [0.3, 0.7, 0.3, 0.1, 0.7, 0.7],  # ties
+    [INF, 0.2, INF, 0.0, 5.0, 0.2],  # infinite values
+    [0.4, 0.4, 0.4, 0.4, 0.4, 0.4],  # all equal
+    [0.0, -0.0, 0.5, -0.0, 0.0, 0.5],  # mixed signs of zero
+    [-0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+    [0.9, 0.1, 0.5, 0.3, 0.7, 0.2],  # all distinct
+    [0.6],  # one point
+]
+
+
+@pytest.mark.parametrize("values", LEVEL_SET_VALUES)
+def test_level_sets_match_unique_searchsorted(values):
+    space = GroundSpace(len(values))
+    f = sample_function(space, values)
+    rng = np.random.default_rng(8)
+    caps = [make_random_monotone(space.n, rng),
+            make_additive(rng.uniform(0.1, 1.0, size=space.n), space)]
+    masks = [space.full_mask, 0b000001, 0b100000, 0b010110, 0b101011, 0]
+    for c in caps:
+        for A in masks:
+            got, want = _level_sets(f, c, A), _level_sets_unique(f, c, A)
+            # ==, not repr: np.unique's sort leaves the sign of a zero
+            # level to chance
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist()
+
+
 def test_from_formula_and_power_and_pointwise():
     space, _ = make_grid_lebesgue(0.0, 1.0, 4)
     x = from_formula(space, "x")

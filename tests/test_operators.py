@@ -90,6 +90,15 @@ def test_builtin_systems_names():
         get_system("unknown")
 
 
+def test_builtin_systems_and_operators_keep_one_identity():
+    assert get_system("min_luk") is get_system("min_luk")
+    systems = builtin_systems()
+    systems.clear()  # a caller's list, not the table get_system reads
+    assert get_system("dombi") in builtin_systems()
+    for make in (min_op, prod_op, lukasiewicz_op, dombi_op, project_first_op):
+        assert make().vec is make().vec and make().fn is make().fn
+
+
 @pytest.mark.parametrize("op", [min_op(), prod_op(), lukasiewicz_op(),
                                 dombi_op(), project_first_op(),
                                 min_op("extended"), prod_op("extended")])

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from capax import INF
-from capax.scenario import (SchemaError, capacity_from_spec, capacity_to_spec,
-                            dump_result, function_from_spec, load_document,
+from capax.scenario import (SchemaError, _num, capacity_from_spec,
+                            capacity_to_spec, dump_result, function_from_spec, load_document,
                             space_from_spec, space_to_spec, subset_from_spec,
                             subset_to_spec, validate_document)
-from capax.capacity import make_additive, make_distorted, make_sup_capacity
+from capax.capacity import (make_additive, make_distorted, make_explicit,
+                            make_random_monotone, make_sup_capacity)
 
 
 def test_unknown_top_level_key_rejected():
@@ -117,3 +118,59 @@ def test_dump_result_is_byte_stable_and_handles_infinity(tmp_path):
     parsed = json.loads(b1)
     assert parsed["report"]["value"] == "inf"
     assert parsed["report"]["arr"] == [1.0, 2.0]
+
+
+def _decode_per_element(spec, space):
+    """The weights/table decoding capacity_from_spec replaced: one _num
+    call per element, then the constructor, errors wrapped the same way."""
+    try:
+        if spec["type"] == "additive":
+            return make_additive([_num(w, "weights") for w in spec["weights"]], space)
+        if spec["type"] == "distorted":
+            return make_distorted([_num(w, "weights") for w in spec["weights"]],
+                                  _num(spec["gamma"], "gamma"), space)
+        return make_explicit([_num(v, "table") for v in spec["table"]], space)
+    except KeyError as e:
+        raise SchemaError(f"capacity: missing {e.args[0]!r}")
+    except ValueError as e:
+        raise SchemaError(f"capacity: {e}")
+
+
+def _outcome(decode, spec, space):
+    try:
+        return "ok", decode(spec, space).values().tolist()
+    except Exception as e:
+        return type(e), str(e)
+
+
+BAD_ELEMENTS = [True, False, "x", None, math.nan, INF, -INF, -0.5, "inf",
+                [0.5], {"w": 1}, 10**400]
+
+
+@pytest.mark.parametrize("ctype", ["additive", "distorted", "explicit"])
+def test_array_decoder_matches_per_element_num(ctype):
+    space, _ = space_from_spec({"n": 2})
+    key = "table" if ctype == "explicit" else "weights"
+    good = [0, 0.3, 1, 1.0] if ctype == "explicit" else [0.25, 1]
+    cases = [good, [float(x) for x in good], [0, 0, 0, 0][:len(good)], [],
+             [0.1] * 3, "ab", "", {"a": 1}, None, 7, tuple(good),
+             [np.float64(x) for x in good], [-1, 10**400]]
+    for pos in range(1, len(good)):
+        for bad in BAD_ELEMENTS:
+            cases.append(good[:pos] + [bad] + good[pos + 1:])
+    for seq in cases:
+        spec = {"type": ctype, key: seq}
+        if ctype == "distorted":
+            spec["gamma"] = 0.5
+        assert (_outcome(capacity_from_spec, spec, space)
+                == _outcome(_decode_per_element, spec, space)), seq
+
+
+def test_array_decoder_roundtrips_random_tables():
+    rng = np.random.default_rng(2)
+    for n in range(1, 9):
+        c = make_random_monotone(n, rng)
+        spec = capacity_to_spec(c)
+        assert all(type(v) is float for v in spec["table"])
+        space, _ = space_from_spec({"n": n})
+        assert capacity_from_spec(spec, space).values().tolist() == c.values().tolist()
