@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from functools import partial
 from typing import Optional
 
 from . import falsifier, inequalities as ineq
@@ -242,28 +243,20 @@ def _demo_carlson_classical():
     return rep
 
 
-def _demo_caballero():
-    space, cap = make_grid_lebesgue(0.0, 1.0, 1000)
-    f = from_formula(space, "x")
-    g = from_formula(space, "const:1")
-    h = from_formula(space, "x")
-    return ineq.carlson_sugeno_xu(f, g, h, space.full_mask, cap, 2.0, 2.0)
+#: demos on a grid of [0, 1] with f = h = x and g = 1:
+#: name -> (checker, cells, exponents)
+_X_ONE_X_DEMOS = {
+    "caballero": (ineq.carlson_sugeno_xu, 1000, (2.0, 2.0)),
+    "xu-ouyang": (ineq.carlson_sugeno_xu, 500, (2.0, 3.0)),
+    "wang": (ineq.carlson_sugeno_wang, 500, (2.0, 3.0)),
+    "ouyang-choquet": (ineq.carlson_choquet_comonotone, 500, (2.0, 2.0, 1.0, 1.0)),
+}
 
 
-def _demo_xu_ouyang():
-    space, cap = make_grid_lebesgue(0.0, 1.0, 500)
-    f = from_formula(space, "x")
-    g = from_formula(space, "const:1")
-    h = from_formula(space, "x")
-    return ineq.carlson_sugeno_xu(f, g, h, space.full_mask, cap, 2.0, 3.0)
-
-
-def _demo_wang():
-    space, cap = make_grid_lebesgue(0.0, 1.0, 500)
-    f = from_formula(space, "x")
-    g = from_formula(space, "const:1")
-    h = from_formula(space, "x")
-    return ineq.carlson_sugeno_wang(f, g, h, space.full_mask, cap, 2.0, 3.0)
+def _demo_x_one_x(checker, cells, exponents):
+    space, cap = make_grid_lebesgue(0.0, 1.0, cells)
+    f, g, h = (from_formula(space, s) for s in ("x", "const:1", "x"))
+    return checker(f, g, h, space.full_mask, cap, *exponents)
 
 
 def _demo_shilkret():
@@ -274,14 +267,6 @@ def _demo_shilkret():
 
 def _demo_lukasiewicz():
     return ineq.lukasiewicz_carlson_example("identity", "identity", 200, 2.0, 2.0)
-
-
-def _demo_ouyang_choquet():
-    space, cap = make_grid_lebesgue(0.0, 1.0, 500)
-    f = from_formula(space, "x")
-    g = from_formula(space, "const:1")
-    h = from_formula(space, "x")
-    return ineq.carlson_choquet_comonotone(f, g, h, None, cap, 2.0, 2.0, 1.0, 1.0)
 
 
 def _demo_sharpness():
@@ -305,12 +290,9 @@ def _demo_impossibility():
 
 DEMOS = {
     "carlson-classical": _demo_carlson_classical,
-    "caballero": _demo_caballero,
-    "xu-ouyang": _demo_xu_ouyang,
-    "wang": _demo_wang,
+    **{name: partial(_demo_x_one_x, *row) for name, row in _X_ONE_X_DEMOS.items()},
     "shilkret-example": _demo_shilkret,
     "lukasiewicz-example": _demo_lukasiewicz,
-    "ouyang-choquet": _demo_ouyang_choquet,
     "sharpness": _demo_sharpness,
     "impossibility": _demo_impossibility,
 }
@@ -355,32 +337,32 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--op", default=None, help="operator name for --integral generalized")
     pi.add_argument("--function", default="f", help="which named function to integrate")
     pi.add_argument("--out", default=None)
-    pi.set_defaults(fn=cmd_integrate)
+    pi.set_defaults(handler=cmd_integrate)
 
     pc = sub.add_parser("check", help="structural and dependence checks")
     pc.add_argument("file")
     pc.add_argument("--what", required=True,
                     help="capacity:PROP | comonotone | posdep")
     pc.add_argument("--out", default=None)
-    pc.set_defaults(fn=cmd_check)
+    pc.set_defaults(handler=cmd_check)
 
     pa = sub.add_parser("audit", help="randomized theorem audit")
     pa.add_argument("file")
     pa.add_argument("--seed", type=int, default=None)
     pa.add_argument("--out", default=None)
-    pa.set_defaults(fn=cmd_audit)
+    pa.set_defaults(handler=cmd_audit)
 
     pf = sub.add_parser("falsify", help="hunt counterexamples with a dropped hypothesis")
     pf.add_argument("file")
     pf.add_argument("--drop", default=None)
     pf.add_argument("--seed", type=int, default=None)
     pf.add_argument("--out", default=None)
-    pf.set_defaults(fn=cmd_falsify)
+    pf.set_defaults(handler=cmd_falsify)
 
     pd = sub.add_parser("demo", help="run a named demonstration")
     pd.add_argument("name")
     pd.add_argument("--out", default=None)
-    pd.set_defaults(fn=cmd_demo)
+    pd.set_defaults(handler=cmd_demo)
     return p
 
 
@@ -388,7 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.handler(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -84,9 +84,9 @@ def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
 
 
 INCREASING_BIJECTIONS = {
-    "identity": (lambda t: t, lambda t: t),
-    "square": (lambda t: t**2, np.sqrt),
-    "sqrt": (np.sqrt, lambda t: t**2),
+    "identity": lambda t: t,
+    "square": lambda t: t**2,
+    "sqrt": np.sqrt,
 }
 
 
@@ -95,8 +95,8 @@ def make_uniform_example(phi_id: str, psi_id: str, n: int):
     h = 1 - psi(U): not comonotone, but positively dependent with respect
     to the Lukasiewicz operator."""
     try:
-        phi = INCREASING_BIJECTIONS[phi_id][0]
-        psi = INCREASING_BIJECTIONS[psi_id][0]
+        phi = INCREASING_BIJECTIONS[phi_id]
+        psi = INCREASING_BIJECTIONS[psi_id]
     except KeyError as e:
         raise DomainError(f"unknown bijection id {e.args[0]!r}")
     space, P = make_grid_lebesgue(0.0, 1.0, n)

@@ -149,7 +149,7 @@ def chebyshev_sugeno(system: OperatorSystem, f1: SampleFunction,
                      c: Capacity) -> InequalityReport:
     """Chebyshev-type bound: the lhd-combination of marginal integrals is
     dominated by the integral of the box-combination on A n B."""
-    lhs = system.lhd.fn(_gs(f1, c, A, system.circ), _gs(f2, c, B, system.circ))
+    lhs = system.lhd(_gs(f1, c, A, system.circ), _gs(f2, c, B, system.circ))
     rhs = _gs(pointwise(system.box, f1, f2), c, A & B, system.circ)
     hyp = [_cheb_ok(system),
            _posdep_hyp("positive_dependence[f1,f2]", f1, A, f2, B, c, system.tri)]
@@ -166,11 +166,11 @@ def carlson_sugeno(system: OperatorSystem, f: SampleFunction,
     If = _gs(f, c, A, system.circ)
     Ig = _gs(g, c, B, system.circ)
     Ih = _gs(h, c, B, system.circ)
-    lhs = system.star.fn(xpow(system.lhd.fn(If, Ig), r),
-                         xpow(system.lhd.fn(If, Ih), s))
+    lhs = system.star(xpow(system.lhd(If, Ig), r),
+                      xpow(system.lhd(If, Ih), s))
     Ipg = _gs(power(pointwise(system.box, f, g), p), c, A & B, system.circ)
     Iqh = _gs(power(pointwise(system.box, f, h), q), c, A & B, system.circ)
-    rhs = system.star.fn(xpow(Ipg, r / p), xpow(Iqh, s / q))
+    rhs = system.star(xpow(Ipg, r / p), xpow(Iqh, s / q))
     hyp = [
         _power_ok(system.circ, p),
         _power_ok(system.circ, q),

@@ -4,7 +4,10 @@ plus a dense-grid brute-force oracle.
 The candidate-set evaluator is exact for operators that are declared
 left-continuous and right-zero-absorbing: between consecutive distinct
 values of f the level-set measure is constant, so the supremum sits at the
-right endpoint.
+right endpoint.  The candidates are level 0 with mu(A), the distinct
+values of f on A with their level-set measures and, for an operator that
+does not absorb 0 on the right, the top of the range with the empty set;
+one vectorized operator call evaluates them all.
 """
 
 from __future__ import annotations
@@ -122,31 +125,32 @@ def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,
     if A is None:
         A = f.space.full_mask
     distinct, measures, idx = _level_sets(f, c, A)
-    # an infinite value is evaluated at the top of the range
-    capped = len(distinct) > 0 and math.isinf(distinct[0])
-    levels = np.where(np.isinf(distinct), sup_of(c.range, cap), distinct)
-
-    best = op.fn(0.0, c(A))
-    best_level = 0.0
-    if len(levels):
-        t = op.vec(np.minimum(levels, 1.0) if op.domain == UNIT else levels,
-                   measures)
-        i = int(np.argmax(t))  # the first, i.e. highest, level of the max
-        if t[i] > best:
-            best, best_level = t[i], float(levels[i])
+    k = len(distinct)
+    top = sup_of(c.range, cap)
+    # the candidates in tie-break order, since the first index of the max
+    # wins: level 0 with mu(A), the distinct values descending with their
+    # level-set measures, then the tail (alpha above max f, where
+    # mu(empty set) = 0) at the top of the range if op does not absorb 0
+    tail = not op.zero_absorbing_right
+    alphas = np.zeros(k + 1 + tail)
+    alphas[1:k + 1] = distinct
+    alphas[k + 1:] = top
+    level_measures = np.zeros(k + 1 + tail)
+    level_measures[0] = c(A)
+    level_measures[1:k + 1] = measures
+    # an infinite value, necessarily the highest, is evaluated at the top
+    capped = k > 0 and math.isinf(distinct[0])
+    if capped:
+        alphas[1] = top
+    t = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas,
+               level_measures)
+    i = int(np.argmax(t))
+    tail_won = tail and i == k + 1
 
     exact = op.zero_absorbing_right and op.left_continuous and not capped
-    cap_hit = capped and c.range == EXTENDED
-    if not op.zero_absorbing_right:
-        # tail: sup over alpha above max f of alpha o mu(empty set)
-        top = sup_of(c.range, cap)
-        t = op.fn(top, 0.0)
-        if t > best:
-            best, best_level = t, top
-            cap_hit = c.range == EXTENDED
-        exact = False
-    return IntegralResult(float(best), best_level, exact,
-                          bound=0.0 if exact else cap, cap_hit=cap_hit)
+    return IntegralResult(float(t[i]), float(alphas[i]), exact,
+                          bound=0.0 if exact else cap,
+                          cap_hit=(capped or tail_won) and c.range == EXTENDED)
 
 
 def sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> IntegralResult:
@@ -220,28 +224,24 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
         alphas = np.concatenate([alphas, [sup_of(c.range, cap)]])
         meas = np.concatenate([meas, [measures[0]]])
 
-    best, best_level = op.fn(0.0, c(A)), 0.0
+    best, best_level = op(0.0, c(A)), 0.0
     vec = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas, meas)
     i = int(np.argmax(vec)) if len(vec) else -1
     if i >= 0 and vec[i] > best:
         best, best_level = float(vec[i]), float(alphas[i])
     if not op.zero_absorbing_right:
-        t = op.fn(top, 0.0)
+        t = op(top, 0.0)
         if t > best:
             best, best_level = t, top
     return IntegralResult(best, best_level, False, bound=spacing)
 
 
-def pointwise(op_or_fn, f: SampleFunction, g: SampleFunction,
+def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction,
               range_tag: str = None) -> SampleFunction:
     """Pointwise combination of two sample functions."""
     if f.space.n != g.space.n:
         raise DomainError("pointwise combination needs a common space")
-    if callable(op_or_fn) and not isinstance(op_or_fn, AggOperator):
-        vals = np.array([op_or_fn(a, b) for a, b in zip(f.values, g.values)])
-    else:
-        vals = op_or_fn.vec(f.values, g.values)
-    return sample_function(f.space, vals, range_tag)
+    return sample_function(f.space, op.vec(f.values, g.values), range_tag)
 
 
 def power(f: SampleFunction, s: float) -> SampleFunction:

@@ -2,8 +2,10 @@
 used by the Carlson-type theorems, and samplers for the operator
 hypotheses.
 
-Condition checkers are samplers, not proofs: a "holds" verdict means zero
-violations on the reported grid plus random points.
+Every operator is one numpy-vectorized function; a scalar evaluation is
+the same function on 0-d arrays, so array and scalar results agree bit
+for bit.  Condition checkers are samplers, not proofs: a "holds" verdict
+means zero violations on the reported grid plus random points.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .xreal import INF, UNIT, DomainError, in_range, xmul
+from .xreal import INF, UNIT, DomainError, in_range
 
 COND_TOL = 1e-12
 
@@ -23,47 +25,37 @@ COND_TOL = 1e-12
 class AggOperator:
     """Nondecreasing binary operator on the range.
 
-    ``fn`` is the scalar evaluation, ``vec`` a numpy-vectorized twin.
-    ``zero_absorbing_right`` declares a o 0 = 0 for all a; ``left_continuous``
-    is a declared flag (pointwise limits are not grid-decidable) and gates
-    exactness claims in the integral evaluators.
+    ``vec`` is the one evaluation: it takes arrays (or scalars) and
+    broadcasts; calling the operator on two scalars returns
+    ``float(vec(a, b))``.  ``zero_absorbing_right`` declares a o 0 = 0 for
+    all a; ``left_continuous`` is a declared flag (pointwise limits are not
+    grid-decidable) and gates exactness claims in the integral evaluators.
     """
 
     name: str
     domain: str
-    fn: Callable[[float, float], float] = field(compare=False)
     vec: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
     zero_absorbing_right: bool = True
     left_continuous: bool = True
 
     def __call__(self, a: float, b: float) -> float:
-        return self.fn(a, b)
+        return float(self.vec(a, b))
 
 
 def eval_op(op: AggOperator, a: float, b: float) -> float:
     """Evaluate with domain validation."""
     if not (in_range(a, op.domain) and in_range(b, op.domain)):
         raise DomainError(f"inputs ({a}, {b}) outside {op.domain} domain of {op.name}")
-    return op.fn(a, b)
-
-
-def _prod_scalar(a: float, b: float) -> float:
-    return xmul(a, b)
+    return op(a, b)
 
 
 def _prod_vec(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
+    # 0 * inf is fixed below; a finite product beyond the largest double is inf
+    with np.errstate(invalid="ignore", over="ignore"):
         out = a * b
     return np.where((a == 0) | (b == 0), 0.0, out)
-
-
-def _dombi_scalar(a: float, b: float) -> float:
-    d = a + b - a * b
-    if d == 0.0:  # only at (0, 0); continuous extension
-        return 0.0
-    return a * b / d
 
 
 def _dombi_vec(a, b):
@@ -75,16 +67,8 @@ def _dombi_vec(a, b):
     return np.where(d == 0, 0.0, out)
 
 
-def _luk_scalar(a: float, b: float) -> float:
-    return max(a + b - 1.0, 0.0)
-
-
 def _luk_vec(a, b):
     return np.maximum(np.asarray(a) + np.asarray(b) - 1.0, 0.0)
-
-
-def _first_scalar(a: float, b: float) -> float:
-    return a
 
 
 def _first_vec(a, b):
@@ -92,23 +76,23 @@ def _first_vec(a, b):
 
 
 def min_op(domain: str = UNIT) -> AggOperator:
-    return AggOperator("min", domain, min, np.minimum)
+    return AggOperator("min", domain, np.minimum)
 
 
 def prod_op(domain: str = UNIT) -> AggOperator:
-    return AggOperator("prod", domain, _prod_scalar, _prod_vec)
+    return AggOperator("prod", domain, _prod_vec)
 
 
 def lukasiewicz_op() -> AggOperator:
-    return AggOperator("lukasiewicz", UNIT, _luk_scalar, _luk_vec)
+    return AggOperator("lukasiewicz", UNIT, _luk_vec)
 
 
 def dombi_op() -> AggOperator:
-    return AggOperator("dombi", UNIT, _dombi_scalar, _dombi_vec)
+    return AggOperator("dombi", UNIT, _dombi_vec)
 
 
 def project_first_op(domain: str = UNIT) -> AggOperator:
-    return AggOperator("project_first", domain, _first_scalar, _first_vec,
+    return AggOperator("project_first", domain, _first_vec,
                        zero_absorbing_right=False)
 
 
@@ -123,13 +107,10 @@ def table_op(values: Sequence[Sequence[float]], name: str = "custom") -> AggOper
     def idx(x):
         return np.clip(np.rint(np.asarray(x, dtype=float) * (k - 1)).astype(int), 0, k - 1)
 
-    def fn(a: float, b: float) -> float:
-        return float(t[idx(a), idx(b)])
-
     def vec(a, b):
         return t[idx(a), idx(b)]
 
-    return AggOperator(name, UNIT, fn, vec,
+    return AggOperator(name, UNIT, vec,
                        zero_absorbing_right=bool((t[:, 0] == 0).all()),
                        left_continuous=False)
 
@@ -240,10 +221,17 @@ def _domain_grid(domain: str, resolution: int) -> np.ndarray:
     return np.concatenate(([0.0], 2.0 ** np.arange(-6, 7), [INF]))
 
 
-def _random_points(domain: str, rng: np.random.Generator, k: int) -> np.ndarray:
+def _draw_bounds(domain: str) -> tuple[float, float]:
+    """Bounds of the uniform draw behind a random point: the point itself
+    on the unit domain, its logarithm on the extended one."""
     if domain == UNIT:
-        return rng.uniform(size=k)
-    return np.exp(rng.uniform(math.log(2.0**-6), math.log(2.0**6), size=k))
+        return 0.0, 1.0
+    return math.log(2.0**-6), math.log(2.0**6)
+
+
+def _random_points(domain: str, rng: np.random.Generator, k: int) -> np.ndarray:
+    x = rng.uniform(*_draw_bounds(domain), size=k)
+    return x if domain == UNIT else np.exp(x)
 
 
 def check_nondecreasing(op: AggOperator, grid_resolution: int = 33,
@@ -263,15 +251,22 @@ def check_nondecreasing(op: AggOperator, grid_resolution: int = 33,
     for i, j in cols_bad[:20]:
         violations.append(((g[i], g[j]), (g[i + 1], g[j]),
                            float(vals[i, j]), float(vals[i + 1, j])))
-    rng = np.random.default_rng(seed)
-    for _ in range(random_trials):
-        a, b = _random_points(op.domain, rng, 2)
-        da, db = rng.uniform(0, 0.5, size=2)
-        hi = op.fn(min(a + da, 1.0) if op.domain == UNIT else a + da,
-                   min(b + db, 1.0) if op.domain == UNIT else b + db)
-        lo = op.fn(a, b)
-        if hi < lo - COND_TOL:
-            violations.append(((a, b), (a + da, b + db), lo, hi))
+    # one row per trial: two points, then two steps in [0, 0.5), the draws
+    # of a per-trial loop in the same order
+    low, high = _draw_bounds(op.domain)
+    draws = np.random.default_rng(seed).uniform(
+        [low, low, 0.0, 0.0], [high, high, 0.5, 0.5], size=(random_trials, 4))
+    if op.domain != UNIT:
+        draws[:, :2] = np.exp(draws[:, :2])
+    a, b, da, db = draws.T
+    if op.domain == UNIT:
+        hi = op.vec(np.minimum(a + da, 1.0), np.minimum(b + db, 1.0))
+    else:
+        hi = op.vec(a + da, b + db)
+    lo = op.vec(a, b)
+    for i in np.flatnonzero(hi < lo - COND_TOL):
+        violations.append(((a[i], b[i]), (a[i] + da[i], b[i] + db[i]),
+                           float(lo[i]), float(hi[i])))
     return ConditionReport("nondecreasing", grid_resolution, random_trials,
                            seed, violations, not violations)
 

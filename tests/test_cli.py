@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from capax.cli import main
+from capax.cli import DEMOS, main
 
 BASIC = {
     "space": {"n": 3},
@@ -149,3 +149,77 @@ def test_demo_impossibility_table(capsys):
 def test_demo_unknown_name(capsys):
     assert main(["demo", "nope"]) == 2
     capsys.readouterr()
+
+
+# repr of (lhs, rhs, slack) and of every numeric extra of each demo report
+PINNED_DEMOS = {
+    "carlson-classical": (
+        ("1.5607966601082903", "1.5608125715475436", "1.591143925327998e-05"),
+        {"a": "0.7853978301040971", "b": "0.7753988300042001",
+         "H": "1.1036611535024814", "multiplier": "1.4142135623730951",
+         "inner_integral": "2.0001228654715173", "ratio": "1.0000101944344577",
+         "target": "1.5707963267948966"}),
+    "caballero": (
+        ("0.12500000000000025", "0.3244206283144214", "0.19942062831442117"),
+        {"If": "0.5000000000000003", "Ig": "1.0", "Ih": "0.5000000000000003",
+         "Ipg": "0.3820000000000003", "Iqh": "0.27552027245006255",
+         "C": "0.5000000000000003", "display_lhs": "0.5000000000000003",
+         "display_rhs": "0.8055068321428703"}),
+    "xu-ouyang": (
+        ("0.12500000000000025", "0.37423925473491554", "0.2492392547349153"),
+        {"If": "0.5000000000000003", "Ig": "1.0", "Ih": "0.5000000000000003",
+         "Ipg": "0.3820000000000003", "Iqh": "0.22200000000000017",
+         "C": "0.5000000000000003", "display_lhs": "0.5000000000000003",
+         "display_rhs": "0.865146524855663"}),
+    "wang": (
+        ("0.32987697769322394", "0.6104966251252147", "0.2806196474319908"),
+        {"If": "0.5000000000000003", "Ig": "1.0", "Ih": "0.5000000000000003",
+         "Ipg": "0.3820000000000003", "Iqh": "0.22200000000000017",
+         "K": "0.6597539553864474", "display_lhs": "0.5000000000000003",
+         "display_rhs": "0.9253398485009757"}),
+    "shilkret-example": (
+        ("0.2502500000000002", "0.6641535306042775", "0.4139035306042773"),
+        {"K": "0.25025000000000036"}),
+    "lukasiewicz-example": (
+        ("0.0", "0.0", "0.0"),
+        {"If": "0.2512500000000002", "Ig": "1.0000000000000007",
+         "Ih": "0.25125000000000014", "Ipg": "0.14926134375000008",
+         "Iqh": "0.0", "n": "200"}),
+    "ouyang-choquet": (
+        ("0.5000000000000004", "0.7186074454336794", "0.21860744543367894"),
+        {"K": "1.414213562373094", "d": "1.5", "mu_A": "1.0000000000000007",
+         "Ig": "1.0000000000000007", "Ih": "0.5000000000000004",
+         "ouyang_lhs": "0.25000000000000044", "ouyang_rhs": "0.5163966606327183"}),
+    "sharpness": (
+        ("0.995", "0.9950000000000001", "1.1102230246251565e-16"),
+        {"sup_f": "0.995", "sup_g": "0.990025", "sup_h": "0.995"}),
+}
+
+# repr of (coord, gh, required_c) per row of the impossibility table
+PINNED_IMPOSSIBILITY = [
+    ("1.0", "1.0", "1.0"),
+    ("0.1", "0.010000000000000002", "3.162277660168379"),
+    ("0.01", "0.0001", "10.0"),
+    ("0.001", "1e-06", "31.622776601683793"),
+    ("0.0001", "1e-08", "100.0"),
+    ("1e-05", "1.0000000000000002e-10", "316.2277660168379"),
+    ("1e-06", "1e-12", "1000.0"),
+    ("1e-07", "9.999999999999998e-15", "3162.2776601683795"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMOS))
+def test_demo_reports_are_pinned(name):
+    sides, extra = PINNED_DEMOS[name]
+    rep = DEMOS[name]()
+    assert (repr(rep.lhs), repr(rep.rhs), repr(rep.slack)) == sides
+    numeric = {k: repr(v) for k, v in rep.extra.items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    assert numeric == extra
+
+
+def test_demo_impossibility_rows_are_pinned():
+    rows = DEMOS["impossibility"]()
+    assert [(repr(r["coord"]), repr(r["gh"]), repr(r["required_c"]))
+            for r in rows] == PINNED_IMPOSSIBILITY
+    assert set(DEMOS) == set(PINNED_DEMOS) | {"impossibility"}

@@ -96,7 +96,7 @@ def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
     that does not absorb 0 on the right also sees the empty tail above it."""
     top = 1.0 if c.range == "unit" else cap
     idx = [i for i in range(f.space.n) if (A >> i) & 1]
-    best = op.fn(0.0, c(A))
+    best = op(0.0, c(A))
     for alpha in sorted({f[i] for i in idx}):
         mask = 0
         for i in idx:
@@ -104,28 +104,31 @@ def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
                 mask |= 1 << i
         a = top if math.isinf(alpha) else alpha
         lvl = min(a, 1.0) if op.domain == "unit" else a
-        best = max(best, op.fn(lvl, c(mask)))
+        best = max(best, op(lvl, c(mask)))
     if not op.zero_absorbing_right:
-        best = max(best, op.fn(top, 0.0))
+        best = max(best, op(top, 0.0))
     return best
 
 
 def _per_level_loop(f, c, A, op, cap=DEFAULT_CAP):
     """The scalar evaluation order generalized_sugeno must reproduce:
-    descending levels, a strict > against the running best."""
+    level 0, then descending levels, then the tail, each a strict >
+    against the running best.  Returns (value, level, cap_hit): the cap is
+    hit on an extended range when an infinite value was evaluated at it or
+    when the tail won."""
     distinct, measures, _ = _level_sets(f, c, A)
-    best, best_level = op.fn(0.0, c(A)), 0.0
+    top = cap if c.range == "extended" else 1.0
+    capped = len(distinct) > 0 and math.isinf(distinct[0])
+    best, best_level, tail_won = op(0.0, c(A)), 0.0, False
     for v, m in zip(distinct, measures):
         if math.isinf(v):
-            v = cap if c.range == "extended" else 1.0
-        t = op.fn(min(v, 1.0) if op.domain == "unit" else v, m)
+            v = top
+        t = op(min(v, 1.0) if op.domain == "unit" else v, m)
         if t > best:
             best, best_level = t, float(v)
-    if not op.zero_absorbing_right:
-        top = cap if c.range == "extended" else 1.0
-        if op.fn(top, 0.0) > best:
-            best, best_level = op.fn(top, 0.0), top
-    return best, best_level
+    if not op.zero_absorbing_right and op(top, 0.0) > best:
+        best, best_level, tail_won = op(top, 0.0), top, True
+    return best, best_level, (capped or tail_won) and c.range == "extended"
 
 
 def _coarse_table_op():
@@ -159,8 +162,9 @@ def test_vectorized_sugeno_matches_oracles(opname, extended):
         res = generalized_sugeno(f, c, A, op)
         assert res.value == pytest.approx(_direct_sugeno_style(f, c, A, op),
                                           rel=1e-12, abs=1e-14)
-        best, level = _per_level_loop(f, c, A, op)
+        best, level, cap_hit = _per_level_loop(f, c, A, op)
         assert (res.value, res.argmax_level) == (float(best), level)
+        assert res.cap_hit == cap_hit
         capped = bool(np.isinf(f.values[mask_bools(A, n)]).any())
         assert res.exact == (op.zero_absorbing_right and op.left_continuous
                              and not capped)

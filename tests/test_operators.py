@@ -96,7 +96,7 @@ def test_builtin_systems_and_operators_keep_one_identity():
     systems.clear()  # a caller's list, not the table get_system reads
     assert get_system("dombi") in builtin_systems()
     for make in (min_op, prod_op, lukasiewicz_op, dombi_op, project_first_op):
-        assert make().vec is make().vec and make().fn is make().fn
+        assert make().vec is make().vec
 
 
 @pytest.mark.parametrize("op", [min_op(), prod_op(), lukasiewicz_op(),
@@ -152,9 +152,88 @@ def test_one_is_neutral_for_tnorms(a):
         assert op(1.0, a) == pytest.approx(a)
 
 
+# The scalar twins every operator once carried beside its vectorized
+# evaluation; a scalar call must still return exactly what they returned.
+def _twin_prod(a, b):
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b
+
+
+def _twin_dombi(a, b):
+    d = a + b - a * b
+    if d == 0.0:
+        return 0.0
+    return a * b / d
+
+
+def _twin_lukasiewicz(a, b):
+    return max(a + b - 1.0, 0.0)
+
+
+def _twin_project_first(a, b):
+    return a
+
+
+SCALAR_TWINS = {"min": min, "prod": _twin_prod, "lukasiewicz": _twin_lukasiewicz,
+                "dombi": _twin_dombi, "project_first": _twin_project_first}
+EXTENDED_NAMES = ["min", "prod", "project_first"]
+extended = st.floats(min_value=0.0, allow_nan=False) | st.sampled_from([0.0, INF])
+
+
 @given(unit, unit)
-def test_scalar_and_vector_paths_agree(a, b):
-    for op in (min_op(), prod_op(), lukasiewicz_op(), dombi_op(),
-               project_first_op()):
-        v = op.vec(np.array([a]), np.array([b]))[0]
-        assert float(v) == pytest.approx(op.fn(a, b), abs=1e-15)
+def test_scalar_call_equals_the_old_scalar_twin(a, b):
+    for name, twin in SCALAR_TWINS.items():
+        assert get_op(name)(a, b) == twin(a, b), name
+
+
+@given(extended, extended)
+def test_extended_scalar_call_equals_the_old_scalar_twin(a, b):
+    for name in EXTENDED_NAMES:
+        assert get_op(name, "extended")(a, b) == SCALAR_TWINS[name](a, b), name
+
+
+@pytest.mark.parametrize("name", EXTENDED_NAMES)
+def test_extended_scalar_call_at_zero_and_infinity(name):
+    op, twin = get_op(name, "extended"), SCALAR_TWINS[name]
+    for a, b in [(0.0, INF), (INF, 0.0), (INF, INF), (INF, 2.0), (2.0, INF),
+                 (0.0, 0.0)]:
+        assert op(a, b) == twin(a, b), (a, b)
+
+
+def _per_trial_random_part(op, seed, random_trials=2000):
+    """The per-trial loop check_nondecreasing ran before it drew all its
+    trials at once: the random-pair violations, in order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(random_trials):
+        if op.domain == "unit":
+            a, b = rng.uniform(size=2)
+        else:
+            a, b = np.exp(rng.uniform(math.log(2.0**-6), math.log(2.0**6), size=2))
+        da, db = rng.uniform(0, 0.5, size=2)
+        hi = op(min(a + da, 1.0) if op.domain == "unit" else a + da,
+                min(b + db, 1.0) if op.domain == "unit" else b + db)
+        lo = op(a, b)
+        if hi < lo - 1e-12:
+            out.append(((a, b), (a + da, b + db), lo, hi))
+    return out
+
+
+DECREASING = table_op([[1.0, 0.5, 0.0], [0.6, 0.4, 0.2], [0.3, 0.2, 0.1]],
+                      name="decreasing")
+
+
+@pytest.mark.parametrize("op", [min_op(), prod_op(), project_first_op(),
+                                min_op("extended"), prod_op("extended"),
+                                project_first_op("extended"), DECREASING],
+                         ids=lambda op: f"{op.name}-{op.domain}")
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_nondecreasing_matches_per_trial_loop(op, seed):
+    grid_part = check_nondecreasing(op, seed=seed, random_trials=0).violations
+    random_part = _per_trial_random_part(op, seed)
+    if op is DECREASING:
+        assert len(random_part) > 1000
+    rep = check_nondecreasing(op, seed=seed)
+    assert rep.violations == grid_part + random_part
+    assert rep.holds_on_grid == (not rep.violations)
