@@ -16,7 +16,7 @@ from .integrals import (IntegralResult, SampleFunction,
 from .operators import (AggOperator, ConditionReport, OperatorSystem,
                         builtin_systems, check_chebyshev_condition,
                         check_nondecreasing, check_power_condition, dombi_op,
-                        eval_op, get_op, get_system, lukasiewicz_op, min_op,
+                        get_op, get_system, lukasiewicz_op, min_op,
                         prod_op, project_first_op, table_op)
 from .xreal import (DEFAULT_CAP, EXTENDED, INF, UNIT, DegenerateInputError,
                     DomainError)

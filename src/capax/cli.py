@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("falsify", help="hunt counterexamples with a dropped hypothesis")
     pf.add_argument("file")
-    pf.add_argument("--drop", default=None)
+    pf.add_argument("--drop", default=None,
+                    help="hypothesis to drop, one of "
+                         f"{sorted({h for _, h in falsifier.DROPPABLE})}")
     pf.add_argument("--seed", type=int, default=None)
     pf.add_argument("--out", default=None)
     pf.set_defaults(handler=cmd_falsify)

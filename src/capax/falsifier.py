@@ -5,13 +5,18 @@ Per-trial generators derive their RNG from (master seed, trial index), so
 summaries are deterministic and independent of scheduling.  Scenarios are
 fully materialized (explicit tables and value lists), so every recorded
 violation replays without reference to the generator.
+
+Each audited theorem is one ``Theorem`` record in ``THEOREMS``; the id
+lists, the alias table, ``DROPPABLE``, scenario generation, replay, audits
+and hunts all read that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,32 +32,6 @@ VIOLATION_RTOL = 1e-9
 MAX_SHRINK_STEPS = 200
 
 SUGENO_SYSTEM_NAMES = [s.name for s in builtin_systems()]
-
-THEOREM_ALIASES = {
-    "2.1": "jensen_sugeno",
-    "2.2": "chebyshev_sugeno",
-    "2.3": "carlson_sugeno",
-    "3.1": "carlson_choquet_comonotone",
-    "3.2": "carlson_choquet_submodular",
-    "3.3": "carlson_choquet_subadditive",
-}
-
-THEOREM_IDS = [
-    "jensen_sugeno", "chebyshev_sugeno", "carlson_sugeno",
-    "carlson_sugeno_xu", "carlson_sugeno_wang",
-    "shilkret_example", "lukasiewicz_example",
-    "jensen_choquet", "chebyshev_choquet",
-    "carlson_choquet_comonotone", "carlson_choquet_submodular",
-    "carlson_choquet_subadditive", "holder_choquet",
-]
-
-
-def canonical_theorem(theorem_id: str) -> str:
-    base = THEOREM_ALIASES.get(theorem_id, theorem_id)
-    name = base.split(":", 1)[0]
-    if name not in THEOREM_IDS:
-        raise DomainError(f"unknown theorem id {theorem_id!r}")
-    return base
 
 
 @dataclass
@@ -89,6 +68,24 @@ class AuditSummary:
         return len(self.violations)
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """One audited theorem.
+
+    ``generate(rng, n, system)`` draws a hypothesis-satisfying scenario's
+    (space, capacity, functions, subsets, params) from the trial stream;
+    ``system`` is the operator system named in ``carlson_sugeno:<system>``,
+    else None.  ``run(fns, A, B, c, params)`` calls the checker, looked up
+    in ``inequalities`` at call time.  ``drop`` maps each droppable
+    hypothesis to a generator ``(rng, n)`` that does not enforce it.
+    """
+
+    generate: Callable
+    run: Callable
+    alias: Optional[str] = None
+    drop: dict = field(default_factory=dict)
+
+
 # ---------------------------------------------------------------------------
 # scenario generation
 
@@ -103,9 +100,9 @@ def _pick(rng, seq):
     return seq[rng.integers(len(seq))]
 
 
-def _nonempty_mask(rng, n: int) -> int:
-    m = int(rng.integers(1, 2**n))
-    return m
+def _nonempty_subset(rng, n: int) -> list[int]:
+    mask = int(rng.integers(1, 2**n))
+    return [i for i in range(n) if (mask >> i) & 1]
 
 
 def _comonotone_family(rng, n: int, k: int, low: float = 0.0):
@@ -115,7 +112,7 @@ def _comonotone_family(rng, n: int, k: int, low: float = 0.0):
     for _ in range(k):
         vals = np.empty(n)
         vals[perm] = np.sort(low + (1.0 - low) * rng.uniform(size=n))
-        out.append(vals)
+        out.append(vals.tolist())
     return out
 
 
@@ -139,134 +136,218 @@ def _submodular_cap(rng, n: int) -> dict:
             "gamma": float(rng.uniform(0.3, 1.0))}
 
 
+EXPONENTS = [1.0, 1.5, 2.0, 3.0]
+OUTER = [0.5, 1.0, 2.0]
+
+
+def _gen_jensen_sugeno(rng, n, system):
+    space, cap = _unit_space_cap(rng, n)
+    f = rng.uniform(size=n).tolist()
+    params = {"op": _pick(rng, ["min", "prod", "dombi"]),
+              "s": _pick(rng, [1.5, 2.0, 3.0])}
+    return space, cap, {"f": f}, {"A": _nonempty_subset(rng, n)}, params
+
+
+def _gen_chebyshev_sugeno(rng, n, system):
+    space, cap = _unit_space_cap(rng, n)
+    f1, f2 = _comonotone_family(rng, n, 2)
+    A = _nonempty_subset(rng, n)
+    return (space, cap, {"f1": f1, "f2": f2}, {"A": A, "B": A},
+            {"system": _pick(rng, SUGENO_SYSTEM_NAMES)})
+
+
+def _gen_carlson_sugeno(rng, n, system):
+    if system is None:
+        system = _pick(rng, SUGENO_SYSTEM_NAMES)
+    space, cap = _unit_space_cap(rng, n)
+    fns = dict(zip("fgh", _comonotone_family(rng, n, 3)))
+    A = _nonempty_subset(rng, n)
+    params = {"system": system, "p": _pick(rng, EXPONENTS),
+              "q": _pick(rng, EXPONENTS), "r": _pick(rng, OUTER),
+              "s": _pick(rng, OUTER)}
+    return space, cap, fns, {"A": A, "B": A}, params
+
+
+def _gen_sugeno_pq(rng, n, system):
+    space, cap = _unit_space_cap(rng, n)
+    fns = dict(zip("fgh", _comonotone_family(rng, n, 3, low=0.2)))
+    A = _nonempty_subset(rng, n)
+    params = {"p": _pick(rng, EXPONENTS), "q": _pick(rng, EXPONENTS)}
+    return space, cap, fns, {"A": A}, params
+
+
+def _gen_shilkret(rng, n, system):
+    space = _coord_space(rng, n)
+    f = np.sort(rng.uniform(size=n)).tolist()
+    if rng.uniform() < 0.5:
+        cap = capacity_to_spec(make_random_monotone(n, rng))
+    else:
+        cap = {"type": "additive",
+               "weights": rng.uniform(0.05, 1.0 / n, size=n).tolist()}
+    return space, cap, {"f": f}, {"A": list(range(n))}, {}
+
+
+def _gen_lukasiewicz(rng, n, system):
+    params = {"phi": _pick(rng, ["identity", "square", "sqrt"]),
+              "psi": _pick(rng, ["identity", "square", "sqrt"]),
+              "n": int(rng.integers(50, 201)),
+              "p": _pick(rng, EXPONENTS), "q": _pick(rng, EXPONENTS)}
+    return {"n": params["n"]}, {"type": "grid"}, {}, {}, params
+
+
+def _gen_jensen_choquet(rng, n, system):
+    space, cap = _unit_space_cap(rng, n)
+    f = rng.uniform(size=n).tolist()
+    params = {"exponent": _pick(rng, EXPONENTS)}
+    return space, cap, {"f": f}, {"A": _nonempty_subset(rng, n)}, params
+
+
+def _gen_chebyshev_choquet(rng, n, system):
+    space, cap = _unit_space_cap(rng, n)
+    f, g = _comonotone_family(rng, n, 2)
+    return space, cap, {"f": f, "g": g}, {"A": _nonempty_subset(rng, n)}, {}
+
+
+def _gen_choquet_comonotone(rng, n, system):
+    space, cap = _unit_space_cap(rng, n)
+    fns = dict(zip("fgh", _comonotone_family(rng, n, 3, low=0.2)))
+    params = {"p": _pick(rng, [1.0, 2.0, 3.0]), "q": _pick(rng, [1.0, 2.0, 3.0]),
+              "r": _pick(rng, OUTER), "s": _pick(rng, OUTER)}
+    return space, cap, fns, {"A": _nonempty_subset(rng, n)}, params
+
+
+def _gen_distorted(rng, n, system, keys, coords):
+    """Submodular capacity (sup, or distorted with gamma <= 1) and
+    independent values on the whole space."""
+    space = _coord_space(rng, n) if coords else {"n": n}
+    cap = _submodular_cap(rng, n)
+    vals = rng.uniform(0.05, 1.0, size=(3, n))
+    params = {"p": _pick(rng, [1.5, 2.0, 3.0])}
+    return (space, cap, {k: v.tolist() for k, v in zip(keys, vals)},
+            {"A": list(range(n))}, params)
+
+
+def _drop_order(rng, n, keys, low, system, exponents):
+    """Independent (unordered) functions under the uniform additive
+    capacity: neither comonotone nor positively dependent in general."""
+    fns = {k: rng.uniform(low, 1.0, size=n).tolist() for k in keys}
+    params = {"system": _pick(rng, SUGENO_SYSTEM_NAMES)} if system else {}
+    params.update(exponents)
+    everything = list(range(n))
+    return ({"n": n}, {"type": "additive", "weights": [1.0 / n] * n}, fns,
+            {"A": everything, "B": everything}, params)
+
+
+def _drop_submodular(rng, n, keys):
+    """A distorted capacity with gamma > 1, which is supermodular."""
+    cap = {"type": "distorted",
+           "weights": rng.uniform(0.2, 1.0, size=n).tolist(),
+           "gamma": float(rng.uniform(1.5, 3.0))}
+    vals = rng.uniform(0.05, 1.0, size=(2, n))
+    fns = {keys[0]: vals[0].tolist(), keys[1]: vals[1].tolist()}
+    if len(keys) == 3:
+        fns[keys[2]] = rng.uniform(0.05, 1.0, size=n).tolist()
+    return ({"n": n}, cap, fns, {"A": list(range(n))},
+            {"p": _pick(rng, [1.5, 2.0, 3.0])})
+
+
+def _fgh(checker: str, *exponents: str):
+    """Runner for a checker called as (f, g, h, A, c, *exponents)."""
+    return lambda fns, A, B, c, p: getattr(ineq, checker)(
+        fns["f"], fns["g"], fns["h"], A, c, *(p[e] for e in exponents))
+
+
+CARLSON_EXPONENTS = {"p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
+
+THEOREMS = {
+    "jensen_sugeno": Theorem(
+        _gen_jensen_sugeno,
+        lambda fns, A, B, c, p: ineq.jensen_sugeno(
+            fns["f"], c, A, get_op(p["op"]), p["s"]),
+        alias="2.1"),
+    "chebyshev_sugeno": Theorem(
+        _gen_chebyshev_sugeno,
+        lambda fns, A, B, c, p: ineq.chebyshev_sugeno(
+            get_system(p["system"]), fns["f1"], fns["f2"], A, B, c),
+        alias="2.2",
+        drop={"positive_dependence": partial(
+            _drop_order, keys=("f1", "f2"), low=0.0, system=True, exponents={})}),
+    "carlson_sugeno": Theorem(
+        _gen_carlson_sugeno,
+        lambda fns, A, B, c, p: ineq.carlson_sugeno(
+            get_system(p["system"]).with_exponents(p["p"], p["q"], p["r"], p["s"]),
+            fns["f"], fns["g"], fns["h"], A, B, c),
+        alias="2.3",
+        drop={"positive_dependence": partial(
+            _drop_order, keys="fgh", low=0.2, system=True,
+            exponents=CARLSON_EXPONENTS)}),
+    "carlson_sugeno_xu": Theorem(_gen_sugeno_pq, _fgh("carlson_sugeno_xu", "p", "q")),
+    "carlson_sugeno_wang": Theorem(_gen_sugeno_pq, _fgh("carlson_sugeno_wang", "p", "q")),
+    "shilkret_example": Theorem(
+        _gen_shilkret,
+        lambda fns, A, B, c, p: ineq.shilkret_carlson_example(fns["f"], A, c)),
+    "lukasiewicz_example": Theorem(
+        _gen_lukasiewicz,
+        lambda fns, A, B, c, p: ineq.lukasiewicz_carlson_example(
+            p["phi"], p["psi"], p["n"], p["p"], p["q"])),
+    "jensen_choquet": Theorem(
+        _gen_jensen_choquet,
+        lambda fns, A, B, c, p: ineq.jensen_choquet(fns["f"], c, A, p["exponent"])),
+    "chebyshev_choquet": Theorem(
+        _gen_chebyshev_choquet,
+        lambda fns, A, B, c, p: ineq.chebyshev_choquet(fns["f"], fns["g"], c, A),
+        drop={"comonotone": partial(
+            _drop_order, keys=("f", "g"), low=0.0, system=False, exponents={})}),
+    "carlson_choquet_comonotone": Theorem(
+        _gen_choquet_comonotone,
+        _fgh("carlson_choquet_comonotone", "p", "q", "r", "s"),
+        alias="3.1",
+        drop={"comonotone": partial(
+            _drop_order, keys="fgh", low=0.2, system=False,
+            exponents=CARLSON_EXPONENTS)}),
+    "carlson_choquet_submodular": Theorem(
+        partial(_gen_distorted, keys="fgh", coords=False),
+        _fgh("carlson_choquet_submodular", "p"),
+        alias="3.2",
+        drop={"submodular": partial(_drop_submodular, keys="fgh")}),
+    "carlson_choquet_subadditive": Theorem(
+        partial(_gen_distorted, keys="fgh", coords=True),
+        _fgh("carlson_choquet_subadditive", "p"),
+        alias="3.3"),
+    "holder_choquet": Theorem(
+        partial(_gen_distorted, keys=("phi", "psi"), coords=False),
+        lambda fns, A, B, c, p: ineq.holder_choquet(
+            fns["phi"], fns["psi"], c, A, p["p"]),
+        drop={"submodular": partial(_drop_submodular, keys=("phi", "psi"))}),
+}
+
+THEOREM_IDS = list(THEOREMS)
+THEOREM_ALIASES = {t.alias: name for name, t in THEOREMS.items() if t.alias}
+DROPPABLE = {(name, h) for name, t in THEOREMS.items() for h in t.drop}
+
+
+def canonical_theorem(theorem_id: str) -> str:
+    base = THEOREM_ALIASES.get(theorem_id, theorem_id)
+    if base.split(":", 1)[0] not in THEOREMS:
+        raise DomainError(f"unknown theorem id {theorem_id!r}; choose from "
+                          f"{THEOREM_IDS + list(THEOREM_ALIASES)}")
+    return base
+
+
+def _record(theorem_id: str) -> Theorem:
+    return THEOREMS[canonical_theorem(theorem_id).split(":", 1)[0]]
+
+
 def random_scenario(theorem_id: str, seed: int, trial: int = 0,
                     config: Optional[dict] = None) -> Scenario:
     """Deterministic hypothesis-satisfying scenario for a theorem id
     (``carlson_sugeno:<system>`` selects the operator system)."""
     theorem = canonical_theorem(theorem_id)
-    config = dict(config or {})
+    name, colon, system = theorem.partition(":")
     rng = _trial_rng(seed, trial)
-    n_max = int(config.get("n_max", 8))
-    n = int(rng.integers(2, n_max + 1))
-    name = theorem.split(":", 1)[0]
-    params: dict = {}
-
-    if name == "jensen_sugeno":
-        space, cap = _unit_space_cap(rng, n)
-        f = rng.uniform(size=n)
-        params = {"op": _pick(rng, ["min", "prod", "dombi"]),
-                  "s": _pick(rng, [1.5, 2.0, 3.0])}
-        return Scenario(theorem, seed, space, cap, {"f": f.tolist()},
-                        {"A": _mask_list(_nonempty_mask(rng, n), n)}, params)
-
-    if name == "chebyshev_sugeno":
-        space, cap = _unit_space_cap(rng, n)
-        f1, f2 = _comonotone_family(rng, n, 2)
-        A = _nonempty_mask(rng, n)
-        params = {"system": _pick(rng, SUGENO_SYSTEM_NAMES)}
-        return Scenario(theorem, seed, space, cap,
-                        {"f1": f1.tolist(), "f2": f2.tolist()},
-                        {"A": _mask_list(A, n), "B": _mask_list(A, n)}, params)
-
-    if name == "carlson_sugeno":
-        system = (theorem.split(":", 1)[1] if ":" in theorem
-                  else _pick(rng, SUGENO_SYSTEM_NAMES))
-        space, cap = _unit_space_cap(rng, n)
-        f, g, h = _comonotone_family(rng, n, 3)
-        A = _nonempty_mask(rng, n)
-        params = {"system": system,
-                  "p": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
-                  "q": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
-                  "r": _pick(rng, [0.5, 1.0, 2.0]),
-                  "s": _pick(rng, [0.5, 1.0, 2.0])}
-        return Scenario(theorem, seed, space, cap,
-                        {"f": f.tolist(), "g": g.tolist(), "h": h.tolist()},
-                        {"A": _mask_list(A, n), "B": _mask_list(A, n)}, params)
-
-    if name in ("carlson_sugeno_xu", "carlson_sugeno_wang"):
-        space, cap = _unit_space_cap(rng, n)
-        f, g, h = _comonotone_family(rng, n, 3, low=0.2)
-        A = _nonempty_mask(rng, n)
-        params = {"p": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
-                  "q": _pick(rng, [1.0, 1.5, 2.0, 3.0])}
-        return Scenario(theorem, seed, space, cap,
-                        {"f": f.tolist(), "g": g.tolist(), "h": h.tolist()},
-                        {"A": _mask_list(A, n)}, params)
-
-    if name == "shilkret_example":
-        space = _coord_space(rng, n)
-        f = np.sort(rng.uniform(size=n))
-        if rng.uniform() < 0.5:
-            cap = capacity_to_spec(make_random_monotone(n, rng))
-        else:
-            cap = {"type": "additive",
-                   "weights": [float(w) for w in rng.uniform(0.05, 1.0 / n, size=n)]}
-        return Scenario(theorem, seed, space, cap, {"f": f.tolist()},
-                        {"A": _mask_list((1 << n) - 1, n)}, {})
-
-    if name == "lukasiewicz_example":
-        params = {"phi": _pick(rng, ["identity", "square", "sqrt"]),
-                  "psi": _pick(rng, ["identity", "square", "sqrt"]),
-                  "n": int(rng.integers(50, 201)),
-                  "p": _pick(rng, [1.0, 1.5, 2.0, 3.0]),
-                  "q": _pick(rng, [1.0, 1.5, 2.0, 3.0])}
-        return Scenario(theorem, seed, {"n": params["n"]}, {"type": "grid"},
-                        {}, {}, params)
-
-    if name == "jensen_choquet":
-        space, cap = _unit_space_cap(rng, n)
-        f = rng.uniform(size=n)
-        params = {"exponent": _pick(rng, [1.0, 1.5, 2.0, 3.0])}
-        return Scenario(theorem, seed, space, cap, {"f": f.tolist()},
-                        {"A": _mask_list(_nonempty_mask(rng, n), n)}, params)
-
-    if name == "chebyshev_choquet":
-        space, cap = _unit_space_cap(rng, n)
-        f, g = _comonotone_family(rng, n, 2)
-        return Scenario(theorem, seed, space, cap,
-                        {"f": f.tolist(), "g": g.tolist()},
-                        {"A": _mask_list(_nonempty_mask(rng, n), n)}, {})
-
-    if name == "carlson_choquet_comonotone":
-        space, cap = _unit_space_cap(rng, n)
-        f, g, h = _comonotone_family(rng, n, 3, low=0.2)
-        params = {"p": _pick(rng, [1.0, 2.0, 3.0]),
-                  "q": _pick(rng, [1.0, 2.0, 3.0]),
-                  "r": _pick(rng, [0.5, 1.0, 2.0]),
-                  "s": _pick(rng, [0.5, 1.0, 2.0])}
-        return Scenario(theorem, seed, space, cap,
-                        {"f": f.tolist(), "g": g.tolist(), "h": h.tolist()},
-                        {"A": _mask_list(_nonempty_mask(rng, n), n)}, params)
-
-    if name in ("carlson_choquet_submodular", "holder_choquet"):
-        space = {"n": n}
-        cap = _submodular_cap(rng, n)
-        vals = rng.uniform(0.05, 1.0, size=(3, n))
-        params = {"p": _pick(rng, [1.5, 2.0, 3.0])}
-        if name == "holder_choquet":
-            return Scenario(theorem, seed, space, cap,
-                            {"phi": vals[0].tolist(), "psi": vals[1].tolist()},
-                            {"A": _mask_list((1 << n) - 1, n)}, params)
-        return Scenario(theorem, seed, space, cap,
-                        {"f": vals[0].tolist(), "g": vals[1].tolist(),
-                         "h": vals[2].tolist()},
-                        {"A": _mask_list((1 << n) - 1, n)}, params)
-
-    if name == "carlson_choquet_subadditive":
-        space = _coord_space(rng, n)
-        cap = _submodular_cap(rng, n)
-        vals = rng.uniform(0.05, 1.0, size=(3, n))
-        params = {"p": _pick(rng, [1.5, 2.0, 3.0])}
-        return Scenario(theorem, seed, space, cap,
-                        {"f": vals[0].tolist(), "g": vals[1].tolist(),
-                         "h": vals[2].tolist()},
-                        {"A": _mask_list((1 << n) - 1, n)}, params)
-
-    raise DomainError(f"no generator for theorem {theorem!r}")
-
-
-def _mask_list(mask: int, n: int) -> list[int]:
-    return [i for i in range(n) if (mask >> i) & 1]
+    n = int(rng.integers(2, int((config or {}).get("n_max", 8)) + 1))
+    parts = THEOREMS[name].generate(rng, n, system if colon else None)
+    return Scenario(theorem, seed, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -275,55 +356,15 @@ def _mask_list(mask: int, n: int) -> list[int]:
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
     """Replay a scenario through its theorem checker."""
-    name = scn.theorem.split(":", 1)[0]
-    p = scn.params
-
-    if name == "lukasiewicz_example":
-        return ineq.lukasiewicz_carlson_example(p["phi"], p["psi"], p["n"],
-                                                p["p"], p["q"])
-
+    run = _record(scn.theorem).run
+    if not scn.functions:  # the checker builds its own space from params
+        return run({}, None, None, None, scn.params)
     space, grid_cap = space_from_spec(scn.space)
     c = capacity_from_spec(scn.capacity, space, grid_cap)
     fns = {k: sample_function(space, v) for k, v in scn.functions.items()}
     subs = {k: subset_from_spec(v, space) for k, v in scn.subsets.items()}
     A = subs.get("A", space.full_mask)
-    B = subs.get("B", A)
-
-    if name == "jensen_sugeno":
-        return ineq.jensen_sugeno(fns["f"], c, A, get_op(p["op"]), p["s"])
-    if name == "chebyshev_sugeno":
-        return ineq.chebyshev_sugeno(get_system(p["system"]), fns["f1"],
-                                     fns["f2"], A, B, c)
-    if name == "carlson_sugeno":
-        system = get_system(p["system"]).with_exponents(p["p"], p["q"],
-                                                        p["r"], p["s"])
-        return ineq.carlson_sugeno(system, fns["f"], fns["g"], fns["h"],
-                                   A, B, c)
-    if name == "carlson_sugeno_xu":
-        return ineq.carlson_sugeno_xu(fns["f"], fns["g"], fns["h"], A, c,
-                                      p["p"], p["q"])
-    if name == "carlson_sugeno_wang":
-        return ineq.carlson_sugeno_wang(fns["f"], fns["g"], fns["h"], A, c,
-                                        p["p"], p["q"])
-    if name == "shilkret_example":
-        return ineq.shilkret_carlson_example(fns["f"], A, c)
-    if name == "jensen_choquet":
-        return ineq.jensen_choquet(fns["f"], c, A, p["exponent"])
-    if name == "chebyshev_choquet":
-        return ineq.chebyshev_choquet(fns["f"], fns["g"], c, A)
-    if name == "carlson_choquet_comonotone":
-        return ineq.carlson_choquet_comonotone(fns["f"], fns["g"], fns["h"],
-                                               A, c, p["p"], p["q"], p["r"],
-                                               p["s"])
-    if name == "carlson_choquet_submodular":
-        return ineq.carlson_choquet_submodular(fns["f"], fns["g"], fns["h"],
-                                               A, c, p["p"])
-    if name == "carlson_choquet_subadditive":
-        return ineq.carlson_choquet_subadditive(fns["f"], fns["g"], fns["h"],
-                                                A, c, p["p"])
-    if name == "holder_choquet":
-        return ineq.holder_choquet(fns["phi"], fns["psi"], c, A, p["p"])
-    raise DomainError(f"no checker for theorem {scn.theorem!r}")
+    return run(fns, A, subs.get("B", A), c, scn.params)
 
 
 def is_violation(rep: ineq.InequalityReport,
@@ -365,57 +406,15 @@ def audit(theorem_id: str, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # counterexample hunting with hypothesis dropping
 
-DROPPABLE = {
-    ("chebyshev_choquet", "comonotone"),
-    ("carlson_choquet_comonotone", "comonotone"),
-    ("chebyshev_sugeno", "positive_dependence"),
-    ("carlson_sugeno", "positive_dependence"),
-    ("holder_choquet", "submodular"),
-    ("carlson_choquet_submodular", "submodular"),
-}
-
 
 def _unconstrained_scenario(theorem: str, dropped: str, seed: int,
                             trial: int) -> Scenario:
     """Like random_scenario but with the named hypothesis not enforced."""
+    generate = _record(theorem).drop.get(dropped)
+    if generate is None:
+        raise DomainError(f"hypothesis {dropped!r} cannot be dropped for {theorem!r}")
     rng = _trial_rng(seed, trial)
-    name = theorem.split(":", 1)[0]
-    n = int(rng.integers(2, 7))
-    if dropped == "comonotone" or dropped == "positive_dependence":
-        space = {"n": n}
-        cap = {"type": "additive", "weights": [1.0 / n] * n}
-        if name in ("chebyshev_choquet", "chebyshev_sugeno"):
-            fns = {("f" if name == "chebyshev_choquet" else "f1"):
-                   rng.uniform(size=n).tolist(),
-                   ("g" if name == "chebyshev_choquet" else "f2"):
-                   rng.uniform(size=n).tolist()}
-            params = {} if name == "chebyshev_choquet" else {
-                "system": _pick(rng, SUGENO_SYSTEM_NAMES)}
-        else:
-            fns = {"f": rng.uniform(0.2, 1.0, size=n).tolist(),
-                   "g": rng.uniform(0.2, 1.0, size=n).tolist(),
-                   "h": rng.uniform(0.2, 1.0, size=n).tolist()}
-            if name == "carlson_sugeno":
-                params = {"system": _pick(rng, SUGENO_SYSTEM_NAMES),
-                          "p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
-            else:
-                params = {"p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
-        A = _mask_list((1 << n) - 1, n)
-        return Scenario(theorem, seed, space, cap, fns,
-                        {"A": A, "B": A}, params)
-    if dropped == "submodular":
-        weights = rng.uniform(0.2, 1.0, size=n)
-        cap = {"type": "distorted", "weights": [float(w) for w in weights],
-               "gamma": float(rng.uniform(1.5, 3.0))}
-        vals = rng.uniform(0.05, 1.0, size=(2, n))
-        keys = ("phi", "psi") if name == "holder_choquet" else ("f", "g")
-        fns = {keys[0]: vals[0].tolist(), keys[1]: vals[1].tolist()}
-        if name == "carlson_choquet_submodular":
-            fns["h"] = rng.uniform(0.05, 1.0, size=n).tolist()
-        return Scenario(theorem, seed, {"n": n}, cap, fns,
-                        {"A": _mask_list((1 << n) - 1, n)},
-                        {"p": _pick(rng, [1.5, 2.0, 3.0])})
-    raise DomainError(f"hypothesis {dropped!r} cannot be dropped for {theorem!r}")
+    return Scenario(theorem, seed, *generate(rng, int(rng.integers(2, 7))))
 
 
 def _snap(v: float) -> float:
@@ -475,10 +474,11 @@ def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
     """Search for a violating scenario with a hypothesis dropped; returns
     a minimized witness or None (absence is not a proof)."""
     theorem = canonical_theorem(theorem_id)
-    name = theorem.split(":", 1)[0]
-    if (name, dropped_hypothesis) not in DROPPABLE:
+    droppable = sorted(_record(theorem).drop)
+    if dropped_hypothesis not in droppable:
         raise DomainError(
-            f"unknown droppable hypothesis {dropped_hypothesis!r} for {name!r}")
+            f"unknown droppable hypothesis {dropped_hypothesis!r} for "
+            f"{theorem.split(':', 1)[0]!r}; droppable: {droppable}")
     for i in range(trials):
         scn = _unconstrained_scenario(theorem, dropped_hypothesis, seed, i)
         rep = run_scenario(scn)

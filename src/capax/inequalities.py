@@ -166,11 +166,13 @@ def carlson_sugeno(system: OperatorSystem, f: SampleFunction,
     If = _gs(f, c, A, system.circ)
     Ig = _gs(g, c, B, system.circ)
     Ih = _gs(h, c, B, system.circ)
-    lhs = system.star(xpow(system.lhd(If, Ig), r),
-                      xpow(system.lhd(If, Ih), s))
     Ipg = _gs(power(pointwise(system.box, f, g), p), c, A & B, system.circ)
     Iqh = _gs(power(pointwise(system.box, f, h), q), c, A & B, system.circ)
-    rhs = system.star(xpow(Ipg, r / p), xpow(Iqh, s / q))
+    # one call per operator: lhd over (If, Ig), (If, Ih); star over the
+    # lhs pair and the rhs pair
+    fg, fh = system.lhd.vec([If, If], [Ig, Ih]).tolist()
+    lhs, rhs = system.star.vec([xpow(fg, r), xpow(Ipg, r / p)],
+                               [xpow(fh, s), xpow(Iqh, s / q)]).tolist()
     hyp = [
         _power_ok(system.circ, p),
         _power_ok(system.circ, q),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -135,14 +135,6 @@ def capacity_to_spec(c: Capacity) -> dict:
     raise ValueError(f"capacity kind {c.kind!r} is not serializable")
 
 
-def space_to_spec(space: GroundSpace) -> dict:
-    out: dict[str, Any] = {"n": space.n}
-    if space.coords is not None:
-        out["coords"] = [float(x) for x in space.coords]
-        out["widths"] = [float(w) for w in space.widths]
-    return out
-
-
 def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
     if isinstance(spec, str):
         return from_formula(space, spec)
@@ -166,12 +158,6 @@ def subset_from_spec(spec, space: GroundSpace) -> int:
             idx.append(i)
         return indices_mask(idx)
     raise SchemaError("a subset must be \"all\" or a list of point indices")
-
-
-def subset_to_spec(mask: int, space: GroundSpace):
-    if mask == space.full_mask:
-        return "all"
-    return [i for i in range(space.n) if (mask >> i) & 1]
 
 
 def validate_document(doc: dict) -> dict:

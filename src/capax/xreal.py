@@ -44,11 +44,3 @@ def xpow(a: float, s: float) -> float:
 
 def sup_of(range_tag: str, cap: float = DEFAULT_CAP) -> float:
     return 1.0 if range_tag == UNIT else cap
-
-
-def in_range(value: float, range_tag: str) -> bool:
-    if math.isnan(value):
-        return False
-    if range_tag == UNIT:
-        return 0.0 <= value <= 1.0
-    return value >= 0.0

@@ -110,6 +110,22 @@ def test_audit_zero_trials_is_empty_and_clean(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_audit_unknown_theorem_lists_the_ids(tmp_path, capsys):
+    doc = {"theorem": "9.9", "audit": {"trials": 5, "seed": 0}}
+    assert main(["audit", write(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert "unknown theorem id '9.9'" in err
+    assert "'holder_choquet'" in err and "'3.3'" in err
+
+
+def test_falsify_unknown_drop_lists_the_droppable_hypotheses(tmp_path, capsys):
+    doc = {"theorem": "3.1", "audit": {"trials": 5, "seed": 0}}
+    assert main(["falsify", write(tmp_path, doc), "--drop", "submodular"]) == 3
+    err = capsys.readouterr().err
+    assert "unknown droppable hypothesis 'submodular'" in err
+    assert "['comonotone']" in err
+
+
 def test_falsify_without_drop_runs_plain_audit(tmp_path, capsys):
     doc = {"theorem": "jensen_choquet", "audit": {"trials": 10, "seed": 1}}
     assert main(["falsify", write(tmp_path, doc)]) == 0

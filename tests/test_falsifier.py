@@ -1,14 +1,15 @@
 """Randomized audits: determinism, replay, shrinking and hypothesis
 dropping."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from capax import falsifier
-from capax.falsifier import (DROPPABLE, THEOREM_ALIASES, THEOREM_IDS,
-                             Scenario, _pick, audit, canonical_theorem,
+from capax.falsifier import (DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_ALIASES,
+                             THEOREM_IDS, Scenario, _pick, audit, canonical_theorem,
                              hunt_counterexample, is_violation,
                              random_scenario, run_scenario, shrink)
 from capax.inequalities import InequalityReport
@@ -25,13 +26,13 @@ def test_aliases_resolve_to_known_theorems():
         canonical_theorem("9.9")
 
 
-def test_scenarios_are_seed_deterministic():
-    for tid in THEOREM_IDS:
-        a = random_scenario(tid, seed=4, trial=17)
-        b = random_scenario(tid, seed=4, trial=17)
-        assert a == b
-        c = random_scenario(tid, seed=4, trial=18)
-        assert a != c
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_scenarios_are_seed_deterministic(tid):
+    a = random_scenario(tid, seed=4, trial=17)
+    b = random_scenario(tid, seed=4, trial=17)
+    assert a == b
+    c = random_scenario(tid, seed=4, trial=18)
+    assert a != c
 
 
 def test_scenario_replay_is_stable():
@@ -41,15 +42,15 @@ def test_scenario_replay_is_stable():
     assert r1.lhs == r2.lhs and r1.rhs == r2.rhs and r1.holds == r2.holds
 
 
-def test_generated_scenarios_satisfy_hypotheses():
-    for tid in THEOREM_IDS:
-        ok = 0
-        for trial in range(20):
-            rep = run_scenario(random_scenario(tid, seed=9, trial=trial))
-            assert isinstance(rep, InequalityReport)
-            if rep.degenerate is None and rep.hypotheses_pass:
-                ok += 1
-        assert ok >= 18, (tid, ok)
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_generated_scenarios_satisfy_hypotheses(tid):
+    ok = 0
+    for trial in range(20):
+        rep = run_scenario(random_scenario(tid, seed=9, trial=trial))
+        assert isinstance(rep, InequalityReport)
+        if rep.degenerate is None and rep.hypotheses_pass:
+            ok += 1
+    assert ok >= 18, ok
 
 
 def test_audit_counts_and_min_slack():
@@ -162,13 +163,49 @@ def test_pick_draws_like_rng_choice():
         assert r1.integers(2**62) == r2.integers(2**62)  # same stream position
 
 
-def test_all_theorem_audits_clean_smoke():
-    for tid in THEOREM_IDS:
-        s = audit(tid, trials=25, seed=31)
-        assert s.violation_count == 0, tid
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_all_theorem_audits_clean_smoke(tid):
+    s = audit(tid, trials=25, seed=31)
+    assert s.violation_count == 0
 
 
 def test_alias_table_covers_numbered_statements():
     assert set(THEOREM_ALIASES) == {"2.1", "2.2", "2.3", "3.1", "3.2", "3.3"}
     for v in THEOREM_ALIASES.values():
         assert v in THEOREM_IDS
+
+
+AUDIT_IDS = THEOREM_IDS + [f"carlson_sugeno:{s}" for s in SUGENO_SYSTEM_NAMES]
+
+
+def test_audit_ids_are_the_pinned_audits():
+    # a new theorem record cannot go without a pinned seed-2024 summary
+    from test_acceptance import AUDIT_SUMMARIES_2024
+    assert len(AUDIT_IDS) == 19
+    assert set(AUDIT_IDS) == set(AUDIT_SUMMARIES_2024)
+
+
+def _sha256_of_lines(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_scenario_stream_is_pinned():
+    # every generator reads its trial stream in one fixed order: the
+    # scenarios (and so the audit summaries) must not move in the last bit
+    digest = _sha256_of_lines(repr(random_scenario(tid, seed, i).to_dict())
+                              for tid in AUDIT_IDS for seed in (2024, 7)
+                              for i in range(60))
+    assert digest == ("f30b342afcaa6d5b846b819ea571aaa5"
+                      "72c27510517ab253b1d469ad107f9153")
+
+
+def test_unconstrained_scenario_stream_is_pinned():
+    digest = _sha256_of_lines(
+        repr(falsifier._unconstrained_scenario(theorem, dropped, 2024, i).to_dict())
+        for theorem, dropped in sorted(DROPPABLE) for i in range(60))
+    assert digest == ("0d6ce9f5e7fc07fd0a295e954948dccf"
+                      "dba5339bded2d4210fd32de263ba1a3a")

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from capax import (DomainError, INF, builtin_systems, check_chebyshev_condition,
                    check_nondecreasing, check_power_condition, dombi_op,
-                   eval_op, get_op, get_system, lukasiewicz_op, min_op,
+                   get_op, get_system, lukasiewicz_op, min_op,
                    prod_op, project_first_op, table_op)
 from capax.operators import OperatorSystem
 
@@ -42,12 +42,6 @@ def test_project_first_is_not_zero_absorbing():
     pf = project_first_op()
     assert pf(0.7, 0.0) == 0.7
     assert not pf.zero_absorbing_right
-
-
-def test_eval_op_validates_domain():
-    with pytest.raises(DomainError):
-        eval_op(min_op("unit"), 1.5, 0.5)
-    assert eval_op(min_op("extended"), 1.5, 0.5) == 0.5
 
 
 def test_get_op_rejects_unknown_and_bad_domain():
@@ -235,5 +229,6 @@ def test_batched_nondecreasing_matches_per_trial_loop(op, seed):
     if op is DECREASING:
         assert len(random_part) > 1000
     rep = check_nondecreasing(op, seed=seed)
-    assert rep.violations == grid_part + random_part
+    # each part keeps its first 20 violations, in draw order
+    assert rep.violations == grid_part + random_part[:20]
     assert rep.holds_on_grid == (not rep.violations)

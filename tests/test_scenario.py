@@ -9,8 +9,7 @@ import pytest
 from capax import INF
 from capax.scenario import (SchemaError, _num, capacity_from_spec,
                             capacity_to_spec, dump_result, function_from_spec, load_document,
-                            space_from_spec, space_to_spec, subset_from_spec,
-                            subset_to_spec, validate_document)
+                            space_from_spec, subset_from_spec, validate_document)
 from capax.capacity import (make_additive, make_distorted, make_explicit,
                             make_random_monotone, make_sup_capacity)
 
@@ -69,8 +68,6 @@ def test_subset_specs():
     space, _ = space_from_spec({"n": 4})
     assert subset_from_spec("all", space) == 0b1111
     assert subset_from_spec([0, 2], space) == 0b0101
-    assert subset_to_spec(0b1111, space) == "all"
-    assert subset_to_spec(0b0101, space) == [0, 2]
     with pytest.raises(SchemaError):
         subset_from_spec([4], space)
     with pytest.raises(SchemaError):
