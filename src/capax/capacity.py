@@ -6,20 +6,28 @@ explicit tables hold all 2^n values and are capped at n = 20.  Bulk work
 converts masks to boolean membership arrays once and measures stacks of
 them with ``Capacity.measure_meet``.
 
+A ``CapacityStack`` holds k capacities as the rows of one stack (with
+``Subsets``, one subset per row) for the row-wise kernels of the
+integrals and dependence checks; one capacity alone is a stack of one.
+
 The structural checkers compute the margins of all their pairs at once,
-from the capacity's value table (``Capacity.values``, n <= 20).  Sampled
-mode draws all its pairs in one batch from the same random stream the
-per-pair draws used, so a seed gives the same pairs, slack and witness.
+from the capacity's value table (``Capacity.values``, n <= 20) when they
+read at least as many masks as it holds, else measuring the masks one by
+one.  Sampled mode draws all its pairs in one batch from the same random
+stream the per-pair draws used, so a seed gives the same pairs, slack and
+witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .operators import row_groups
 from .xreal import EXTENDED, UNIT, DegenerateInputError, DomainError
 
 MAX_EXPLICIT_N = 20
@@ -181,24 +189,12 @@ class Capacity:
         """Measures of the nested prefixes of ``order``: entry k is
         the measure of {order[0], ..., order[k-1]} (entry 0 is 0)."""
         order = np.asarray(order, dtype=int)
-        k = self.kind
-        if k in ("additive", "grid"):
-            return np.concatenate(([0.0], np.cumsum(self.weights[order])))
-        if k == "distorted":
-            return np.concatenate(
-                ([0.0], np.cumsum(self.weights[order]) ** self.gamma)
-            )
-        if k == "sup":
-            out = np.ones(len(order) + 1)
-            out[0] = 0.0
-            return out
-        if k == "explicit":  # the prefixes' masks are running sums of bits
-            return np.concatenate(([0.0], self.table[np.cumsum(1 << order)]))
-        # a prefix of order meets given in the prefix of its inside points
-        inside = mask_bools(self.given, self.space.n)[order]
-        chain = self.base.chain_measures(order[inside])
-        return (chain[np.concatenate(([0], np.cumsum(inside)))]
-                / self.base(self.given))
+        return CapacityStack.of([self]).chain(order[None, :], [len(order)])[0, :len(order) + 1]
+
+    @cached_property
+    def one_row(self) -> "CapacityStack":
+        """This capacity as a stack of one row (built once)."""
+        return CapacityStack([self])
 
     @property
     def total(self) -> float:
@@ -316,13 +312,219 @@ def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
     return make_explicit(t)
 
 
+NORMALIZE_DEGENERATE = "normalize needs 0 < mu(A) < inf"
+
+
 def normalize(c: Capacity, A: int) -> Capacity:
     """The normalized capacity m(B) = mu(A n B) / mu(A)."""
     muA = c(A)
     if muA == 0.0 or math.isinf(muA):
-        raise DegenerateInputError("normalize needs 0 < mu(A) < inf")
+        raise DegenerateInputError(NORMALIZE_DEGENERATE)
     return Capacity(space=c.space, range=UNIT, kind="derived", base=c,
                     given=A & c.space.full_mask)
+
+
+# ---------------------------------------------------------------------------
+# stacks: k rows evaluated together by the row-wise kernels
+
+
+def along(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, 1)`` for 2-d arrays, as one fancy index."""
+    if len(a) == 1:
+        return a[0][idx]
+    return a[np.arange(len(a))[:, None], idx]
+
+
+def _bool_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
+    """(k, N) membership rows of int masks, row i on its first n[i] points."""
+    k = len(masks)
+    if N <= 8:
+        return _BYTE_BITS[np.array(masks, dtype=np.int64), :N]
+    if N < 63:
+        return (np.array(masks, dtype=np.int64)[:, None] >> np.arange(N)) & 1 == 1
+    out = np.zeros((k, N), dtype=bool)
+    for i, (m, ni) in enumerate(zip(masks, n.tolist())):
+        out[i, :ni] = mask_bools(m, ni)
+    return out
+
+
+@dataclass(frozen=True)
+class Subsets:
+    """One subset per row of a stack: its int mask (bits below the row's
+    point count only) and its membership row, padded to N points."""
+
+    masks: tuple
+    bools: np.ndarray = field(compare=False)
+
+    @classmethod
+    def of(cls, masks: Sequence[int], n: np.ndarray, N: int) -> "Subsets":
+        masks = tuple(m & ((1 << ni) - 1) for m, ni in zip(masks, n.tolist()))
+        return cls(masks, _bool_rows(masks, n, N))
+
+    def __and__(self, other: "Subsets") -> "Subsets":
+        return Subsets(tuple(a & b for a, b in zip(self.masks, other.masks)),
+                       self.bools & other.bools)
+
+    def take(self, rows: np.ndarray) -> "Subsets":
+        return Subsets(tuple(self.masks[i] for i in rows.tolist()), self.bools[rows])
+
+
+class CapacityStack:
+    """k capacities, row i on its own n[i] points of a stack N points
+    wide, for the row-wise kernels.  Explicit rows share one (k, 2^N)
+    table array and weighted rows (additive, grid, distorted) one (k, N)
+    weight array; a derived stack holds the stack of its bases, the
+    conditioning subsets and their base measures.  Every kernel gives
+    each row what the row's own capacity gives alone, bit for bit."""
+
+    def __init__(self, caps: Sequence[Capacity], tables: Optional[np.ndarray] = None,
+                 width: Optional[int] = None):
+        self.caps = list(caps)
+        self.n = np.array([c.space.n for c in self.caps])
+        self.N = width or int(self.n.max())
+        self.unit = np.array([c.range == UNIT for c in self.caps])
+        self.base = None
+        kinds = [c.kind for c in self.caps]
+        if "derived" in kinds:
+            if set(kinds) != {"derived"}:
+                raise DomainError("a stack holds derived capacities only with each other")
+            self._derive(CapacityStack([c.base for c in self.caps], width=self.N),
+                         Subsets.of([c.given for c in self.caps], self.n, self.N),
+                         np.array([c.base(c.given) for c in self.caps]))
+            return
+        self.explicit = np.array([i for i, k in enumerate(kinds) if k == "explicit"], dtype=int)
+        self.weighted = np.array([i for i, c in enumerate(self.caps) if c.weights is not None],
+                                 dtype=int)
+        self.sup = np.array([i for i, k in enumerate(kinds) if k == "sup"], dtype=int)
+        if tables is None and len(self.explicit):
+            if len(self.caps) == 1:
+                tables = self.caps[0].table[None, :]
+            else:
+                tables = np.zeros((len(self.caps), 2**self.N))
+                for i in self.explicit.tolist():
+                    t = self.caps[i].table
+                    tables[i, :len(t)] = t
+        self.tables = tables
+        if len(self.weighted) == 1 and len(self.caps) == 1 and self.n[0] == self.N:
+            self.weights = self.caps[0].weights[None, :]
+        else:
+            self.weights = np.zeros((len(self.caps), self.N))
+            for i in self.weighted.tolist():
+                w = self.caps[i].weights
+                self.weights[i, :len(w)] = w
+        self.gammas = [(c.gamma, i) for i, c in enumerate(self.caps)
+                       if c.kind == "distorted"]
+
+    def _derive(self, base: "CapacityStack", given: Subsets, base_given: np.ndarray):
+        """Make this the stack of m(B) = base(B n given) / base(given)."""
+        self.base, self.given, self.base_given = base, given, base_given
+
+    @classmethod
+    def of(cls, caps: Sequence[Capacity]) -> "CapacityStack":
+        return caps[0].one_row if len(caps) == 1 else cls(caps)
+
+    def __len__(self) -> int:
+        return len(self.caps)
+
+    def take(self, rows: np.ndarray) -> "CapacityStack":
+        """The stack of the given rows, as wide as this one."""
+        caps = [self.caps[i] for i in rows.tolist()]
+        if self.base is None:
+            return CapacityStack(caps, None if self.tables is None else self.tables[rows],
+                                 width=self.N)
+        out = CapacityStack.__new__(CapacityStack)
+        out.caps, out.n, out.N, out.unit = caps, self.n[rows], self.N, self.unit[rows]
+        out._derive(self.base.take(rows), self.given.take(rows), self.base_given[rows])
+        return out
+
+    def normalize(self, A: Subsets) -> tuple["CapacityStack", np.ndarray]:
+        """The stack of normalized capacities m(B) = mu(A n B) / mu(A) of
+        the rows where 0 < mu(A) < inf, and those rows."""
+        muA = self.measure(A.masks)
+        ok = np.flatnonzero((muA != 0.0) & ~np.isinf(muA))
+        base = self if len(ok) == len(self) else self.take(ok)
+        out = CapacityStack.__new__(CapacityStack)
+        out.caps, out.n, out.N, out.unit = [None] * len(ok), base.n, base.N, np.ones(len(ok), bool)
+        out._derive(base, A.take(ok), muA[ok])
+        return out, ok
+
+    def measure(self, masks: Sequence[int]) -> np.ndarray:
+        """Measure of one subset per row (masks with no bit at or above the
+        row's point count)."""
+        if self.base is not None:
+            inside = [m & g for m, g in zip(masks, self.given.masks)]
+            return self.base.measure(inside) / self.base_given
+        out = np.empty(len(self.caps))
+        for i, (c, m) in enumerate(zip(self.caps, masks)):
+            if c.kind != "explicit":
+                out[i] = c(m)
+        e = self.explicit
+        if len(e):
+            out[e] = self.tables[e, np.array(masks, dtype=np.int64)[e]]
+        return out
+
+    def chain(self, order: np.ndarray, count) -> np.ndarray:
+        """Measures of the nested prefixes of each row of ``order`` (k, W):
+        entry (i, j) is the measure of {order[i, 0], ..., order[i, j-1]}
+        for j <= count[i] (entry 0 is 0); later entries are unspecified."""
+        k, W = order.shape
+        if self.base is not None:
+            # a prefix meets the given set in the prefix of its inside points
+            live = np.arange(W) < np.asarray(count)[:, None]
+            inside = along(self.given.bools, order) & live
+            first = np.argsort(~inside, axis=1, kind="stable")
+            chain = self.base.chain(along(order, first), inside.sum(1))
+            pos = np.zeros((k, W + 1), dtype=np.int64)
+            pos[:, 1:] = np.cumsum(inside, axis=1)
+            return along(chain, pos) / self.base_given[:, None]
+        out = np.zeros((k, W + 1))
+        e = self.explicit
+        if len(e):  # the prefixes' masks are running sums of bits
+            sel = slice(None) if len(e) == k else e
+            live = np.arange(W) < np.asarray(count)[sel, None]
+            bits = np.where(live, 1 << order[sel], 0)
+            out[sel, 1:] = along(self.tables[sel], np.cumsum(bits, axis=1))
+        w = self.weighted
+        if len(w):
+            sel = slice(None) if len(w) == k else w
+            sums = np.cumsum(along(self.weights[sel], order[sel]), axis=1)
+            out[sel, 1:] = sums
+            # one power per distinct exponent, each a Python float
+            for g, at in row_groups(g for g, _ in self.gammas):
+                rows = np.array([i for _, i in self.gammas])[at]
+                out[rows, 1:] = out[rows, 1:] ** g
+        if len(self.sup):
+            out[self.sup, 1:] = 1.0
+        return out
+
+    def meet(self, R: np.ndarray, nr, S: np.ndarray, ns) -> np.ndarray:
+        """Per row i, the measures of the pairwise intersections of the
+        first nr[i] subsets of R[i] with the first ns[i] of S[i] (boolean
+        rows, (k, a, N) and (k, b, N)); other entries are unspecified."""
+        if self.base is not None:
+            inside = R & self.given.bools[:, None, :]
+            return self.base.meet(inside, nr, S, ns) / self.base_given[:, None, None]
+        k, a, N = R.shape
+        b = S.shape[1]
+        if k == 1 and len(self.weighted) and (nr[0], ns[0], self.n[0]) == (a, b, N):
+            return self.caps[0].measure_meet(R[0], S[0])[None]
+        out = np.zeros((k, a, b))
+        e = self.explicit
+        if len(e):  # n <= 20, so table indices fit in int64
+            bits = np.int64(1) << np.arange(N, dtype=np.int64)
+            mr = (R[e] * bits).sum(-1)
+            ms = (S[e] * bits).sum(-1)
+            idx = (mr[:, :, None] & ms[:, None, :]).reshape(len(e), -1)
+            out[e] = along(self.tables[e], idx).reshape(len(e), a, -1)
+        if len(self.sup):
+            s = self.sup
+            out[s] = (R[s][:, :, None, :] & S[s][:, None, :, :]).any(-1)
+        # one weighted matmul per row, in the row's own shape
+        for i in self.weighted.tolist():
+            n = self.n[i]
+            out[i, :nr[i], :ns[i]] = self.caps[i].measure_meet(R[i, :nr[i], :n],
+                                                               S[i, :ns[i], :n])
+        return out
 
 
 @dataclass
@@ -423,9 +625,14 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
 
     if mode == "exhaustive" and pair_count > EXHAUSTIVE_PAIR_LIMIT:
         raise DomainError("pair count too large for exhaustive checking")
-    if n <= MAX_EXPLICIT_N:
+    # the value table costs 2^n measures: sampled trials that read fewer
+    # masks (2 per monotone trial, 4 otherwise) measure them one by one,
+    # which gives the same numbers bit for bit
+    reads = trials * (2 if prop == "monotone" else 4)
+    if n <= MAX_EXPLICIT_N and (mode == "exhaustive" or c.kind == "explicit"
+                                or 2**n <= reads):
         value = c.values().__getitem__
-    else:  # sampled pairs of a structured capacity: measured one by one
+    else:
         def value(masks):
             return np.array([c(m) for m in masks.tolist()], dtype=float)
 

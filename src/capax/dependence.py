@@ -1,20 +1,24 @@
 """Comonotonicity and positive-dependence detection, plus the uniform
 driver construction where a non-comonotone pair is positively dependent
-with respect to the Lukasiewicz operator."""
+with respect to the Lukasiewicz operator.
+
+Both checks run on stacks of rows (``comonotone_rows``,
+``positive_dependence_rows``); checking one pair is a stack of one row."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, make_grid_lebesgue, mask_bools
-from .integrals import SampleFunction, sample_function
-from .operators import AggOperator
+from .capacity import Capacity, CapacityStack, Subsets, along, make_grid_lebesgue
+from .integrals import SampleFunction, Values, sample_function
+from .operators import AggOperator, row_groups, rows_vec
 from .xreal import UNIT, DomainError
 
 POSDEP_TOL = 1e-12
+POSDEP_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -26,61 +30,141 @@ class DependenceReport:
     slack: float = float("inf")  # worst margin found (posdep)
 
 
+def comonotone_rows(F: Values, G: Values):
+    """Per row, whether (f(x)-f(y))(g(x)-g(y)) >= 0 for all point pairs,
+    exactly and in O(n log n): a pair is comonotone iff sorting the points
+    by (f, g) leaves g nondecreasing.  Returns (holds, witnesses), a
+    witness being a pair (x, y) with f(x) > f(y) and g(x) < g(y), or
+    None."""
+    # padding sorts last and drops below nothing
+    f = np.where(F.valid, F.v, np.inf)
+    g = np.where(F.valid, G.v, np.inf)
+    order = np.lexsort((g, f), axis=1)
+    gs = along(g, order)
+    drops = np.zeros_like(f, dtype=bool)  # a last column that never drops
+    drops[:, :-1] = gs[:, 1:] < gs[:, :-1]
+    holds = ~drops.any(1)
+    first = drops.argmax(1)
+    witnesses = [None if ok else (int(o[d + 1]), int(o[d]))
+                 for ok, o, d in zip(holds.tolist(), order, first.tolist())]
+    return holds, witnesses
+
+
 def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
-    """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all point pairs, exactly and
-    in O(n log n): the pair is comonotone iff sorting the points by (f, g)
-    leaves g nondecreasing.  The witness is a pair (x, y) with
-    f(x) > f(y) and g(x) < g(y)."""
+    """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all point pairs (see
+    ``comonotone_rows``)."""
     if f.space.n != g.space.n:
         raise DomainError("comonotonicity needs a common space")
-    order = np.lexsort((g.values, f.values))
-    gs = g.values[order]
-    drops = np.flatnonzero(gs[1:] < gs[:-1])
-    w = None if len(drops) == 0 else (int(order[drops[0] + 1]), int(order[drops[0]]))
-    return DependenceReport("comonotone", holds=w is None, witness=w)
+    holds, witnesses = comonotone_rows(Values.of([f]), Values.of([g]))
+    return DependenceReport("comonotone", holds=bool(holds[0]), witness=witnesses[0])
 
 
-def _levels(values: np.ndarray) -> np.ndarray:
-    """Ascending distinct values of ``values`` together with 0: the first
-    of each run of equal sorted values."""
-    v = np.concatenate(([0.0], values))
-    v.sort()
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+def _level_rows(F: Values, A: Subsets):
+    """Per row, the ascending distinct values of f on A together with 0,
+    left-aligned, their count, and the boolean rows of their level sets
+    A n {f >= level}."""
+    k, N = F.v.shape
+    x = np.empty((k, N + 1))
+    x[:, 0] = 0.0
+    x[:, 1:] = np.where(A.bools, F.v, np.inf)  # padding sorts last
+    x.sort(axis=1)
+    # the first of each run of equal sorted values, among the 1 + |A| live ones
+    first = np.ones((k, N + 1), dtype=bool)
+    first[:, 1:] = x[:, 1:] != x[:, :-1]
+    first &= np.arange(N + 1) < A.bools.sum(1)[:, None] + 1
+    count = first.sum(1)
+    r, j = np.nonzero(first)
+    col = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
+    levels = np.zeros((k, int(count.max())))
+    levels[r, col] = x[r, j]
+    sets = (F.v[:, None, :] >= levels[:, :, None]) & A.bools[:, None, :]
+    if (count < levels.shape[1]).any():  # rows past a row's count are empty
+        sets &= (np.arange(levels.shape[1]) < count[:, None])[:, :, None]
+    return levels, count, sets
+
+
+@dataclass
+class DependenceRows:
+    """Per-row positive-dependence verdicts: worst margins, and the
+    witness cell (levels of f and g, joint measure, rhs) of each row."""
+
+    slack: list
+    witness: list
+    tol: float
+
+    @property
+    def holds(self) -> list:
+        return [w >= -self.tol for w in self.slack]
+
+
+def positive_dependence_rows(F: Values, A: Subsets, G: Values, B: Subsets,
+                             C: CapacityStack, tris: Sequence[AggOperator],
+                             tol: float = POSDEP_TOL) -> DependenceRows:
+    """Per row, mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri
+    mu({g|_B >= b}) on the distinct-value cross product (plus level 0),
+    which is exact, not sampled: both sides are step functions constant
+    between consecutive function values.  Rows go through in blocks of
+    at most POSDEP_BLOCK_CELLS cross-product cells (one row at least), so
+    memory stays flat for wide rows."""
+    size = (F.n + 1) ** 2
+    if size.sum() <= POSDEP_BLOCK_CELLS:
+        return _positive_dependence_block(F, A, G, B, C, tris, tol)
+    # blocks of rows of similar width, so that little of a block is padding
+    order = np.argsort(size, kind="stable")
+    block = np.cumsum(size[order]) // POSDEP_BLOCK_CELLS
+    slack, witness = [None] * len(size), [None] * len(size)
+    for _, at in row_groups(block.tolist()):
+        rows = order[at]
+        part = _positive_dependence_block(F.take(rows), A.take(rows), G.take(rows),
+                                          B.take(rows), C.take(rows),
+                                          [tris[i] for i in rows.tolist()], tol)
+        for i, s, w in zip(rows.tolist(), part.slack, part.witness):
+            slack[i], witness[i] = s, w
+    return DependenceRows(slack, witness, tol)
+
+
+def _positive_dependence_block(F, A, G, B, C, tris, tol) -> DependenceRows:
+    levels_a, na, FA = _level_rows(F, A)
+    levels_b, nb, GB = _level_rows(G, B)
+    everything = F.valid[:, None, :]
+    one = np.ones(len(na), dtype=np.int64)
+    mFA = C.meet(FA, na, everything, one)
+    mGB = C.meet(GB, nb, everything, one)
+    joint = C.meet(FA, na, GB, nb)
+    rhs = rows_vec(tris, mFA, mGB.transpose(0, 2, 1))
+    margin = joint - rhs
+    # cells past a row's level counts never win; among equals, the first
+    # cell in C order does
+    k, a, b = margin.shape
+    if (na < a).any() or (nb < b).any():
+        live = ((np.arange(a) < na[:, None])[:, :, None]
+                & (np.arange(b) < nb[:, None])[:, None, :])
+        margin = np.where(live, margin, np.inf)
+    flat = margin.reshape(k, -1).argmin(1)
+    i, j = np.divmod(flat, b)
+    rows = np.arange(k)
+    worst = margin[rows, i, j].tolist()
+    witness = list(zip(levels_a[rows, i].tolist(), levels_b[rows, j].tolist(),
+                       joint[rows, i, j].tolist(), rhs[rows, i, j].tolist()))
+    return DependenceRows(worst, witness, tol)
 
 
 def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
                               B: int, c: Capacity, tri: AggOperator,
                               tol: float = POSDEP_TOL) -> DependenceReport:
-    """Check mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri mu({g|_B >= b}).
-
-    Both sides are step functions constant between consecutive function
-    values, so checking the distinct-value cross product (plus level 0) is
-    exact, not sampled.
-    """
+    """Check mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri mu({g|_B >= b})
+    exactly (see ``positive_dependence_rows``)."""
     n = c.space.n
     if f.space.n != n or g.space.n != n:
         raise DomainError("functions and capacity must share a space")
-    selA = mask_bools(A, n)
-    selB = mask_bools(B, n)
-    levels_a = _levels(f.values[selA])
-    levels_b = _levels(g.values[selB])
-
-    FA = (f.values >= levels_a[:, None]) & selA
-    GB = (g.values >= levels_b[:, None]) & selB
-    everything = np.ones((1, n), dtype=bool)
-    mFA = c.measure_meet(FA, everything)
-    mGB = c.measure_meet(GB, everything)
-    joint_w = c.measure_meet(FA, GB)
-
-    rhs = tri.vec(mFA, mGB.T)
-    margin = joint_w - rhs
-    i, j = np.unravel_index(np.argmin(margin), margin.shape)
-    worst = float(margin[i, j])
-    holds = worst >= -tol
-    witness = None if holds else (float(levels_a[i]), float(levels_b[j]),
-                                  float(joint_w[i, j]), float(rhs[i, j]))
+    F = Values.of([f])
+    rows = positive_dependence_rows(F, Subsets.of([A], F.n, n), Values.of([g]),
+                                    Subsets.of([B], F.n, n), CapacityStack.of([c]),
+                                    [tri], tol)
+    holds = rows.holds[0]
     return DependenceReport("positively_dependent", holds=holds,
-                            witness=witness, op=tri.name, slack=worst)
+                            witness=None if holds else rows.witness[0],
+                            op=tri.name, slack=rows.slack[0])
 
 
 INCREASING_BIJECTIONS = {

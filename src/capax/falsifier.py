@@ -9,6 +9,11 @@ violation replays without reference to the generator.
 Each audited theorem is one ``Theorem`` record in ``THEOREMS``; the id
 lists, the alias table, ``DROPPABLE``, scenario generation, replay, audits
 and hunts all read that table.
+
+An audit draws its trials one by one and evaluates them in chunks: each
+chunk is decoded into one stack (``decode``) and its record's runner
+evaluates all rows at once.  Replay, hunts and shrinking run one-row
+stacks through the same runners.
 """
 
 from __future__ import annotations
@@ -16,20 +21,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import make_random_monotone
-from .integrals import sample_function
+from .capacity import (MAX_EXPLICIT_N, Capacity, CapacityStack, Subsets,
+                       make_random_monotone)
+from .integrals import Values, sample_function
 from .operators import builtin_systems, get_op, get_system
 from .scenario import (SchemaError, capacity_from_spec, capacity_to_spec,
                        space_from_spec, subset_from_spec)
-from .xreal import DomainError
+from .xreal import EXTENDED, INF, UNIT, DomainError
 
 VIOLATION_RTOL = 1e-9
 MAX_SHRINK_STEPS = 200
+#: an audit chunk ends once its scenarios hold this many table entries
+#: and points, which bounds the memory of its stack
+AUDIT_CHUNK_CELLS = 1 << 12
 
 SUGENO_SYSTEM_NAMES = [s.name for s in builtin_systems()]
 
@@ -74,16 +84,19 @@ class Theorem:
 
     ``generate(rng, n, system)`` draws a hypothesis-satisfying scenario's
     (space, capacity, functions, subsets, params) from the trial stream;
-    ``system`` is the operator system named in ``carlson_sugeno:<system>``,
-    else None.  ``run(fns, A, B, c, params)`` calls the checker, looked up
-    in ``inequalities`` at call time.  ``drop`` maps each droppable
-    hypothesis to a generator ``(rng, n)`` that does not enforce it.
+    ``system`` is the operator system named in ``<theorem>:<system>``,
+    else None, and ``systems`` lists the names it may take.  ``run(stack)``
+    calls the checker's row form (looked up in ``inequalities`` at call
+    time) and returns one report per row.  ``drop`` maps each droppable
+    hypothesis to a generator ``(rng, n, system)`` that does not enforce
+    it.
     """
 
     generate: Callable
     run: Callable
     alias: Optional[str] = None
     drop: dict = field(default_factory=dict)
+    systems: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +240,21 @@ def _gen_distorted(rng, n, system, keys, coords):
             {"A": list(range(n))}, params)
 
 
-def _drop_order(rng, n, keys, low, system, exponents):
+def _drop_order(rng, n, system, keys, low, sugeno, exponents):
     """Independent (unordered) functions under the uniform additive
-    capacity: neither comonotone nor positively dependent in general."""
+    capacity: neither comonotone nor positively dependent in general.  A
+    Sugeno theorem keeps the named system, or draws one last."""
     fns = {k: rng.uniform(low, 1.0, size=n).tolist() for k in keys}
-    params = {"system": _pick(rng, SUGENO_SYSTEM_NAMES)} if system else {}
+    params = {}
+    if sugeno:
+        params["system"] = _pick(rng, SUGENO_SYSTEM_NAMES) if system is None else system
     params.update(exponents)
     everything = list(range(n))
     return ({"n": n}, {"type": "additive", "weights": [1.0 / n] * n}, fns,
             {"A": everything, "B": everything}, params)
 
 
-def _drop_submodular(rng, n, keys):
+def _drop_submodular(rng, n, system, keys):
     """A distorted capacity with gamma > 1, which is supermodular."""
     cap = {"type": "distorted",
            "weights": rng.uniform(0.2, 1.0, size=n).tolist(),
@@ -253,8 +269,12 @@ def _drop_submodular(rng, n, keys):
 
 def _fgh(checker: str, *exponents: str):
     """Runner for a checker called as (f, g, h, A, c, *exponents)."""
-    return lambda fns, A, B, c, p: getattr(ineq, checker)(
-        fns["f"], fns["g"], fns["h"], A, c, *(p[e] for e in exponents))
+    return lambda st: getattr(ineq, checker + "_rows")(
+        st.fns["f"], st.fns["g"], st.fns["h"], st.A, st.cap, *map(st.p, exponents))
+
+
+def _systems(st) -> list:
+    return [get_system(p["system"]) for p in st.params]
 
 
 CARLSON_EXPONENTS = {"p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
@@ -262,48 +282,50 @@ CARLSON_EXPONENTS = {"p": 2.0, "q": 2.0, "r": 1.0, "s": 1.0}
 THEOREMS = {
     "jensen_sugeno": Theorem(
         _gen_jensen_sugeno,
-        lambda fns, A, B, c, p: ineq.jensen_sugeno(
-            fns["f"], c, A, get_op(p["op"]), p["s"]),
+        lambda st: ineq.jensen_sugeno_rows(
+            st.fns["f"], st.cap, st.A, [get_op(op) for op in st.p("op")], st.p("s")),
         alias="2.1"),
     "chebyshev_sugeno": Theorem(
         _gen_chebyshev_sugeno,
-        lambda fns, A, B, c, p: ineq.chebyshev_sugeno(
-            get_system(p["system"]), fns["f1"], fns["f2"], A, B, c),
+        lambda st: ineq.chebyshev_sugeno_rows(
+            _systems(st), st.fns["f1"], st.fns["f2"], st.A, st.B, st.cap),
         alias="2.2",
         drop={"positive_dependence": partial(
-            _drop_order, keys=("f1", "f2"), low=0.0, system=True, exponents={})}),
+            _drop_order, keys=("f1", "f2"), low=0.0, sugeno=True, exponents={})}),
     "carlson_sugeno": Theorem(
         _gen_carlson_sugeno,
-        lambda fns, A, B, c, p: ineq.carlson_sugeno(
-            get_system(p["system"]).with_exponents(p["p"], p["q"], p["r"], p["s"]),
-            fns["f"], fns["g"], fns["h"], A, B, c),
+        lambda st: ineq.carlson_sugeno_rows(
+            [s.with_exponents(p["p"], p["q"], p["r"], p["s"])
+             for s, p in zip(_systems(st), st.params)],
+            st.fns["f"], st.fns["g"], st.fns["h"], st.A, st.B, st.cap),
         alias="2.3",
         drop={"positive_dependence": partial(
-            _drop_order, keys="fgh", low=0.2, system=True,
-            exponents=CARLSON_EXPONENTS)}),
+            _drop_order, keys="fgh", low=0.2, sugeno=True,
+            exponents=CARLSON_EXPONENTS)},
+        systems=tuple(SUGENO_SYSTEM_NAMES)),
     "carlson_sugeno_xu": Theorem(_gen_sugeno_pq, _fgh("carlson_sugeno_xu", "p", "q")),
     "carlson_sugeno_wang": Theorem(_gen_sugeno_pq, _fgh("carlson_sugeno_wang", "p", "q")),
     "shilkret_example": Theorem(
         _gen_shilkret,
-        lambda fns, A, B, c, p: ineq.shilkret_carlson_example(fns["f"], A, c)),
+        lambda st: ineq.shilkret_carlson_example_rows(st.fns["f"], st.A, st.cap)),
     "lukasiewicz_example": Theorem(
         _gen_lukasiewicz,
-        lambda fns, A, B, c, p: ineq.lukasiewicz_carlson_example(
-            p["phi"], p["psi"], p["n"], p["p"], p["q"])),
+        lambda st: ineq.lukasiewicz_carlson_example_rows(*map(st.p, ("phi", "psi", "n",
+                                                                    "p", "q")))),
     "jensen_choquet": Theorem(
         _gen_jensen_choquet,
-        lambda fns, A, B, c, p: ineq.jensen_choquet(fns["f"], c, A, p["exponent"])),
+        lambda st: ineq.jensen_choquet_rows(st.fns["f"], st.cap, st.A, st.p("exponent"))),
     "chebyshev_choquet": Theorem(
         _gen_chebyshev_choquet,
-        lambda fns, A, B, c, p: ineq.chebyshev_choquet(fns["f"], fns["g"], c, A),
+        lambda st: ineq.chebyshev_choquet_rows(st.fns["f"], st.fns["g"], st.cap, st.A),
         drop={"comonotone": partial(
-            _drop_order, keys=("f", "g"), low=0.0, system=False, exponents={})}),
+            _drop_order, keys=("f", "g"), low=0.0, sugeno=False, exponents={})}),
     "carlson_choquet_comonotone": Theorem(
         _gen_choquet_comonotone,
         _fgh("carlson_choquet_comonotone", "p", "q", "r", "s"),
         alias="3.1",
         drop={"comonotone": partial(
-            _drop_order, keys="fgh", low=0.2, system=False,
+            _drop_order, keys="fgh", low=0.2, sugeno=False,
             exponents=CARLSON_EXPONENTS)}),
     "carlson_choquet_submodular": Theorem(
         partial(_gen_distorted, keys="fgh", coords=False),
@@ -316,8 +338,8 @@ THEOREMS = {
         alias="3.3"),
     "holder_choquet": Theorem(
         partial(_gen_distorted, keys=("phi", "psi"), coords=False),
-        lambda fns, A, B, c, p: ineq.holder_choquet(
-            fns["phi"], fns["psi"], c, A, p["p"]),
+        lambda st: ineq.holder_choquet_rows(
+            st.fns["phi"], st.fns["psi"], st.cap, st.A, st.p("p")),
         drop={"submodular": partial(_drop_submodular, keys=("phi", "psi"))}),
 }
 
@@ -328,9 +350,15 @@ DROPPABLE = {(name, h) for name, t in THEOREMS.items() for h in t.drop}
 
 def canonical_theorem(theorem_id: str) -> str:
     base = THEOREM_ALIASES.get(theorem_id, theorem_id)
-    if base.split(":", 1)[0] not in THEOREMS:
+    name, colon, system = base.partition(":")
+    if name not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem_id!r}; choose from "
                           f"{THEOREM_IDS + list(THEOREM_ALIASES)}")
+    systems = THEOREMS[name].systems
+    if colon and system not in systems:
+        choices = (f"choose from {list(systems)}" if systems
+                   else f"{name!r} takes no ':<system>' suffix")
+        raise DomainError(f"unknown theorem id {theorem_id!r}; {choices}")
     return base
 
 
@@ -354,17 +382,114 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
 # replay
 
 
+@dataclass
+class Stack:
+    """Decoded scenarios of one theorem, one row each: the functions'
+    values by name, the subsets A and B (A defaults to the whole space, B
+    to A), the capacities and each row's params."""
+
+    fns: dict
+    A: Optional[Subsets]
+    B: Optional[Subsets]
+    cap: Optional[CapacityStack]
+    params: list
+
+    def p(self, key: str) -> list:
+        return [p[key] for p in self.params]
+
+
+def _bulk(lists, lengths) -> Optional[np.ndarray]:
+    """The concatenated number lists as one array when each is a list of
+    the given length holding only ints and floats, all finite (values >=
+    0 are checked by the caller); None sends the caller to the per-row
+    decoders, which raise the first row's own error."""
+    if not all(type(v) is list and len(v) == m for v, m in zip(lists, lengths)):
+        return None
+    flat = list(chain.from_iterable(lists))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        return np.array(flat, dtype=float)
+    except OverflowError:  # an int beyond float range
+        return None
+
+
+def _capacity_rows(specs, spaces, n: np.ndarray, N: int) -> CapacityStack:
+    """The stack of the rows' capacities.  Explicit tables are checked
+    as ``capacity_from_spec`` checks them, all in one array; any other
+    spec, or a table that fails a check, is decoded on its own."""
+    explicit = [i for i, spec in enumerate(specs)
+                if type(spec) is dict and spec.get("type") == "explicit"
+                and set(spec) == {"type", "table"} and n[i] <= MAX_EXPLICIT_N]
+    lengths = [1 << int(n[i]) for i in explicit]
+    vals = _bulk([specs[i]["table"] for i in explicit], lengths) if explicit else None
+    tables = None
+    if vals is not None:
+        ends = np.cumsum(lengths)
+        if (vals.min() >= 0 and vals.max() < INF and (vals[ends - lengths] == 0).all()
+                and (vals[ends - 1] > 0).all()):
+            tables = np.zeros((len(specs), 2**N))
+            rows = np.repeat(explicit, lengths)
+            tables[rows, np.arange(len(vals)) - np.repeat(ends - lengths, lengths)] = vals
+    caps = []
+    unit = tables.max(1) <= 1.0 if tables is not None else None
+    for i, (spec, (space, grid_cap)) in enumerate(zip(specs, spaces)):
+        if tables is not None and type(spec) is dict and spec.get("type") == "explicit":
+            caps.append(Capacity(space, UNIT if unit[i] else EXTENDED, "explicit",
+                                 table=tables[i, :1 << space.n]))
+        else:
+            caps.append(capacity_from_spec(spec, space, grid_cap))
+    return CapacityStack(caps, tables)
+
+
+def _value_rows(lists, spaces, n: np.ndarray, N: int) -> Values:
+    """The rows' sample functions, checked as ``sample_function`` checks
+    them, all in one array."""
+    vals = _bulk(lists, n.tolist())
+    if vals is None or not vals.min(initial=0.0) >= 0:  # NaN fails too
+        return Values.of([sample_function(space, v) for (space, _), v in zip(spaces, lists)])
+    valid = np.arange(N) < n[:, None]
+    v = np.zeros((len(lists), N))
+    v[valid] = vals
+    return Values(v, v.max(1) <= 1.0, n, valid, tuple(space for space, _ in spaces))
+
+
+def decode(scenarios: list) -> Stack:
+    """One stack of scenarios of one theorem, decoded with the checks (and
+    the errors) of ``space_from_spec``, ``capacity_from_spec``,
+    ``sample_function`` and ``subset_from_spec``."""
+    params = [scn.params for scn in scenarios]
+    if not scenarios[0].functions:  # the checker builds its own space from params
+        return Stack({}, None, None, None, params)
+    spaces = [space_from_spec(scn.space) for scn in scenarios]
+    n = np.array([space.n for space, _ in spaces])
+    N = int(n.max())
+    cap = _capacity_rows([scn.capacity for scn in scenarios], spaces, n, N)
+    fns = {k: _value_rows([scn.functions[k] for scn in scenarios], spaces, n, N)
+           for k in scenarios[0].functions}
+    masks = {k: [subset_from_spec(scn.subsets[k], space)
+                 for scn, (space, _) in zip(scenarios, spaces)]
+             for k in scenarios[0].subsets}
+    A = masks.get("A", [space.full_mask for space, _ in spaces])
+    return Stack(fns, Subsets.of(A, n, N), Subsets.of(masks.get("B", A), n, N),
+                 cap, params)
+
+
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
-    """Replay a scenario through its theorem checker."""
-    run = _record(scn.theorem).run
-    if not scn.functions:  # the checker builds its own space from params
-        return run({}, None, None, None, scn.params)
-    space, grid_cap = space_from_spec(scn.space)
-    c = capacity_from_spec(scn.capacity, space, grid_cap)
-    fns = {k: sample_function(space, v) for k, v in scn.functions.items()}
-    subs = {k: subset_from_spec(v, space) for k, v in scn.subsets.items()}
-    A = subs.get("A", space.full_mask)
-    return run(fns, A, subs.get("B", A), c, scn.params)
+    """Replay a scenario through its theorem checker (a stack of one)."""
+    return _record(scn.theorem).run(decode([scn]))[0]
+
+
+def run_stack(scenarios: list) -> list:
+    """Reports of scenarios of one theorem, evaluated as one stack.  A
+    stack that fails raises the error its first failing scenario raises
+    alone."""
+    try:
+        return _record(scenarios[0].theorem).run(decode(scenarios))
+    except Exception:
+        for scn in scenarios:
+            run_scenario(scn)
+        raise
 
 
 def is_violation(rep: ineq.InequalityReport,
@@ -381,23 +506,35 @@ def is_violation(rep: ineq.InequalityReport,
 # audits
 
 
+def _cells(scn: Scenario) -> int:
+    return len(scn.capacity.get("table", ())) + scn.space.get("n", 0)
+
+
 def audit(theorem_id: str, trials: int, seed: int,
           config: Optional[dict] = None) -> AuditSummary:
-    """Run seeded hypothesis-satisfying scenarios and count violations."""
+    """Run seeded hypothesis-satisfying scenarios and count violations.
+    Trials are drawn one by one and evaluated a chunk at a time."""
     theorem = canonical_theorem(theorem_id)
     hyp_pass = 0
     min_slack = math.inf
     violations: list[Scenario] = []
+    chunk: list[Scenario] = []
+    cells = 0
     for i in range(trials):
         scn = random_scenario(theorem, seed, i, config)
-        rep = run_scenario(scn)
-        if rep.degenerate is not None or not rep.hypotheses_pass:
+        chunk.append(scn)
+        cells += _cells(scn)
+        if cells < AUDIT_CHUNK_CELLS and i < trials - 1:
             continue
-        hyp_pass += 1
-        if math.isfinite(rep.slack):
-            min_slack = min(min_slack, rep.slack)
-        if is_violation(rep):
-            violations.append(scn)
+        for scn, rep in zip(chunk, run_stack(chunk)):
+            if rep.degenerate is not None or not rep.hypotheses_pass:
+                continue
+            hyp_pass += 1
+            if math.isfinite(rep.slack):
+                min_slack = min(min_slack, rep.slack)
+            if is_violation(rep):
+                violations.append(scn)
+        chunk, cells = [], 0
     return AuditSummary(theorem, trials, hyp_pass, violations,
                         min_slack if math.isfinite(min_slack) else math.nan,
                         seed)
@@ -410,11 +547,14 @@ def audit(theorem_id: str, trials: int, seed: int,
 def _unconstrained_scenario(theorem: str, dropped: str, seed: int,
                             trial: int) -> Scenario:
     """Like random_scenario but with the named hypothesis not enforced."""
+    theorem = canonical_theorem(theorem)
     generate = _record(theorem).drop.get(dropped)
     if generate is None:
         raise DomainError(f"hypothesis {dropped!r} cannot be dropped for {theorem!r}")
+    name, colon, system = theorem.partition(":")
     rng = _trial_rng(seed, trial)
-    return Scenario(theorem, seed, *generate(rng, int(rng.integers(2, 7))))
+    return Scenario(theorem, seed, *generate(rng, int(rng.integers(2, 7)),
+                                             system if colon else None))
 
 
 def _snap(v: float) -> float:

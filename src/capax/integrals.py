@@ -8,19 +8,25 @@ right endpoint.  The candidates are level 0 with mu(A), the distinct
 values of f on A with their level-set measures and, for an operator that
 does not absorb 0 on the right, the top of the range with the empty set;
 one vectorized operator call evaluates them all.
+
+The evaluators run on stacks: ``Values`` (k sample functions),
+``Subsets`` and a ``CapacityStack``, row i of each belonging to one
+integral, and each row gives what it gives alone, bit for bit.  A single
+integral is a stack of one row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, GroundSpace, mask_bools
+from .capacity import Capacity, CapacityStack, GroundSpace, Subsets, along
 from .xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
-from .operators import AggOperator, min_op, prod_op
+from .operators import AggOperator, min_op, prod_op, row_groups, rows_vec
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,11 @@ class SampleFunction:
 
     def __getitem__(self, i: int) -> float:
         return float(self.values[i])
+
+    @cached_property
+    def one_row(self) -> "Values":
+        """This function as a stack of one row (built once)."""
+        return Values.build([self])
 
 
 def sample_function(space: GroundSpace, values, range_tag: str = None) -> SampleFunction:
@@ -87,32 +98,180 @@ class IntegralResult:
         return self.value
 
 
-def _check_compat(f: SampleFunction, c: Capacity, op: AggOperator = None):
+@dataclass(frozen=True)
+class Values:
+    """k sample functions evaluated together: row i holds the n[i] values
+    of its function, then padding that no kernel reads, its range tag
+    (``unit``) and its ground space."""
+
+    v: np.ndarray
+    unit: np.ndarray
+    n: np.ndarray
+    valid: np.ndarray
+    spaces: tuple
+
+    @classmethod
+    def of(cls, fns: Sequence[SampleFunction]) -> "Values":
+        return fns[0].one_row if len(fns) == 1 else cls.build(fns)
+
+    @classmethod
+    def build(cls, fns: Sequence[SampleFunction]) -> "Values":
+        n = np.array([f.space.n for f in fns])
+        if len(fns) == 1:
+            v = fns[0].values[None, :]
+            valid = np.ones(v.shape, dtype=bool)
+        else:
+            valid = np.arange(n.max()) < n[:, None]
+            v = np.zeros(valid.shape)
+            v[valid] = np.concatenate([f.values for f in fns])
+        return cls(v, np.array([f.range == UNIT for f in fns]), n, valid,
+                   tuple(f.space for f in fns))
+
+    @cached_property
+    def coords(self) -> Optional[np.ndarray]:
+        """The rows' space coordinates, or None when a space has none."""
+        if any(space.coords is None for space in self.spaces):
+            return None
+        coords = np.zeros(self.v.shape)
+        coords[self.valid] = np.concatenate([space.coord_array() for space in self.spaces])
+        return coords
+
+    def like(self, v: np.ndarray, tags=None) -> "Values":
+        """Values ``v`` on the same spaces, checked as ``sample_function``
+        checks them; ``tags`` holds a range tag or None (inferred) per row."""
+        live = np.where(self.valid, v, 0.0)
+        if not (live.min(1) >= 0).all():  # NaN fails this comparison too
+            raise DomainError("sample values must be nonnegative")
+        unit = live.max(1) <= 1.0
+        if tags is not None:
+            for i, tag in enumerate(tags):
+                if tag == UNIT and not unit[i]:
+                    raise DomainError("unit-range sample has a value above 1")
+                if tag is not None:
+                    unit[i] = tag == UNIT
+        return Values(v, unit, self.n, self.valid, self.spaces)
+
+    def take(self, rows: np.ndarray) -> "Values":
+        return Values(self.v[rows], self.unit[rows], self.n[rows], self.valid[rows],
+                      tuple(self.spaces[i] for i in rows.tolist()))
+
+    def row(self, i: int) -> np.ndarray:
+        return self.v[i, :self.n[i]]
+
+
+def one_row(f: SampleFunction, c: Capacity, A: Optional[int]):
+    """The one-row stack of an integral call: (values, subset, capacity)."""
     if f.space.n != c.space.n:
         raise DomainError("function and capacity live on different spaces")
-    if op is not None and op.domain == UNIT:
-        if c.range == EXTENDED:
-            raise DomainError(f"operator {op.name} needs a unit-range capacity")
-        # a unit-range sample was checked against 1 when it was built
-        if f.range != UNIT and float(np.max(f.values, initial=0)) > 1.0:
-            raise DomainError(f"operator {op.name} needs unit-range function values")
+    F = Values.of([f])
+    return F, Subsets.of([f.space.full_mask if A is None else A], F.n, f.space.n), \
+        CapacityStack.of([c])
 
 
-def _level_sets(f: SampleFunction, c: Capacity, A: int):
-    """Distinct values of f on A in descending order with the measures of
-    their level sets mu(A n {f >= v})."""
-    idx = mask_bools(A, f.space.n).nonzero()[0]
-    if len(idx) == 0:
-        return np.array([]), np.array([]), idx
-    vals = f.values[idx]
-    order = np.argsort(-vals, kind="stable")
-    chain = c.chain_measures(idx[order])
-    sorted_desc = vals[order]
-    # the last point of each run of equal values ends the prefix of points
-    # with value >= that value; the prefix length indexes the chain
-    run_end = np.concatenate((sorted_desc[1:] != sorted_desc[:-1], [True]))
-    ends = run_end.nonzero()[0]
-    return sorted_desc[ends], chain[ends + 1], idx
+def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]):
+    for i, op in enumerate(ops):
+        if op is not None and op.domain == UNIT:
+            if not C.unit[i]:
+                raise DomainError(f"operator {op.name} needs a unit-range capacity")
+            # a unit-range sample was checked against 1 when it was built
+            if not F.unit[i] and float(F.row(i).max()) > 1.0:
+                raise DomainError(f"operator {op.name} needs unit-range function values")
+
+
+def level_sets(F: Values, A: Subsets, C: CapacityStack):
+    """Per row, the values of f on A sorted in descending order (points
+    outside A sort last), the measures of the prefixes ending at each
+    position, and the run ends: the last point of each run of equal
+    values ends the prefix of points with value >= that value, so at a
+    run end the value is a distinct value of f on A and the measure that
+    of its level set mu(A n {f >= v}), entry j + 1 of the prefix chain."""
+    k, N = F.v.shape
+    x = np.where(A.bools, F.v, -1.0)
+    order = np.argsort(-x, axis=1, kind="stable")
+    sorted_desc = along(x, order)
+    chain = C.chain(order, A.bools.sum(1))
+    run_end = np.empty((k, N), dtype=bool)
+    run_end[:, :-1] = sorted_desc[:, 1:] != sorted_desc[:, :-1]
+    run_end[:, -1] = True
+    run_end &= sorted_desc >= 0  # the points of A
+    return sorted_desc, chain, run_end
+
+
+def distinct_levels(F: Values, A: Subsets, C: CapacityStack):
+    """Per row, the distinct values of f on A in descending order with the
+    measures of their level sets, left-aligned in (k, N) arrays, and their
+    count per row."""
+    sorted_desc, chain, run_end = level_sets(F, A, C)
+    k, N = run_end.shape
+    kd = run_end.sum(1)
+    if (kd == N).all():  # every point of every row is its own level
+        return sorted_desc, chain[:, 1:], kd
+    src = np.flatnonzero(run_end)
+    dst = np.flatnonzero(np.arange(N) < kd[:, None])
+    distinct = np.zeros((k, N))
+    measures = np.zeros((k, N))
+    distinct.ravel()[dst] = sorted_desc.ravel()[src]
+    measures.ravel()[dst] = chain.ravel()[src + src // N + 1]
+    return distinct, measures, kd
+
+
+@dataclass
+class IntegralRows:
+    """Per-row integral values with their levels and exactness tags."""
+
+    value: np.ndarray
+    level: list
+    exact: np.ndarray
+    bound: np.ndarray
+    cap_hit: np.ndarray
+
+    def result(self, i: int) -> IntegralResult:
+        return IntegralResult(float(self.value[i]), self.level[i], bool(self.exact[i]),
+                              bound=float(self.bound[i]), cap_hit=bool(self.cap_hit[i]))
+
+
+def generalized_sugeno_rows(F: Values, A: Subsets, C: CapacityStack,
+                            ops: Sequence[AggOperator],
+                            cap: float = DEFAULT_CAP) -> IntegralRows:
+    """sup over alpha of alpha o mu(A n {f >= alpha}) per row, with row i's
+    operator ops[i], evaluated on the candidate levels {0} u {distinct
+    values of f on A} plus the tail, all rows in one candidate matrix."""
+    _check_compat(F, C, ops)
+    sorted_desc, chain, run_end = level_sets(F, A, C)
+    k, N = sorted_desc.shape
+    top = np.where(C.unit, 1.0, cap)
+    tail = np.array([not op.zero_absorbing_right for op in ops])
+    # the candidates in tie-break order, since the first index of the max
+    # wins: level 0 with mu(A), the distinct values descending with their
+    # level-set measures (the run ends), then the tail (alpha above max f,
+    # where mu(empty set) = 0) at the top of the range if op does not
+    # absorb 0
+    alphas = np.empty((k, N + 2))
+    alphas[:, 0] = 0.0
+    alphas[:, 1:N + 1] = sorted_desc
+    alphas[:, N + 1] = top
+    # an infinite value, necessarily the highest, is evaluated at the top
+    capped = run_end.any(1) & np.isinf(sorted_desc[:, 0])
+    if capped.any():
+        inf = np.isinf(alphas)
+        alphas[inf] = np.broadcast_to(top[:, None], alphas.shape)[inf]
+    level_measures = np.zeros((k, N + 2))
+    level_measures[:, 0] = C.measure(A.masks)
+    level_measures[:, 1:N + 1] = chain[:, 1:]
+    unit_dom = np.array([op.domain == UNIT for op in ops])
+    x = alphas if not unit_dom.any() else np.where(unit_dom[:, None],
+                                                   np.minimum(alphas, 1.0), alphas)
+    t = rows_vec(ops, x, level_measures)
+    live = np.empty((k, N + 2), dtype=bool)
+    live[:, 0] = True
+    live[:, 1:N + 1] = run_end
+    live[:, N + 1] = tail
+    i = np.where(live, t, -np.inf).argmax(1)
+    rows = np.arange(k)
+    tail_won = tail & (i == N + 1)
+    exact = np.array([op.zero_absorbing_right and op.left_continuous for op in ops]) & ~capped
+    return IntegralRows(t[rows, i], alphas[rows, i].tolist(), exact,
+                        np.where(exact, 0.0, cap), (capped | tail_won) & ~C.unit)
 
 
 def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,
@@ -121,36 +280,8 @@ def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,
     candidate level set {0} u {distinct values of f on A} plus the tail."""
     if op is None:
         op = min_op(c.range)
-    _check_compat(f, c, op)
-    if A is None:
-        A = f.space.full_mask
-    distinct, measures, idx = _level_sets(f, c, A)
-    k = len(distinct)
-    top = sup_of(c.range, cap)
-    # the candidates in tie-break order, since the first index of the max
-    # wins: level 0 with mu(A), the distinct values descending with their
-    # level-set measures, then the tail (alpha above max f, where
-    # mu(empty set) = 0) at the top of the range if op does not absorb 0
-    tail = not op.zero_absorbing_right
-    alphas = np.zeros(k + 1 + tail)
-    alphas[1:k + 1] = distinct
-    alphas[k + 1:] = top
-    level_measures = np.zeros(k + 1 + tail)
-    level_measures[0] = c(A)
-    level_measures[1:k + 1] = measures
-    # an infinite value, necessarily the highest, is evaluated at the top
-    capped = k > 0 and math.isinf(distinct[0])
-    if capped:
-        alphas[1] = top
-    t = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas,
-               level_measures)
-    i = int(np.argmax(t))
-    tail_won = tail and i == k + 1
-
-    exact = op.zero_absorbing_right and op.left_continuous and not capped
-    return IntegralResult(float(t[i]), float(alphas[i]), exact,
-                          bound=0.0 if exact else cap,
-                          cap_hit=(capped or tail_won) and c.range == EXTENDED)
+    F, A, C = one_row(f, c, A)
+    return generalized_sugeno_rows(F, A, C, [op], cap).result(0)
 
 
 def sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> IntegralResult:
@@ -163,26 +294,39 @@ def shilkret(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> Integra
     return generalized_sugeno(f, c, A, prod_op(c.range))
 
 
+def choquet_rows(F: Values, A: Subsets, C: CapacityStack):
+    """Choquet integral per row, by telescoping over the distinct values
+    of f on A: (values, rows whose value is an infinite top level of
+    positive measure).  Rows with the same number of levels share one
+    matmul over contiguous ascending rows, which gives each row what
+    ``np.dot`` gives it alone."""
+    distinct, measures, kd = distinct_levels(F, A, C)
+    k = len(kd)
+    out = np.zeros(k)
+    top_inf = (kd > 0) & np.isinf(distinct[:, 0])
+    infinite = top_inf & (measures[:, 0] > 0)
+    out[infinite] = INF
+    start = top_inf.astype(np.int64)  # an infinite level of measure 0 adds 0
+    levels = np.where(infinite, 0, kd - start)
+    for (L, s), rows in row_groups(zip(levels.tolist(), start.tolist())):
+        if L == 0:
+            continue
+        asc_v = np.ascontiguousarray(distinct[rows, s:s + L][:, ::-1])
+        asc_m = np.ascontiguousarray(measures[rows, s:s + L][:, ::-1])
+        steps = asc_v.copy()
+        steps[:, 1:] -= asc_v[:, :-1]
+        with np.errstate(invalid="ignore"):  # 0 * inf, silent as in np.dot
+            out[rows] = np.matmul(steps[:, None, :], asc_m[:, :, None])[:, 0, 0]
+    return out, infinite
+
+
 def choquet(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> IntegralResult:
     """Choquet integral: integral over t of mu(A n {f >= t}), by
     telescoping over the distinct values of f on A."""
-    _check_compat(f, c)
-    if A is None:
-        A = f.space.full_mask
-    distinct, measures, idx = _level_sets(f, c, A)
-    if len(distinct) == 0:
-        return IntegralResult(0.0, None, True)
-    if math.isinf(distinct[0]):
-        if measures[0] > 0:
-            return IntegralResult(INF, INF, True)
-        distinct, measures = distinct[1:], measures[1:]
-        if len(distinct) == 0:
-            return IntegralResult(0.0, None, True)
-    asc_v = distinct[::-1]
-    asc_m = measures[::-1]
-    prev = np.concatenate(([0.0], asc_v[:-1]))
-    value = float(np.dot(asc_v - prev, asc_m))
-    return IntegralResult(value, None, True)
+    values, infinite = choquet_rows(*one_row(f, c, A))
+    if infinite[0]:
+        return IntegralResult(INF, INF, True)
+    return IntegralResult(float(values[0]), None, True)
 
 
 def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
@@ -196,10 +340,12 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
         raise DomainError("alpha grid needs at least two points")
     if op is None:
         op = min_op(c.range)
-    _check_compat(f, c, op)
-    if A is None:
-        A = f.space.full_mask
-    distinct, measures, idx = _level_sets(f, c, A)
+    F, A_rows, C = one_row(f, c, A)
+    _check_compat(F, C, [op])
+    distinct, measures, kd = distinct_levels(F, A_rows, C)
+    distinct, measures = distinct[0, :kd[0]], measures[0, :kd[0]]
+    A = A_rows.masks[0]
+    idx = np.flatnonzero(A_rows.bools[0])
 
     finite_vals = f.values[idx][np.isfinite(f.values[idx])] if len(idx) else np.array([])
     if c.range == UNIT:
@@ -236,19 +382,37 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
     return IntegralResult(best, best_level, False, bound=spacing)
 
 
+def pointwise_rows(ops: Sequence[AggOperator], F: Values, G: Values) -> Values:
+    """Row i of F combined pointwise with row i of G by ops[i]."""
+    return F.like(rows_vec(ops, F.v, G.v))
+
+
 def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction,
               range_tag: str = None) -> SampleFunction:
     """Pointwise combination of two sample functions."""
     if f.space.n != g.space.n:
         raise DomainError("pointwise combination needs a common space")
-    return sample_function(f.space, op.vec(f.values, g.values), range_tag)
+    out = pointwise_rows([op], Values.of([f]), Values.of([g]))
+    return sample_function(f.space, out.v[0], range_tag)
+
+
+def power_rows(F: Values, s: Sequence[float]) -> Values:
+    """Row i raised pointwise to s[i] with the 0**s = 0, inf**s = inf
+    conventions (s > 0): one power per distinct exponent, each a Python
+    float, since numpy's scalar-exponent paths differ from an exponent
+    array in the last bit."""
+    if any(e <= 0 for e in s):
+        raise DomainError("power exponent must be positive")
+    out = np.empty_like(F.v)
+    for e, rows in row_groups(s):
+        v = F.v[rows]
+        with np.errstate(invalid="ignore"):
+            out[rows] = np.where(v == 0, 0.0, np.where(np.isinf(v), INF, v**e))
+    return F.like(out, [UNIT if e >= 1 and u else None
+                        for e, u in zip(s, F.unit.tolist())])
 
 
 def power(f: SampleFunction, s: float) -> SampleFunction:
     """Pointwise f**s with the 0**s = 0, inf**s = inf conventions (s > 0)."""
-    if s <= 0:
-        raise DomainError("power exponent must be positive")
-    with np.errstate(invalid="ignore"):
-        v = np.where(f.values == 0, 0.0,
-                     np.where(np.isinf(f.values), INF, f.values**s))
-    return sample_function(f.space, v, f.range if s >= 1 and f.range == UNIT else None)
+    out = power_rows(Values.of([f]), [s])
+    return SampleFunction(f.space, out.v[0], UNIT if out.unit[0] else EXTENDED)

@@ -42,6 +42,30 @@ class AggOperator:
         return float(self.vec(a, b))
 
 
+def row_groups(keys) -> list:
+    """(key, row indices) per distinct key, in order of first appearance;
+    the indices are ``slice(None)`` when every row has the same key."""
+    rows: dict = {}
+    for i, key in enumerate(keys):
+        rows.setdefault(key, []).append(i)
+    if len(rows) == 1:
+        return [(key, slice(None)) for key in rows]
+    return [(key, np.array(ix)) for key, ix in rows.items()]
+
+
+def rows_vec(ops: Sequence["AggOperator"], a, b) -> np.ndarray:
+    """ops[i] applied to row i of the broadcast arrays a and b, one
+    vectorized call per distinct operator."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    groups = row_groups((op, op.vec) for op in ops)
+    if len(groups) == 1:
+        return groups[0][0][0].vec(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for (op, _), rows in groups:
+        out[rows] = op.vec(a[rows], b[rows])
+    return out
+
+
 def _prod_vec(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

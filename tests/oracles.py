@@ -1,0 +1,149 @@
+"""Per-scenario evaluators, kept as oracles for the row-wise kernels.
+
+These are the one-scenario implementations the stacked kernels replaced,
+unchanged in arithmetic: level sets from sorted run ends, the
+generalized Sugeno candidate evaluation, Choquet by ``np.dot`` over
+reversed views, positive dependence on the level cross product and the
+sorted comonotonicity test.  The kernels must give what these give, bit
+for bit.
+"""
+
+import math
+
+import numpy as np
+
+from capax.capacity import mask_bools
+from capax.dependence import DependenceReport
+from capax.integrals import IntegralResult
+from capax.operators import min_op
+from capax.xreal import DEFAULT_CAP, INF, UNIT, DomainError, sup_of
+
+
+def chain_measures(c, order):
+    """Measures of the nested prefixes of ``order``, per capacity kind."""
+    order = np.asarray(order, dtype=int)
+    k = c.kind
+    if k in ("additive", "grid"):
+        return np.concatenate(([0.0], np.cumsum(c.weights[order])))
+    if k == "distorted":
+        return np.concatenate(([0.0], np.cumsum(c.weights[order]) ** c.gamma))
+    if k == "sup":
+        out = np.ones(len(order) + 1)
+        out[0] = 0.0
+        return out
+    if k == "explicit":
+        return np.concatenate(([0.0], c.table[np.cumsum(1 << order)]))
+    inside = mask_bools(c.given, c.space.n)[order]
+    chain = chain_measures(c.base, order[inside])
+    return chain[np.concatenate(([0], np.cumsum(inside)))] / c.base(c.given)
+
+
+def check_compat(f, c, op=None):
+    if f.space.n != c.space.n:
+        raise DomainError("function and capacity live on different spaces")
+    if op is not None and op.domain == UNIT:
+        if c.range != UNIT:
+            raise DomainError(f"operator {op.name} needs a unit-range capacity")
+        if f.range != UNIT and float(np.max(f.values, initial=0)) > 1.0:
+            raise DomainError(f"operator {op.name} needs unit-range function values")
+
+
+def level_sets(f, c, A):
+    """Distinct values of f on A in descending order with the measures of
+    their level sets mu(A n {f >= v})."""
+    idx = mask_bools(A, f.space.n).nonzero()[0]
+    if len(idx) == 0:
+        return np.array([]), np.array([]), idx
+    vals = f.values[idx]
+    order = np.argsort(-vals, kind="stable")
+    chain = chain_measures(c, idx[order])
+    sorted_desc = vals[order]
+    run_end = np.concatenate((sorted_desc[1:] != sorted_desc[:-1], [True]))
+    ends = run_end.nonzero()[0]
+    return sorted_desc[ends], chain[ends + 1], idx
+
+
+def generalized_sugeno(f, c, A=None, op=None, cap=DEFAULT_CAP):
+    if op is None:
+        op = min_op(c.range)
+    check_compat(f, c, op)
+    if A is None:
+        A = f.space.full_mask
+    distinct, measures, idx = level_sets(f, c, A)
+    k = len(distinct)
+    top = sup_of(c.range, cap)
+    tail = not op.zero_absorbing_right
+    alphas = np.zeros(k + 1 + tail)
+    alphas[1:k + 1] = distinct
+    alphas[k + 1:] = top
+    level_measures = np.zeros(k + 1 + tail)
+    level_measures[0] = c(A)
+    level_measures[1:k + 1] = measures
+    capped = k > 0 and math.isinf(distinct[0])
+    if capped:
+        alphas[1] = top
+    t = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas,
+               level_measures)
+    i = int(np.argmax(t))
+    tail_won = tail and i == k + 1
+    exact = op.zero_absorbing_right and op.left_continuous and not capped
+    return IntegralResult(float(t[i]), float(alphas[i]), exact,
+                          bound=0.0 if exact else cap,
+                          cap_hit=(capped or tail_won) and c.range != UNIT)
+
+
+def choquet(f, c, A=None):
+    check_compat(f, c)
+    if A is None:
+        A = f.space.full_mask
+    distinct, measures, idx = level_sets(f, c, A)
+    if len(distinct) == 0:
+        return IntegralResult(0.0, None, True)
+    if math.isinf(distinct[0]):
+        if measures[0] > 0:
+            return IntegralResult(INF, INF, True)
+        distinct, measures = distinct[1:], measures[1:]
+        if len(distinct) == 0:
+            return IntegralResult(0.0, None, True)
+    asc_v = distinct[::-1]
+    asc_m = measures[::-1]
+    prev = np.concatenate(([0.0], asc_v[:-1]))
+    return IntegralResult(float(np.dot(asc_v - prev, asc_m)), None, True)
+
+
+def is_comonotone(f, g):
+    order = np.lexsort((g.values, f.values))
+    gs = g.values[order]
+    drops = np.flatnonzero(gs[1:] < gs[:-1])
+    w = None if len(drops) == 0 else (int(order[drops[0] + 1]), int(order[drops[0]]))
+    return DependenceReport("comonotone", holds=w is None, witness=w)
+
+
+def levels(values):
+    """Ascending distinct values of ``values`` together with 0."""
+    v = np.concatenate(([0.0], values))
+    v.sort()
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def check_positive_dependence(f, A, g, B, c, tri, tol=1e-12):
+    n = c.space.n
+    selA = mask_bools(A, n)
+    selB = mask_bools(B, n)
+    levels_a = levels(f.values[selA])
+    levels_b = levels(g.values[selB])
+    FA = (f.values >= levels_a[:, None]) & selA
+    GB = (g.values >= levels_b[:, None]) & selB
+    everything = np.ones((1, n), dtype=bool)
+    mFA = c.measure_meet(FA, everything)
+    mGB = c.measure_meet(GB, everything)
+    joint_w = c.measure_meet(FA, GB)
+    rhs = tri.vec(mFA, mGB.T)
+    margin = joint_w - rhs
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    worst = float(margin[i, j])
+    holds = worst >= -tol
+    witness = None if holds else (float(levels_a[i]), float(levels_b[j]),
+                                  float(joint_w[i, j]), float(rhs[i, j]))
+    return DependenceReport("positively_dependent", holds=holds,
+                            witness=witness, op=tri.name, slack=worst)

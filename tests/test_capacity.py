@@ -483,3 +483,24 @@ def test_inf_minus_inf_margins_are_skipped():
     for mode in ("exhaustive", "sampled"):
         rep = check_submodular(c, mode=mode)
         assert rep.holds and rep.slack == 0.0
+
+
+def test_sampled_check_of_few_trials_reads_masks_one_by_one():
+    # 100 trials read 400 masks: far fewer than the 2^20-entry value
+    # table, so the masks are measured one by one, to the same numbers
+    c = make_distorted(np.linspace(0.1, 1, 20), 1.5)
+    rep = check_submodular(c, trials=100)
+    assert rep.mode == "sampled"
+    assert (repr(rep.slack), rep.witness) == ("-6.395224734662595", (230535, 867160))
+
+
+@pytest.mark.parametrize("prop", ["monotone", "submodular", "subadditive", "modular"])
+def test_sampled_checks_agree_with_and_without_the_value_table(prop):
+    from capax.capacity import _sampled_pairs, _worst_pair
+    c = make_distorted(np.random.default_rng(2).uniform(0.1, 1.0, size=14), 1.7)
+    check = {"monotone": check_monotone, "submodular": check_submodular,
+             "subadditive": check_subadditive, "modular": check_modular}[prop]
+    got = check(c, mode="sampled", seed=4, trials=500)  # 2^14 > masks read
+    a, b = _sampled_pairs(prop, 14, np.random.default_rng(4), 500)
+    slack, witness = _worst_pair(prop, c.values().__getitem__, a, b)
+    assert (repr(got.slack), got.witness) == (repr(slack), witness)

@@ -118,6 +118,17 @@ def test_audit_unknown_theorem_lists_the_ids(tmp_path, capsys):
     assert "'holder_choquet'" in err and "'3.3'" in err
 
 
+@pytest.mark.parametrize("tid, choices", [
+    ("jensen_choquet:nonsense", "'jensen_choquet' takes no ':<system>' suffix"),
+    ("carlson_sugeno:bogus", "'min_luk', 'dombi', 'project_first']"),
+])
+def test_audit_unknown_theorem_suffix_lists_the_choices(tmp_path, capsys, tid, choices):
+    doc = {"theorem": tid, "audit": {"trials": 5, "seed": 0}}
+    assert main(["audit", write(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert f"unknown theorem id {tid!r}" in err and choices in err
+
+
 def test_falsify_unknown_drop_lists_the_droppable_hypotheses(tmp_path, capsys):
     doc = {"theorem": "3.1", "audit": {"trials": 5, "seed": 0}}
     assert main(["falsify", write(tmp_path, doc), "--drop", "submodular"]) == 3

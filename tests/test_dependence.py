@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from capax import (GroundSpace, check_positive_dependence, is_comonotone,
                    lukasiewicz_op, make_additive, make_sup_capacity,
                    make_uniform_example, min_op, sample_function)
-from capax.dependence import INCREASING_BIJECTIONS, _levels
+from capax.capacity import Subsets
+from capax.dependence import INCREASING_BIJECTIONS, _level_rows
+from capax.integrals import Values
 from capax.xreal import DomainError
 
 
@@ -153,6 +155,16 @@ def test_sup_capacity_dependence_for_comonotone_pair():
                                      0b111, c, min_op()).holds
     assert not check_positive_dependence(f, 0b111, _fn([0.2, 0.8, 0.4]),
                                          0b111, c, min_op()).holds
+
+
+def _levels(values):
+    """The levels of the row-wise kernel for one row holding ``values``
+    (padded with a point outside the subset when empty)."""
+    n = max(len(values), 1)
+    f = sample_function(GroundSpace(n), list(values) + [0.5] * (n - len(values)))
+    F = Values.of([f])
+    levels, count, _ = _level_rows(F, Subsets.of([(1 << len(values)) - 1], F.n, n))
+    return levels[0, :count[0]]
 
 
 @pytest.mark.parametrize("values", [

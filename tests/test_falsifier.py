@@ -209,3 +209,47 @@ def test_unconstrained_scenario_stream_is_pinned():
         for theorem, dropped in sorted(DROPPABLE) for i in range(60))
     assert digest == ("0d6ce9f5e7fc07fd0a295e954948dccf"
                       "dba5339bded2d4210fd32de263ba1a3a")
+
+
+def test_hunts_keep_the_named_system():
+    scn = falsifier._unconstrained_scenario("carlson_sugeno:dombi",
+                                            "positive_dependence", 1, 0)
+    assert scn.params["system"] == "dombi"
+    w = hunt_counterexample("carlson_sugeno:dombi", "positive_dependence", 10_000, 1)
+    assert w is not None and w.theorem == "carlson_sugeno:dombi"
+    assert run_scenario(w).theorem == "carlson_sugeno[dombi]"
+
+
+@pytest.mark.parametrize("tid", ["jensen_choquet:nonsense", "carlson_sugeno:bogus",
+                                 "carlson_sugeno:", "3.1:min", "2.3:dombi"])
+def test_theorem_id_suffixes_must_name_a_system(tid):
+    with pytest.raises(DomainError, match="choose from|takes no"):
+        canonical_theorem(tid)
+    with pytest.raises(DomainError):
+        audit(tid, 5, 0)
+
+
+def test_audit_chunks_give_the_per_trial_summary():
+    # several chunks, the last one partly filled
+    trials = 333
+    s = audit("carlson_sugeno", trials, 3)
+    hyp, slack, bad = 0, math.inf, []
+    for i in range(trials):
+        scn = random_scenario("carlson_sugeno", 3, i)
+        rep = run_scenario(scn)
+        if rep.degenerate is None and rep.hypotheses_pass:
+            hyp += 1
+            slack = min(slack, rep.slack)
+            if is_violation(rep):
+                bad.append(scn)
+    assert (s.hypothesis_pass, repr(s.min_slack), s.violations) == (hyp, repr(slack), bad)
+
+
+def test_a_failing_stack_raises_its_first_failing_trial(monkeypatch):
+    scns = [random_scenario("jensen_choquet", 2, i) for i in range(6)]
+    scns[4].functions["f"][0] = -1.0
+    scns[2].subsets["A"] = [99]
+    with pytest.raises(SchemaError, match="subset index 99"):
+        falsifier.run_stack(scns)
+    with pytest.raises(DomainError, match="nonnegative"):
+        falsifier.run_stack(scns[3:])

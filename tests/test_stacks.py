@@ -1,0 +1,211 @@
+"""Row-wise kernels: each row of a stack gives what the row gives alone,
+and what the per-scenario oracles give, bit for bit; plus the standard
+properties of the integrals (Denneberg, Non-Additive Measure and
+Integral, 1994)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import oracles
+from capax import (GroundSpace, brute_force_generalized_sugeno, builtin_systems,
+                   choquet, generalized_sugeno, make_additive, make_distorted,
+                   make_explicit, make_grid_lebesgue, make_random_monotone,
+                   make_sup_capacity, min_op, normalize, prod_op, project_first_op,
+                   sample_function, shilkret, sugeno)
+from capax.capacity import CapacityStack, Subsets
+from capax.dependence import (check_positive_dependence, comonotone_rows,
+                              is_comonotone, positive_dependence_rows)
+from capax.inequalities import carlson_sugeno_rows, carlson_sugeno
+from capax.integrals import (Values, choquet_rows, generalized_sugeno_rows)
+from capax.xreal import EXTENDED, INF
+
+SYSTEMS = builtin_systems()
+EXT_OPS = [min_op(EXTENDED), prod_op(EXTENDED), project_first_op(EXTENDED)]
+TIE_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _capacities(rng, n):
+    w = rng.uniform(0.1, 1.0, size=n)
+    explicit = make_random_monotone(n, rng)
+    return [explicit, make_additive(w / w.sum()), make_distorted(w / w.sum(), 0.6),
+            make_sup_capacity(GroundSpace(n)), normalize(explicit, int(rng.integers(1, 2**n)))]
+
+
+def _stack(fns, masks, caps):
+    F = Values.build(fns)
+    return F, Subsets.of(masks, F.n, F.v.shape[1]), CapacityStack(caps)
+
+
+def _oracle_cases(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        vals = rng.choice(TIE_VALUES, size=n) if rng.uniform() < 0.5 else rng.uniform(size=n)
+        f = sample_function(GroundSpace(n), vals)
+        g = sample_function(GroundSpace(n), rng.uniform(size=n))
+        for c in _capacities(rng, n):
+            yield f, g, c, int(rng.integers(0, 2**n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_row_kernels_match_the_per_scenario_oracles(seed):
+    for f, g, c, A in _oracle_cases(seed):
+        if c.range == "unit":
+            for s in SYSTEMS:
+                assert (repr(generalized_sugeno(f, c, A, s.circ))
+                        == repr(oracles.generalized_sugeno(f, c, A, s.circ)))
+                got = check_positive_dependence(f, A, g, A, c, s.tri)
+                want = oracles.check_positive_dependence(f, A, g, A, c, s.tri)
+                # ==, not repr: the sign of a zero level is left to the sort
+                assert got == want and repr(got.slack) == repr(want.slack)
+        assert repr(choquet(f, c, A)) == repr(oracles.choquet(f, c, A))
+        assert repr(is_comonotone(f, g)) == repr(oracles.is_comonotone(f, g))
+
+
+def test_stacked_choquet_matches_np_dot_on_padded_rows():
+    rng = np.random.default_rng(16)
+    fns, masks, caps = [], [], []
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        vals = rng.uniform(size=n)
+        if rng.uniform() < 0.3:
+            vals = np.round(vals * 4) / 4  # ties
+        fns.append(sample_function(GroundSpace(n), vals))
+        masks.append(int(rng.integers(0, 2**n)))
+        caps.append(make_random_monotone(n, rng) if rng.uniform() < 0.5
+                    else make_additive(rng.uniform(0.1, 1.0, size=n)))
+    values, infinite = choquet_rows(*_stack(fns, masks, caps))
+    assert not infinite.any()
+    for v, f, A, c in zip(values.tolist(), fns, masks, caps):
+        assert repr(v) == repr(oracles.choquet(f, c, A).value)
+
+
+# --- a k-row stack is its k one-row stacks ---------------------------------
+
+def _row(draw, extended):
+    """One row: f (ties, and infinite values when extended), g, a capacity
+    (extended range when extended) and a subset."""
+    n = draw(st.integers(1, 6))
+    pool = TIE_VALUES + ([2.0, 7.5, INF] if extended else [])
+    vals = draw(st.lists(st.one_of(st.sampled_from(pool),
+                                   st.floats(0.0, 1.0, allow_nan=False)),
+                         min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 3.0 if extended else 1.0
+    table = make_random_monotone(n, rng).table * scale
+    if extended and draw(st.booleans()):
+        table[-1] = INF  # an infinite measure on the whole space
+    w = rng.uniform(0.1, 1.0, size=n)
+    c = draw(st.sampled_from([make_explicit(table), make_additive(scale * w / w.sum()),
+                              make_sup_capacity(GroundSpace(n))]))
+    space = GroundSpace(n)
+    return (sample_function(space, vals), sample_function(space, rng.uniform(size=n)),
+            c, draw(st.integers(0, 2**n - 1)))
+
+
+rows = st.composite(lambda draw, extended: [_row(draw, extended)
+                                            for _ in range(draw(st.integers(1, 6)))])
+
+
+@given(rows(extended=True), st.data())
+def test_stacked_integrals_equal_one_row_stacks(batch, data):
+    fns, gs, caps, masks = zip(*batch)
+    ops = [data.draw(st.sampled_from(EXT_OPS)) for _ in batch]
+    F, A, C = _stack(fns, masks, caps)
+    got = generalized_sugeno_rows(F, A, C, ops)
+    values, infinite = choquet_rows(F, A, C)
+    holds, witnesses = comonotone_rows(F, Values.build(gs))
+    for i, (f, g, c, m, op) in enumerate(zip(fns, gs, caps, masks, ops)):
+        assert repr(got.result(i)) == repr(generalized_sugeno(f, c, m, op))
+        one = choquet(f, c, m)
+        assert (repr(float(values[i])), bool(infinite[i])) == (repr(one.value),
+                                                               one.argmax_level == INF)
+        rep = is_comonotone(f, g)
+        assert (holds[i], witnesses[i]) == (rep.holds, rep.witness)
+
+
+@given(rows(extended=False), st.data())
+def test_stacked_checkers_equal_one_row_stacks_under_all_six_systems(batch, data):
+    fns, gs, caps, masks = zip(*batch)
+    hs = [sample_function(g.space, g.values[::-1]) for g in gs]
+    systems = [data.draw(st.sampled_from(SYSTEMS)).with_exponents(
+        data.draw(st.sampled_from([1.0, 2.0, 3.0])), data.draw(st.sampled_from([1.0, 1.5])),
+        data.draw(st.sampled_from([0.5, 1.0])), data.draw(st.sampled_from([1.0, 2.0])))
+        for _ in batch]
+    F, A, C = _stack(fns, masks, caps)
+    G, H = Values.build(gs), Values.build(hs)
+    reports = carlson_sugeno_rows(systems, F, G, H, A, A, C)
+    dep = positive_dependence_rows(F, A, G, A, C, [s.tri for s in systems])
+    for i, (s, f, g, h, c, m) in enumerate(zip(systems, fns, gs, hs, caps, masks)):
+        assert repr(reports[i]) == repr(carlson_sugeno(s, f, g, h, m, m, c))
+        one = check_positive_dependence(f, m, g, m, c, s.tri)
+        assert (repr(dep.slack[i]), dep.holds[i]) == (repr(one.slack), one.holds)
+
+
+# --- properties of the integrals -------------------------------------------
+
+def _pair_of_capacities(rng, n):
+    """mu <= nu setwise, both monotone: nu adds a second monotone capacity."""
+    mu = make_random_monotone(n, rng)
+    rho = make_random_monotone(n, rng)
+    return mu, make_explicit(mu.table + float(rng.uniform(0.0, 0.5)) * rho.table)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integrals_are_monotone_in_the_capacity(seed):
+    rng = np.random.default_rng([seed, 1994])
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        mu, nu = _pair_of_capacities(rng, n)
+        f = sample_function(GroundSpace(n), rng.uniform(size=n))
+        A = int(rng.integers(0, 2**n))
+        for integral in (sugeno, shilkret, choquet):
+            assert integral(f, mu, A).value <= integral(f, nu, A).value
+        for op in (prod_op(EXTENDED), min_op(EXTENDED)):
+            assert (generalized_sugeno(f, mu, A, op).value
+                    <= generalized_sugeno(f, nu, A, op).value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_choquet_is_positively_homogeneous(seed):
+    rng = np.random.default_rng([seed, 7])
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        c = make_random_monotone(n, rng)
+        f = rng.uniform(size=n)
+        a = float(rng.uniform(0.1, 10.0))
+        A = int(rng.integers(0, 2**n))
+        lhs = choquet(sample_function(c.space, a * f), c, A).value
+        rhs = a * choquet(sample_function(c.space, f), c, A).value
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.3, 1.0])
+def test_sugeno_and_shilkret_of_a_constant(k):
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        c = make_random_monotone(n, rng)
+        f = sample_function(c.space, np.full(n, k))
+        A = int(rng.integers(0, 2**n))
+        muA = c(A)
+        assert sugeno(f, c, A).value == min(k, muA)
+        assert shilkret(f, c, A).value == k * muA
+
+
+@pytest.mark.parametrize("op", EXT_OPS[:2], ids=lambda op: op.name)
+def test_exact_evaluator_matches_brute_force_on_extended_capacities(op):
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        c = make_explicit(make_random_monotone(n, rng).table * 4.0)  # extended range
+        vals = rng.uniform(0.0, 3.0, size=n)
+        vals[rng.uniform(size=n) < 0.3] = INF
+        f = sample_function(c.space, vals)
+        A = int(rng.integers(0, 2**n))
+        exact = generalized_sugeno(f, c, A, op)
+        approx = brute_force_generalized_sugeno(f, c, A, op, alpha_grid_size=2000)
+        assert abs(exact.value - approx.value) <= approx.bound, (exact, approx)
