@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -189,12 +188,7 @@ class Capacity:
         """Measures of the nested prefixes of ``order``: entry k is
         the measure of {order[0], ..., order[k-1]} (entry 0 is 0)."""
         order = np.asarray(order, dtype=int)
-        return CapacityStack.of([self]).chain(order[None, :], [len(order)])[0, :len(order) + 1]
-
-    @cached_property
-    def one_row(self) -> "CapacityStack":
-        """This capacity as a stack of one row (built once)."""
-        return CapacityStack([self])
+        return CapacityStack([self]).chain(order[None, :], [len(order)])[0, :len(order) + 1]
 
     @property
     def total(self) -> float:
@@ -377,8 +371,7 @@ class CapacityStack:
     conditioning subsets and their base measures.  Every kernel gives
     each row what the row's own capacity gives alone, bit for bit."""
 
-    def __init__(self, caps: Sequence[Capacity], tables: Optional[np.ndarray] = None,
-                 width: Optional[int] = None):
+    def __init__(self, caps: Sequence[Capacity], width: Optional[int] = None):
         self.caps = list(caps)
         self.n = np.array([c.space.n for c in self.caps])
         self.N = width or int(self.n.max())
@@ -396,16 +389,16 @@ class CapacityStack:
         self.weighted = np.array([i for i, c in enumerate(self.caps) if c.weights is not None],
                                  dtype=int)
         self.sup = np.array([i for i, k in enumerate(kinds) if k == "sup"], dtype=int)
-        if tables is None and len(self.explicit):
-            if len(self.caps) == 1:
-                tables = self.caps[0].table[None, :]
-            else:
-                tables = np.zeros((len(self.caps), 2**self.N))
-                for i in self.explicit.tolist():
-                    t = self.caps[i].table
-                    tables[i, :len(t)] = t
-        self.tables = tables
-        if len(self.weighted) == 1 and len(self.caps) == 1 and self.n[0] == self.N:
+        # a stack of one full-width row uses its capacity's arrays in place
+        one = len(self.caps) == 1 and self.n[0] == self.N
+        if one and len(self.explicit):
+            self.tables = self.caps[0].table[None, :]
+        else:
+            self.tables = np.zeros((len(self.caps), 2**self.N if len(self.explicit) else 0))
+            for i in self.explicit.tolist():
+                t = self.caps[i].table
+                self.tables[i, :len(t)] = t
+        if one and len(self.weighted):
             self.weights = self.caps[0].weights[None, :]
         else:
             self.weights = np.zeros((len(self.caps), self.N))
@@ -419,10 +412,6 @@ class CapacityStack:
         """Make this the stack of m(B) = base(B n given) / base(given)."""
         self.base, self.given, self.base_given = base, given, base_given
 
-    @classmethod
-    def of(cls, caps: Sequence[Capacity]) -> "CapacityStack":
-        return caps[0].one_row if len(caps) == 1 else cls(caps)
-
     def __len__(self) -> int:
         return len(self.caps)
 
@@ -430,8 +419,7 @@ class CapacityStack:
         """The stack of the given rows, as wide as this one."""
         caps = [self.caps[i] for i in rows.tolist()]
         if self.base is None:
-            return CapacityStack(caps, None if self.tables is None else self.tables[rows],
-                                 width=self.N)
+            return CapacityStack(caps, width=self.N)
         out = CapacityStack.__new__(CapacityStack)
         out.caps, out.n, out.N, out.unit = caps, self.n[rows], self.N, self.unit[rows]
         out._derive(self.base.take(rows), self.given.take(rows), self.base_given[rows])
@@ -487,8 +475,7 @@ class CapacityStack:
         w = self.weighted
         if len(w):
             sel = slice(None) if len(w) == k else w
-            sums = np.cumsum(along(self.weights[sel], order[sel]), axis=1)
-            out[sel, 1:] = sums
+            out[sel, 1:] = np.cumsum(along(self.weights[sel], order[sel]), axis=1)
             # one power per distinct exponent, each a Python float
             for g, at in row_groups(g for g, _ in self.gammas):
                 rows = np.array([i for _, i in self.gammas])[at]
@@ -506,8 +493,6 @@ class CapacityStack:
             return self.base.meet(inside, nr, S, ns) / self.base_given[:, None, None]
         k, a, N = R.shape
         b = S.shape[1]
-        if k == 1 and len(self.weighted) and (nr[0], ns[0], self.n[0]) == (a, b, N):
-            return self.caps[0].measure_meet(R[0], S[0])[None]
         out = np.zeros((k, a, b))
         e = self.explicit
         if len(e):  # n <= 20, so table indices fit in int64
@@ -515,7 +500,7 @@ class CapacityStack:
             mr = (R[e] * bits).sum(-1)
             ms = (S[e] * bits).sum(-1)
             idx = (mr[:, :, None] & ms[:, None, :]).reshape(len(e), -1)
-            out[e] = along(self.tables[e], idx).reshape(len(e), a, -1)
+            out[e] = self.tables[e[:, None], idx].reshape(len(e), a, -1)
         if len(self.sup):
             s = self.sup
             out[s] = (R[s][:, :, None, :] & S[s][:, None, :, :]).any(-1)

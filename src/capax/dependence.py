@@ -18,6 +18,10 @@ from .operators import AggOperator, row_groups, rows_vec
 from .xreal import UNIT, DomainError
 
 POSDEP_TOL = 1e-12
+#: the rows of a positive-dependence check go through in blocks of at
+#: most this many cross-product cells: unblocked, a chunk of 200-point
+#: grid rows holds tens of MB, while block sizes from 2^12 to 2^16 gave
+#: the same audit throughput (measurements in CHANGES.md)
 POSDEP_BLOCK_CELLS = 1 << 14
 
 
@@ -55,7 +59,7 @@ def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
     ``comonotone_rows``)."""
     if f.space.n != g.space.n:
         raise DomainError("comonotonicity needs a common space")
-    holds, witnesses = comonotone_rows(Values.of([f]), Values.of([g]))
+    holds, witnesses = comonotone_rows(Values.build([f]), Values.build([g]))
     return DependenceReport("comonotone", holds=bool(holds[0]), witness=witnesses[0])
 
 
@@ -157,9 +161,9 @@ def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
     n = c.space.n
     if f.space.n != n or g.space.n != n:
         raise DomainError("functions and capacity must share a space")
-    F = Values.of([f])
-    rows = positive_dependence_rows(F, Subsets.of([A], F.n, n), Values.of([g]),
-                                    Subsets.of([B], F.n, n), CapacityStack.of([c]),
+    F = Values.build([f])
+    rows = positive_dependence_rows(F, Subsets.of([A], F.n, n), Values.build([g]),
+                                    Subsets.of([B], F.n, n), CapacityStack([c]),
                                     [tri], tol)
     holds = rows.holds[0]
     return DependenceReport("positively_dependent", holds=holds,

@@ -12,8 +12,9 @@ and hunts all read that table.
 
 An audit draws its trials one by one and evaluates them in chunks: each
 chunk is decoded into one stack (``decode``) and its record's runner
-evaluates all rows at once.  Replay, hunts and shrinking run one-row
-stacks through the same runners.
+evaluates all rows at once.  A hunt evaluates its trials in chunks of 1,
+2, 4, ... and a shrink step all its candidates as one stack; replay runs
+a stack of one row through the same runners.
 """
 
 from __future__ import annotations
@@ -21,24 +22,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from functools import partial
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import (MAX_EXPLICIT_N, Capacity, CapacityStack, Subsets,
-                       make_random_monotone)
+from .capacity import CapacityStack, Subsets, make_random_monotone
 from .integrals import Values, sample_function
 from .operators import builtin_systems, get_op, get_system
 from .scenario import (SchemaError, capacity_from_spec, capacity_to_spec,
                        space_from_spec, subset_from_spec)
-from .xreal import EXTENDED, INF, UNIT, DomainError
+from .xreal import DomainError
 
 VIOLATION_RTOL = 1e-9
 MAX_SHRINK_STEPS = 200
 #: an audit chunk ends once its scenarios hold this many table entries
-#: and points, which bounds the memory of its stack
+#: and points, which bounds the memory of its stack; four times as many
+#: cells gave under 10 % more audit throughput for about 1 MB more peak
+#: memory (measurements in CHANGES.md)
 AUDIT_CHUNK_CELLS = 1 << 12
 
 SUGENO_SYSTEM_NAMES = [s.name for s in builtin_systems()]
@@ -398,81 +399,26 @@ class Stack:
         return [p[key] for p in self.params]
 
 
-def _bulk(lists, lengths) -> Optional[np.ndarray]:
-    """The concatenated number lists as one array when each is a list of
-    the given length holding only ints and floats, all finite (values >=
-    0 are checked by the caller); None sends the caller to the per-row
-    decoders, which raise the first row's own error."""
-    if not all(type(v) is list and len(v) == m for v, m in zip(lists, lengths)):
-        return None
-    flat = list(chain.from_iterable(lists))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        return np.array(flat, dtype=float)
-    except OverflowError:  # an int beyond float range
-        return None
-
-
-def _capacity_rows(specs, spaces, n: np.ndarray, N: int) -> CapacityStack:
-    """The stack of the rows' capacities.  Explicit tables are checked
-    as ``capacity_from_spec`` checks them, all in one array; any other
-    spec, or a table that fails a check, is decoded on its own."""
-    explicit = [i for i, spec in enumerate(specs)
-                if type(spec) is dict and spec.get("type") == "explicit"
-                and set(spec) == {"type", "table"} and n[i] <= MAX_EXPLICIT_N]
-    lengths = [1 << int(n[i]) for i in explicit]
-    vals = _bulk([specs[i]["table"] for i in explicit], lengths) if explicit else None
-    tables = None
-    if vals is not None:
-        ends = np.cumsum(lengths)
-        if (vals.min() >= 0 and vals.max() < INF and (vals[ends - lengths] == 0).all()
-                and (vals[ends - 1] > 0).all()):
-            tables = np.zeros((len(specs), 2**N))
-            rows = np.repeat(explicit, lengths)
-            tables[rows, np.arange(len(vals)) - np.repeat(ends - lengths, lengths)] = vals
-    caps = []
-    unit = tables.max(1) <= 1.0 if tables is not None else None
-    for i, (spec, (space, grid_cap)) in enumerate(zip(specs, spaces)):
-        if tables is not None and type(spec) is dict and spec.get("type") == "explicit":
-            caps.append(Capacity(space, UNIT if unit[i] else EXTENDED, "explicit",
-                                 table=tables[i, :1 << space.n]))
-        else:
-            caps.append(capacity_from_spec(spec, space, grid_cap))
-    return CapacityStack(caps, tables)
-
-
-def _value_rows(lists, spaces, n: np.ndarray, N: int) -> Values:
-    """The rows' sample functions, checked as ``sample_function`` checks
-    them, all in one array."""
-    vals = _bulk(lists, n.tolist())
-    if vals is None or not vals.min(initial=0.0) >= 0:  # NaN fails too
-        return Values.of([sample_function(space, v) for (space, _), v in zip(spaces, lists)])
-    valid = np.arange(N) < n[:, None]
-    v = np.zeros((len(lists), N))
-    v[valid] = vals
-    return Values(v, v.max(1) <= 1.0, n, valid, tuple(space for space, _ in spaces))
-
-
 def decode(scenarios: list) -> Stack:
-    """One stack of scenarios of one theorem, decoded with the checks (and
-    the errors) of ``space_from_spec``, ``capacity_from_spec``,
-    ``sample_function`` and ``subset_from_spec``."""
+    """One stack of scenarios of one theorem, each decoded as replay
+    decodes it alone (so with the same checks and errors)."""
     params = [scn.params for scn in scenarios]
     if not scenarios[0].functions:  # the checker builds its own space from params
         return Stack({}, None, None, None, params)
     spaces = [space_from_spec(scn.space) for scn in scenarios]
-    n = np.array([space.n for space, _ in spaces])
-    N = int(n.max())
-    cap = _capacity_rows([scn.capacity for scn in scenarios], spaces, n, N)
-    fns = {k: _value_rows([scn.functions[k] for scn in scenarios], spaces, n, N)
+    caps = [capacity_from_spec(scn.capacity, space, grid_cap)
+            for scn, (space, grid_cap) in zip(scenarios, spaces)]
+    fns = {k: Values.build([sample_function(space, scn.functions[k])
+                            for scn, (space, _) in zip(scenarios, spaces)])
            for k in scenarios[0].functions}
     masks = {k: [subset_from_spec(scn.subsets[k], space)
                  for scn, (space, _) in zip(scenarios, spaces)]
              for k in scenarios[0].subsets}
     A = masks.get("A", [space.full_mask for space, _ in spaces])
+    n = np.array([space.n for space, _ in spaces])
+    N = int(n.max())
     return Stack(fns, Subsets.of(A, n, N), Subsets.of(masks.get("B", A), n, N),
-                 cap, params)
+                 CapacityStack(caps), params)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
@@ -490,6 +436,29 @@ def run_stack(scenarios: list) -> list:
         for scn in scenarios:
             run_scenario(scn)
         raise
+
+
+def _first_violation(scenarios: list, require_hypotheses: bool,
+                     skip: tuple = ()) -> Optional[int]:
+    """Index of the first of the scenarios whose replay is a violation, or
+    None, as replaying them one by one in order finds it: they run as one
+    stack, and one by one only if the stack fails, a scenario that raises
+    one of the ``skip`` errors being passed over."""
+    try:
+        reports = _record(scenarios[0].theorem).run(decode(scenarios))
+    except Exception:  # replayed one by one below, which raises what replay raises
+        reports = None
+    for i, scn in enumerate(scenarios):
+        if reports is None:
+            try:
+                rep = run_scenario(scn)
+            except skip:
+                continue
+        else:
+            rep = reports[i]
+        if is_violation(rep, require_hypotheses=require_hypotheses):
+            return i
+    return None
 
 
 def is_violation(rep: ineq.InequalityReport,
@@ -510,6 +479,22 @@ def _cells(scn: Scenario) -> int:
     return len(scn.capacity.get("table", ())) + scn.space.get("n", 0)
 
 
+def _chunks(draw: Callable, trials: int, size: Optional[int] = None):
+    """The scenarios draw(0), ..., draw(trials - 1) in consecutive chunks,
+    each ending once it holds AUDIT_CHUNK_CELLS table entries and points
+    or, given a first ``size``, that many scenarios, the size doubling from
+    chunk to chunk."""
+    chunk, cells = [], 0
+    for i in range(trials):
+        scn = draw(i)
+        chunk.append(scn)
+        cells += _cells(scn)
+        if cells >= AUDIT_CHUNK_CELLS or len(chunk) == size or i == trials - 1:
+            yield chunk
+            chunk, cells = [], 0
+            size = size and 2 * size
+
+
 def audit(theorem_id: str, trials: int, seed: int,
           config: Optional[dict] = None) -> AuditSummary:
     """Run seeded hypothesis-satisfying scenarios and count violations.
@@ -518,14 +503,7 @@ def audit(theorem_id: str, trials: int, seed: int,
     hyp_pass = 0
     min_slack = math.inf
     violations: list[Scenario] = []
-    chunk: list[Scenario] = []
-    cells = 0
-    for i in range(trials):
-        scn = random_scenario(theorem, seed, i, config)
-        chunk.append(scn)
-        cells += _cells(scn)
-        if cells < AUDIT_CHUNK_CELLS and i < trials - 1:
-            continue
+    for chunk in _chunks(lambda i: random_scenario(theorem, seed, i, config), trials):
         for scn, rep in zip(chunk, run_stack(chunk)):
             if rep.degenerate is not None or not rep.hypotheses_pass:
                 continue
@@ -534,7 +512,6 @@ def audit(theorem_id: str, trials: int, seed: int,
                 min_slack = min(min_slack, rep.slack)
             if is_violation(rep):
                 violations.append(scn)
-        chunk, cells = [], 0
     return AuditSummary(theorem, trials, hyp_pass, violations,
                         min_slack if math.isfinite(min_slack) else math.nan,
                         seed)
@@ -593,19 +570,16 @@ def _shrink_candidates(scn: Scenario):
 
 
 def shrink(scn: Scenario, require_hypotheses: bool = False) -> Scenario:
-    """Greedy shrink preserving the violation verdict (<= 200 steps)."""
+    """Greedy shrink preserving the violation verdict (<= 200 steps): each
+    step moves to the first smaller variant that still violates."""
     current = scn
     for _ in range(MAX_SHRINK_STEPS):
-        for cand in _shrink_candidates(current):
-            try:
-                rep = run_scenario(cand)
-            except (DomainError, SchemaError):
-                continue
-            if is_violation(rep, require_hypotheses=require_hypotheses):
-                current = cand
-                break
-        else:
+        candidates = list(_shrink_candidates(current))
+        hit = _first_violation(candidates, require_hypotheses,
+                               skip=(DomainError, SchemaError)) if candidates else None
+        if hit is None:
             break
+        current = candidates[hit]
     return current
 
 
@@ -619,9 +593,11 @@ def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
         raise DomainError(
             f"unknown droppable hypothesis {dropped_hypothesis!r} for "
             f"{theorem.split(':', 1)[0]!r}; droppable: {droppable}")
-    for i in range(trials):
-        scn = _unconstrained_scenario(theorem, dropped_hypothesis, seed, i)
-        rep = run_scenario(scn)
-        if is_violation(rep, require_hypotheses=False):
-            return shrink(scn)
+    # chunks of 1, 2, 4, ... trials: a hunt that ends early evaluates few
+    # trials past its witness
+    draw = partial(_unconstrained_scenario, theorem, dropped_hypothesis, seed)
+    for chunk in _chunks(draw, trials, size=1):
+        hit = _first_violation(chunk, require_hypotheses=False)
+        if hit is not None:
+            return shrink(chunk[hit])
     return None

@@ -148,10 +148,10 @@ def _one(fns, c=None, subsets=()):
     n = fns[0].space.n
     if any(f.space.n != n for f in fns) or (c is not None and c.space.n != n):
         raise DomainError("functions and capacity must share a space")
-    values = [Values.of([f]) for f in fns]
+    values = [Values.build([f]) for f in fns]
     full = fns[0].space.full_mask
     subs = [Subsets.of([full if m is None else m], values[0].n, n) for m in subsets]
-    return values, subs, None if c is None else CapacityStack.of([c])
+    return values, subs, None if c is None else CapacityStack([c])
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +345,12 @@ def lukasiewicz_carlson_example_rows(phi, psi, n, p, q) -> list:
     systems = [OperatorSystem("luk_example", circ=pr, box=luk, star=pr,
                               lhd=luk, tri=luk, p=pi, q=qi, r=1.0, s=1.0)
                for pi, qi in zip(p, q)]
-    F = Values.of([f for f, _, _ in examples])
+    F = Values.build([f for f, _, _ in examples])
     everything = Subsets.of([f.space.full_mask for f, _, _ in examples], F.n, F.v.shape[1])
     ones = F.like(np.ones_like(F.v), [UNIT] * len(examples))
-    out = carlson_sugeno_rows(systems, F, ones, Values.of([h for _, h, _ in examples]),
+    out = carlson_sugeno_rows(systems, F, ones, Values.build([h for _, h, _ in examples]),
                               everything, everything,
-                              CapacityStack.of([P for _, _, P in examples]))
+                              CapacityStack([P for _, _, P in examples]))
     for rep, args in zip(out, zip(phi, psi, n)):
         rep.theorem = "lukasiewicz_carlson_example"
         rep.extra.update(zip(("phi", "psi", "n"), args))
@@ -478,7 +478,7 @@ def sharpness_demo(f, g, h, A: Optional[int], r: float,
     """Under the capacity assigning 1 to every nonempty set, the Carlson
     bound reduces to suprema and comonotone triples attain equality."""
     (F, G, H), (A,), _ = _one([f, g, h], None, [A])
-    C = CapacityStack.of([make_sup_capacity(f.space)])
+    C = CapacityStack([make_sup_capacity(f.space)])
     hyp = [_comono_hyps("comonotone[f,g]", F, G)[0],
            _comono_hyps("comonotone[f,h]", F, H)[0]]
     pr = _prods(F)

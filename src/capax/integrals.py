@@ -51,11 +51,6 @@ class SampleFunction:
     def __getitem__(self, i: int) -> float:
         return float(self.values[i])
 
-    @cached_property
-    def one_row(self) -> "Values":
-        """This function as a stack of one row (built once)."""
-        return Values.build([self])
-
 
 def sample_function(space: GroundSpace, values, range_tag: str = None) -> SampleFunction:
     v = np.asarray(values, dtype=float)
@@ -111,13 +106,9 @@ class Values:
     spaces: tuple
 
     @classmethod
-    def of(cls, fns: Sequence[SampleFunction]) -> "Values":
-        return fns[0].one_row if len(fns) == 1 else cls.build(fns)
-
-    @classmethod
     def build(cls, fns: Sequence[SampleFunction]) -> "Values":
         n = np.array([f.space.n for f in fns])
-        if len(fns) == 1:
+        if len(fns) == 1:  # one row uses its function's values in place
             v = fns[0].values[None, :]
             valid = np.ones(v.shape, dtype=bool)
         else:
@@ -163,9 +154,9 @@ def one_row(f: SampleFunction, c: Capacity, A: Optional[int]):
     """The one-row stack of an integral call: (values, subset, capacity)."""
     if f.space.n != c.space.n:
         raise DomainError("function and capacity live on different spaces")
-    F = Values.of([f])
+    F = Values.build([f])
     return F, Subsets.of([f.space.full_mask if A is None else A], F.n, f.space.n), \
-        CapacityStack.of([c])
+        CapacityStack([c])
 
 
 def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]):
@@ -392,7 +383,7 @@ def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction,
     """Pointwise combination of two sample functions."""
     if f.space.n != g.space.n:
         raise DomainError("pointwise combination needs a common space")
-    out = pointwise_rows([op], Values.of([f]), Values.of([g]))
+    out = pointwise_rows([op], Values.build([f]), Values.build([g]))
     return sample_function(f.space, out.v[0], range_tag)
 
 
@@ -414,5 +405,5 @@ def power_rows(F: Values, s: Sequence[float]) -> Values:
 
 def power(f: SampleFunction, s: float) -> SampleFunction:
     """Pointwise f**s with the 0**s = 0, inf**s = inf conventions (s > 0)."""
-    out = power_rows(Values.of([f]), [s])
+    out = power_rows(Values.build([f]), [s])
     return SampleFunction(f.space, out.v[0], UNIT if out.unit[0] else EXTENDED)

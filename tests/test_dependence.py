@@ -162,7 +162,7 @@ def _levels(values):
     (padded with a point outside the subset when empty)."""
     n = max(len(values), 1)
     f = sample_function(GroundSpace(n), list(values) + [0.5] * (n - len(values)))
-    F = Values.of([f])
+    F = Values.build([f])
     levels, count, _ = _level_rows(F, Subsets.of([(1 << len(values)) - 1], F.n, n))
     return levels[0, :count[0]]
 

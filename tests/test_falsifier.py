@@ -126,10 +126,11 @@ def _violating_scenario():
 def test_shrink_lets_unexpected_value_errors_through(monkeypatch):
     scn = _violating_scenario()
 
-    def broken(cand):
+    def broken(scenarios):
         raise ValueError("not a schema or domain error")
 
-    monkeypatch.setattr(falsifier, "run_scenario", broken)
+    # every evaluation, of a stack of candidates or of one, decodes first
+    monkeypatch.setattr(falsifier, "decode", broken)
     with pytest.raises(ValueError, match="not a schema or domain error"):
         shrink(scn)
 
@@ -138,10 +139,10 @@ def test_shrink_lets_unexpected_value_errors_through(monkeypatch):
 def test_shrink_skips_candidates_that_fail_validation(monkeypatch, error):
     scn = _violating_scenario()
 
-    def rejects(cand):
+    def rejects(scenarios):
         raise error("rejected")
 
-    monkeypatch.setattr(falsifier, "run_scenario", rejects)
+    monkeypatch.setattr(falsifier, "decode", rejects)
     assert shrink(scn) is scn
 
 
@@ -253,3 +254,28 @@ def test_a_failing_stack_raises_its_first_failing_trial(monkeypatch):
         falsifier.run_stack(scns)
     with pytest.raises(DomainError, match="nonnegative"):
         falsifier.run_stack(scns[3:])
+
+
+def _hunt_one_by_one(theorem, dropped, trials, seed):
+    """A hunt and its shrink with every scenario replayed on its own."""
+    for i in range(trials):
+        scn = falsifier._unconstrained_scenario(theorem, dropped, seed, i)
+        if is_violation(run_scenario(scn), require_hypotheses=False):
+            break
+    else:
+        return None
+    for _ in range(falsifier.MAX_SHRINK_STEPS):
+        for cand in falsifier._shrink_candidates(scn):
+            if is_violation(run_scenario(cand), require_hypotheses=False):
+                scn = cand
+                break
+        else:
+            return scn
+    return scn
+
+
+@pytest.mark.parametrize("theorem, dropped", sorted(DROPPABLE))
+def test_batched_hunts_find_the_one_by_one_witness(theorem, dropped):
+    for seed in (1, 2):
+        assert (hunt_counterexample(theorem, dropped, 10_000, seed)
+                == _hunt_one_by_one(theorem, dropped, 10_000, seed))
