@@ -1,14 +1,14 @@
 """Finite ground spaces, monotone measures (capacities), and structural checkers.
 
-Subsets of an n-point space are n-bit integer masks.  Structured
-capacities (additive, grid, distorted, sup) evaluate any mask on demand;
-explicit tables hold all 2^n values and are capped at n = 20.  Bulk work
-converts masks to boolean membership arrays once and measures stacks of
-them with ``Capacity.measure_meet``.
+Subsets of an n-point space are n-bit integer masks.  A capacity is one
+of four families: weighted (per-point weights, summed and raised to a
+power gamma; gamma = 1 is modular), sup, explicit (all 2^n values in a
+table, capped at n = 20) and derived (a normalized capacity over a base).
+Weighted and sup capacities evaluate any mask on demand.
 
 A ``CapacityStack`` holds k capacities as the rows of one stack (with
-``Subsets``, one subset per row) for the row-wise kernels of the
-integrals and dependence checks; one capacity alone is a stack of one.
+``Subsets``, one subset per row); its chains, measures and meets are the
+one batched measure path, and a single capacity is a stack of one.
 
 The structural checkers compute the margins of all their pairs at once,
 from the capacity's value table (``Capacity.values``, n <= 20) when they
@@ -21,7 +21,7 @@ witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -108,10 +108,12 @@ def indices_mask(indices: Iterable[int]) -> int:
 class Capacity:
     """Monotone set function over subsets of a finite ground space.
 
-    ``kind`` is one of ``additive``, ``grid``, ``distorted``, ``sup``,
-    ``explicit``, ``derived``.  A derived capacity (from ``normalize``) is
-    m(B) = base(B n given) / base(given).  Instances are immutable;
-    evaluation is pure.
+    A weighted capacity measures B as (sum of the weights of B)**gamma,
+    gamma being 1 for the modular ones; its ``kind`` (``additive``,
+    ``grid`` or ``distorted``) only labels its scenario spec.  The other
+    kinds, which read no gamma, are ``sup``, ``explicit`` and ``derived``:
+    m(B) = base(B n given) / base(given), from ``normalize``.  Instances
+    are immutable; evaluation is pure.
     """
 
     space: GroundSpace
@@ -119,7 +121,7 @@ class Capacity:
     kind: str
     weights: Optional[np.ndarray] = field(default=None, compare=False)
     table: Optional[np.ndarray] = field(default=None, compare=False)
-    gamma: Optional[float] = None
+    gamma: float = 1.0
     base: Optional["Capacity"] = field(default=None, compare=False)
     given: Optional[int] = None
 
@@ -128,34 +130,18 @@ class Capacity:
         k = self.kind
         if k == "sup":
             return 0.0 if mask == 0 else 1.0
-        if k in ("additive", "grid", "distorted"):
-            sel = self.weights[mask_bools(mask, self.space.n)]
-            # left to right, as a point-by-point sum adds (np.sum is pairwise)
-            t = float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
-            return t**self.gamma if k == "distorted" else t
         if k == "explicit":
             return float(self.table[mask])
-        return self.base(mask & self.given) / self.base(self.given)
-
-    def measure_meet(self, R: np.ndarray, S: np.ndarray) -> np.ndarray:
-        """Measures of the pairwise intersections of two stacks of subsets
-        given as boolean rows: entry (i, j) is mu(R[i] n S[j])."""
-        k = self.kind
-        if k in ("additive", "grid", "distorted"):
-            out = R.astype(float) @ (self.weights[:, None] * S.T)
-            return out**self.gamma if k == "distorted" else out
-        if k == "sup":
-            return (R.astype(float) @ S.T.astype(float) > 0).astype(float)
-        if k == "explicit":  # n <= 20, so table indices fit in int64
-            bits = R.astype(np.int64) << np.arange(self.space.n)
-            return self.table[bits @ S.T.astype(np.int64)]
-        given = mask_bools(self.given, self.space.n)
-        return self.base.measure_meet(R & given, S) / self.base(self.given)
+        if k == "derived":
+            return self.base(mask & self.given) / self.base(self.given)
+        sel = self.weights[mask_bools(mask, self.space.n)]
+        # left to right, as a point-by-point sum adds (np.sum is pairwise)
+        t = float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
+        return t if self.gamma == 1.0 else t**self.gamma
 
     def measure_bools(self, sel: np.ndarray) -> float:
         """Measure of the subset given as a boolean array."""
-        everything = np.ones((1, self.space.n), dtype=bool)
-        return float(self.measure_meet(sel[None, :], everything)[0, 0])
+        return self(indices_mask(np.flatnonzero(sel).tolist()))
 
     def values(self) -> np.ndarray:
         """All 2^n measures, entry m being the measure of the mask m
@@ -179,8 +165,8 @@ class Capacity:
         for w in self.weights.tolist():
             v = np.concatenate((v, v + w))
         v[0] = 0.0
-        if k == "distorted":  # Python's pow: numpy's may differ in the last bit
-            g = self.gamma
+        g = self.gamma
+        if g != 1.0:  # Python's pow: numpy's may differ in the last bit
             v = np.array([t**g for t in v.tolist()])
         return v
 
@@ -197,21 +183,14 @@ class Capacity:
     def structural(self, prop: str) -> Optional[bool]:
         """True/False when the property is known by construction, else None."""
         k = self.kind
-        if k in ("additive", "grid"):
-            return True  # modular, hence everything below it
-        if k == "distorted":
-            if prop == "monotone":
-                return True
-            if prop == "modular":
-                return True if self.gamma == 1.0 else None
-            if self.gamma <= 1.0:  # concave distortion of a modular measure
-                return True
-            return None
         if k == "sup":
-            if prop in ("monotone", "submodular", "subadditive"):
-                return True
+            return True if prop in ("monotone", "submodular", "subadditive") else None
+        if k in ("explicit", "derived"):
             return None
-        return None
+        # weighted: modular at gamma = 1, a concave distortion of a modular
+        # measure (so submodular and subadditive) below it
+        g = self.gamma
+        return True if prop == "monotone" or g == 1.0 or (g < 1.0 and prop != "modular") else None
 
 
 def _infer_range(total: float) -> str:
@@ -246,8 +225,7 @@ def make_distorted(weights: Sequence[float], gamma: float,
         raise InvalidCapacityError("distortion exponent must be positive and finite")
     base = make_additive(weights, space)
     total = float(base.weights.sum() ** gamma)
-    return Capacity(space=base.space, range=_infer_range(total),
-                    kind="distorted", weights=base.weights, gamma=gamma)
+    return replace(base, range=_infer_range(total), kind="distorted", gamma=gamma)
 
 
 def make_grid_lebesgue(a: float, b: float, steps: int) -> tuple[GroundSpace, Capacity]:
@@ -366,10 +344,10 @@ class Subsets:
 class CapacityStack:
     """k capacities, row i on its own n[i] points of a stack N points
     wide, for the row-wise kernels.  Explicit rows share one (k, 2^N)
-    table array and weighted rows (additive, grid, distorted) one (k, N)
-    weight array; a derived stack holds the stack of its bases, the
-    conditioning subsets and their base measures.  Every kernel gives
-    each row what the row's own capacity gives alone, bit for bit."""
+    table array and weighted rows one (k, N) weight array; a derived
+    stack holds the stack of its bases, the conditioning subsets and
+    their base measures.  Every kernel gives each row what the row's own
+    capacity gives alone, bit for bit."""
 
     def __init__(self, caps: Sequence[Capacity], width: Optional[int] = None):
         self.caps = list(caps)
@@ -405,8 +383,8 @@ class CapacityStack:
             for i in self.weighted.tolist():
                 w = self.caps[i].weights
                 self.weights[i, :len(w)] = w
-        self.gammas = [(c.gamma, i) for i, c in enumerate(self.caps)
-                       if c.kind == "distorted"]
+        self.gammas = [(self.caps[i].gamma, i) for i in self.weighted.tolist()
+                       if self.caps[i].gamma != 1.0]
 
     def _derive(self, base: "CapacityStack", given: Subsets, base_given: np.ndarray):
         """Make this the stack of m(B) = base(B n given) / base(given)."""
@@ -506,9 +484,9 @@ class CapacityStack:
             out[s] = (R[s][:, :, None, :] & S[s][:, None, :, :]).any(-1)
         # one weighted matmul per row, in the row's own shape
         for i in self.weighted.tolist():
-            n = self.n[i]
-            out[i, :nr[i], :ns[i]] = self.caps[i].measure_meet(R[i, :nr[i], :n],
-                                                               S[i, :ns[i], :n])
+            n, a, b, g = self.n[i], nr[i], ns[i], self.caps[i].gamma
+            m = R[i, :a, :n].astype(float) @ (self.weights[i, :n, None] * S[i, :b, :n].T)
+            out[i, :a, :b] = m if g == 1.0 else m**g
         return out
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import Capacity, CapacityStack, Subsets, along, make_grid_lebesgue
-from .integrals import SampleFunction, Values, sample_function
+from .integrals import SampleFunction, Values, one_row, sample_function
 from .operators import AggOperator, row_groups, rows_vec
 from .xreal import UNIT, DomainError
 
@@ -57,9 +57,8 @@ def comonotone_rows(F: Values, G: Values):
 def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
     """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all point pairs (see
     ``comonotone_rows``)."""
-    if f.space.n != g.space.n:
-        raise DomainError("comonotonicity needs a common space")
-    holds, witnesses = comonotone_rows(Values.build([f]), Values.build([g]))
+    (F, G), _, _ = one_row([f, g])
+    holds, witnesses = comonotone_rows(F, G)
     return DependenceReport("comonotone", holds=bool(holds[0]), witness=witnesses[0])
 
 
@@ -158,13 +157,8 @@ def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
                               tol: float = POSDEP_TOL) -> DependenceReport:
     """Check mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri mu({g|_B >= b})
     exactly (see ``positive_dependence_rows``)."""
-    n = c.space.n
-    if f.space.n != n or g.space.n != n:
-        raise DomainError("functions and capacity must share a space")
-    F = Values.build([f])
-    rows = positive_dependence_rows(F, Subsets.of([A], F.n, n), Values.build([g]),
-                                    Subsets.of([B], F.n, n), CapacityStack([c]),
-                                    [tri], tol)
+    (F, G), (A, B), C = one_row([f, g], c, [A, B])
+    rows = positive_dependence_rows(F, A, G, B, C, [tri], tol)
     holds = rows.holds[0]
     return DependenceReport("positively_dependent", holds=holds,
                             witness=None if holds else rows.witness[0],

@@ -25,7 +25,7 @@ from .capacity import (NORMALIZE_DEGENERATE, Capacity, CapacityStack, Subsets,
 from .dependence import (comonotone_rows, make_uniform_example,
                          positive_dependence_rows)
 from .integrals import (SampleFunction, Values, choquet_rows,
-                        generalized_sugeno_rows, pointwise_rows, power_rows)
+                        generalized_sugeno_rows, one_row, pointwise_rows, power_rows)
 from .operators import (AggOperator, OperatorSystem, check_chebyshev_condition,
                         check_power_condition, lukasiewicz_op, min_op, prod_op,
                         row_groups, rows_vec)
@@ -142,18 +142,6 @@ def _sub(x, rows, k):
     return x if len(rows) == k else x.take(rows)
 
 
-def _one(fns, c=None, subsets=()):
-    """One-row stacks of a checker call: the functions' values, the
-    subsets (None is the whole space) and the capacity."""
-    n = fns[0].space.n
-    if any(f.space.n != n for f in fns) or (c is not None and c.space.n != n):
-        raise DomainError("functions and capacity must share a space")
-    values = [Values.build([f]) for f in fns]
-    full = fns[0].space.full_mask
-    subs = [Subsets.of([full if m is None else m], values[0].n, n) for m in subsets]
-    return values, subs, None if c is None else CapacityStack([c])
-
-
 # ---------------------------------------------------------------------------
 # generalized Sugeno inequalities
 #
@@ -182,7 +170,7 @@ def jensen_sugeno(f: SampleFunction, c: Capacity, A: Optional[int],
                   op: AggOperator, s: float) -> InequalityReport:
     """Power-mean bound (int f)**s <= int f**s for the generalized Sugeno
     integral (stated with >= in the source orientation; flipped here)."""
-    (F,), (A,), C = _one([f], c, [A])
+    (F,), (A,), C = one_row([f], c, [A])
     return jensen_sugeno_rows(F, C, A, [op], [s])[0]
 
 
@@ -202,7 +190,7 @@ def chebyshev_sugeno(system: OperatorSystem, f1: SampleFunction,
                      c: Capacity) -> InequalityReport:
     """Chebyshev-type bound: the lhd-combination of marginal integrals is
     dominated by the integral of the box-combination on A n B."""
-    (F1, F2), (A, B), C = _one([f1, f2], c, [A, B])
+    (F1, F2), (A, B), C = one_row([f1, f2], c, [A, B])
     return chebyshev_sugeno_rows([system], F1, F2, A, B, C)[0]
 
 
@@ -239,7 +227,7 @@ def carlson_sugeno(system: OperatorSystem, f: SampleFunction,
                    c: Capacity) -> InequalityReport:
     """Carlson-type bound for the generalized Sugeno integral over an
     operator system with exponents (p, q, r, s)."""
-    (F, G, H), (A, B), C = _one([f, g, h], c, [A, B])
+    (F, G, H), (A, B), C = one_row([f, g, h], c, [A, B])
     return carlson_sugeno_rows([system], F, G, H, A, B, C)[0]
 
 
@@ -269,7 +257,7 @@ def carlson_sugeno_xu(f, g, h, A: int, c: Capacity, p: float,
                       q: float) -> InequalityReport:
     """Sugeno specialization with r = s = 1: the display form divides by
     C = (int g)(int h), so C = 0 is reported as degenerate."""
-    (F, G, H), (A,), C = _one([f, g, h], c, [A])
+    (F, G, H), (A,), C = one_row([f, g, h], c, [A])
     return carlson_sugeno_xu_rows(F, G, H, A, C, [p], [q])[0]
 
 
@@ -296,7 +284,7 @@ def carlson_sugeno_wang(f, g, h, A: int, c: Capacity, p: float,
                         q: float) -> InequalityReport:
     """Sugeno specialization with r = p/(p+q), s = 1 - r; the display form
     divides by K = (int g)**(p/(p+q)) (int h)**(q/(p+q))."""
-    (F, G, H), (A,), C = _one([f, g, h], c, [A])
+    (F, G, H), (A,), C = one_row([f, g, h], c, [A])
     return carlson_sugeno_wang_rows(F, G, H, A, C, [p], [q])[0]
 
 
@@ -333,7 +321,7 @@ def shilkret_carlson_example(f: SampleFunction, A: Optional[int],
                              c: Capacity) -> InequalityReport:
     """Shilkret-integral Carlson bound for a nondecreasing function on a
     coordinate-bearing space, with K = mu(A) * N(x)."""
-    (F,), (A,), C = _one([f], c, [A])
+    (F,), (A,), C = one_row([f], c, [A])
     return shilkret_carlson_example_rows(F, A, C)[0]
 
 
@@ -387,7 +375,7 @@ def jensen_choquet_rows(F, C, A, exponent) -> list:
 def jensen_choquet(f: SampleFunction, c: Capacity, A: Optional[int],
                    exponent: float) -> InequalityReport:
     """(int f dm)**c <= int f**c dm for the normalized capacity m."""
-    (F,), (A,), C = _one([f], c, [A])
+    (F,), (A,), C = one_row([f], c, [A])
     return jensen_choquet_rows(F, C, A, [exponent])[0]
 
 
@@ -411,7 +399,7 @@ def chebyshev_choquet(f: SampleFunction, g: SampleFunction, c: Capacity,
                       A: Optional[int]) -> InequalityReport:
     """int f dm * int g dm <= int fg dm for comonotone f, g (flipped from
     the source orientation)."""
-    (F, G), (A,), C = _one([f, g], c, [A])
+    (F, G), (A,), C = one_row([f, g], c, [A])
     return chebyshev_choquet_rows(F, G, C, A)[0]
 
 
@@ -469,7 +457,7 @@ def carlson_choquet_comonotone(f, g, h, A: Optional[int], c: Capacity,
                                s: float) -> InequalityReport:
     """Carlson bound for the Choquet integral of comonotone pairs (f,g),
     (f,h), with constant K and measure exponent d."""
-    (F, G, H), (A,), C = _one([f, g, h], c, [A])
+    (F, G, H), (A,), C = one_row([f, g, h], c, [A])
     return carlson_choquet_comonotone_rows(F, G, H, A, C, [p], [q], [r], [s])[0]
 
 
@@ -477,8 +465,7 @@ def sharpness_demo(f, g, h, A: Optional[int], r: float,
                    s: float) -> InequalityReport:
     """Under the capacity assigning 1 to every nonempty set, the Carlson
     bound reduces to suprema and comonotone triples attain equality."""
-    (F, G, H), (A,), _ = _one([f, g, h], None, [A])
-    C = CapacityStack([make_sup_capacity(f.space)])
+    (F, G, H), (A,), C = one_row([f, g, h], make_sup_capacity(f.space), [A])
     hyp = [_comono_hyps("comonotone[f,g]", F, G)[0],
            _comono_hyps("comonotone[f,h]", F, H)[0]]
     pr = _prods(F)
@@ -519,7 +506,7 @@ def holder_choquet(phi, psi, c: Capacity, A: Optional[int],
                    p: float) -> InequalityReport:
     """int phi psi <= (int phi**p)**(1/p) (int psi**q)**(1/q) for a
     submodular capacity, 1/p + 1/q = 1."""
-    (PHI, PSI), (A,), C = _one([phi, psi], c, [A])
+    (PHI, PSI), (A,), C = one_row([phi, psi], c, [A])
     return holder_choquet_rows(PHI, PSI, C, A, [p])[0]
 
 
@@ -575,7 +562,7 @@ def h_pq(a: float, b: float, g: SampleFunction, h: SampleFunction,
         raise DomainError("H_pq requires p > 1")
     if a < 0 or b < 0:
         raise DomainError("H_pq requires a, b >= 0")
-    (G, H), (A,), C = _one([g, h], c, [A])
+    (G, H), (A,), C = one_row([g, h], c, [A])
     return h_pq_rows([a], [b], G, H, A, C, [p])[0]
 
 
@@ -646,7 +633,7 @@ def carlson_choquet_submodular_rows(F, G, H, A, C, p) -> list:
 def carlson_choquet_submodular(f, g, h, A: Optional[int], c: Capacity,
                                p: float) -> InequalityReport:
     """int f <= 2**(1/p) H(int g f**p, int h f**p) for submodular mu."""
-    (F, G, H), (A,), C = _one([f, g, h], c, [A])
+    (F, G, H), (A,), C = one_row([f, g, h], c, [A])
     return carlson_choquet_submodular_rows(F, G, H, A, C, [p])[0]
 
 
@@ -684,7 +671,7 @@ def carlson_choquet_subadditive(f, g, h, A: Optional[int], c: Capacity,
                                 p: float) -> InequalityReport:
     """int f <= 4**(1/p) (1/sqrt(p) + 1/sqrt(q))**2 H(...) for subadditive
     mu on a coordinate-bearing ([0, inf]-indexed) space."""
-    (F, G, H), (A,), C = _one([f, g, h], c, [A])
+    (F, G, H), (A,), C = one_row([f, g, h], c, [A])
     return carlson_choquet_subadditive_rows(F, G, H, A, C, [p])[0]
 
 

@@ -150,13 +150,18 @@ class Values:
         return self.v[i, :self.n[i]]
 
 
-def one_row(f: SampleFunction, c: Capacity, A: Optional[int]):
-    """The one-row stack of an integral call: (values, subset, capacity)."""
-    if f.space.n != c.space.n:
-        raise DomainError("function and capacity live on different spaces")
-    F = Values.build([f])
-    return F, Subsets.of([f.space.full_mask if A is None else A], F.n, f.space.n), \
-        CapacityStack([c])
+def one_row(fns: Sequence[SampleFunction], c: Optional[Capacity] = None,
+            subsets: Sequence[Optional[int]] = ()):
+    """The one-row stacks of a single call: the functions' values, the
+    subsets (None is the whole space) and the capacity (None without
+    one)."""
+    n = fns[0].space.n
+    if any(f.space.n != n for f in fns) or (c is not None and c.space.n != n):
+        raise DomainError("functions and capacity must share a space")
+    values = [Values.build([f]) for f in fns]
+    full = fns[0].space.full_mask
+    subs = [Subsets.of([full if m is None else m], values[0].n, n) for m in subsets]
+    return values, subs, None if c is None else CapacityStack([c])
 
 
 def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]):
@@ -271,7 +276,7 @@ def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,
     candidate level set {0} u {distinct values of f on A} plus the tail."""
     if op is None:
         op = min_op(c.range)
-    F, A, C = one_row(f, c, A)
+    (F,), (A,), C = one_row([f], c, [A])
     return generalized_sugeno_rows(F, A, C, [op], cap).result(0)
 
 
@@ -314,7 +319,8 @@ def choquet_rows(F: Values, A: Subsets, C: CapacityStack):
 def choquet(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> IntegralResult:
     """Choquet integral: integral over t of mu(A n {f >= t}), by
     telescoping over the distinct values of f on A."""
-    values, infinite = choquet_rows(*one_row(f, c, A))
+    (F,), (A,), C = one_row([f], c, [A])
+    values, infinite = choquet_rows(F, A, C)
     if infinite[0]:
         return IntegralResult(INF, INF, True)
     return IntegralResult(float(values[0]), None, True)
@@ -331,7 +337,7 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
         raise DomainError("alpha grid needs at least two points")
     if op is None:
         op = min_op(c.range)
-    F, A_rows, C = one_row(f, c, A)
+    (F,), (A_rows,), C = one_row([f], c, [A])
     _check_compat(F, C, [op])
     distinct, measures, kd = distinct_levels(F, A_rows, C)
     distinct, measures = distinct[0, :kd[0]], measures[0, :kd[0]]

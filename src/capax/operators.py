@@ -119,17 +119,27 @@ def table_op(values: Sequence[Sequence[float]], name: str = "custom") -> AggOper
     t = np.asarray(values, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
         raise ValueError("table must be square with at least 2 nodes per axis")
-    k = t.shape[0]
-
-    def idx(x):
-        return np.clip(np.rint(np.asarray(x, dtype=float) * (k - 1)).astype(int), 0, k - 1)
-
-    def vec(a, b):
-        return t[idx(a), idx(b)]
-
-    return AggOperator(name, UNIT, vec,
+    return AggOperator(name, UNIT, _TableLookup(len(t), t.tobytes()),
                        zero_absorbing_right=bool((t[:, 0] == 0).all()),
                        left_continuous=False)
+
+
+@dataclass(frozen=True)
+class _TableLookup:
+    """The ``vec`` of a table operator: nearest-node lookup in a k x k
+    table kept as its bytes, so that lookups in equal tables compare and
+    hash equal and share the verdicts cached per ``vec``."""
+
+    k: int
+    table: bytes
+
+    def _node(self, x):
+        k = self.k
+        return np.clip(np.rint(np.asarray(x, dtype=float) * (k - 1)).astype(int), 0, k - 1)
+
+    def __call__(self, a, b):
+        t = np.frombuffer(self.table).reshape(self.k, self.k)
+        return t[self._node(a), self._node(b)]
 
 
 BUILTIN_OPS = {

@@ -121,7 +121,7 @@ def capacity_from_spec(spec: dict, space: GroundSpace,
 
 
 def capacity_to_spec(c: Capacity) -> dict:
-    if c.kind in ("additive",):
+    if c.kind == "additive":
         return {"type": "additive", "weights": c.weights.tolist()}
     if c.kind == "grid":
         return {"type": "grid"}

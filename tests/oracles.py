@@ -3,8 +3,9 @@
 These are the one-scenario implementations the stacked kernels replaced,
 unchanged in arithmetic: level sets from sorted run ends, the
 generalized Sugeno candidate evaluation, Choquet by ``np.dot`` over
-reversed views, positive dependence on the level cross product and the
-sorted comonotonicity test.  The kernels must give what these give, bit
+reversed views, the kind-switched measures of pairwise intersections,
+positive dependence on the level cross product and the sorted
+comonotonicity test.  The kernels must give what these give, bit
 for bit.
 """
 
@@ -36,6 +37,22 @@ def chain_measures(c, order):
     inside = mask_bools(c.given, c.space.n)[order]
     chain = chain_measures(c.base, order[inside])
     return chain[np.concatenate(([0], np.cumsum(inside)))] / c.base(c.given)
+
+
+def measure_meet(c, R, S):
+    """Measures of the pairwise intersections of two stacks of subsets
+    given as boolean rows: entry (i, j) is mu(R[i] n S[j])."""
+    k = c.kind
+    if k in ("additive", "grid", "distorted"):
+        out = R.astype(float) @ (c.weights[:, None] * S.T)
+        return out**c.gamma if k == "distorted" else out
+    if k == "sup":
+        return (R.astype(float) @ S.T.astype(float) > 0).astype(float)
+    if k == "explicit":  # n <= 20, so table indices fit in int64
+        bits = R.astype(np.int64) << np.arange(c.space.n)
+        return c.table[bits @ S.T.astype(np.int64)]
+    given = mask_bools(c.given, c.space.n)
+    return measure_meet(c.base, R & given, S) / c.base(c.given)
 
 
 def check_compat(f, c, op=None):
@@ -135,9 +152,9 @@ def check_positive_dependence(f, A, g, B, c, tri, tol=1e-12):
     FA = (f.values >= levels_a[:, None]) & selA
     GB = (g.values >= levels_b[:, None]) & selB
     everything = np.ones((1, n), dtype=bool)
-    mFA = c.measure_meet(FA, everything)
-    mGB = c.measure_meet(GB, everything)
-    joint_w = c.measure_meet(FA, GB)
+    mFA = measure_meet(c, FA, everything)
+    mGB = measure_meet(c, GB, everything)
+    joint_w = measure_meet(c, FA, GB)
     rhs = tri.vec(mFA, mGB.T)
     margin = joint_w - rhs
     i, j = np.unravel_index(np.argmin(margin), margin.shape)

@@ -78,6 +78,16 @@ AUDIT_SUMMARIES_2024 = {
     "chebyshev_choquet": (1000, 1000, 0, "-1.1102230246251565e-16"),
 }
 
+# carlson_choquet_submodular's min_slack comes from a distorted capacity's
+# ``cumsum ** gamma``, whose last bit depends on the CPU target of numpy's
+# SIMD pow.  The probe ``np.full(8, POW_PROBE) ** 0.3`` tells the targets
+# apart; each known result maps to the min_slack pinned for it.
+POW_PROBE = 3.1310526786688793
+SUBMODULAR_MIN_SLACK = {
+    "1.4083386962499491": AUDIT_SUMMARIES_2024["carlson_choquet_submodular"][3],  # AVX-512
+    "1.4083386962499493": "-2.220446049250313e-16",  # AVX2
+}
+
 
 def test_03_theorem_audits_1000_trials_each():
     theorems = (
@@ -89,6 +99,13 @@ def test_03_theorem_audits_1000_trials_each():
            "carlson_choquet_subadditive",
            "holder_choquet", "jensen_choquet", "chebyshev_choquet"]
     )
+    probe = repr(float((np.full(8, POW_PROBE) ** 0.3)[0]))
+    assert probe in SUBMODULAR_MIN_SLACK, (
+        f"np.full(8, {POW_PROBE!r}) ** 0.3 gives {probe} under this numpy pow "
+        f"dispatch, for which no carlson_choquet_submodular min_slack is pinned")
+    pinned = dict(AUDIT_SUMMARIES_2024)
+    pinned["carlson_choquet_submodular"] = (
+        pinned["carlson_choquet_submodular"][:3] + (SUBMODULAR_MIN_SLACK[probe],))
     t0 = time.perf_counter()
     total_violations = 0
     for tid in theorems:
@@ -97,7 +114,7 @@ def test_03_theorem_audits_1000_trials_each():
         assert s.hypothesis_pass >= 900, (tid, s.hypothesis_pass)
         # pinned: a refactor must not move any audit, not even in the last bit
         assert (s.trials, s.hypothesis_pass, s.violation_count,
-                repr(s.min_slack)) == AUDIT_SUMMARIES_2024[tid], tid
+                repr(s.min_slack)) == pinned[tid], tid
         total_violations += s.violation_count
     assert set(theorems) == set(AUDIT_SUMMARIES_2024)
     elapsed = time.perf_counter() - t0

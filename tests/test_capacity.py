@@ -11,7 +11,7 @@ from capax import (GroundSpace, InvalidCapacityError, check_modular,
                    indices_mask, make_additive, make_distorted, make_explicit,
                    make_grid_lebesgue, make_random_monotone, make_sup_capacity,
                    mask_indices, normalize)
-from capax.capacity import mask_bools
+from capax.capacity import CapacityStack, mask_bools
 from capax.xreal import DegenerateInputError, DomainError
 
 
@@ -72,7 +72,7 @@ def test_measure_meet_matches_per_subset_calls(kind):
     S = rng.uniform(size=(4, n)) < 0.5
     R[0] = False
     S[1] = True
-    meet = c.measure_meet(R, S)
+    meet = CapacityStack([c]).meet(R[None], [6], S[None], [4])[0]
     assert meet.shape == (6, 4)
     for i in range(6):
         for j in range(4):
@@ -267,6 +267,35 @@ def test_structural_mode_shortcuts():
     c = make_additive([0.5, 0.5])
     rep = check_submodular(c, mode="structural")
     assert rep.holds and rep.mode == "structural"
+
+
+# (monotone, submodular, subadditive, modular) known by construction, per
+# label and gamma; only the distorted capacity (and the derived one, built
+# over it) reads gamma
+STRUCTURAL = {
+    "additive": {g: (True, True, True, True) for g in (0.5, 1.0, 2.0)},
+    "grid": {g: (True, True, True, True) for g in (0.5, 1.0, 2.0)},
+    "distorted": {0.5: (True, True, True, None), 1.0: (True, True, True, True),
+                  2.0: (True, None, None, None)},
+    "sup": {g: (True, True, True, None) for g in (0.5, 1.0, 2.0)},
+    "explicit": {g: (None, None, None, None) for g in (0.5, 1.0, 2.0)},
+    "derived": {g: (None, None, None, None) for g in (0.5, 1.0, 2.0)},
+}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("label", list(STRUCTURAL))
+def test_structural_verdicts_per_label_and_gamma(label, gamma):
+    w = [0.2, 0.3, 0.1]
+    c = {"additive": lambda: make_additive(w),
+         "grid": lambda: make_grid_lebesgue(0.0, 1.0, 3)[1],
+         "distorted": lambda: make_distorted(w, gamma),
+         "sup": lambda: make_sup_capacity(GroundSpace(3)),
+         "explicit": lambda: make_explicit([0, .2, .3, .5, .1, .3, .4, .6]),
+         "derived": lambda: normalize(make_distorted(w, gamma), 0b011)}[label]()
+    assert c.kind == label
+    got = tuple(c.structural(p) for p in ("monotone", "submodular", "subadditive", "modular"))
+    assert got == STRUCTURAL[label][gamma]
 
 
 def test_broken_monotone_table_caught_with_witness():

@@ -353,19 +353,20 @@ def test_power_verdict_is_not_shared_by_operators_with_one_name():
     assert _power_ok(passing, 2.0).passed
 
 
-def test_chebyshev_verdict_is_not_shared_by_systems_with_one_name():
-    def system(box_table):
-        box = table_op(box_table, name="t")
-        return OperatorSystem("s", circ=min_op(), box=box, star=prod_op(),
-                              lhd=min_op(), tri=min_op())
+def _box_system(box_table, name="t"):
+    return OperatorSystem("s", circ=min_op(), box=table_op(box_table, name=name),
+                          star=prod_op(), lhd=min_op(), tri=min_op())
 
-    passing, failing = system(np.ones((5, 5))), system(np.zeros((5, 5)))
+
+def test_chebyshev_verdict_is_not_shared_by_systems_with_one_name():
+    passing, failing = _box_system(np.ones((5, 5))), _box_system(np.zeros((5, 5)))
     assert _cheb_ok(passing).passed
     assert not check_chebyshev_condition(failing, seed=7).holds_on_grid
     assert not _cheb_ok(failing).passed
 
 
-def test_builtin_operator_verdicts_are_sampled_once(monkeypatch):
+def _count_sampler_runs(monkeypatch) -> list:
+    """Empty verdict caches, and the names of the samplers run from now on."""
     monkeypatch.setattr(inequalities, "_POWER_CACHE", {})
     monkeypatch.setattr(inequalities, "_CHEB_CACHE", {})
     runs = []
@@ -379,6 +380,31 @@ def test_builtin_operator_verdicts_are_sampled_once(monkeypatch):
     for name in ("check_power_condition", "check_chebyshev_condition"):
         monkeypatch.setattr(inequalities, name,
                             counting(getattr(inequalities, name)))
+    return runs
+
+
+def test_equal_tables_share_one_cached_verdict(monkeypatch):
+    runs = _count_sampler_runs(monkeypatch)
+    g = np.linspace(0.0, 1.0, 33)
+    table = np.zeros((33, 33))
+    first, second = table_op(table, name="a"), table_op(table.copy(), name="b")
+    assert _power_ok(first, 2.0).passed
+    again = _power_ok(second, 2.0)
+    assert again.passed and again.name == "power_condition[b,s=2.0]"
+    assert len(inequalities._POWER_CACHE) == 1
+    assert _cheb_ok(_box_system(np.ones((33, 33)))).passed
+    assert _cheb_ok(_box_system(np.ones((33, 33)), name="u")).passed
+    assert len(inequalities._CHEB_CACHE) == 1
+    assert runs == ["check_power_condition", "check_chebyshev_condition"]
+    # different tables still get verdicts of their own
+    assert not _power_ok(table_op(np.clip(np.add.outer(g, g), 0.0, 1.0), name="a"), 2.0).passed
+    assert not _cheb_ok(_box_system(np.zeros((33, 33)))).passed
+    assert len(inequalities._POWER_CACHE) == len(inequalities._CHEB_CACHE) == 2
+    assert len(runs) == 4
+
+
+def test_builtin_operator_verdicts_are_sampled_once(monkeypatch):
+    runs = _count_sampler_runs(monkeypatch)
     # each call builds its operators afresh; they share one identity
     lukasiewicz_carlson_example("identity", "square", 60, 2.0, 2.0)
     assert "check_chebyshev_condition" in runs

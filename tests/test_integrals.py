@@ -304,7 +304,8 @@ def test_level_sets_match_unique_searchsorted(values):
     masks = [space.full_mask, 0b000001, 0b100000, 0b010110, 0b101011, 0]
     for c in caps:
         for A in masks:
-            distinct, measures, kd = distinct_levels(*one_row(f, c, A))
+            (F,), (A_rows,), C = one_row([f], c, [A])
+            distinct, measures, kd = distinct_levels(F, A_rows, C)
             got = (distinct[0, :kd[0]], measures[0, :kd[0]],
                    np.flatnonzero(mask_bools(A, space.n)))
             want = _level_sets_unique(f, c, A)

@@ -41,13 +41,19 @@ def test_grid_space_carries_capacity():
 
 def test_capacity_specs_roundtrip():
     space, _ = space_from_spec({"n": 3})
-    for c in (make_additive([0.2, 0.3, 0.5]),
-              make_distorted([0.2, 0.3, 0.5], 0.7),
-              make_sup_capacity(space)):
+    grid_space, grid = space_from_spec({"grid": {"a": 0.0, "b": 1.0, "steps": 3}})
+    for c, sp in ((make_additive([0.2, 0.3, 0.5]), space),
+                  (make_distorted([0.2, 0.3, 0.5], 0.7), space),
+                  (make_distorted([0.2, 0.3, 0.5], 1.0), space),
+                  (grid, grid_space),
+                  (make_sup_capacity(space), space)):
         spec = capacity_to_spec(c)
-        c2 = capacity_from_spec(spec, space)
+        c2 = capacity_from_spec(spec, sp, grid)
         for mask in range(8):
             assert c2(mask) == pytest.approx(c(mask))
+        # weighted capacities keep the label they were built with
+        assert spec["type"] == c2.kind == c.kind and c2.gamma == c.gamma
+        assert capacity_to_spec(c2) == spec
 
 
 def test_function_value_lists_and_formulas():

@@ -18,9 +18,10 @@ from capax import (GroundSpace, brute_force_generalized_sugeno, builtin_systems,
 from capax.capacity import CapacityStack, Subsets
 from capax.dependence import (check_positive_dependence, comonotone_rows,
                               is_comonotone, positive_dependence_rows)
+from capax import inequalities as ineq
 from capax.inequalities import carlson_sugeno_rows, carlson_sugeno
 from capax.integrals import (Values, choquet_rows, generalized_sugeno_rows)
-from capax.xreal import EXTENDED, INF
+from capax.xreal import EXTENDED, INF, DomainError
 
 SYSTEMS = builtin_systems()
 EXT_OPS = [min_op(EXTENDED), prod_op(EXTENDED), project_first_op(EXTENDED)]
@@ -63,6 +64,81 @@ def test_one_row_kernels_match_the_per_scenario_oracles(seed):
                 assert got == want and repr(got.slack) == repr(want.slack)
         assert repr(choquet(f, c, A)) == repr(oracles.choquet(f, c, A))
         assert repr(is_comonotone(f, g)) == repr(oracles.is_comonotone(f, g))
+
+
+def _meet_families(rng):
+    """Stacks of every family: mixed-width plain rows (weighted with a -0.0
+    weight and gamma 1, below and above 1, sup, explicit with infinite
+    entries), derived rows over them and derived rows of derived ones."""
+    w = rng.uniform(0.1, 1.0, size=6)
+    w[2] = -0.0
+    table = make_random_monotone(4, rng).table.copy()
+    table[[5, 7, 13, 15]] = INF
+    plain = [make_additive(w), make_grid_lebesgue(0.0, 2.0, 3)[1],
+             make_distorted(w[:5], 0.6), make_distorted(w[:4], 1.0),
+             make_distorted(w, 2.5), make_sup_capacity(GroundSpace(2)),
+             make_explicit(table), make_random_monotone(6, rng)]
+    derived = [normalize(c, (1 << c.space.n) - 2) for c in plain]
+    twice = [normalize(c, 0b0110) for c in derived]
+    return plain, derived, twice
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_meet_equals_the_kind_switched_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for caps in _meet_families(rng):
+        C = CapacityStack(caps)
+        k, n = len(caps), C.n
+        nr, ns = rng.integers(1, 6, size=k), rng.integers(1, 5, size=k)
+        points = np.arange(C.N) < n[:, None, None]  # padding holds no point
+        R = (rng.uniform(size=(k, 5, C.N)) < 0.5) & points
+        S = (rng.uniform(size=(k, 4, C.N)) < 0.5) & points
+        S[:, 0] = points[:, 0]
+        got = C.meet(R, nr, S, ns)
+        for i, c in enumerate(caps):
+            want = oracles.measure_meet(c, R[i, :nr[i], :n[i]], S[i, :ns[i], :n[i]])
+            assert got[i, :nr[i], :ns[i]].tobytes() == want.tobytes(), (seed, i)
+
+
+def _calls_across_two_spaces():
+    """Every public one-row call, with a function on 3 points and the
+    capacity (or the other functions) on 4."""
+    f = sample_function(GroundSpace(3), [0.2, 0.5, 0.9])
+    g = sample_function(GroundSpace(4), [0.1, 0.2, 0.3, 0.4])
+    c = make_additive([0.25] * 4)
+    s = SYSTEMS[0]
+    return {
+        "generalized_sugeno": lambda: generalized_sugeno(f, c),
+        "sugeno": lambda: sugeno(f, c),
+        "shilkret": lambda: shilkret(f, c),
+        "choquet": lambda: choquet(f, c),
+        "brute_force_generalized_sugeno": lambda: brute_force_generalized_sugeno(f, c),
+        "check_positive_dependence": lambda: check_positive_dependence(f, 1, g, 1, c, min_op()),
+        "is_comonotone": lambda: is_comonotone(f, g),
+        "jensen_sugeno": lambda: ineq.jensen_sugeno(f, c, None, min_op(), 2.0),
+        "chebyshev_sugeno": lambda: ineq.chebyshev_sugeno(s, f, f, 1, 1, c),
+        "carlson_sugeno": lambda: ineq.carlson_sugeno(s, f, f, f, 1, 1, c),
+        "carlson_sugeno_xu": lambda: ineq.carlson_sugeno_xu(f, f, f, 1, c, 2.0, 2.0),
+        "carlson_sugeno_wang": lambda: ineq.carlson_sugeno_wang(f, f, f, 1, c, 2.0, 2.0),
+        "shilkret_carlson_example": lambda: ineq.shilkret_carlson_example(f, None, c),
+        "jensen_choquet": lambda: ineq.jensen_choquet(f, c, None, 2.0),
+        "chebyshev_choquet": lambda: ineq.chebyshev_choquet(f, f, c, None),
+        "carlson_choquet_comonotone":
+            lambda: ineq.carlson_choquet_comonotone(f, f, f, None, c, 2.0, 2.0, 1.0, 1.0),
+        "sharpness_demo": lambda: ineq.sharpness_demo(f, g, g, None, 1.0, 1.0),
+        "holder_choquet": lambda: ineq.holder_choquet(f, f, c, None, 2.0),
+        "h_pq": lambda: ineq.h_pq(1.0, 1.0, f, f, None, c, 2.0),
+        "carlson_choquet_submodular":
+            lambda: ineq.carlson_choquet_submodular(f, f, f, None, c, 2.0),
+        "carlson_choquet_subadditive":
+            lambda: ineq.carlson_choquet_subadditive(f, f, f, None, c, 2.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_calls_across_two_spaces()))
+def test_one_row_calls_reject_functions_and_capacities_on_different_spaces(name):
+    with pytest.raises(DomainError, match="must share a space"):
+        _calls_across_two_spaces()[name]()
 
 
 def test_stacked_choquet_matches_np_dot_on_padded_rows():
