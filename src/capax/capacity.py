@@ -7,8 +7,8 @@ table, capped at n = 20) and derived (a normalized capacity over a base).
 Weighted and sup capacities evaluate any mask on demand.
 
 A ``CapacityStack`` holds k capacities as the rows of one stack (with
-``Subsets``, one subset per row); its chains, measures and meets are the
-one batched measure path, and a single capacity is a stack of one.
+``Subsets``, one subset per row); its chains, measures and level meets are
+the one batched measure path, and a single capacity is a stack of one.
 
 The structural checkers compute the margins of all their pairs at once,
 from the capacity's value table (``Capacity.values``, n <= 20) when they
@@ -454,39 +454,46 @@ class CapacityStack:
         if len(w):
             sel = slice(None) if len(w) == k else w
             out[sel, 1:] = np.cumsum(along(self.weights[sel], order[sel]), axis=1)
-            # one power per distinct exponent, each a Python float
-            for g, at in row_groups(g for g, _ in self.gammas):
-                rows = np.array([i for _, i in self.gammas])[at]
-                out[rows, 1:] = out[rows, 1:] ** g
+            self._distort(out[:, 1:])
         if len(self.sup):
             out[self.sup, 1:] = 1.0
         return out
 
-    def meet(self, R: np.ndarray, nr, S: np.ndarray, ns) -> np.ndarray:
-        """Per row i, the measures of the pairwise intersections of the
-        first nr[i] subsets of R[i] with the first ns[i] of S[i] (boolean
-        rows, (k, a, N) and (k, b, N)); other entries are unspecified."""
+    def _distort(self, out: np.ndarray) -> None:
+        """Raise the rows of ``out`` with gamma != 1 to their gamma in
+        place, one power per distinct exponent, each a Python float."""
+        for g, at in row_groups(g for g, _ in self.gammas):
+            rows = np.array([i for _, i in self.gammas])[at]
+            out[rows] = out[rows] ** g
+
+    def level_meet(self, RF: np.ndarray, na, RG: np.ndarray, nb) -> np.ndarray:
+        """Per row i, entry (r, s) is the measure of {RF >= r} n {RG >= s}
+        for r < na[i] and s < nb[i] (other entries unspecified), RF and RG
+        being (k, N) rows of level ranks, -1 for none.  Each point's weight
+        goes into the cell of its two ranks, points in index order, and
+        suffix sums along g and then f measure the sets: weighted rows raise
+        them to gamma, explicit rows read their table at the summed bits 2^x
+        (exact), and sup rows count points."""
         if self.base is not None:
-            inside = R & self.given.bools[:, None, :]
-            return self.base.meet(inside, nr, S, ns) / self.base_given[:, None, None]
-        k, a, N = R.shape
-        b = S.shape[1]
-        out = np.zeros((k, a, b))
+            inside = np.where(self.given.bools, RF, -1)
+            return self.base.level_meet(inside, na, RG, nb) / self.base_given[:, None, None]
+        k, N = RF.shape
+        a, b = int(max(na)), int(max(nb))
+        w = self.weights.copy()
+        w[self.explicit], w[self.sup] = 2.0 ** np.arange(N), 1.0
+        r, x = np.nonzero((RF >= 0) & (RG >= 0))
+        cells = (r * a + RF[r, x]) * b + RG[r, x]
+        out = np.bincount(cells, w[r, x], k * a * b).reshape(k, a, b)
+        rev = out[:, ::-1, ::-1]  # suffix sums in place, as prefix sums of this view
+        np.cumsum(rev, axis=2, out=rev)
+        np.cumsum(rev, axis=1, out=rev)
+        self._distort(out)
         e = self.explicit
-        if len(e):  # n <= 20, so table indices fit in int64
-            bits = np.int64(1) << np.arange(N, dtype=np.int64)
-            mr = (R[e] * bits).sum(-1)
-            ms = (S[e] * bits).sum(-1)
-            idx = (mr[:, :, None] & ms[:, None, :]).reshape(len(e), -1)
-            out[e] = self.tables[e[:, None], idx].reshape(len(e), a, -1)
+        if len(e):
+            masks = out[e].astype(np.int64).reshape(len(e), -1)
+            out[e] = self.tables[e[:, None], masks].reshape(len(e), a, b)
         if len(self.sup):
-            s = self.sup
-            out[s] = (R[s][:, :, None, :] & S[s][:, None, :, :]).any(-1)
-        # one weighted matmul per row, in the row's own shape
-        for i in self.weighted.tolist():
-            n, a, b, g = self.n[i], nr[i], ns[i], self.caps[i].gamma
-            m = R[i, :a, :n].astype(float) @ (self.weights[i, :n, None] * S[i, :b, :n].T)
-            out[i, :a, :b] = m if g == 1.0 else m**g
+            out[self.sup] = out[self.sup] > 0.0
         return out
 
 

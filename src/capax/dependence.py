@@ -3,7 +3,10 @@ driver construction where a non-comonotone pair is positively dependent
 with respect to the Lukasiewicz operator.
 
 Both checks run on stacks of rows (``comonotone_rows``,
-``positive_dependence_rows``); checking one pair is a stack of one row."""
+``positive_dependence_rows``); checking one pair is a stack of one row.
+Positive dependence reads each point's rank among the levels of f and of
+g, from which ``CapacityStack.level_meet`` measures all joint level sets
+in O(n + a b) per row, summing in a fixed order with no BLAS call."""
 
 from __future__ import annotations
 
@@ -19,9 +22,10 @@ from .xreal import UNIT, DomainError
 
 POSDEP_TOL = 1e-12
 #: the rows of a positive-dependence check go through in blocks of at
-#: most this many cross-product cells: unblocked, a chunk of 200-point
-#: grid rows holds tens of MB, while block sizes from 2^12 to 2^16 gave
-#: the same audit throughput (measurements in CHANGES.md)
+#: most this many level cross-product cells (a block holds a few arrays of
+#: that many floats): on 100 uniform-example rows of 50 to 200 points,
+#: blocks of 2^12 to 2^14 cells were fastest and larger blocks, which
+#: leave the CPU cache, up to twice as slow (measurements in CHANGES.md)
 POSDEP_BLOCK_CELLS = 1 << 14
 
 
@@ -63,27 +67,28 @@ def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
 
 
 def _level_rows(F: Values, A: Subsets):
-    """Per row, the ascending distinct values of f on A together with 0,
-    left-aligned, their count, and the boolean rows of their level sets
-    A n {f >= level}."""
+    """Per row, the ascending distinct values of f on A together with 0
+    (a +0.0), left-aligned, their count, and each point's rank among
+    them, -1 outside A: the level set A n {f >= levels[r]} is the points
+    of rank r or more."""
     k, N = F.v.shape
     x = np.empty((k, N + 1))
     x[:, 0] = 0.0
     x[:, 1:] = np.where(A.bools, F.v, np.inf)  # padding sorts last
-    x.sort(axis=1)
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = along(x, order)
     # the first of each run of equal sorted values, among the 1 + |A| live ones
     first = np.ones((k, N + 1), dtype=bool)
-    first[:, 1:] = x[:, 1:] != x[:, :-1]
+    first[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    rank = np.empty((k, N + 1), dtype=np.int64)
+    rank[np.arange(k)[:, None], order] = np.cumsum(first, axis=1) - 1
     first &= np.arange(N + 1) < A.bools.sum(1)[:, None] + 1
     count = first.sum(1)
     r, j = np.nonzero(first)
     col = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
     levels = np.zeros((k, int(count.max())))
-    levels[r, col] = x[r, j]
-    sets = (F.v[:, None, :] >= levels[:, :, None]) & A.bools[:, None, :]
-    if (count < levels.shape[1]).any():  # rows past a row's count are empty
-        sets &= (np.arange(levels.shape[1]) < count[:, None])[:, :, None]
-    return levels, count, sets
+    levels[r, col] = xs[r, j]
+    return levels, count, np.where(A.bools, rank[:, 1:], -1)
 
 
 @dataclass
@@ -106,39 +111,43 @@ def positive_dependence_rows(F: Values, A: Subsets, G: Values, B: Subsets,
     """Per row, mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri
     mu({g|_B >= b}) on the distinct-value cross product (plus level 0),
     which is exact, not sampled: both sides are step functions constant
-    between consecutive function values.  Rows go through in blocks of
-    at most POSDEP_BLOCK_CELLS cross-product cells (one row at least), so
-    memory stays flat for wide rows."""
-    size = (F.n + 1) ** 2
+    between consecutive function values.  A cell where both sides are
+    infinite holds with equality.  Rows go through in blocks of at most
+    POSDEP_BLOCK_CELLS cross-product cells (one row at least), so memory
+    stays flat for wide rows."""
+    # per side: levels, counts and point ranks plus one (rank 0 is the whole
+    # space), so one level meet holds the marginals in its first column and row
+    f, g = ((levels, count, np.where(X.valid, rank + 1, -1))
+            for X, (levels, count, rank) in ((F, _level_rows(F, A)), (G, _level_rows(G, B))))
+    size = f[1] * g[1]
     if size.sum() <= POSDEP_BLOCK_CELLS:
-        return _positive_dependence_block(F, A, G, B, C, tris, tol)
-    # blocks of rows of similar width, so that little of a block is padding
+        return _positive_dependence_block(f, g, C, tris, tol)
+    # blocks of rows of similar size, so that little of a block is padding
     order = np.argsort(size, kind="stable")
     block = np.cumsum(size[order]) // POSDEP_BLOCK_CELLS
     slack, witness = [None] * len(size), [None] * len(size)
     for _, at in row_groups(block.tolist()):
         rows = order[at]
-        part = _positive_dependence_block(F.take(rows), A.take(rows), G.take(rows),
-                                          B.take(rows), C.take(rows),
-                                          [tris[i] for i in rows.tolist()], tol)
+        part = _positive_dependence_block([x[rows] for x in f], [x[rows] for x in g],
+                                          C.take(rows), [tris[i] for i in rows.tolist()], tol)
         for i, s, w in zip(rows.tolist(), part.slack, part.witness):
             slack[i], witness[i] = s, w
     return DependenceRows(slack, witness, tol)
 
 
-def _positive_dependence_block(F, A, G, B, C, tris, tol) -> DependenceRows:
-    levels_a, na, FA = _level_rows(F, A)
-    levels_b, nb, GB = _level_rows(G, B)
-    everything = F.valid[:, None, :]
-    one = np.ones(len(na), dtype=np.int64)
-    mFA = C.meet(FA, na, everything, one)
-    mGB = C.meet(GB, nb, everything, one)
-    joint = C.meet(FA, na, GB, nb)
-    rhs = rows_vec(tris, mFA, mGB.transpose(0, 2, 1))
-    margin = joint - rhs
+def _positive_dependence_block(f, g, C, tris, tol) -> DependenceRows:
+    (levels_a, na, RF), (levels_b, nb, RG) = f, g
+    m = C.level_meet(RF, na + 1, RG, nb + 1)
+    joint = m[:, 1:, 1:]
+    k, a, b = joint.shape
+    rhs = rows_vec(tris, m[:, 1:, :1], m[:, :1, 1:])
+    with np.errstate(invalid="ignore"):
+        margin = joint - rhs
+    nan = np.isnan(margin)
+    if nan.any():  # inf - inf: both sides infinite, so equal
+        margin[nan & (joint == rhs)] = 0.0
     # cells past a row's level counts never win; among equals, the first
     # cell in C order does
-    k, a, b = margin.shape
     if (na < a).any() or (nb < b).any():
         live = ((np.arange(a) < na[:, None])[:, :, None]
                 & (np.arange(b) < nb[:, None])[:, None, :])

@@ -236,7 +236,8 @@ class ConditionReport:
     grid_resolution: int
     random_trials: int
     seed: int
-    violations: list
+    violations: list  # the first 20 of each kind found
+    violation_count: int  # all of them
     holds_on_grid: bool
     note: str = ""
 
@@ -291,11 +292,12 @@ def check_nondecreasing(op: AggOperator, grid_resolution: int = 33,
     else:
         hi = op.vec(a + da, b + db)
     lo = op.vec(a, b)
-    for i in np.flatnonzero(hi < lo - COND_TOL)[:20]:  # first 20 in draw order
+    random_bad = np.flatnonzero(hi < lo - COND_TOL)
+    for i in random_bad[:20]:  # first 20 in draw order
         violations.append(((a[i], b[i]), (a[i] + da[i], b[i] + db[i]),
                            float(lo[i]), float(hi[i])))
-    return ConditionReport("nondecreasing", grid_resolution, random_trials,
-                           seed, violations, not violations)
+    return ConditionReport("nondecreasing", grid_resolution, random_trials, seed, violations,
+                           len(rows_bad) + len(cols_bad) + len(random_bad), not violations)
 
 
 def check_power_condition(op: AggOperator, s_values: Sequence[float],
@@ -309,6 +311,7 @@ def check_power_condition(op: AggOperator, s_values: Sequence[float],
     aa = np.concatenate([np.repeat(g, len(g)), ra])
     bb = np.concatenate([np.tile(g, len(g)), rb])
     violations = []
+    found = 0
     trivial = []
     for s in s_values:
         if s < 1:
@@ -322,12 +325,13 @@ def check_power_condition(op: AggOperator, s_values: Sequence[float],
             base = op.vec(aa, bb)
             rhs = np.where(base == 0, 0.0, np.where(np.isinf(base), INF, base**s))
         bad = np.flatnonzero(lhs < rhs - COND_TOL)
+        found += len(bad)
         for i in bad[:20]:
             violations.append(((float(aa[i]), float(bb[i]), s),
                                float(lhs[i]), float(rhs[i])))
     note = f"s={trivial} trivially satisfied (identity)" if trivial else ""
     return ConditionReport("power", grid_resolution, random_trials, seed,
-                           violations, not violations, note=note)
+                           violations, found, not violations, note=note)
 
 
 def check_chebyshev_condition(system: OperatorSystem, grid_resolution: int = 17,
@@ -349,4 +353,4 @@ def check_chebyshev_condition(system: OperatorSystem, grid_resolution: int = 17,
     violations = [((float(A[i]), float(B[i]), float(C[i]), float(D[i])),
                    float(lhs[i]), float(rhs[i])) for i in bad[:20]]
     return ConditionReport("chebyshev", grid_resolution, random_trials, seed,
-                           violations, not violations)
+                           violations, len(bad), not violations)

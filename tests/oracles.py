@@ -3,9 +3,10 @@
 These are the one-scenario implementations the stacked kernels replaced,
 unchanged in arithmetic: level sets from sorted run ends, the
 generalized Sugeno candidate evaluation, Choquet by ``np.dot`` over
-reversed views, the kind-switched measures of pairwise intersections,
-positive dependence on the level cross product and the sorted
-comonotonicity test.  The kernels must give what these give, bit
+reversed views, the kind-switched measures of pairwise intersections
+(weighted ones as a plain-Python histogram and suffix sums, in the
+kernel's order), positive dependence on the level cross product and the
+sorted comonotonicity test.  The kernels must give what these give, bit
 for bit.
 """
 
@@ -41,11 +42,12 @@ def chain_measures(c, order):
 
 def measure_meet(c, R, S):
     """Measures of the pairwise intersections of two stacks of subsets
-    given as boolean rows: entry (i, j) is mu(R[i] n S[j])."""
+    given as boolean rows: entry (i, j) is mu(R[i] n S[j]).  Weighted
+    capacities need nested stacks (R[i + 1] inside R[i], S likewise),
+    as upper level sets are."""
     k = c.kind
-    if k in ("additive", "grid", "distorted"):
-        out = R.astype(float) @ (c.weights[:, None] * S.T)
-        return out**c.gamma if k == "distorted" else out
+    if c.weights is not None:
+        return _weighted_meet(c, R, S)
     if k == "sup":
         return (R.astype(float) @ S.T.astype(float) > 0).astype(float)
     if k == "explicit":  # n <= 20, so table indices fit in int64
@@ -53,6 +55,26 @@ def measure_meet(c, R, S):
         return c.table[bits @ S.T.astype(np.int64)]
     given = mask_bools(c.given, c.space.n)
     return measure_meet(c.base, R & given, S) / c.base(c.given)
+
+
+def _weighted_meet(c, R, S):
+    """The weights summed over the cells of the two nesting depths, point
+    by point in index order, then suffix sums along S and then along R."""
+    assert (R[1:] <= R[:-1]).all() and (S[1:] <= S[:-1]).all()
+    a, b = len(R), len(S)
+    depth_r, depth_s = R.sum(0).tolist(), S.sum(0).tolist()
+    cells = [[0.0] * b for _ in range(a)]
+    for x, w in enumerate(c.weights.tolist()):
+        if depth_r[x] and depth_s[x]:
+            cells[depth_r[x] - 1][depth_s[x] - 1] += w
+    for row in cells:
+        for j in reversed(range(b - 1)):
+            row[j] += row[j + 1]
+    for i in reversed(range(a - 1)):
+        for j in range(b):
+            cells[i][j] += cells[i + 1][j]
+    out = np.array(cells).reshape(a, b)
+    return out if c.gamma == 1.0 else out**c.gamma
 
 
 def check_compat(f, c, op=None):
@@ -149,14 +171,16 @@ def check_positive_dependence(f, A, g, B, c, tri, tol=1e-12):
     selB = mask_bools(B, n)
     levels_a = levels(f.values[selA])
     levels_b = levels(g.values[selB])
-    FA = (f.values >= levels_a[:, None]) & selA
-    GB = (g.values >= levels_b[:, None]) & selB
+    # the level sets after the whole space: the marginals are the first
+    # column and row of their meets
     everything = np.ones((1, n), dtype=bool)
-    mFA = measure_meet(c, FA, everything)
-    mGB = measure_meet(c, GB, everything)
-    joint_w = measure_meet(c, FA, GB)
-    rhs = tri.vec(mFA, mGB.T)
-    margin = joint_w - rhs
+    FA = np.vstack((everything, (f.values >= levels_a[:, None]) & selA))
+    GB = np.vstack((everything, (g.values >= levels_b[:, None]) & selB))
+    meets = measure_meet(c, FA, GB)
+    joint_w = meets[1:, 1:]
+    rhs = tri.vec(meets[1:, :1], meets[:1, 1:])
+    with np.errstate(invalid="ignore"):  # both sides infinite: equality
+        margin = np.where(joint_w == rhs, 0.0, joint_w - rhs)
     i, j = np.unravel_index(np.argmin(margin), margin.shape)
     worst = float(margin[i, j])
     holds = worst >= -tol

@@ -68,11 +68,13 @@ def test_measure_meet_matches_per_subset_calls(kind):
     rng = np.random.default_rng(9)
     c = _capacity_of_each_kind(rng)[kind]
     n = c.space.n
-    R = rng.uniform(size=(6, n)) < 0.5
-    S = rng.uniform(size=(4, n)) < 0.5
-    R[0] = False
-    S[1] = True
-    meet = CapacityStack([c]).meet(R[None], [6], S[None], [4])[0]
+    # level ranks: R[i] holds the points of rank i or more, so R[5] is
+    # empty and S[0] the whole space
+    rf = rng.integers(-1, 5, size=n)
+    rg = rng.integers(0, 4, size=n)
+    R = rf >= np.arange(6)[:, None]
+    S = rg >= np.arange(4)[:, None]
+    meet = CapacityStack([c]).level_meet(rf[None], [6], rg[None], [4])[0]
     assert meet.shape == (6, 4)
     for i in range(6):
         for j in range(4):

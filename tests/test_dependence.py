@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capax import (GroundSpace, check_positive_dependence, is_comonotone,
-                   lukasiewicz_op, make_additive, make_sup_capacity,
-                   make_uniform_example, min_op, sample_function)
-from capax.capacity import Subsets
-from capax.dependence import INCREASING_BIJECTIONS, _level_rows
+                   lukasiewicz_op, make_additive, make_explicit, make_sup_capacity,
+                   make_uniform_example, min_op, normalize, prod_op, sample_function)
+from capax.capacity import CapacityStack, Subsets
+from capax.dependence import INCREASING_BIJECTIONS, _level_rows, positive_dependence_rows
 from capax.integrals import Values
 from capax.xreal import DomainError
 
@@ -117,7 +117,7 @@ def test_countermonotone_pair_fails_min_dependence():
 
 
 def test_positive_dependence_explicit_capacity_slow_path():
-    # forces the generic per-cell evaluation (no additive shortcut)
+    # a table capacity measures the joint level sets by their masks
     from capax import make_random_monotone
     rng = np.random.default_rng(7)
     c = make_random_monotone(4, rng)
@@ -163,7 +163,10 @@ def _levels(values):
     n = max(len(values), 1)
     f = sample_function(GroundSpace(n), list(values) + [0.5] * (n - len(values)))
     F = Values.build([f])
-    levels, count, _ = _level_rows(F, Subsets.of([(1 << len(values)) - 1], F.n, n))
+    levels, count, rank = _level_rows(F, Subsets.of([(1 << len(values)) - 1], F.n, n))
+    # each point of the subset sits at its own level, the others at none
+    assert rank[0, len(values):].tolist() == [-1] * (n - len(values))
+    assert levels[0, rank[0, :len(values)]].tolist() == list(values)
     return levels[0, :count[0]]
 
 
@@ -183,3 +186,95 @@ def test_positive_dependence_levels_match_unique(values):
 def test_positive_dependence_levels_match_unique_on_ties(values):
     v = np.array(values, dtype=float)
     assert _levels(v).tolist() == np.unique(np.concatenate(([0.0], v))).tolist()
+
+
+@pytest.mark.parametrize("c", [make_additive([np.inf, 1.0]),
+                               make_explicit([0.0, np.inf, 1.0, np.inf])],
+                         ids=["additive", "explicit"])
+def test_positive_dependence_cells_infinite_on_both_sides_hold_with_equality(c):
+    f = _fn([0.5, 0.9])
+    # f with itself is comonotone, so dependent for min: mu(X) is inf on both sides
+    rep = check_positive_dependence(f, 0b11, f, 0b11, c, min_op("extended"))
+    assert (rep.holds, rep.slack, rep.witness) == (True, 0.0, None)
+    # for the product, mu(X) * mu({1}) = inf exceeds the joint measure 1
+    rep = check_positive_dependence(f, 0b11, f, 0b11, c, prod_op("extended"))
+    assert (rep.holds, rep.slack, rep.witness) == (False, -np.inf, (0.0, 0.9, 1.0, np.inf))
+
+
+def _weighted_cases(rng):
+    """(f, g, capacity, A, B): uniform examples on grids, and additive
+    capacities with random functions and subsets."""
+    for n in (7, 64, 200):
+        f, h, P = make_uniform_example("square", "sqrt", n)
+        yield f, h, P, f.space.full_mask, f.space.full_mask
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        c = make_additive(rng.uniform(0.0, 1.0, size=n) / n)
+        f = sample_function(c.space, np.round(rng.uniform(size=n), 1))  # ties
+        g = sample_function(c.space, np.round(rng.uniform(size=n), 1))
+        yield f, g, c, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_posdep_agrees_with_a_matmul(seed):
+    # the joint measures as a matrix product of level-set rows, which
+    # sums in another order: within n * 2^-52 * sum(w) per cell, and the
+    # same verdicts
+    rng = np.random.default_rng(seed)
+    for f, g, c, A, B in _weighted_cases(rng):
+        n, w = c.space.n, c.weights
+        F, G = Values.build([f]), Values.build([g])
+        _, na, RF = _level_rows(F, Subsets.of([A], F.n, n))
+        _, nb, RG = _level_rows(G, Subsets.of([B], F.n, n))
+        joint = CapacityStack([c]).level_meet(RF, na, RG, nb)[0]
+        R = RF[0] >= np.arange(na[0])[:, None]
+        S = RG[0] >= np.arange(nb[0])[:, None]
+        product = R.astype(float) @ (w[:, None] * S.T)
+        assert np.abs(joint - product).max() <= n * 2.0**-52 * w.sum()
+        for tri in (min_op(), prod_op(), lukasiewicz_op()):
+            margin = product - tri.vec((R @ w)[:, None], (S @ w)[None, :])
+            rep = check_positive_dependence(f, A, g, B, c, tri)
+            assert rep.holds == (margin.min() >= -1e-12)
+
+
+def _pinned_batches():
+    """Stacks of uniform-example rows (g = 1 and g = h, n = 64 and 200),
+    additive rows under three operators, and those rows normalized."""
+    luk = lukasiewicz_op()
+    uniform = []
+    for phi, psi, n in [("identity", "identity", 64), ("square", "sqrt", 200)]:
+        f, h, P = make_uniform_example(phi, psi, n)
+        ones = sample_function(f.space, np.ones(n))
+        uniform += [(f, g, P, f.space.full_mask, f.space.full_mask, luk) for g in (ones, h)]
+    c = make_additive([0.1, 0.3, 0.05, 0.25, 0.2, 0.1])
+    f = sample_function(c.space, [0.9, 0.2, 0.5, 0.2, 0.7, 0.4])
+    g = sample_function(c.space, [0.3, 0.8, 0.6, 0.1, 0.3, 0.9])
+    additive = [(f, g, c, 0b111011, 0b101111, t) for t in (min_op(), prod_op(), luk)]
+    derived = [(f, g, normalize(c, 0b011110), A, B, t) for f, g, c, A, B, t in additive]
+    return uniform, additive, derived
+
+
+PINNED_ROWS = [
+    ["(0.0, (0.0, 0.0, 1.0, 1.0))", "(0.0, (0.0, 0.0, 1.0, 1.0))",
+     "(-7.771561172376096e-16, (0.00015625000000000003, 0.0, 0.9900000000000008, "
+     "0.9900000000000015))",
+     "(-8.881784197001252e-16, (5.625e-05, 0.006269654282410442, 0.9850000000000008, "
+     "0.9850000000000017))"],
+    ["(-0.30000000000000004, (0.4, 0.6, 0.1, 0.4))",
+     "(-0.14000000000000004, (0.7, 0.0, 0.1, 0.24000000000000005))",
+     "(-1.6653345369377348e-16, (0.4, 0.0, 0.2, 0.20000000000000018))"],
+    ["(-0.25, (0.4, 0.0, 0.0, 0.25))",
+     "(-0.18750000000000003, (0.4, 0.0, 0.0, 0.18750000000000003))",
+     "(-5.551115123125783e-17, (0.0, 0.3, 0.37499999999999994, 0.375))"],
+]
+
+
+def test_posdep_rows_are_pinned_bit_for_bit():
+    # sums in a fixed order with no BLAS call (and no power at gamma 1): the
+    # same bits whatever the OpenBLAS kernel or numpy's CPU dispatch
+    for batch, want in zip(_pinned_batches(), PINNED_ROWS):
+        fs, gs, cs, As, Bs, tris = zip(*batch)
+        F, G = Values.build(fs), Values.build(gs)
+        A, B = (Subsets.of(masks, F.n, F.v.shape[1]) for masks in (As, Bs))
+        rows = positive_dependence_rows(F, A, G, B, CapacityStack(cs), tris)
+        assert [repr((s, w)) for s, w in zip(rows.slack, rows.witness)] == want

@@ -232,3 +232,28 @@ def test_batched_nondecreasing_matches_per_trial_loop(op, seed):
     # each part keeps its first 20 violations, in draw order
     assert rep.violations == grid_part + random_part[:20]
     assert rep.holds_on_grid == (not rep.violations)
+
+
+def test_condition_reports_count_the_violations_they_do_not_keep():
+    # a decreasing table fails almost everywhere; each report keeps at most
+    # 20 violations per kind but counts them all, as point-by-point loops do
+    g = np.linspace(0.0, 1.0, 33)
+    op = DECREASING
+    rep = check_nondecreasing(op, seed=0)
+    grid = sum(op(a, c) < op(a, b) - 1e-12 for a in g for b, c in zip(g, g[1:]))
+    grid += sum(op(c, a) < op(b, a) - 1e-12 for a in g for b, c in zip(g, g[1:]))
+    assert rep.violation_count == grid + len(_per_trial_random_part(op, 0))
+    assert len(rep.violations) == 60 < rep.violation_count
+
+    rep = check_power_condition(op, [2.0, 3.0], random_trials=0)
+    assert rep.violation_count == sum(op(a**s, b) < op(a, b)**s - 1e-12
+                                      for s in (2.0, 3.0) for a in g for b in g)
+    assert len(rep.violations) == 40 < rep.violation_count
+
+    g = np.linspace(0.0, 1.0, 5)
+    system = OperatorSystem("decreasing_box", circ=min_op(), box=op, star=prod_op(),
+                            lhd=min_op(), tri=min_op())
+    rep = check_chebyshev_condition(system, grid_resolution=5, random_trials=0)
+    assert rep.violation_count == sum(min(op(a, b), min(c, d)) < min(min(a, c), min(b, d)) - 1e-12
+                                      for a in g for b in g for c in g for d in g)
+    assert len(rep.violations) == 20 < rep.violation_count

@@ -89,15 +89,16 @@ def test_meet_equals_the_kind_switched_oracle_bit_for_bit(seed):
     for caps in _meet_families(rng):
         C = CapacityStack(caps)
         k, n = len(caps), C.n
-        nr, ns = rng.integers(1, 6, size=k), rng.integers(1, 5, size=k)
-        points = np.arange(C.N) < n[:, None, None]  # padding holds no point
-        R = (rng.uniform(size=(k, 5, C.N)) < 0.5) & points
-        S = (rng.uniform(size=(k, 4, C.N)) < 0.5) & points
-        S[:, 0] = points[:, 0]
-        got = C.meet(R, nr, S, ns)
+        na, nb = rng.integers(1, 6, size=k), rng.integers(1, 5, size=k)
+        points = np.arange(C.N) < n[:, None]  # padding holds no point
+        RF = np.where(points, rng.integers(-1, na[:, None], size=(k, C.N)), -1)
+        RG = np.where(points, rng.integers(0, nb[:, None], size=(k, C.N)), -1)
+        got = C.level_meet(RF, na, RG, nb)
         for i, c in enumerate(caps):
-            want = oracles.measure_meet(c, R[i, :nr[i], :n[i]], S[i, :ns[i], :n[i]])
-            assert got[i, :nr[i], :ns[i]].tobytes() == want.tobytes(), (seed, i)
+            R = RF[i, :n[i]] >= np.arange(na[i])[:, None]
+            S = RG[i, :n[i]] >= np.arange(nb[i])[:, None]
+            want = oracles.measure_meet(c, R, S)
+            assert got[i, :na[i], :nb[i]].tobytes() == want.tobytes(), (seed, i)
 
 
 def _calls_across_two_spaces():
@@ -163,7 +164,8 @@ def test_stacked_choquet_matches_np_dot_on_padded_rows():
 
 def _row(draw, extended):
     """One row: f (ties, and infinite values when extended), g, a capacity
-    (extended range when extended) and a subset."""
+    of any plain family (weighted with gamma 1, below and above it; extended
+    range when extended) and a subset."""
     n = draw(st.integers(1, 6))
     pool = TIE_VALUES + ([2.0, 7.5, INF] if extended else [])
     vals = draw(st.lists(st.one_of(st.sampled_from(pool),
@@ -175,15 +177,26 @@ def _row(draw, extended):
     if extended and draw(st.booleans()):
         table[-1] = INF  # an infinite measure on the whole space
     w = rng.uniform(0.1, 1.0, size=n)
-    c = draw(st.sampled_from([make_explicit(table), make_additive(scale * w / w.sum()),
+    w *= scale / w.sum()
+    c = draw(st.sampled_from([make_explicit(table), make_additive(w),
+                              make_grid_lebesgue(0.0, scale, n)[1],
+                              make_distorted(w, 0.6), make_distorted(w, 2.5),
                               make_sup_capacity(GroundSpace(n))]))
     space = GroundSpace(n)
     return (sample_function(space, vals), sample_function(space, rng.uniform(size=n)),
             c, draw(st.integers(0, 2**n - 1)))
 
 
-rows = st.composite(lambda draw, extended: [_row(draw, extended)
-                                            for _ in range(draw(st.integers(1, 6)))])
+@st.composite
+def rows(draw, extended):
+    """1 to 6 rows of mixed widths; half the time every row's capacity is
+    normalized over a drawn subset (a stack holds derived rows only with
+    each other)."""
+    batch = [_row(draw, extended) for _ in range(draw(st.integers(1, 6)))]
+    givens = [draw(st.integers(1, 2**c.space.n - 1)) for _, _, c, _ in batch]
+    if draw(st.booleans()) and all(0.0 < c(m) < INF for (_, _, c, _), m in zip(batch, givens)):
+        batch = [(f, g, normalize(c, m), A) for (f, g, c, A), m in zip(batch, givens)]
+    return batch
 
 
 @given(rows(extended=True), st.data())
