@@ -1,14 +1,16 @@
 """Finite ground spaces, monotone measures (capacities), and structural checkers.
 
-Subsets of an n-point space are n-bit integer masks.  A capacity is one
-of four families: weighted (per-point weights, summed and raised to a
-power gamma; gamma = 1 is modular), sup, explicit (all 2^n values in a
-table, capped at n = 20) and derived (a normalized capacity over a base).
-Weighted and sup capacities evaluate any mask on demand.
+A subset of an n-point space is an n-bit integer mask at the public
+boundary (``Capacity.__call__``, function arguments, scenario files).  A
+capacity is one of four families: weighted (per-point weights, summed and
+raised to a power gamma; gamma = 1 is modular), sup, explicit (all 2^n
+values in a table, capped at n = 20) and derived (a normalized capacity
+over a base).  Weighted and sup capacities evaluate any mask on demand.
 
-A ``CapacityStack`` holds k capacities as the rows of one stack (with
-``Subsets``, one subset per row); its chains, measures and level meets are
-the one batched measure path, and a single capacity is a stack of one.
+A ``CapacityStack`` holds k capacities as the rows of one stack, and
+``subset_rows`` one subset per row as a (k, N) boolean membership row;
+the stack's chains, measures and level meets are the one batched measure
+path, row-wise for every family, and a single capacity is a stack of one.
 
 The structural checkers compute the margins of all their pairs at once,
 from the capacity's value table (``Capacity.values``, n <= 20) when they
@@ -307,38 +309,18 @@ def along(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a[np.arange(len(a))[:, None], idx]
 
 
-def _bool_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
-    """(k, N) membership rows of int masks, row i on its first n[i] points."""
-    k = len(masks)
+def subset_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
+    """(k, N) membership rows of int masks, row i on its first n[i] points
+    (bits at or above n[i] are ignored)."""
+    if N >= 63:
+        out = np.zeros((len(masks), N), dtype=bool)
+        for i, (m, ni) in enumerate(zip(masks, n.tolist())):
+            out[i, :ni] = mask_bools(m, ni)
+        return out
+    m = np.array([m & ((1 << ni) - 1) for m, ni in zip(masks, n.tolist())], dtype=np.int64)
     if N <= 8:
-        return _BYTE_BITS[np.array(masks, dtype=np.int64), :N]
-    if N < 63:
-        return (np.array(masks, dtype=np.int64)[:, None] >> np.arange(N)) & 1 == 1
-    out = np.zeros((k, N), dtype=bool)
-    for i, (m, ni) in enumerate(zip(masks, n.tolist())):
-        out[i, :ni] = mask_bools(m, ni)
-    return out
-
-
-@dataclass(frozen=True)
-class Subsets:
-    """One subset per row of a stack: its int mask (bits below the row's
-    point count only) and its membership row, padded to N points."""
-
-    masks: tuple
-    bools: np.ndarray = field(compare=False)
-
-    @classmethod
-    def of(cls, masks: Sequence[int], n: np.ndarray, N: int) -> "Subsets":
-        masks = tuple(m & ((1 << ni) - 1) for m, ni in zip(masks, n.tolist()))
-        return cls(masks, _bool_rows(masks, n, N))
-
-    def __and__(self, other: "Subsets") -> "Subsets":
-        return Subsets(tuple(a & b for a, b in zip(self.masks, other.masks)),
-                       self.bools & other.bools)
-
-    def take(self, rows: np.ndarray) -> "Subsets":
-        return Subsets(tuple(self.masks[i] for i in rows.tolist()), self.bools[rows])
+        return _BYTE_BITS[m, :N]
+    return (m[:, None] >> np.arange(N)) & 1 == 1
 
 
 class CapacityStack:
@@ -359,9 +341,9 @@ class CapacityStack:
         if "derived" in kinds:
             if set(kinds) != {"derived"}:
                 raise DomainError("a stack holds derived capacities only with each other")
-            self._derive(CapacityStack([c.base for c in self.caps], width=self.N),
-                         Subsets.of([c.given for c in self.caps], self.n, self.N),
-                         np.array([c.base(c.given) for c in self.caps]))
+            base = CapacityStack([c.base for c in self.caps], width=self.N)
+            given = subset_rows([c.given for c in self.caps], self.n, self.N)
+            self._derive(base, given, base.measure(given))
             return
         self.explicit = np.array([i for i, k in enumerate(kinds) if k == "explicit"], dtype=int)
         self.weighted = np.array([i for i, c in enumerate(self.caps) if c.weights is not None],
@@ -386,7 +368,7 @@ class CapacityStack:
         self.gammas = [(self.caps[i].gamma, i) for i in self.weighted.tolist()
                        if self.caps[i].gamma != 1.0]
 
-    def _derive(self, base: "CapacityStack", given: Subsets, base_given: np.ndarray):
+    def _derive(self, base: "CapacityStack", given: np.ndarray, base_given: np.ndarray):
         """Make this the stack of m(B) = base(B n given) / base(given)."""
         self.base, self.given, self.base_given = base, given, base_given
 
@@ -400,33 +382,41 @@ class CapacityStack:
             return CapacityStack(caps, width=self.N)
         out = CapacityStack.__new__(CapacityStack)
         out.caps, out.n, out.N, out.unit = caps, self.n[rows], self.N, self.unit[rows]
-        out._derive(self.base.take(rows), self.given.take(rows), self.base_given[rows])
+        out._derive(self.base.take(rows), self.given[rows], self.base_given[rows])
         return out
 
-    def normalize(self, A: Subsets) -> tuple["CapacityStack", np.ndarray]:
+    def normalize(self, A: np.ndarray) -> tuple["CapacityStack", np.ndarray]:
         """The stack of normalized capacities m(B) = mu(A n B) / mu(A) of
         the rows where 0 < mu(A) < inf, and those rows."""
-        muA = self.measure(A.masks)
+        muA = self.measure(A)
         ok = np.flatnonzero((muA != 0.0) & ~np.isinf(muA))
         base = self if len(ok) == len(self) else self.take(ok)
         out = CapacityStack.__new__(CapacityStack)
         out.caps, out.n, out.N, out.unit = [None] * len(ok), base.n, base.N, np.ones(len(ok), bool)
-        out._derive(base, A.take(ok), muA[ok])
+        out._derive(base, A[ok], muA[ok])
         return out, ok
 
-    def measure(self, masks: Sequence[int]) -> np.ndarray:
-        """Measure of one subset per row (masks with no bit at or above the
-        row's point count)."""
+    def measure(self, S: np.ndarray) -> np.ndarray:
+        """Measure of one subset per row, given as (k, N) membership rows
+        with no point at or past the row's point count."""
         if self.base is not None:
-            inside = [m & g for m, g in zip(masks, self.given.masks)]
-            return self.base.measure(inside) / self.base_given
+            return self.base.measure(S & self.given) / self.base_given
         out = np.empty(len(self.caps))
-        for i, (c, m) in enumerate(zip(self.caps, masks)):
-            if c.kind != "explicit":
-                out[i] = c(m)
         e = self.explicit
         if len(e):
-            out[e] = self.tables[e, np.array(masks, dtype=np.int64)[e]]
+            bits = S[e, :MAX_EXPLICIT_N]
+            out[e] = self.tables[e, np.where(bits, 1 << np.arange(bits.shape[1]), 0).sum(1)]
+        w = self.weighted
+        if len(w):
+            # left to right, as Capacity.__call__ adds; -0.0 is the exact
+            # identity of addition
+            sel = S[w]
+            sums = np.cumsum(np.where(sel, self.weights[w], -0.0), axis=1)[:, -1]
+            out[w] = np.where(sel.any(1), sums, 0.0)
+            for g, i in self.gammas:  # Python's pow: numpy's may differ in the last bit
+                out[i] = float(out[i]) ** g
+        if len(self.sup):
+            out[self.sup] = S[self.sup].any(1)
         return out
 
     def chain(self, order: np.ndarray, count) -> np.ndarray:
@@ -437,7 +427,7 @@ class CapacityStack:
         if self.base is not None:
             # a prefix meets the given set in the prefix of its inside points
             live = np.arange(W) < np.asarray(count)[:, None]
-            inside = along(self.given.bools, order) & live
+            inside = along(self.given, order) & live
             first = np.argsort(~inside, axis=1, kind="stable")
             chain = self.base.chain(along(order, first), inside.sum(1))
             pos = np.zeros((k, W + 1), dtype=np.int64)
@@ -475,12 +465,15 @@ class CapacityStack:
         them to gamma, explicit rows read their table at the summed bits 2^x
         (exact), and sup rows count points."""
         if self.base is not None:
-            inside = np.where(self.given.bools, RF, -1)
+            inside = np.where(self.given, RF, -1)
             return self.base.level_meet(inside, na, RG, nb) / self.base_given[:, None, None]
         k, N = RF.shape
         a, b = int(max(na)), int(max(nb))
         w = self.weights.copy()
-        w[self.explicit], w[self.sup] = 2.0 ** np.arange(N), 1.0
+        w[self.sup] = 1.0
+        if len(self.explicit):  # explicit rows hold at most MAX_EXPLICIT_N points
+            bits = min(N, MAX_EXPLICIT_N)
+            w[self.explicit, :bits] = 2.0 ** np.arange(bits)
         r, x = np.nonzero((RF >= 0) & (RG >= 0))
         cells = (r * a + RF[r, x]) * b + RG[r, x]
         out = np.bincount(cells, w[r, x], k * a * b).reshape(k, a, b)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, CapacityStack, Subsets, along, make_grid_lebesgue
+from .capacity import Capacity, CapacityStack, along, make_grid_lebesgue
 from .integrals import SampleFunction, Values, one_row, sample_function
 from .operators import AggOperator, row_groups, rows_vec
 from .xreal import UNIT, DomainError
@@ -66,7 +66,7 @@ def is_comonotone(f: SampleFunction, g: SampleFunction) -> DependenceReport:
     return DependenceReport("comonotone", holds=bool(holds[0]), witness=witnesses[0])
 
 
-def _level_rows(F: Values, A: Subsets):
+def _level_rows(F: Values, A: np.ndarray):
     """Per row, the ascending distinct values of f on A together with 0
     (a +0.0), left-aligned, their count, and each point's rank among
     them, -1 outside A: the level set A n {f >= levels[r]} is the points
@@ -74,7 +74,7 @@ def _level_rows(F: Values, A: Subsets):
     k, N = F.v.shape
     x = np.empty((k, N + 1))
     x[:, 0] = 0.0
-    x[:, 1:] = np.where(A.bools, F.v, np.inf)  # padding sorts last
+    x[:, 1:] = np.where(A, F.v, np.inf)  # padding sorts last
     order = np.argsort(x, axis=1, kind="stable")
     xs = along(x, order)
     # the first of each run of equal sorted values, among the 1 + |A| live ones
@@ -82,13 +82,13 @@ def _level_rows(F: Values, A: Subsets):
     first[:, 1:] = xs[:, 1:] != xs[:, :-1]
     rank = np.empty((k, N + 1), dtype=np.int64)
     rank[np.arange(k)[:, None], order] = np.cumsum(first, axis=1) - 1
-    first &= np.arange(N + 1) < A.bools.sum(1)[:, None] + 1
+    first &= np.arange(N + 1) < A.sum(1)[:, None] + 1
     count = first.sum(1)
     r, j = np.nonzero(first)
     col = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
     levels = np.zeros((k, int(count.max())))
     levels[r, col] = xs[r, j]
-    return levels, count, np.where(A.bools, rank[:, 1:], -1)
+    return levels, count, np.where(A, rank[:, 1:], -1)
 
 
 @dataclass
@@ -98,16 +98,14 @@ class DependenceRows:
 
     slack: list
     witness: list
-    tol: float
 
     @property
     def holds(self) -> list:
-        return [w >= -self.tol for w in self.slack]
+        return [w >= -POSDEP_TOL for w in self.slack]
 
 
-def positive_dependence_rows(F: Values, A: Subsets, G: Values, B: Subsets,
-                             C: CapacityStack, tris: Sequence[AggOperator],
-                             tol: float = POSDEP_TOL) -> DependenceRows:
+def positive_dependence_rows(F: Values, A: np.ndarray, G: Values, B: np.ndarray,
+                             C: CapacityStack, tris: Sequence[AggOperator]) -> DependenceRows:
     """Per row, mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri
     mu({g|_B >= b}) on the distinct-value cross product (plus level 0),
     which is exact, not sampled: both sides are step functions constant
@@ -121,7 +119,7 @@ def positive_dependence_rows(F: Values, A: Subsets, G: Values, B: Subsets,
             for X, (levels, count, rank) in ((F, _level_rows(F, A)), (G, _level_rows(G, B))))
     size = f[1] * g[1]
     if size.sum() <= POSDEP_BLOCK_CELLS:
-        return _positive_dependence_block(f, g, C, tris, tol)
+        return _positive_dependence_block(f, g, C, tris)
     # blocks of rows of similar size, so that little of a block is padding
     order = np.argsort(size, kind="stable")
     block = np.cumsum(size[order]) // POSDEP_BLOCK_CELLS
@@ -129,13 +127,13 @@ def positive_dependence_rows(F: Values, A: Subsets, G: Values, B: Subsets,
     for _, at in row_groups(block.tolist()):
         rows = order[at]
         part = _positive_dependence_block([x[rows] for x in f], [x[rows] for x in g],
-                                          C.take(rows), [tris[i] for i in rows.tolist()], tol)
+                                          C.take(rows), [tris[i] for i in rows.tolist()])
         for i, s, w in zip(rows.tolist(), part.slack, part.witness):
             slack[i], witness[i] = s, w
-    return DependenceRows(slack, witness, tol)
+    return DependenceRows(slack, witness)
 
 
-def _positive_dependence_block(f, g, C, tris, tol) -> DependenceRows:
+def _positive_dependence_block(f, g, C, tris) -> DependenceRows:
     (levels_a, na, RF), (levels_b, nb, RG) = f, g
     m = C.level_meet(RF, na + 1, RG, nb + 1)
     joint = m[:, 1:, 1:]
@@ -158,16 +156,15 @@ def _positive_dependence_block(f, g, C, tris, tol) -> DependenceRows:
     worst = margin[rows, i, j].tolist()
     witness = list(zip(levels_a[rows, i].tolist(), levels_b[rows, j].tolist(),
                        joint[rows, i, j].tolist(), rhs[rows, i, j].tolist()))
-    return DependenceRows(worst, witness, tol)
+    return DependenceRows(worst, witness)
 
 
 def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
-                              B: int, c: Capacity, tri: AggOperator,
-                              tol: float = POSDEP_TOL) -> DependenceReport:
+                              B: int, c: Capacity, tri: AggOperator) -> DependenceReport:
     """Check mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri mu({g|_B >= b})
     exactly (see ``positive_dependence_rows``)."""
     (F, G), (A, B), C = one_row([f, g], c, [A, B])
-    rows = positive_dependence_rows(F, A, G, B, C, [tri], tol)
+    rows = positive_dependence_rows(F, A, G, B, C, [tri])
     holds = rows.holds[0]
     return DependenceReport("positively_dependent", holds=holds,
                             witness=None if holds else rows.witness[0],

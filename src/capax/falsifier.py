@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import CapacityStack, Subsets, make_random_monotone
+from .capacity import CapacityStack, make_random_monotone, subset_rows
 from .integrals import Values, sample_function
 from .operators import builtin_systems, get_op, get_system
 from .scenario import (SchemaError, capacity_from_spec, capacity_to_spec,
@@ -367,14 +367,13 @@ def _record(theorem_id: str) -> Theorem:
     return THEOREMS[canonical_theorem(theorem_id).split(":", 1)[0]]
 
 
-def random_scenario(theorem_id: str, seed: int, trial: int = 0,
-                    config: Optional[dict] = None) -> Scenario:
+def random_scenario(theorem_id: str, seed: int, trial: int = 0) -> Scenario:
     """Deterministic hypothesis-satisfying scenario for a theorem id
     (``carlson_sugeno:<system>`` selects the operator system)."""
     theorem = canonical_theorem(theorem_id)
     name, colon, system = theorem.partition(":")
     rng = _trial_rng(seed, trial)
-    n = int(rng.integers(2, int((config or {}).get("n_max", 8)) + 1))
+    n = int(rng.integers(2, 9))  # 2 to 8 points
     parts = THEOREMS[name].generate(rng, n, system if colon else None)
     return Scenario(theorem, seed, *parts)
 
@@ -386,12 +385,12 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0,
 @dataclass
 class Stack:
     """Decoded scenarios of one theorem, one row each: the functions'
-    values by name, the subsets A and B (A defaults to the whole space, B
-    to A), the capacities and each row's params."""
+    values by name, the subset rows A and B (A defaults to the whole
+    space, B to A), the capacities and each row's params."""
 
     fns: dict
-    A: Optional[Subsets]
-    B: Optional[Subsets]
+    A: Optional[np.ndarray]
+    B: Optional[np.ndarray]
     cap: Optional[CapacityStack]
     params: list
 
@@ -417,8 +416,9 @@ def decode(scenarios: list) -> Stack:
     A = masks.get("A", [space.full_mask for space, _ in spaces])
     n = np.array([space.n for space, _ in spaces])
     N = int(n.max())
-    return Stack(fns, Subsets.of(A, n, N), Subsets.of(masks.get("B", A), n, N),
-                 CapacityStack(caps), params)
+    A_rows = subset_rows(A, n, N)
+    B_rows = subset_rows(masks["B"], n, N) if "B" in masks else A_rows
+    return Stack(fns, A_rows, B_rows, CapacityStack(caps), params)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
@@ -495,15 +495,14 @@ def _chunks(draw: Callable, trials: int, size: Optional[int] = None):
             size = size and 2 * size
 
 
-def audit(theorem_id: str, trials: int, seed: int,
-          config: Optional[dict] = None) -> AuditSummary:
+def audit(theorem_id: str, trials: int, seed: int) -> AuditSummary:
     """Run seeded hypothesis-satisfying scenarios and count violations.
     Trials are drawn one by one and evaluated a chunk at a time."""
     theorem = canonical_theorem(theorem_id)
     hyp_pass = 0
     min_slack = math.inf
     violations: list[Scenario] = []
-    for chunk in _chunks(lambda i: random_scenario(theorem, seed, i, config), trials):
+    for chunk in _chunks(lambda i: random_scenario(theorem, seed, i), trials):
         for scn, rep in zip(chunk, run_stack(chunk)):
             if rep.degenerate is not None or not rep.hypotheses_pass:
                 continue

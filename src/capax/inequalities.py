@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import (NORMALIZE_DEGENERATE, Capacity, CapacityStack, Subsets,
-                       check_subadditive, check_submodular, make_sup_capacity)
+from .capacity import (NORMALIZE_DEGENERATE, Capacity, CapacityStack, check_subadditive,
+                       check_submodular, make_sup_capacity)
 from .dependence import (comonotone_rows, make_uniform_example,
                          positive_dependence_rows)
 from .integrals import (SampleFunction, Values, choquet_rows,
@@ -66,10 +66,10 @@ def _slack(lhs: float, rhs: float) -> float:
     return rhs - lhs
 
 
-def _report(theorem, hypotheses, lhs, rhs, rtol=REL_TOL,
-            degenerate=None, extra=None) -> InequalityReport:
+def _report(theorem, hypotheses, lhs, rhs, degenerate=None,
+            extra=None) -> InequalityReport:
     slack = _slack(lhs, rhs)
-    tol = rtol * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
+    tol = REL_TOL * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
     holds = degenerate is None and slack >= -tol
     return InequalityReport(theorem, hypotheses, lhs, rhs, holds, slack,
                             degenerate=degenerate, extra=extra or {})
@@ -139,7 +139,9 @@ def _comono_hyps(name, F, G) -> list:
 
 def _sub(x, rows, k):
     """Rows ``rows`` of a stacked argument (all of it when they are all k)."""
-    return x if len(rows) == k else x.take(rows)
+    if len(rows) == k:
+        return x
+    return x[rows] if isinstance(x, np.ndarray) else x.take(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ def shilkret_carlson_example_rows(F, A, C) -> list:
         raise DomainError("shilkret example requires f nondecreasing along coordinates")
     k = len(F.n)
     ops = [_PROD[u] for u in C.unit.tolist()]
-    K = [m * x for m, x in zip(C.measure(A.masks).tolist(), _gs(X, A, C, ops))]
+    K = [m * x for m, x in zip(C.measure(A).tolist(), _gs(X, A, C, ops))]
     hyp = _comono_hyps("comonotone[f,x]", F, X)
     out = [_report("shilkret_carlson_example", [hyp[i]], math.nan, math.nan,
                    degenerate="K = mu(A) N(x) = 0") for i in range(k)]
@@ -334,11 +336,9 @@ def lukasiewicz_carlson_example_rows(phi, psi, n, p, q) -> list:
                               lhd=luk, tri=luk, p=pi, q=qi, r=1.0, s=1.0)
                for pi, qi in zip(p, q)]
     F = Values.build([f for f, _, _ in examples])
-    everything = Subsets.of([f.space.full_mask for f, _, _ in examples], F.n, F.v.shape[1])
     ones = F.like(np.ones_like(F.v), [UNIT] * len(examples))
     out = carlson_sugeno_rows(systems, F, ones, Values.build([h for _, h, _ in examples]),
-                              everything, everything,
-                              CapacityStack([P for _, _, P in examples]))
+                              F.valid, F.valid, CapacityStack([P for _, _, P in examples]))
     for rep, args in zip(out, zip(phi, psi, n)):
         rep.theorem = "lukasiewicz_carlson_example"
         rep.extra.update(zip(("phi", "psi", "n"), args))
@@ -409,7 +409,7 @@ def carlson_choquet_comonotone_rows(F, G, H, A, C, p, q, r, s) -> list:
     k = len(F.n)
     fg = _comono_hyps("comonotone[f,g]", F, G)
     fh = _comono_hyps("comonotone[f,h]", F, H)
-    muA = C.measure(A.masks).tolist()
+    muA = C.measure(A).tolist()
     If, Ig, Ih = _ch(F, A, C), _ch(G, A, C), _ch(H, A, C)
     out = [None] * k
     for i in range(k):
@@ -558,10 +558,6 @@ def h_pq(a: float, b: float, g: SampleFunction, h: SampleFunction,
     conjugate to p.  A vanishing bg + ah on positive measure makes the
     inner integral infinite; ab = 0 against an infinite inner integral is
     flagged degenerate."""
-    if p <= 1:
-        raise DomainError("H_pq requires p > 1")
-    if a < 0 or b < 0:
-        raise DomainError("H_pq requires a, b >= 0")
     (G, H), (A,), C = one_row([g, h], c, [A])
     return h_pq_rows([a], [b], G, H, A, C, [p])[0]
 
@@ -598,7 +594,6 @@ def _hpq_rows(theorem, multiplier, hyps, F, G, H, A, C, p):
 def carlson_choquet_submodular_rows(F, G, H, A, C, p) -> list:
     if any(x <= 1 for x in p):
         raise DomainError("requires p > 1")
-    q = [x / (x - 1) for x in p]
     sub = _structural_hyps("submodular", check_submodular, C)
     out, _ = _hpq_rows("carlson_choquet_submodular", [2.0 ** (1 / x) for x in p],
                        [[h] for h in sub], F, G, H, A, C, p)

@@ -9,10 +9,11 @@ values of f on A with their level-set measures and, for an operator that
 does not absorb 0 on the right, the top of the range with the empty set;
 one vectorized operator call evaluates them all.
 
-The evaluators run on stacks: ``Values`` (k sample functions),
-``Subsets`` and a ``CapacityStack``, row i of each belonging to one
-integral, and each row gives what it gives alone, bit for bit.  A single
-integral is a stack of one row.
+The evaluators run on stacks: ``Values`` (k sample functions), (k, N)
+boolean subset rows and a ``CapacityStack``, row i of each belonging to
+one integral, and each row gives what it gives alone, bit for bit.  Both
+integrals read their levels from ``distinct_levels``.  A single integral
+is a stack of one row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, CapacityStack, GroundSpace, Subsets, along
+from .capacity import Capacity, CapacityStack, GroundSpace, along, subset_rows
 from .xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
 from .operators import AggOperator, min_op, prod_op, row_groups, rows_vec
 
@@ -153,15 +154,15 @@ class Values:
 def one_row(fns: Sequence[SampleFunction], c: Optional[Capacity] = None,
             subsets: Sequence[Optional[int]] = ()):
     """The one-row stacks of a single call: the functions' values, the
-    subsets (None is the whole space) and the capacity (None without
-    one)."""
+    subsets' (1, n) rows (None is the whole space) and the capacity (None
+    without one)."""
     n = fns[0].space.n
     if any(f.space.n != n for f in fns) or (c is not None and c.space.n != n):
         raise DomainError("functions and capacity must share a space")
-    values = [Values.build([f]) for f in fns]
     full = fns[0].space.full_mask
-    subs = [Subsets.of([full if m is None else m], values[0].n, n) for m in subsets]
-    return values, subs, None if c is None else CapacityStack([c])
+    masks = [full if m is None else m for m in subsets]
+    subs = subset_rows(masks, np.full(len(masks), n), n)[:, None]
+    return [Values.build([f]) for f in fns], subs, None if c is None else CapacityStack([c])
 
 
 def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]):
@@ -174,31 +175,22 @@ def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]):
                 raise DomainError(f"operator {op.name} needs unit-range function values")
 
 
-def level_sets(F: Values, A: Subsets, C: CapacityStack):
-    """Per row, the values of f on A sorted in descending order (points
-    outside A sort last), the measures of the prefixes ending at each
-    position, and the run ends: the last point of each run of equal
-    values ends the prefix of points with value >= that value, so at a
-    run end the value is a distinct value of f on A and the measure that
-    of its level set mu(A n {f >= v}), entry j + 1 of the prefix chain."""
+def distinct_levels(F: Values, A: np.ndarray, C: CapacityStack):
+    """Per row, the distinct values of f on A in descending order with the
+    measures of their level sets mu(A n {f >= v}), left-aligned in (k, N)
+    arrays, and their count per row.  The values of f on A are sorted in
+    descending order (points outside A last); the last point of each run
+    of equal values ends the prefix of points with value >= that value,
+    so its measure is entry j + 1 of the prefix chain."""
     k, N = F.v.shape
-    x = np.where(A.bools, F.v, -1.0)
+    x = np.where(A, F.v, -1.0)
     order = np.argsort(-x, axis=1, kind="stable")
     sorted_desc = along(x, order)
-    chain = C.chain(order, A.bools.sum(1))
+    chain = C.chain(order, A.sum(1))
     run_end = np.empty((k, N), dtype=bool)
     run_end[:, :-1] = sorted_desc[:, 1:] != sorted_desc[:, :-1]
     run_end[:, -1] = True
     run_end &= sorted_desc >= 0  # the points of A
-    return sorted_desc, chain, run_end
-
-
-def distinct_levels(F: Values, A: Subsets, C: CapacityStack):
-    """Per row, the distinct values of f on A in descending order with the
-    measures of their level sets, left-aligned in (k, N) arrays, and their
-    count per row."""
-    sorted_desc, chain, run_end = level_sets(F, A, C)
-    k, N = run_end.shape
     kd = run_end.sum(1)
     if (kd == N).all():  # every point of every row is its own level
         return sorted_desc, chain[:, 1:], kd
@@ -226,41 +218,41 @@ class IntegralRows:
                               bound=float(self.bound[i]), cap_hit=bool(self.cap_hit[i]))
 
 
-def generalized_sugeno_rows(F: Values, A: Subsets, C: CapacityStack,
+def generalized_sugeno_rows(F: Values, A: np.ndarray, C: CapacityStack,
                             ops: Sequence[AggOperator],
                             cap: float = DEFAULT_CAP) -> IntegralRows:
     """sup over alpha of alpha o mu(A n {f >= alpha}) per row, with row i's
     operator ops[i], evaluated on the candidate levels {0} u {distinct
     values of f on A} plus the tail, all rows in one candidate matrix."""
     _check_compat(F, C, ops)
-    sorted_desc, chain, run_end = level_sets(F, A, C)
-    k, N = sorted_desc.shape
+    distinct, measures, kd = distinct_levels(F, A, C)
+    k, N = distinct.shape
     top = np.where(C.unit, 1.0, cap)
     tail = np.array([not op.zero_absorbing_right for op in ops])
     # the candidates in tie-break order, since the first index of the max
     # wins: level 0 with mu(A), the distinct values descending with their
-    # level-set measures (the run ends), then the tail (alpha above max f,
+    # level-set measures (the first kd), then the tail (alpha above max f,
     # where mu(empty set) = 0) at the top of the range if op does not
     # absorb 0
     alphas = np.empty((k, N + 2))
     alphas[:, 0] = 0.0
-    alphas[:, 1:N + 1] = sorted_desc
+    alphas[:, 1:N + 1] = distinct
     alphas[:, N + 1] = top
     # an infinite value, necessarily the highest, is evaluated at the top
-    capped = run_end.any(1) & np.isinf(sorted_desc[:, 0])
+    capped = (kd > 0) & np.isinf(distinct[:, 0])
     if capped.any():
         inf = np.isinf(alphas)
         alphas[inf] = np.broadcast_to(top[:, None], alphas.shape)[inf]
     level_measures = np.zeros((k, N + 2))
-    level_measures[:, 0] = C.measure(A.masks)
-    level_measures[:, 1:N + 1] = chain[:, 1:]
+    level_measures[:, 0] = C.measure(A)
+    level_measures[:, 1:N + 1] = measures
     unit_dom = np.array([op.domain == UNIT for op in ops])
     x = alphas if not unit_dom.any() else np.where(unit_dom[:, None],
                                                    np.minimum(alphas, 1.0), alphas)
     t = rows_vec(ops, x, level_measures)
     live = np.empty((k, N + 2), dtype=bool)
     live[:, 0] = True
-    live[:, 1:N + 1] = run_end
+    live[:, 1:N + 1] = np.arange(N) < kd[:, None]
     live[:, N + 1] = tail
     i = np.where(live, t, -np.inf).argmax(1)
     rows = np.arange(k)
@@ -290,7 +282,7 @@ def shilkret(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> Integra
     return generalized_sugeno(f, c, A, prod_op(c.range))
 
 
-def choquet_rows(F: Values, A: Subsets, C: CapacityStack):
+def choquet_rows(F: Values, A: np.ndarray, C: CapacityStack):
     """Choquet integral per row, by telescoping over the distinct values
     of f on A: (values, rows whose value is an infinite top level of
     positive measure).  Rows with the same number of levels share one
@@ -337,12 +329,11 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
         raise DomainError("alpha grid needs at least two points")
     if op is None:
         op = min_op(c.range)
-    (F,), (A_rows,), C = one_row([f], c, [A])
+    (F,), (A,), C = one_row([f], c, [A])
     _check_compat(F, C, [op])
-    distinct, measures, kd = distinct_levels(F, A_rows, C)
+    distinct, measures, kd = distinct_levels(F, A, C)
     distinct, measures = distinct[0, :kd[0]], measures[0, :kd[0]]
-    A = A_rows.masks[0]
-    idx = np.flatnonzero(A_rows.bools[0])
+    idx = np.flatnonzero(A[0])
 
     finite_vals = f.values[idx][np.isfinite(f.values[idx])] if len(idx) else np.array([])
     if c.range == UNIT:
@@ -367,7 +358,7 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
         alphas = np.concatenate([alphas, [sup_of(c.range, cap)]])
         meas = np.concatenate([meas, [measures[0]]])
 
-    best, best_level = op(0.0, c(A)), 0.0
+    best, best_level = op(0.0, float(C.measure(A)[0])), 0.0
     vec = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas, meas)
     i = int(np.argmax(vec)) if len(vec) else -1
     if i >= 0 and vec[i] > best:

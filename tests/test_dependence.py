@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from capax import (GroundSpace, check_positive_dependence, is_comonotone,
-                   lukasiewicz_op, make_additive, make_explicit, make_sup_capacity,
-                   make_uniform_example, min_op, normalize, prod_op, sample_function)
-from capax.capacity import CapacityStack, Subsets
+from capax import (GroundSpace, check_positive_dependence, from_formula, is_comonotone,
+                   lukasiewicz_op, make_additive, make_explicit, make_grid_lebesgue,
+                   make_sup_capacity, make_uniform_example, min_op, normalize, prod_op,
+                   sample_function)
+from capax.capacity import CapacityStack, subset_rows
 from capax.dependence import INCREASING_BIJECTIONS, _level_rows, positive_dependence_rows
 from capax.integrals import Values
 from capax.xreal import DomainError
@@ -163,7 +164,7 @@ def _levels(values):
     n = max(len(values), 1)
     f = sample_function(GroundSpace(n), list(values) + [0.5] * (n - len(values)))
     F = Values.build([f])
-    levels, count, rank = _level_rows(F, Subsets.of([(1 << len(values)) - 1], F.n, n))
+    levels, count, rank = _level_rows(F, subset_rows([(1 << len(values)) - 1], F.n, n))
     # each point of the subset sits at its own level, the others at none
     assert rank[0, len(values):].tolist() == [-1] * (n - len(values))
     assert levels[0, rank[0, :len(values)]].tolist() == list(values)
@@ -201,6 +202,15 @@ def test_positive_dependence_cells_infinite_on_both_sides_hold_with_equality(c):
     assert (rep.holds, rep.slack, rep.witness) == (False, -np.inf, (0.0, 0.9, 1.0, np.inf))
 
 
+def test_positive_dependence_on_a_grid_past_1024_cells_raises_no_warning():
+    # the explicit rows' bit weights 2^x overflow at 1024 points, so they
+    # must not be computed for a stack that has no explicit row
+    space, P = make_grid_lebesgue(0.0, 1.0, 1100)
+    f, g = from_formula(space, "x"), from_formula(space, "x^2")
+    rep = check_positive_dependence(f, space.full_mask, g, space.full_mask, P, min_op())
+    assert (rep.holds, rep.slack) == (True, 0.0)
+
+
 def _weighted_cases(rng):
     """(f, g, capacity, A, B): uniform examples on grids, and additive
     capacities with random functions and subsets."""
@@ -224,8 +234,8 @@ def test_weighted_posdep_agrees_with_a_matmul(seed):
     for f, g, c, A, B in _weighted_cases(rng):
         n, w = c.space.n, c.weights
         F, G = Values.build([f]), Values.build([g])
-        _, na, RF = _level_rows(F, Subsets.of([A], F.n, n))
-        _, nb, RG = _level_rows(G, Subsets.of([B], F.n, n))
+        _, na, RF = _level_rows(F, subset_rows([A], F.n, n))
+        _, nb, RG = _level_rows(G, subset_rows([B], F.n, n))
         joint = CapacityStack([c]).level_meet(RF, na, RG, nb)[0]
         R = RF[0] >= np.arange(na[0])[:, None]
         S = RG[0] >= np.arange(nb[0])[:, None]
@@ -275,6 +285,6 @@ def test_posdep_rows_are_pinned_bit_for_bit():
     for batch, want in zip(_pinned_batches(), PINNED_ROWS):
         fs, gs, cs, As, Bs, tris = zip(*batch)
         F, G = Values.build(fs), Values.build(gs)
-        A, B = (Subsets.of(masks, F.n, F.v.shape[1]) for masks in (As, Bs))
+        A, B = (subset_rows(masks, F.n, F.v.shape[1]) for masks in (As, Bs))
         rows = positive_dependence_rows(F, A, G, B, CapacityStack(cs), tris)
         assert [repr((s, w)) for s, w in zip(rows.slack, rows.witness)] == want

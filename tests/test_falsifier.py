@@ -61,12 +61,6 @@ def test_audit_counts_and_min_slack():
     assert s.min_slack >= -1e-9
 
 
-def test_audit_respects_config_n_max():
-    scn = random_scenario("chebyshev_choquet", seed=1, trial=0,
-                          config={"n_max": 3})
-    assert scn.space["n"] <= 3
-
-
 def test_is_violation_tolerances():
     rep = InequalityReport("t", [], 1.0, 1.0 - 1e-12, False, -1e-12)
     assert not is_violation(rep)  # inside relative tolerance

@@ -15,7 +15,7 @@ from capax import (GroundSpace, brute_force_generalized_sugeno, builtin_systems,
                    make_explicit, make_grid_lebesgue, make_random_monotone,
                    make_sup_capacity, min_op, normalize, prod_op, project_first_op,
                    sample_function, shilkret, sugeno)
-from capax.capacity import CapacityStack, Subsets
+from capax.capacity import CapacityStack, subset_rows
 from capax.dependence import (check_positive_dependence, comonotone_rows,
                               is_comonotone, positive_dependence_rows)
 from capax import inequalities as ineq
@@ -37,7 +37,7 @@ def _capacities(rng, n):
 
 def _stack(fns, masks, caps):
     F = Values.build(fns)
-    return F, Subsets.of(masks, F.n, F.v.shape[1]), CapacityStack(caps)
+    return F, subset_rows(masks, F.n, F.v.shape[1]), CapacityStack(caps)
 
 
 def _oracle_cases(seed):
@@ -99,6 +99,38 @@ def test_meet_equals_the_kind_switched_oracle_bit_for_bit(seed):
             S = RG[i, :n[i]] >= np.arange(nb[i])[:, None]
             want = oracles.measure_meet(c, R, S)
             assert got[i, :na[i], :nb[i]].tobytes() == want.tobytes(), (seed, i)
+
+
+def _wide_families(rng):
+    """Stacks at least 63 points wide (the per-row branch of subset_rows):
+    weighted rows with a -0.0 and an infinite weight and gamma 0.6 and
+    2.5, a grid, sup rows, and derived rows over them."""
+    w = rng.uniform(0.1, 1.0, size=70)
+    w[2] = -0.0
+    plain = [make_grid_lebesgue(0.0, 1.0, 70)[1], make_additive(w),
+             make_additive(np.r_[w[:4], INF]), make_distorted(w[:65], 0.6),
+             make_distorted(w[:9], 2.5), make_sup_capacity(GroundSpace(64))]
+    # the given sets leave out the infinite weight (point 4)
+    return plain, [normalize(c, _random_mask(rng) & ~0b10000 | 1) for c in plain]
+
+
+def _random_mask(rng):
+    """128 random bits: the high ones fall outside every stack row."""
+    return int.from_bytes(rng.bytes(16), "little")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_wise_measure_equals_the_scalar_call_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for caps in (*_meet_families(rng), *_wide_families(rng)):
+        C = CapacityStack(caps)
+        full = [(1 << n) - 1 for n in C.n.tolist()]
+        draws = [[_random_mask(rng) for _ in caps] for _ in range(4)]
+        # random, empty, full and the -0.0 weight alone
+        for masks in (*draws, [0] * len(caps), full, [0b100] * len(caps)):
+            got = C.measure(subset_rows(masks, C.n, C.N))
+            want = np.array([c(m) for c, m in zip(caps, masks)])
+            assert got.tobytes() == want.tobytes(), (seed, masks)
 
 
 def _calls_across_two_spaces():
