@@ -452,9 +452,9 @@ class CapacityStack:
     def _distort(self, out: np.ndarray) -> None:
         """Raise the rows of ``out`` with gamma != 1 to their gamma in
         place, one power per distinct exponent, each a Python float."""
+        rows = np.array([i for _, i in self.gammas])
         for g, at in row_groups(g for g, _ in self.gammas):
-            rows = np.array([i for _, i in self.gammas])[at]
-            out[rows] = out[rows] ** g
+            out[rows[at]] = out[rows[at]] ** g
 
     def level_meet(self, RF: np.ndarray, na, RG: np.ndarray, nb) -> np.ndarray:
         """Per row i, entry (r, s) is the measure of {RF >= r} n {RG >= s}

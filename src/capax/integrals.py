@@ -285,26 +285,20 @@ def shilkret(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> Integra
 def choquet_rows(F: Values, A: np.ndarray, C: CapacityStack):
     """Choquet integral per row, by telescoping over the distinct values
     of f on A: (values, rows whose value is an infinite top level of
-    positive measure).  Rows with the same number of levels share one
-    matmul over contiguous ascending rows, which gives each row what
-    ``np.dot`` gives it alone."""
+    positive measure).  Each level's step above the next lower one (the
+    lowest steps up from 0) times its measure, summed left to right in
+    ascending level order; the zero padding adds exact +0.0 terms first,
+    so each row gives what it gives alone."""
     distinct, measures, kd = distinct_levels(F, A, C)
-    k = len(kd)
-    out = np.zeros(k)
+    steps = distinct.copy()
+    steps[:, :-1] -= distinct[:, 1:]
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        terms = steps * measures
     top_inf = (kd > 0) & np.isinf(distinct[:, 0])
     infinite = top_inf & (measures[:, 0] > 0)
+    terms[top_inf & ~infinite, 0] = 0.0  # an infinite level of measure 0 adds 0
+    out = np.cumsum(terms[:, ::-1], axis=1)[:, -1]
     out[infinite] = INF
-    start = top_inf.astype(np.int64)  # an infinite level of measure 0 adds 0
-    levels = np.where(infinite, 0, kd - start)
-    for (L, s), rows in row_groups(zip(levels.tolist(), start.tolist())):
-        if L == 0:
-            continue
-        asc_v = np.ascontiguousarray(distinct[rows, s:s + L][:, ::-1])
-        asc_m = np.ascontiguousarray(measures[rows, s:s + L][:, ::-1])
-        steps = asc_v.copy()
-        steps[:, 1:] -= asc_v[:, :-1]
-        with np.errstate(invalid="ignore"):  # 0 * inf, silent as in np.dot
-            out[rows] = np.matmul(steps[:, None, :], asc_m[:, :, None])[:, 0, 0]
     return out, infinite
 
 

@@ -1,13 +1,14 @@
 """Per-scenario evaluators, kept as oracles for the row-wise kernels.
 
-These are the one-scenario implementations the stacked kernels replaced,
-unchanged in arithmetic: level sets from sorted run ends, the
-generalized Sugeno candidate evaluation, Choquet by ``np.dot`` over
-reversed views, the kind-switched measures of pairwise intersections
-(weighted ones as a plain-Python histogram and suffix sums, in the
-kernel's order), positive dependence on the level cross product and the
-sorted comonotonicity test.  The kernels must give what these give, bit
-for bit.
+These are the one-scenario implementations the stacked kernels replaced:
+level sets from sorted run ends, the generalized Sugeno candidate
+evaluation, Choquet as a plain-Python sum taken left to right over the
+ascending levels (no ``np.dot``, whose bits depend on the BLAS kernel,
+and no ``sum()``, which compensates on Python 3.12), the kind-switched
+measures of pairwise intersections (weighted ones as a plain-Python
+histogram and suffix sums, in the kernel's order), positive dependence on
+the level cross product and the sorted comonotonicity test.  The kernels
+must give what these give, bit for bit.
 """
 
 import math
@@ -144,10 +145,11 @@ def choquet(f, c, A=None):
         distinct, measures = distinct[1:], measures[1:]
         if len(distinct) == 0:
             return IntegralResult(0.0, None, True)
-    asc_v = distinct[::-1]
-    asc_m = measures[::-1]
-    prev = np.concatenate(([0.0], asc_v[:-1]))
-    return IntegralResult(float(np.dot(asc_v - prev, asc_m)), None, True)
+    total, prev = 0.0, 0.0
+    for v, m in zip(distinct[::-1].tolist(), measures[::-1].tolist()):
+        total = total + (v - prev) * m
+        prev = v
+    return IntegralResult(total, None, True)
 
 
 def is_comonotone(f, g):

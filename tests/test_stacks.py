@@ -133,6 +133,33 @@ def test_row_wise_measure_equals_the_scalar_call_bit_for_bit(seed):
             assert got.tobytes() == want.tobytes(), (seed, masks)
 
 
+def test_a_tall_stack_with_a_gamma_per_row_measures_each_row_as_alone():
+    rng = np.random.default_rng(11)
+    k = 300
+    caps = [make_distorted(rng.uniform(0.1, 1.0, size=int(rng.integers(1, 9))), 0.3 + i / 100)
+            for i in range(k)]
+    C = CapacityStack(caps)
+    n, N = C.n.tolist(), C.N
+    order = np.array([np.r_[rng.permutation(m), m:N] for m in n])
+    chain = C.chain(order, n)
+    masks = [int(rng.integers(0, 2**m)) for m in n]
+    measure = C.measure(subset_rows(masks, C.n, N))
+    na, nb = rng.integers(1, 6, size=k), rng.integers(1, 5, size=k)
+    points = np.arange(N) < C.n[:, None]
+    RF = np.where(points, rng.integers(-1, na[:, None], size=(k, N)), -1)
+    RG = np.where(points, rng.integers(0, nb[:, None], size=(k, N)), -1)
+    meet = C.level_meet(RF, na, RG, nb)
+    for i, (c, m) in enumerate(zip(caps, n)):
+        one = CapacityStack([c])
+        assert (chain[i, :m + 1].tobytes()
+                == one.chain(order[i:i + 1, :m], [m])[0].tobytes()), i
+        assert (measure[i:i + 1].tobytes()
+                == one.measure(subset_rows(masks[i:i + 1], C.n[i:i + 1], m)).tobytes()), i
+        alone = one.level_meet(RF[i:i + 1, :m], na[i:i + 1], RG[i:i + 1, :m], nb[i:i + 1])
+        assert (meet[i, :na[i], :nb[i]].tobytes()
+                == alone[0, :na[i], :nb[i]].tobytes()), i
+
+
 def _calls_across_two_spaces():
     """Every public one-row call, with a function on 3 points and the
     capacity (or the other functions) on 4."""
@@ -174,7 +201,7 @@ def test_one_row_calls_reject_functions_and_capacities_on_different_spaces(name)
         _calls_across_two_spaces()[name]()
 
 
-def test_stacked_choquet_matches_np_dot_on_padded_rows():
+def test_stacked_choquet_matches_the_left_to_right_oracle_on_padded_rows():
     rng = np.random.default_rng(16)
     fns, masks, caps = [], [], []
     for _ in range(400):
@@ -186,10 +213,23 @@ def test_stacked_choquet_matches_np_dot_on_padded_rows():
         masks.append(int(rng.integers(0, 2**n)))
         caps.append(make_random_monotone(n, rng) if rng.uniform() < 0.5
                     else make_additive(rng.uniform(0.1, 1.0, size=n)))
+    for _ in range(200):  # an infinite top level in A, of measure 0 half the time
+        n = int(rng.integers(2, 13))
+        vals = rng.uniform(size=n)
+        top = rng.uniform(size=n) < 0.3
+        top[0], top[-1] = True, False
+        vals[top] = INF
+        w = rng.uniform(0.1, 1.0, size=n)
+        if rng.uniform() < 0.5:
+            w[top] = 0.0
+        fns.append(sample_function(GroundSpace(n), vals))
+        masks.append(int(rng.integers(0, 2**n)) | 1)
+        caps.append(make_additive(w))
     values, infinite = choquet_rows(*_stack(fns, masks, caps))
-    assert not infinite.any()
-    for v, f, A, c in zip(values.tolist(), fns, masks, caps):
-        assert repr(v) == repr(oracles.choquet(f, c, A).value)
+    assert 0 < infinite.sum() < 200
+    for v, inf, f, A, c in zip(values.tolist(), infinite.tolist(), fns, masks, caps):
+        one = oracles.choquet(f, c, A)
+        assert (repr(v), inf) == (repr(one.value), one.argmax_level == INF)
 
 
 # --- a k-row stack is its k one-row stacks ---------------------------------
