@@ -10,7 +10,8 @@ over a base).  Weighted and sup capacities evaluate any mask on demand.
 A ``CapacityStack`` holds k capacities as the rows of one stack, and
 ``subset_rows`` one subset per row as a (k, N) boolean membership row;
 the stack's chains, measures and level meets are the one batched measure
-path, row-wise for every family, and a single capacity is a stack of one.
+path: each sums per-point weights over its sets and finishes the sums by
+one rule per family.  A single capacity is a stack of one.
 
 The structural checkers compute the margins of all their pairs at once,
 from the capacity's value table (``Capacity.values``, n <= 20) when they
@@ -175,8 +176,7 @@ class Capacity:
     def chain_measures(self, order: Sequence[int]) -> np.ndarray:
         """Measures of the nested prefixes of ``order``: entry k is
         the measure of {order[0], ..., order[k-1]} (entry 0 is 0)."""
-        order = np.asarray(order, dtype=int)
-        return CapacityStack([self]).chain(order[None, :], [len(order)])[0, :len(order) + 1]
+        return CapacityStack([self]).chain(np.asarray(order, dtype=int)[None, :])[0]
 
     @property
     def total(self) -> float:
@@ -201,7 +201,7 @@ def _infer_range(total: float) -> str:
 
 def make_additive(weights: Sequence[float], space: Optional[GroundSpace] = None) -> Capacity:
     """Additive (modular) capacity from per-point weights."""
-    w = np.asarray(weights, dtype=float)
+    w = np.array(weights, dtype=float)  # a copy: the capacity is immutable
     if w.ndim != 1 or len(w) == 0:
         raise InvalidCapacityError("weights must be a nonempty 1-d sequence")
     if not (w >= 0).all():  # also rejects NaN
@@ -212,6 +212,7 @@ def make_additive(weights: Sequence[float], space: Optional[GroundSpace] = None)
         space = GroundSpace(len(w))
     elif space.n != len(w):
         raise InvalidCapacityError("weight count must match the space")
+    w.setflags(write=False)
     return Capacity(space=space, range=_infer_range(float(w.sum())), kind="additive", weights=w)
 
 
@@ -239,6 +240,7 @@ def make_grid_lebesgue(a: float, b: float, steps: int) -> tuple[GroundSpace, Cap
     h = (b - a) / steps
     coords = a + h * (np.arange(steps) + 0.5)
     widths = np.full(steps, h)
+    widths.setflags(write=False)
     space = GroundSpace(steps, coords=tuple(coords), widths=tuple(widths))
     cap = Capacity(space=space, range=_infer_range(b - a), kind="grid", weights=widths)
     return space, cap
@@ -249,7 +251,7 @@ def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
     """Capacity from a full 2^n value table (monotonicity is checked
     separately via check_monotone, so deliberately broken tables are
     representable)."""
-    t = np.asarray(table, dtype=float)
+    t = np.array(table, dtype=float)  # a copy: the capacity is immutable
     n = int(round(math.log2(len(t))))
     if 2**n != len(t):
         raise InvalidCapacityError("table length must be a power of two")
@@ -269,6 +271,7 @@ def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
         range_tag = UNIT if float(t.max()) <= 1.0 else EXTENDED
     if range_tag == UNIT and float(t.max()) > 1.0:
         raise InvalidCapacityError("unit-range capacity has a value above 1")
+    t.setflags(write=False)
     return Capacity(space=space, range=range_tag, kind="explicit", table=t)
 
 
@@ -325,11 +328,14 @@ def subset_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
 
 class CapacityStack:
     """k capacities, row i on its own n[i] points of a stack N points
-    wide, for the row-wise kernels.  Explicit rows share one (k, 2^N)
-    table array and weighted rows one (k, N) weight array; a derived
-    stack holds the stack of its bases, the conditioning subsets and
-    their base measures.  Every kernel gives each row what the row's own
-    capacity gives alone, bit for bit."""
+    wide, for the row-wise kernels.  Each row has one weight per point
+    in one (k, N) array W: a weighted row's weights, 2^x for an explicit
+    row, 1 for a sup row.  Every kernel sums those weights over its sets
+    and ``_finish`` turns the sums into measures, weighted rows raising
+    theirs to gamma.  Explicit rows share one (k, 2^N) table array.  A
+    derived stack holds the stack of its bases, the conditioning subsets
+    and their base measures.  Every kernel gives each row what the row's
+    own capacity gives alone, bit for bit."""
 
     def __init__(self, caps: Sequence[Capacity], width: Optional[int] = None):
         self.caps = list(caps)
@@ -341,36 +347,36 @@ class CapacityStack:
         if "derived" in kinds:
             if set(kinds) != {"derived"}:
                 raise DomainError("a stack holds derived capacities only with each other")
-            base = CapacityStack([c.base for c in self.caps], width=self.N)
-            given = subset_rows([c.given for c in self.caps], self.n, self.N)
-            self._derive(base, given, base.measure(given))
+            self.base = CapacityStack([c.base for c in self.caps], width=self.N)
+            self.given = subset_rows([c.given for c in self.caps], self.n, self.N)
+            self.base_given = self.base.measure(self.given)
             return
         self.explicit = np.array([i for i, k in enumerate(kinds) if k == "explicit"], dtype=int)
-        self.weighted = np.array([i for i, c in enumerate(self.caps) if c.weights is not None],
-                                 dtype=int)
         self.sup = np.array([i for i, k in enumerate(kinds) if k == "sup"], dtype=int)
-        # a stack of one full-width row uses its capacity's arrays in place
-        one = len(self.caps) == 1 and self.n[0] == self.N
-        if one and len(self.explicit):
+        # point weights: 2^x for an explicit row makes a set's sum its
+        # table index (exact for n <= 20), 1 for a sup row its point count
+        self.W = np.zeros((len(self.caps), self.N))
+        for i, c in enumerate(self.caps):
+            self.W[i, :c.space.n] = (2.0 ** np.arange(c.space.n) if c.kind == "explicit"
+                                     else 1.0 if c.kind == "sup" else c.weights)
+        # a stack of one full-width explicit row reads its capacity's table in place
+        if len(self.caps) == 1 and self.n[0] == self.N and len(self.explicit):
             self.tables = self.caps[0].table[None, :]
         else:
             self.tables = np.zeros((len(self.caps), 2**self.N if len(self.explicit) else 0))
             for i in self.explicit.tolist():
                 t = self.caps[i].table
                 self.tables[i, :len(t)] = t
-        if one and len(self.weighted):
-            self.weights = self.caps[0].weights[None, :]
-        else:
-            self.weights = np.zeros((len(self.caps), self.N))
-            for i in self.weighted.tolist():
-                w = self.caps[i].weights
-                self.weights[i, :len(w)] = w
-        self.gammas = [(self.caps[i].gamma, i) for i in self.weighted.tolist()
-                       if self.caps[i].gamma != 1.0]
+        self.gammas = [(c.gamma, i) for i, c in enumerate(self.caps) if c.gamma != 1.0]
 
-    def _derive(self, base: "CapacityStack", given: np.ndarray, base_given: np.ndarray):
-        """Make this the stack of m(B) = base(B n given) / base(given)."""
-        self.base, self.given, self.base_given = base, given, base_given
+    @staticmethod
+    def _derived(caps: list, base: "CapacityStack", given: np.ndarray,
+                 base_given: np.ndarray) -> "CapacityStack":
+        """The stack of m(B) = base(B n given) / base(given), row by row."""
+        out = CapacityStack.__new__(CapacityStack)
+        out.caps, out.n, out.N, out.unit = caps, base.n, base.N, np.ones(len(caps), bool)
+        out.base, out.given, out.base_given = base, given, base_given
+        return out
 
     def __len__(self) -> int:
         return len(self.caps)
@@ -380,10 +386,7 @@ class CapacityStack:
         caps = [self.caps[i] for i in rows.tolist()]
         if self.base is None:
             return CapacityStack(caps, width=self.N)
-        out = CapacityStack.__new__(CapacityStack)
-        out.caps, out.n, out.N, out.unit = caps, self.n[rows], self.N, self.unit[rows]
-        out._derive(self.base.take(rows), self.given[rows], self.base_given[rows])
-        return out
+        return self._derived(caps, self.base.take(rows), self.given[rows], self.base_given[rows])
 
     def normalize(self, A: np.ndarray) -> tuple["CapacityStack", np.ndarray]:
         """The stack of normalized capacities m(B) = mu(A n B) / mu(A) of
@@ -391,103 +394,77 @@ class CapacityStack:
         muA = self.measure(A)
         ok = np.flatnonzero((muA != 0.0) & ~np.isinf(muA))
         base = self if len(ok) == len(self) else self.take(ok)
-        out = CapacityStack.__new__(CapacityStack)
-        out.caps, out.n, out.N, out.unit = [None] * len(ok), base.n, base.N, np.ones(len(ok), bool)
-        out._derive(base, A[ok], muA[ok])
-        return out, ok
+        return self._derived([None] * len(ok), base, A[ok], muA[ok]), ok
+
+    def _finish(self, sums: np.ndarray) -> np.ndarray:
+        """Measures from per-row sums of point weights (k, ...), in place:
+        explicit rows read their table at the sum, sup rows are 1 where it
+        is positive, weighted rows are their sums (gamma is left to the
+        kernel)."""
+        e = self.explicit
+        if len(e):
+            at = sums[e].astype(np.int64)
+            sums[e] = self.tables[e.reshape((-1,) + (1,) * (at.ndim - 1)), at]
+        if len(self.sup):
+            sums[self.sup] = sums[self.sup] > 0.0
+        return sums
+
+    def _distort(self, out: np.ndarray) -> np.ndarray:
+        """Raise the rows of ``out`` with gamma != 1 to their gamma in
+        place, one power per distinct exponent, each a Python float."""
+        rows = np.array([i for _, i in self.gammas])
+        for g, at in row_groups(g for g, _ in self.gammas):
+            out[rows[at]] = out[rows[at]] ** g
+        return out
 
     def measure(self, S: np.ndarray) -> np.ndarray:
         """Measure of one subset per row, given as (k, N) membership rows
         with no point at or past the row's point count."""
         if self.base is not None:
             return self.base.measure(S & self.given) / self.base_given
-        out = np.empty(len(self.caps))
-        e = self.explicit
-        if len(e):
-            bits = S[e, :MAX_EXPLICIT_N]
-            out[e] = self.tables[e, np.where(bits, 1 << np.arange(bits.shape[1]), 0).sum(1)]
-        w = self.weighted
-        if len(w):
-            # left to right, as Capacity.__call__ adds; -0.0 is the exact
-            # identity of addition
-            sel = S[w]
-            sums = np.cumsum(np.where(sel, self.weights[w], -0.0), axis=1)[:, -1]
-            out[w] = np.where(sel.any(1), sums, 0.0)
-            for g, i in self.gammas:  # Python's pow: numpy's may differ in the last bit
-                out[i] = float(out[i]) ** g
-        if len(self.sup):
-            out[self.sup] = S[self.sup].any(1)
-        return out
+        # left to right, as Capacity.__call__ adds; -0.0 is the exact
+        # identity of addition
+        sums = np.cumsum(np.where(S, self.W, -0.0), axis=1)[:, -1]
+        sums[~S.any(1)] = 0.0
+        for g, i in self.gammas:  # Python's pow: numpy's may differ in the last bit
+            sums[i] = float(sums[i]) ** g
+        return self._finish(sums)
 
-    def chain(self, order: np.ndarray, count) -> np.ndarray:
-        """Measures of the nested prefixes of each row of ``order`` (k, W):
-        entry (i, j) is the measure of {order[i, 0], ..., order[i, j-1]}
-        for j <= count[i] (entry 0 is 0); later entries are unspecified."""
+    def chain(self, order: np.ndarray) -> np.ndarray:
+        """Measures of the nested prefixes of each row of ``order`` (k, W),
+        which holds each point at most once: entry (i, j) is the measure of
+        {order[i, 0], ..., order[i, j-1]} (entry 0 is 0)."""
         k, W = order.shape
         if self.base is not None:
             # a prefix meets the given set in the prefix of its inside points
-            live = np.arange(W) < np.asarray(count)[:, None]
-            inside = along(self.given, order) & live
+            inside = along(self.given, order)
             first = np.argsort(~inside, axis=1, kind="stable")
-            chain = self.base.chain(along(order, first), inside.sum(1))
+            chain = self.base.chain(along(order, first))
             pos = np.zeros((k, W + 1), dtype=np.int64)
             pos[:, 1:] = np.cumsum(inside, axis=1)
             return along(chain, pos) / self.base_given[:, None]
         out = np.zeros((k, W + 1))
-        e = self.explicit
-        if len(e):  # the prefixes' masks are running sums of bits
-            sel = slice(None) if len(e) == k else e
-            live = np.arange(W) < np.asarray(count)[sel, None]
-            bits = np.where(live, 1 << order[sel], 0)
-            out[sel, 1:] = along(self.tables[sel], np.cumsum(bits, axis=1))
-        w = self.weighted
-        if len(w):
-            sel = slice(None) if len(w) == k else w
-            out[sel, 1:] = np.cumsum(along(self.weights[sel], order[sel]), axis=1)
-            self._distort(out[:, 1:])
-        if len(self.sup):
-            out[self.sup, 1:] = 1.0
-        return out
-
-    def _distort(self, out: np.ndarray) -> None:
-        """Raise the rows of ``out`` with gamma != 1 to their gamma in
-        place, one power per distinct exponent, each a Python float."""
-        rows = np.array([i for _, i in self.gammas])
-        for g, at in row_groups(g for g, _ in self.gammas):
-            out[rows[at]] = out[rows[at]] ** g
+        np.cumsum(along(self.W, order), axis=1, out=out[:, 1:])
+        return self._finish(self._distort(out))
 
     def level_meet(self, RF: np.ndarray, na, RG: np.ndarray, nb) -> np.ndarray:
         """Per row i, entry (r, s) is the measure of {RF >= r} n {RG >= s}
         for r < na[i] and s < nb[i] (other entries unspecified), RF and RG
         being (k, N) rows of level ranks, -1 for none.  Each point's weight
         goes into the cell of its two ranks, points in index order, and
-        suffix sums along g and then f measure the sets: weighted rows raise
-        them to gamma, explicit rows read their table at the summed bits 2^x
-        (exact), and sup rows count points."""
+        suffix sums along g and then f sum the weights of the sets."""
         if self.base is not None:
             inside = np.where(self.given, RF, -1)
             return self.base.level_meet(inside, na, RG, nb) / self.base_given[:, None, None]
-        k, N = RF.shape
+        k = len(RF)
         a, b = int(max(na)), int(max(nb))
-        w = self.weights.copy()
-        w[self.sup] = 1.0
-        if len(self.explicit):  # explicit rows hold at most MAX_EXPLICIT_N points
-            bits = min(N, MAX_EXPLICIT_N)
-            w[self.explicit, :bits] = 2.0 ** np.arange(bits)
         r, x = np.nonzero((RF >= 0) & (RG >= 0))
         cells = (r * a + RF[r, x]) * b + RG[r, x]
-        out = np.bincount(cells, w[r, x], k * a * b).reshape(k, a, b)
+        out = np.bincount(cells, self.W[r, x], k * a * b).reshape(k, a, b)
         rev = out[:, ::-1, ::-1]  # suffix sums in place, as prefix sums of this view
         np.cumsum(rev, axis=2, out=rev)
         np.cumsum(rev, axis=1, out=rev)
-        self._distort(out)
-        e = self.explicit
-        if len(e):
-            masks = out[e].astype(np.int64).reshape(len(e), -1)
-            out[e] = self.tables[e[:, None], masks].reshape(len(e), a, b)
-        if len(self.sup):
-            out[self.sup] = out[self.sup] > 0.0
-        return out
+        return self._finish(self._distort(out))
 
 
 @dataclass

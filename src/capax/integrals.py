@@ -39,7 +39,7 @@ class SampleFunction:
     range: str = EXTENDED
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: instances are immutable
         if len(v) != self.space.n:
             raise DomainError("value count must match the space")
         if not v.min() >= 0:  # NaN fails this comparison too
@@ -186,7 +186,7 @@ def distinct_levels(F: Values, A: np.ndarray, C: CapacityStack):
     x = np.where(A, F.v, -1.0)
     order = np.argsort(-x, axis=1, kind="stable")
     sorted_desc = along(x, order)
-    chain = C.chain(order, A.sum(1))
+    chain = C.chain(order)
     run_end = np.empty((k, N), dtype=bool)
     run_end[:, :-1] = sorted_desc[:, 1:] != sorted_desc[:, :-1]
     run_end[:, -1] = True
@@ -286,17 +286,17 @@ def choquet_rows(F: Values, A: np.ndarray, C: CapacityStack):
     """Choquet integral per row, by telescoping over the distinct values
     of f on A: (values, rows whose value is an infinite top level of
     positive measure).  Each level's step above the next lower one (the
-    lowest steps up from 0) times its measure, summed left to right in
-    ascending level order; the zero padding adds exact +0.0 terms first,
-    so each row gives what it gives alone."""
+    lowest steps up from 0) times its measure, +0.0 where either is 0 (so
+    0 * inf = 0), summed left to right in ascending level order; the zero
+    padding adds exact +0.0 terms first, so each row gives what it gives
+    alone."""
     distinct, measures, kd = distinct_levels(F, A, C)
     steps = distinct.copy()
     steps[:, :-1] -= distinct[:, 1:]
     with np.errstate(invalid="ignore"):  # 0 * inf
         terms = steps * measures
-    top_inf = (kd > 0) & np.isinf(distinct[:, 0])
-    infinite = top_inf & (measures[:, 0] > 0)
-    terms[top_inf & ~infinite, 0] = 0.0  # an infinite level of measure 0 adds 0
+    terms[(steps == 0.0) | (measures == 0.0)] = 0.0  # 0 * inf = 0: no weight
+    infinite = (kd > 0) & np.isinf(distinct[:, 0]) & (measures[:, 0] > 0)
     out = np.cumsum(terms[:, ::-1], axis=1)[:, -1]
     out[infinite] = INF
     return out, infinite

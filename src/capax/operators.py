@@ -119,6 +119,8 @@ def table_op(values: Sequence[Sequence[float]], name: str = "custom") -> AggOper
     t = np.asarray(values, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
         raise ValueError("table must be square with at least 2 nodes per axis")
+    if not ((t >= 0) & (t <= 1)).all():  # also rejects NaN
+        raise ValueError("table entries must be numbers in [0, 1]")
     return AggOperator(name, UNIT, _TableLookup(len(t), t.tobytes()),
                        zero_absorbing_right=bool((t[:, 0] == 0).all()),
                        left_continuous=False)

@@ -139,15 +139,12 @@ def choquet(f, c, A=None):
     distinct, measures, idx = level_sets(f, c, A)
     if len(distinct) == 0:
         return IntegralResult(0.0, None, True)
-    if math.isinf(distinct[0]):
-        if measures[0] > 0:
-            return IntegralResult(INF, INF, True)
-        distinct, measures = distinct[1:], measures[1:]
-        if len(distinct) == 0:
-            return IntegralResult(0.0, None, True)
+    if math.isinf(distinct[0]) and measures[0] > 0:
+        return IntegralResult(INF, INF, True)
     total, prev = 0.0, 0.0
     for v, m in zip(distinct[::-1].tolist(), measures[::-1].tolist()):
-        total = total + (v - prev) * m
+        # 0 * inf = 0: a zero step or a zero measure adds nothing
+        total = total + (0.0 if v == prev or m == 0 else (v - prev) * m)
         prev = v
     return IntegralResult(total, None, True)
 

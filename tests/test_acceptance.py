@@ -78,10 +78,11 @@ AUDIT_SUMMARIES_2024 = {
     "chebyshev_choquet": (1000, 1000, 0, "-1.1102230246251565e-16"),
 }
 
-# carlson_choquet_submodular's min_slack comes from a distorted capacity's
-# ``cumsum ** gamma``, whose last bit depends on the CPU target of numpy's
-# SIMD pow.  The probe ``np.full(8, POW_PROBE) ** 0.3`` tells the targets
-# apart; each known result maps to the min_slack pinned for it.
+# carlson_choquet_submodular's min_slack comes from the power
+# ``(b g + a h) ** (1 - q)`` in ``inequalities.h_pq_rows``, whose last bit
+# depends on the CPU target of numpy's SIMD pow.  The probe
+# ``np.full(8, POW_PROBE) ** 0.3`` tells the targets apart; each known
+# result maps to the min_slack pinned for it.
 POW_PROBE = 3.1310526786688793
 SUBMODULAR_MIN_SLACK = {
     "1.4083386962499491": AUDIT_SUMMARIES_2024["carlson_choquet_submodular"][3],  # AVX-512

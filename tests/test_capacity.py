@@ -123,6 +123,23 @@ def test_constructors_reject_nan():
         GroundSpace(2, coords=(0.1, 0.2), widths=(0.5, nan))
 
 
+def test_constructors_copy_their_arrays_and_hand_out_read_only_ones():
+    t = np.array([0.0, 0.3, 0.5, 1.0])
+    c = make_explicit(t)
+    t[0] = 0.7
+    assert c(0) == 0.0
+    assert check_monotone(c).holds
+    assert not c.values().flags.writeable
+    for make in (make_additive, lambda w: make_distorted(w, 0.5)):
+        w = np.array([0.5, 0.5])
+        d = make(w)
+        w[:] = -1.0
+        assert d(0b11) == 1.0
+        assert not d.weights.flags.writeable
+    _, grid = make_grid_lebesgue(0.0, 1.0, 4)
+    assert not grid.weights.flags.writeable
+
+
 def test_ground_space_coordinate_checks():
     GroundSpace(3, coords=(0.0, 0.5, 2.0), widths=(1.0, 1.0, 1.0))
     for coords, widths in [((-0.1, 0.5), (1.0, 1.0)), ((0.5, 0.5), (1.0, 1.0)),

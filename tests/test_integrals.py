@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 from capax import (DomainError, GroundSpace, INF, brute_force_generalized_sugeno,
                    choquet, dombi_op, from_formula, generalized_sugeno,
-                   lukasiewicz_op, make_additive, make_grid_lebesgue,
+                   lukasiewicz_op, make_additive, make_explicit, make_grid_lebesgue,
                    make_random_monotone, make_sup_capacity, min_op, pointwise,
                    power, prod_op, project_first_op, sample_function, shilkret,
                    sugeno, table_op)
 from capax.capacity import mask_bools
 from capax.integrals import distinct_levels, one_row
-from oracles import level_sets as oracle_level_sets
+from oracles import choquet as oracle_choquet, level_sets as oracle_level_sets
 from capax.xreal import DEFAULT_CAP
 
 
@@ -63,6 +63,23 @@ def test_choquet_infinite_value_on_positive_mass():
     c = make_additive([0.5, 0.5])
     f = sample_function(c.space, [1.0, INF])
     assert choquet(f, c).value == INF
+
+
+@pytest.mark.parametrize("c", [make_explicit([0.0, 1.0, 1.0, INF]), make_additive([INF, 1.0])],
+                         ids=["explicit", "additive"])
+def test_choquet_zero_step_on_infinite_measure_adds_nothing(c):
+    # the level 0 has an infinite level set and a zero step: 0 * inf = 0
+    f = sample_function(GroundSpace(2), [0.0, 0.5])
+    assert choquet(f, c).value == 0.5
+    assert oracle_choquet(f, c).value == 0.5
+
+
+def test_sample_function_copies_its_values():
+    a = np.array([0.25, 0.5])
+    f = sample_function(GroundSpace(2), a)
+    assert a.flags.writeable
+    a[0] = 0.75
+    assert f[0] == 0.25 and not f.values.flags.writeable
 
 
 def test_sup_capacity_integrals_are_suprema():

@@ -60,6 +60,14 @@ def test_table_op_lookup_and_flags():
     assert not op.left_continuous
 
 
+@pytest.mark.parametrize("table", [[[0.0, 0.0], [0.0, float("nan")]],
+                                   [[0.0, -5.0], [0.0, 3.0]],
+                                   [[0.0, 0.0], [0.0, 1.5]]])
+def test_table_op_rejects_nan_and_entries_outside_the_unit_interval(table):
+    with pytest.raises(ValueError):
+        table_op(table)
+
+
 def test_system_requires_shared_domain_and_valid_exponents():
     mn = min_op("unit")
     with pytest.raises(DomainError):

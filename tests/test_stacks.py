@@ -141,7 +141,7 @@ def test_a_tall_stack_with_a_gamma_per_row_measures_each_row_as_alone():
     C = CapacityStack(caps)
     n, N = C.n.tolist(), C.N
     order = np.array([np.r_[rng.permutation(m), m:N] for m in n])
-    chain = C.chain(order, n)
+    chain = C.chain(order)
     masks = [int(rng.integers(0, 2**m)) for m in n]
     measure = C.measure(subset_rows(masks, C.n, N))
     na, nb = rng.integers(1, 6, size=k), rng.integers(1, 5, size=k)
@@ -152,7 +152,7 @@ def test_a_tall_stack_with_a_gamma_per_row_measures_each_row_as_alone():
     for i, (c, m) in enumerate(zip(caps, n)):
         one = CapacityStack([c])
         assert (chain[i, :m + 1].tobytes()
-                == one.chain(order[i:i + 1, :m], [m])[0].tobytes()), i
+                == one.chain(order[i:i + 1, :m])[0].tobytes()), i
         assert (measure[i:i + 1].tobytes()
                 == one.measure(subset_rows(masks[i:i + 1], C.n[i:i + 1], m)).tobytes()), i
         alone = one.level_meet(RF[i:i + 1, :m], na[i:i + 1], RG[i:i + 1, :m], nb[i:i + 1])
