@@ -13,12 +13,14 @@ the stack's chains, measures and level meets are the one batched measure
 path: each sums per-point weights over its sets and finishes the sums by
 one rule per family.  A single capacity is a stack of one.
 
-The structural checkers compute the margins of all their pairs at once,
-from the capacity's value table (``Capacity.values``, n <= 20) when they
-read at least as many masks as it holds, else measuring the masks one by
-one.  Sampled mode draws all its pairs in one batch from the same random
-stream the per-pair draws used, so a seed gives the same pairs, slack and
-witness.
+The structural checkers read the capacity's value table
+(``Capacity.values``, n <= 20) when they read at least as many masks as it
+holds, else measure the masks one by one.  Exhaustive checks read the
+table in bounded blocks: monotonicity from two bit views of it per bit,
+the pairwise properties on the upper band b >= a of the pair grid.
+Sampled mode computes the margins of all its pairs at once, drawn in one
+batch from the same random stream the per-pair draws used, so a seed
+gives the same pairs, slack and witness.
 """
 
 from __future__ import annotations
@@ -252,6 +254,13 @@ def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
     separately via check_monotone, so deliberately broken tables are
     representable)."""
     t = np.array(table, dtype=float)  # a copy: the capacity is immutable
+    return _explicit(t, space, range_tag)
+
+
+def _explicit(t: np.ndarray, space: Optional[GroundSpace],
+              range_tag: Optional[str]) -> Capacity:
+    """``make_explicit`` of a float table that no one else holds: the
+    capacity keeps t itself, made read-only."""
     n = int(round(math.log2(len(t))))
     if 2**n != len(t):
         raise InvalidCapacityError("table length must be a power of two")
@@ -286,7 +295,7 @@ def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
         v = t.reshape(-1, 2, 1 << i)
         np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     t /= t[-1]
-    return make_explicit(t)
+    return _explicit(t, None, None)
 
 
 NORMALIZE_DEGENERATE = "normalize needs 0 < mu(A) < inf"
@@ -480,33 +489,84 @@ class PropertyReport:
     seed: Optional[int] = None
 
 
-def _worst_pair(prop: str, value, a: np.ndarray, b: np.ndarray):
-    """Smallest margin over the pairs of the broadcast arrays a and b
-    (negative = violation; the first in C order among equals) and, if it
-    is a violation, its pair.  ``value`` maps an array of masks to their
-    measures; monotone pairs have b = a | one extra point.  An inf - inf
-    margin is no evidence either way and is skipped."""
+def _margins(prop: str, value, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Margins of the pairs of the broadcast mask arrays a and b (negative
+    = violation), a fresh array.  ``value`` maps an array of masks to their
+    measures; monotone pairs have b = a | one extra point."""
     with np.errstate(invalid="ignore"):
-        va, vb = value(a), value(b)
         if prop == "monotone":
-            margins = vb - va
-        elif prop == "subadditive":
-            margins = va + vb - value(a | b)
-        else:
-            margins = va + vb - value(a & b) - value(a | b)
-            if prop == "modular":
-                margins = MODULAR_TOL - np.abs(margins)
-    if margins.size == 0:
-        return math.inf, None
-    j = int(np.argmin(margins))
-    if np.isnan(margins.flat[j]):  # argmin stops at the first NaN
-        margins[np.isnan(margins)] = math.inf
+            return value(b) - value(a)
+        m = value(a) + value(b)
+        if prop != "subadditive":
+            m -= value(a & b)
+        m -= value(a | b)
+        if prop == "modular":
+            np.subtract(MODULAR_TOL, np.abs(m, out=m), out=m)
+    return m
+
+
+def _worst(blocks) -> tuple[float, Optional[tuple[int, int]]]:
+    """The smallest margin over ``blocks`` of (margins, pair) and, if it is
+    a violation, its pair of masks ``pair(j)``, j being the margin's flat
+    index in its block.  The first minimum in C order wins: argmin's within
+    a block, a strict < across blocks, which come in C order.  An inf - inf
+    margin (NaN) is no evidence either way and is skipped."""
+    slack, worst = math.inf, None
+    for margins, pair in blocks:
+        if margins.size == 0:
+            continue
         j = int(np.argmin(margins))
-    slack = float(margins.flat[j])
+        if np.isnan(margins.flat[j]):  # argmin stops at the first NaN
+            margins[np.isnan(margins)] = math.inf
+            j = int(np.argmin(margins))
+        m = float(margins.flat[j])
+        if m < slack:
+            slack, worst = m, (pair, j)
     if slack >= -MODULAR_TOL:
         return slack, None
-    a, b = np.broadcast_arrays(a, b)
-    return slack, (int(a.flat[j]), int(b.flat[j]))
+    pair, j = worst
+    return slack, pair(j)
+
+
+def _worst_pair(prop: str, value, a: np.ndarray, b: np.ndarray):
+    """``_worst`` over the pairs of the equal-length mask arrays a and b."""
+    return _worst([(_margins(prop, value, a, b), lambda j: (int(a[j]), int(b[j])))])
+
+
+#: pairs per block of an exhaustive pairwise check, which bounds its
+#: temporaries to a few arrays of this many entries (2^13 to 2^14 measured
+#: fastest at n = 8 and 9, 2^16 two to three times slower)
+_BLOCK_PAIRS = 2**14
+
+
+def _exhaustive_blocks(prop: str, v: np.ndarray):
+    """Every pair's margins from the value table v, in blocks of C order,
+    each with its ``pair`` function (see ``_worst``).  Monotone pairs go bit
+    by bit: the two halves of ``v.reshape(-1, 2, 1 << i)`` hold the sets
+    without bit i and with it, in ascending order.  The other margins are
+    symmetric bit for bit (IEEE addition commutes), so rows a0.. read only
+    the columns b >= a0: a skipped pair (a, b), b < a0, mirrors the pair
+    (b, a) of an earlier block, which comes first in C order."""
+    N = len(v)
+    if prop == "monotone":
+        for i in range(N.bit_length() - 1):
+            half = v.reshape(-1, 2, 1 << i)
+            with np.errstate(invalid="ignore"):
+                margins = half[:, 1] - half[:, 0]
+
+            def pair(j, i=i):
+                a = (j >> i << i + 1) | (j & ((1 << i) - 1))
+                return a, a | 1 << i
+            yield margins, pair
+        return
+    masks = np.arange(N)
+    a0 = 0
+    while a0 < N:
+        w = N - a0
+        rows = max(1, _BLOCK_PAIRS // w)
+        margins = _margins(prop, v.__getitem__, masks[a0:a0 + rows, None], masks[a0:])
+        yield margins, lambda j, a0=a0, w=w: (a0 + j // w, a0 + j % w)
+        a0 += rows
 
 
 def _random_mask(rng: np.random.Generator, n: int) -> int:
@@ -541,8 +601,13 @@ def _sampled_pairs(prop: str, n: int, rng: np.random.Generator, trials: int):
     return ab[:, 0], ab[:, 1]
 
 
+_MODES = ("auto", "exhaustive", "sampled", "structural")
+
+
 def _check_property(prop: str, c: Capacity, mode: str, seed: int,
                     trials: int) -> PropertyReport:
+    if mode not in _MODES:
+        raise DomainError(f"unknown check mode {mode!r}: expected one of {', '.join(_MODES)}")
     n = c.space.n
     if prop == "monotone":
         pair_count = n * 2 ** (n - 1)
@@ -563,32 +628,24 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
             raise DomainError(f"{prop} is not known structurally for kind {c.kind!r}")
         return PropertyReport(prop, known, "structural", slack=0.0)
 
-    if mode == "exhaustive" and pair_count > EXHAUSTIVE_PAIR_LIMIT:
-        raise DomainError("pair count too large for exhaustive checking")
+    if mode == "exhaustive":
+        if pair_count > EXHAUSTIVE_PAIR_LIMIT:
+            raise DomainError("pair count too large for exhaustive checking")
+        slack, witness = _worst(_exhaustive_blocks(prop, c.values()))
+        return PropertyReport(prop, witness is None, "exhaustive",
+                              slack=slack, witness=witness)
+
+    if trials < 1:
+        raise DomainError("a sampled check needs at least one trial")
     # the value table costs 2^n measures: sampled trials that read fewer
     # masks (2 per monotone trial, 4 otherwise) measure them one by one,
     # which gives the same numbers bit for bit
     reads = trials * (2 if prop == "monotone" else 4)
-    if n <= MAX_EXPLICIT_N and (mode == "exhaustive" or c.kind == "explicit"
-                                or 2**n <= reads):
+    if n <= MAX_EXPLICIT_N and (c.kind == "explicit" or 2**n <= reads):
         value = c.values().__getitem__
     else:
         def value(masks):
             return np.array([c(m) for m in masks.tolist()], dtype=float)
-
-    if mode == "exhaustive":
-        masks = np.arange(2**n)
-        if prop == "monotone":  # bit by bit, the sets without the bit
-            slack, witness = math.inf, None
-            for i in range(n):
-                a = masks[(masks >> i) & 1 == 0]
-                m, w = _worst_pair(prop, value, a, a | (1 << i))
-                if m < slack:
-                    slack, witness = m, w
-        else:
-            slack, witness = _worst_pair(prop, value, masks[:, None], masks[None, :])
-        return PropertyReport(prop, witness is None, "exhaustive",
-                              slack=slack, witness=witness)
 
     a, b = _sampled_pairs(prop, n, np.random.default_rng(seed), trials)
     slack, witness = _worst_pair(prop, value, a, b)

@@ -7,8 +7,10 @@ ascending levels (no ``np.dot``, whose bits depend on the BLAS kernel,
 and no ``sum()``, which compensates on Python 3.12), the kind-switched
 measures of pairwise intersections (weighted ones as a plain-Python
 histogram and suffix sums, in the kernel's order), positive dependence on
-the level cross product and the sorted comonotonicity test.  The kernels
-must give what these give, bit for bit.
+the level cross product, the sorted comonotonicity test, and the
+exhaustive structural checks in one pass (every pair of the 4^n grid at
+once, and monotonicity as a gather of the sets without each bit).  The
+kernels must give what these give, bit for bit.
 """
 
 import math
@@ -187,3 +189,47 @@ def check_positive_dependence(f, A, g, B, c, tri, tol=1e-12):
                                   float(joint_w[i, j]), float(rhs[i, j]))
     return DependenceReport("positively_dependent", holds=holds,
                             witness=witness, op=tri.name, slack=worst)
+
+
+def _worst_pair(prop, value, a, b):
+    """Smallest margin over the pairs of the broadcast arrays a and b
+    (the first in C order among equals, NaN skipped) and, if it is below
+    -1e-12, its pair."""
+    with np.errstate(invalid="ignore"):
+        va, vb = value(a), value(b)
+        if prop == "monotone":
+            margins = vb - va
+        elif prop == "subadditive":
+            margins = va + vb - value(a | b)
+        else:
+            margins = va + vb - value(a & b) - value(a | b)
+            if prop == "modular":
+                margins = 1e-12 - np.abs(margins)
+    if margins.size == 0:
+        return math.inf, None
+    j = int(np.argmin(margins))
+    if np.isnan(margins.flat[j]):  # argmin stops at the first NaN
+        margins[np.isnan(margins)] = math.inf
+        j = int(np.argmin(margins))
+    slack = float(margins.flat[j])
+    if slack >= -1e-12:
+        return slack, None
+    a, b = np.broadcast_arrays(a, b)
+    return slack, (int(a.flat[j]), int(b.flat[j]))
+
+
+def check_property(prop, c):
+    """(holds, slack, witness) of the exhaustive check of ``prop``: every
+    (set, set with bit i) pair bit by bit, or all 4^n pairs at once."""
+    value = c.values().__getitem__
+    masks = np.arange(2**c.space.n)
+    if prop == "monotone":
+        slack, witness = math.inf, None
+        for i in range(c.space.n):
+            a = masks[(masks >> i) & 1 == 0]
+            m, w = _worst_pair(prop, value, a, a | (1 << i))
+            if m < slack:
+                slack, witness = m, w
+    else:
+        slack, witness = _worst_pair(prop, value, masks[:, None], masks[None, :])
+    return witness is None, slack, witness

@@ -1,6 +1,7 @@
 """Capacity builders, bitmask helpers and structural property checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from capax import (GroundSpace, InvalidCapacityError, check_modular,
                    indices_mask, make_additive, make_distorted, make_explicit,
                    make_grid_lebesgue, make_random_monotone, make_sup_capacity,
                    mask_indices, normalize)
+import oracles
+from capax import capacity
 from capax.capacity import CapacityStack, mask_bools
 from capax.xreal import DegenerateInputError, DomainError
 
@@ -253,6 +256,9 @@ def test_derived_chain_measures_match_per_prefix_calls(kind):
 
 # --- structural property checks -------------------------------------------
 
+CHECKS = {"monotone": check_monotone, "submodular": check_submodular,
+          "subadditive": check_subadditive, "modular": check_modular}
+
 
 def test_additive_is_modular_submodular_subadditive():
     c = make_additive([0.3, 0.2, 0.5])
@@ -457,14 +463,95 @@ def _oracle_capacities():
 @pytest.mark.parametrize("prop", ["monotone", "submodular", "subadditive", "modular"])
 def test_vectorized_checks_match_scalar_loop(kind, prop):
     c = _oracle_capacities()[kind]
-    check = {"monotone": check_monotone, "submodular": check_submodular,
-             "subadditive": check_subadditive, "modular": check_modular}[prop]
+    check = CHECKS[prop]
     rep = check(c, mode="exhaustive")
     assert (rep.holds, repr(rep.slack), rep.witness) == _scalar_check(prop, c, "exhaustive")
-    for seed, trials in ((0, 0), (3, 1), (4, 3000)):
+    for seed, trials in ((3, 1), (4, 3000)):
         rep = check(c, mode="sampled", seed=seed, trials=trials)
         assert (rep.holds, repr(rep.slack), rep.witness) == _scalar_check(
             prop, c, "sampled", seed, trials)
+
+
+def _exhaustive_families(n):
+    """Capacities of every kind on n points: monotone and not, with inf
+    entries (inf - inf margins), with many tied margins, weighted, sup and
+    derived."""
+    rng = np.random.default_rng([13, n])
+    random = make_random_monotone(n, rng)
+    broken = rng.uniform(size=2**n)
+    broken[0] = 0.0
+    with_inf = broken.copy()
+    with_inf[rng.integers(1, 2**n, size=max(1, 2**n // 5))] = INF
+    ties = np.round(random.table * 4) / 4  # margins on a grid of 1/4
+    ties[-1] = 1.0
+    w = rng.uniform(0.1, 1.0, size=n)
+    return {
+        "random": random,
+        "broken": make_explicit(broken),
+        "with_inf": make_explicit(with_inf),
+        "ties": make_explicit(ties),
+        "additive": make_additive(w),
+        "distorted_convex": make_distorted(w, gamma=2.5),
+        "distorted_concave": make_distorted(w, gamma=0.6),
+        "sup": make_sup_capacity(GroundSpace(n)),
+        "derived": normalize(random, int(rng.integers(1, 2**n))),
+    }
+
+
+@pytest.mark.parametrize("block_pairs", [capacity._BLOCK_PAIRS, 37])
+@pytest.mark.parametrize("prop", list(CHECKS))
+def test_exhaustive_checks_match_the_one_pass_oracle(prop, block_pairs, monkeypatch):
+    # n >= 8 spans several blocks at the default size; 37 pairs a block
+    # puts most rows in a block of their own
+    monkeypatch.setattr(capacity, "_BLOCK_PAIRS", block_pairs)
+    for n in range(1, 13 if prop == "monotone" else 10):
+        for kind, c in _exhaustive_families(n).items():
+            rep = CHECKS[prop](c, mode="exhaustive")
+            holds, slack, witness = oracles.check_property(prop, c)
+            assert (rep.holds, repr(rep.slack), rep.witness) == (
+                holds, repr(slack), witness), (n, kind)
+
+
+@pytest.mark.parametrize("prop", ["submodular", "subadditive", "modular"])
+def test_exhaustive_pairwise_check_memory_is_bounded(prop):
+    # the 4^9 pairs of n = 9 in one pass took 6.3 MB of temporaries
+    c = make_random_monotone(9, np.random.default_rng(3))
+    CHECKS[prop](c, mode="exhaustive")  # first-call allocations aside
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        CHECKS[prop](c, mode="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("prop", list(CHECKS))
+@pytest.mark.parametrize("mode", ["exhaustiv", "Sampled", "", None])
+def test_unknown_check_mode_is_rejected(prop, mode):
+    c = make_random_monotone(4, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="mode"):
+        CHECKS[prop](c, mode=mode)
+
+
+@pytest.mark.parametrize("prop", list(CHECKS))
+@pytest.mark.parametrize("trials", [0, -1])
+def test_sampled_check_needs_a_trial(prop, trials):
+    c = make_random_monotone(4, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="trial"):
+        CHECKS[prop](c, mode="sampled", trials=trials)
+    # exhaustive checks draw no trials, whatever the count
+    assert CHECKS[prop](c, trials=trials).mode == "exhaustive"
+
+
+def test_auto_mode_that_samples_needs_a_trial():
+    c = make_random_monotone(17, np.random.default_rng(5))
+    with pytest.raises(DomainError, match="trial"):
+        check_monotone(c, trials=0)
 
 
 @pytest.mark.parametrize("prop, c", [
@@ -474,9 +561,8 @@ def test_vectorized_checks_match_scalar_loop(kind, prop):
     ("modular", make_sup_capacity(GroundSpace(33))),
 ], ids=["explicit_n17", "derived_n21", "distorted_n40", "sup_n33"])
 def test_sampled_checks_beyond_exhaustive_sizes_match_scalar_loop(prop, c):
-    check = {"monotone": check_monotone, "submodular": check_submodular,
-             "modular": check_modular}[prop]
-    for trials in (0, 300):
+    check = CHECKS[prop]
+    for trials in (1, 300):
         rep = check(c, mode="sampled", seed=8, trials=trials)
         assert (rep.holds, repr(rep.slack), rep.witness) == _scalar_check(
             prop, c, "sampled", 8, trials)
@@ -546,8 +632,7 @@ def test_sampled_check_of_few_trials_reads_masks_one_by_one():
 def test_sampled_checks_agree_with_and_without_the_value_table(prop):
     from capax.capacity import _sampled_pairs, _worst_pair
     c = make_distorted(np.random.default_rng(2).uniform(0.1, 1.0, size=14), 1.7)
-    check = {"monotone": check_monotone, "submodular": check_submodular,
-             "subadditive": check_subadditive, "modular": check_modular}[prop]
+    check = CHECKS[prop]
     got = check(c, mode="sampled", seed=4, trials=500)  # 2^14 > masks read
     a, b = _sampled_pairs(prop, 14, np.random.default_rng(4), 500)
     slack, witness = _worst_pair(prop, c.values().__getitem__, a, b)
