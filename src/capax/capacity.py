@@ -261,6 +261,9 @@ def _explicit(t: np.ndarray, space: Optional[GroundSpace],
               range_tag: Optional[str]) -> Capacity:
     """``make_explicit`` of a float table that no one else holds: the
     capacity keeps t itself, made read-only."""
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidCapacityError(f"a table must be a nonempty 1-d sequence, "
+                                   f"got shape {t.shape}")
     n = int(round(math.log2(len(t))))
     if 2**n != len(t):
         raise InvalidCapacityError("table length must be a power of two")
@@ -285,8 +288,13 @@ def _explicit(t: np.ndarray, space: Optional[GroundSpace],
 
 
 def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
-    """Random monotone capacity with mu(X) = 1: i.i.d. uniforms per subset,
-    one upward max pass to enforce monotonicity, rescaled."""
+    """The explicit capacity of ``random_monotone_table(n, rng)``."""
+    return _explicit(random_monotone_table(n, rng), None, None)
+
+
+def random_monotone_table(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random monotone value table with mu(X) = 1: i.i.d. uniforms per
+    subset, one upward max pass to enforce monotonicity, rescaled."""
     if n > MAX_EXPLICIT_N:
         raise InvalidCapacityError(f"random explicit capacities are capped at n={MAX_EXPLICIT_N}")
     t = rng.uniform(size=2**n)
@@ -295,7 +303,7 @@ def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
         v = t.reshape(-1, 2, 1 << i)
         np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     t /= t[-1]
-    return _explicit(t, None, None)
+    return t
 
 
 NORMALIZE_DEGENERATE = "normalize needs 0 < mu(A) < inf"

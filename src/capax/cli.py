@@ -22,9 +22,8 @@ from .dependence import check_positive_dependence, is_comonotone
 from .integrals import (brute_force_generalized_sugeno, choquet, from_formula,
                         generalized_sugeno, shilkret, sugeno)
 from .operators import get_op
-from .scenario import (SchemaError, capacity_from_spec, dump_result,
-                       function_from_spec, load_document, space_from_spec,
-                       subset_from_spec)
+from .scenario import (SchemaError, _int, context_from_specs, dump_result,
+                       load_document)
 from .xreal import DegenerateInputError, DomainError
 
 EXIT_OK = 0
@@ -41,17 +40,8 @@ class CliError(Exception):
 
 def _load_context(path: str):
     doc = load_document(path)
-    space, grid_cap = space_from_spec(doc.get("space", {"n": 1}))
-    capacity = None
-    if "capacity" in doc:
-        capacity = capacity_from_spec(doc["capacity"], space, grid_cap)
-    elif grid_cap is not None:
-        capacity = grid_cap
-    functions = {name: function_from_spec(spec, space)
-                 for name, spec in doc.get("functions", {}).items()}
-    subsets = {name: subset_from_spec(spec, space)
-               for name, spec in doc.get("subsets", {}).items()}
-    return doc, space, capacity, functions, subsets
+    return (doc, *context_from_specs(doc.get("space", {"n": 1}), doc.get("capacity"),
+                                     doc.get("functions", {}), doc.get("subsets", {})))
 
 
 def _need(mapping, key, what):
@@ -174,9 +164,8 @@ def cmd_check(args) -> int:
 def _audit_doc(doc, args) -> tuple[str, int, int]:
     theorem = _need(doc, "theorem", "key")
     audit_cfg = doc.get("audit", {})
-    trials = int(audit_cfg.get("trials", 1000))
-    seed = int(args.seed if args.seed is not None else audit_cfg.get("seed", 0))
-    return theorem, trials, seed
+    seed = audit_cfg.get("seed", 0) if args.seed is None else _int(args.seed, "--seed", 0)
+    return theorem, audit_cfg.get("trials", 1000), seed
 
 
 def _summary_dict(summary) -> dict:

@@ -12,7 +12,9 @@ and hunts all read that table.
 
 An audit draws its trials one by one and evaluates them in chunks: each
 chunk is decoded into one stack (``decode``) and its record's runner
-evaluates all rows at once.  A hunt evaluates its trials in chunks of 1,
+evaluates all rows at once.  Replay decodes exactly as the CLI reads a
+scenario file, through ``scenario.context_from_specs``, with the same
+checks and errors.  A hunt evaluates its trials in chunks of 1,
 2, 4, ... and a shrink step all its candidates as one stack; replay runs
 a stack of one row through the same runners.
 """
@@ -27,11 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import CapacityStack, make_random_monotone, subset_rows
-from .integrals import Values, sample_function
+from .capacity import CapacityStack, random_monotone_table, subset_rows
+from .integrals import Values
 from .operators import builtin_systems, get_op, get_system
-from .scenario import (SchemaError, capacity_from_spec, capacity_to_spec,
-                       space_from_spec, subset_from_spec)
+from .scenario import SchemaError, context_from_specs
 from .xreal import DomainError
 
 VIOLATION_RTOL = 1e-9
@@ -131,7 +132,8 @@ def _comonotone_family(rng, n: int, k: int, low: float = 0.0):
 
 
 def _unit_space_cap(rng, n: int):
-    return {"n": n}, capacity_to_spec(make_random_monotone(n, rng))
+    """An n-point space and a random monotone table, validated when decoded."""
+    return {"n": n}, {"type": "explicit", "table": random_monotone_table(n, rng).tolist()}
 
 
 def _coord_space(rng, n: int) -> dict:
@@ -194,7 +196,7 @@ def _gen_shilkret(rng, n, system):
     space = _coord_space(rng, n)
     f = np.sort(rng.uniform(size=n)).tolist()
     if rng.uniform() < 0.5:
-        cap = capacity_to_spec(make_random_monotone(n, rng))
+        _, cap = _unit_space_cap(rng, n)
     else:
         cap = {"type": "additive",
                "weights": rng.uniform(0.05, 1.0 / n, size=n).tolist()}
@@ -399,26 +401,20 @@ class Stack:
 
 
 def decode(scenarios: list) -> Stack:
-    """One stack of scenarios of one theorem, each decoded as replay
-    decodes it alone (so with the same checks and errors)."""
+    """One stack of scenarios of one theorem, each read by
+    ``context_from_specs`` as the CLI reads a scenario file."""
     params = [scn.params for scn in scenarios]
     if not scenarios[0].functions:  # the checker builds its own space from params
         return Stack({}, None, None, None, params)
-    spaces = [space_from_spec(scn.space) for scn in scenarios]
-    caps = [capacity_from_spec(scn.capacity, space, grid_cap)
-            for scn, (space, grid_cap) in zip(scenarios, spaces)]
-    fns = {k: Values.build([sample_function(space, scn.functions[k])
-                            for scn, (space, _) in zip(scenarios, spaces)])
-           for k in scenarios[0].functions}
-    masks = {k: [subset_from_spec(scn.subsets[k], space)
-                 for scn, (space, _) in zip(scenarios, spaces)]
-             for k in scenarios[0].subsets}
-    A = masks.get("A", [space.full_mask for space, _ in spaces])
-    n = np.array([space.n for space, _ in spaces])
+    spaces, caps, fns, masks = zip(*(
+        context_from_specs(scn.space, scn.capacity, scn.functions, scn.subsets)
+        for scn in scenarios))
+    n = np.array([space.n for space in spaces])
     N = int(n.max())
-    A_rows = subset_rows(A, n, N)
-    B_rows = subset_rows(masks["B"], n, N) if "B" in masks else A_rows
-    return Stack(fns, A_rows, B_rows, CapacityStack(caps), params)
+    A = subset_rows([m.get("A", space.full_mask) for m, space in zip(masks, spaces)], n, N)
+    B = subset_rows([m["B"] for m in masks], n, N) if "B" in masks[0] else A
+    return Stack({k: Values.build([f[k] for f in fns]) for k in fns[0]},
+                 A, B, CapacityStack(caps), params)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
@@ -499,6 +495,8 @@ def audit(theorem_id: str, trials: int, seed: int) -> AuditSummary:
     """Run seeded hypothesis-satisfying scenarios and count violations.
     Trials are drawn one by one and evaluated a chunk at a time."""
     theorem = canonical_theorem(theorem_id)
+    if trials < 1:
+        raise DomainError(f"an audit needs at least one trial, got {trials}")
     hyp_pass = 0
     min_slack = math.inf
     violations: list[Scenario] = []

@@ -55,18 +55,25 @@ def _num(v, where: str, allow_inf: bool = False) -> float:
     return x
 
 
-def _nums(seq, where: str):
-    """Validate a list of finite nonnegative numbers as one array; on any
-    other input fall back to ``_num`` per element, which raises its error."""
+def _int(v, where: str, least: int) -> int:
+    """A JSON integer (not a bool) of at least ``least``."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise SchemaError(f"{where}: expected an integer >= {least}, got {v!r}")
+    return v
+
+
+def _nums(seq, where: str, allow_inf: bool = False):
+    """Validate a list of numbers as one array, as ``_num`` would each; on
+    any other input fall back to ``_num`` per element, which raises its error."""
     if type(seq) is list and set(map(type, seq)) <= {int, float}:
         try:
             a = np.array(seq, dtype=float)
         except OverflowError:  # an int beyond float range: the walk below
             pass               # raises for the first bad element in order
-        else:
-            if a.min(initial=0.0) >= 0 and a.max(initial=0.0) < INF:  # NaN fails
+        else:  # NaN fails the first test
+            if a.min(initial=0.0) >= 0 and (allow_inf or a.max(initial=0.0) < INF):
                 return a
-    return [_num(v, where) for v in seq]
+    return [_num(v, where, allow_inf) for v in seq]
 
 
 def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
@@ -78,7 +85,7 @@ def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
         try:
             space, cap = make_grid_lebesgue(_num(g["a"], "grid.a"),
                                             _num(g["b"], "grid.b"),
-                                            int(g["steps"]))
+                                            _int(g["steps"], "grid.steps", 1))
         except (KeyError, ValueError) as e:
             raise SchemaError(f"space.grid: {e}")
         return space, cap
@@ -87,7 +94,7 @@ def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
     coords = spec.get("coords")
     widths = spec.get("widths")
     try:
-        space = GroundSpace(int(spec["n"]),
+        space = GroundSpace(_int(spec["n"], "n", 1),
                             coords=tuple(coords) if coords is not None else None,
                             widths=tuple(widths) if widths is not None else None)
     except ValueError as e:
@@ -139,10 +146,9 @@ def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
     if isinstance(spec, str):
         return from_formula(space, spec)
     if isinstance(spec, list):
-        vals = [_num(v, "function values", allow_inf=True) for v in spec]
+        vals = _nums(spec, "function values", allow_inf=True)
         if len(vals) != space.n:
-            raise SchemaError(f"function has {len(vals)} values for a "
-                              f"{space.n}-point space")
+            raise SchemaError(f"function has {len(vals)} values for a {space.n}-point space")
         return sample_function(space, vals)
     raise SchemaError("a function must be a formula id or a value list")
 
@@ -151,13 +157,24 @@ def subset_from_spec(spec, space: GroundSpace) -> int:
     if spec == "all" or spec is None:
         return space.full_mask
     if isinstance(spec, list):
-        idx = []
         for i in spec:
             if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < space.n:
                 raise SchemaError(f"subset index {i!r} out of range")
-            idx.append(i)
-        return indices_mask(idx)
+        return indices_mask(spec)
     raise SchemaError("a subset must be \"all\" or a list of point indices")
+
+
+def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
+                       subsets: dict) -> tuple:
+    """A scenario's space, capacity (a grid space's own if there is no
+    spec, else None), functions and subset masks: scenario files and
+    replayed scenarios are read here alike, with the same checks and errors."""
+    space, cap = space_from_spec(space)
+    if capacity is not None:
+        cap = capacity_from_spec(capacity, space, cap)
+    return (space, cap,
+            {name: function_from_spec(spec, space) for name, spec in functions.items()},
+            {name: subset_from_spec(spec, space) for name, spec in subsets.items()})
 
 
 def validate_document(doc: dict) -> dict:
@@ -166,6 +183,9 @@ def validate_document(doc: dict) -> dict:
         _require_keys(doc["exponents"], EXPONENT_KEYS, "exponents")
     if "audit" in doc:
         _require_keys(doc["audit"], AUDIT_KEYS, "audit")
+        for key, least in (("trials", 1), ("seed", 0)):
+            if key in doc["audit"]:
+                _int(doc["audit"][key], f"audit.{key}", least)
     if "functions" in doc and not isinstance(doc["functions"], dict):
         raise SchemaError("functions must be an object of named functions")
     if "subsets" in doc and not isinstance(doc["subsets"], dict):

@@ -1,6 +1,7 @@
 """Capacity builders, bitmask helpers and structural property checks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,13 @@ def test_explicit_table_requires_power_of_two_and_zero_empty():
         make_explicit([0.1, 0.5, 0.5, 1.0])  # mu(empty) != 0
     c = make_explicit([0.0, 0.5, 0.5, 1.0])
     assert c(0b01) == 0.5
+
+
+@pytest.mark.parametrize("table, shape", [
+    ([[0.0, 1.0], [1.0, 1.0]], "(2, 2)"), (1.0, "()"), ([], "(0,)")])
+def test_explicit_table_must_be_a_nonempty_row(table, shape):
+    with pytest.raises(InvalidCapacityError, match=re.escape(f"got shape {shape}")):
+        make_explicit(table)
 
 
 def test_normalize_sets_unit_mass_on_conditioning_set():

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output formats, demos and result
 file round trips."""
 
+import copy
 import json
 
 import pytest
 
+from capax import cli, falsifier
 from capax.cli import DEMOS, main
+from capax.scenario import SchemaError
 
 BASIC = {
     "space": {"n": 3},
@@ -104,10 +107,23 @@ def test_falsify_command_finds_counterexample(tmp_path, capsys):
     assert saved["report"]["found"] is True
 
 
-def test_audit_zero_trials_is_empty_and_clean(tmp_path, capsys):
-    doc = {"theorem": "2.2", "audit": {"trials": 0, "seed": 0}}
-    assert main(["audit", write(tmp_path, doc)]) == 0
-    assert "0 violations" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["audit", "falsify"])
+@pytest.mark.parametrize("key, value, least", [
+    ("trials", "many", 1), ("trials", -5, 1), ("trials", 0, 1), ("trials", 2.5, 1),
+    ("trials", True, 1), ("seed", -1, 0), ("seed", "7", 0), ("seed", 1.0, 0)])
+def test_audit_trials_and_seeds_are_integers(tmp_path, capsys, command, key, value, least):
+    doc = {"theorem": "2.2", "audit": {"trials": 5, "seed": 0, key: value}}
+    assert main([command, write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: audit.{key}: expected an integer >= {least}, "
+                            f"got {value!r}\n")
+
+
+def test_a_negative_seed_option_is_an_input_error(tmp_path, capsys):
+    doc = {"theorem": "2.2", "audit": {"trials": 5, "seed": 0}}
+    assert main(["audit", write(tmp_path, doc), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "input error: --seed: expected an integer >= 0, got -1\n"
 
 
 def test_audit_unknown_theorem_lists_the_ids(tmp_path, capsys):
@@ -250,3 +266,36 @@ def test_demo_impossibility_rows_are_pinned():
     assert [(repr(r["coord"]), repr(r["gh"]), repr(r["required_c"]))
             for r in rows] == PINNED_IMPOSSIBILITY
     assert set(DEMOS) == set(PINNED_DEMOS) | {"impossibility"}
+
+
+REPLAYED = falsifier.random_scenario("jensen_choquet", 2024, 0)
+F = REPLAYED.functions["f"]
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("part, key, value, message", [
+    ("functions", "f", [True] + F[1:], "function values: expected a number, got True"),
+    ("functions", "f", ["0.5"] + F[1:], "function values: expected a number, got '0.5'"),
+    ("functions", "f", [[0.5]] + F[1:], "function values: expected a number, got [0.5]"),
+    ("functions", "f", F[:-1], f"function has {len(F) - 1} values for a {len(F)}-point space"),
+    ("functions", "f", [-0.5] + F[1:], "function values: number must be nonnegative"),
+    ("subsets", "A", [99], "subset index 99 out of range"),
+    ("capacity", "type", "bogus", "unknown capacity type 'bogus'"),
+], ids=["bool", "string", "nested", "short", "negative", "subset-index", "capacity-type"])
+def test_replay_reads_a_scenario_as_the_cli_reads_its_file(tmp_path, capsys, part, key,
+                                                           value, message):
+    scn = copy.deepcopy(REPLAYED)
+    getattr(scn, part)[key] = value
+    path = write(tmp_path, {k: getattr(scn, k) for k in ("space", "capacity", "functions",
+                                                         "subsets")})
+    assert (_error(falsifier.run_scenario, scn) == _error(cli._load_context, path)
+            == (SchemaError, message))
+    assert main(["integrate", path]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from capax import falsifier
+from capax import capacity, falsifier
 from capax.falsifier import (DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_ALIASES,
                              THEOREM_IDS, Scenario, _pick, audit, canonical_theorem,
                              hunt_counterexample, is_violation,
@@ -59,6 +59,26 @@ def test_audit_counts_and_min_slack():
     assert s.hypothesis_pass == 50
     assert s.violation_count == 0
     assert s.min_slack >= -1e-9
+
+
+def test_replay_has_no_decoder_of_its_own():
+    # scenarios are read by scenario.context_from_specs, as the CLI reads files
+    assert not {"space_from_spec", "capacity_from_spec", "subset_from_spec",
+                "sample_function"} & set(vars(falsifier))
+
+
+def test_each_generated_table_is_validated_once(monkeypatch):
+    calls = []
+    validate = capacity._explicit
+    monkeypatch.setattr(capacity, "_explicit", lambda *a: calls.append(1) or validate(*a))
+    audit("jensen_choquet", 50, 2024)
+    assert len(calls) == 50
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_an_audit_needs_a_trial(trials):
+    with pytest.raises(DomainError, match=f"at least one trial, got {trials}"):
+        audit("jensen_choquet", trials, 0)
 
 
 def test_is_violation_tolerances():
@@ -246,7 +266,7 @@ def test_a_failing_stack_raises_its_first_failing_trial(monkeypatch):
     scns[2].subsets["A"] = [99]
     with pytest.raises(SchemaError, match="subset index 99"):
         falsifier.run_stack(scns)
-    with pytest.raises(DomainError, match="nonnegative"):
+    with pytest.raises(SchemaError, match="function values: number must be nonnegative"):
         falsifier.run_stack(scns[3:])
 
 

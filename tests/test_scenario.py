@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ def test_unknown_nested_key_rejected():
 def test_space_needs_n_or_grid():
     with pytest.raises(SchemaError):
         space_from_spec({})
+
+
+@pytest.mark.parametrize("count", [2.7, 3.0, "3", True, None, [3], 0, -2])
+def test_space_counts_are_json_integers(count):
+    message = re.escape(f"n: expected an integer >= 1, got {count!r}")
+    with pytest.raises(SchemaError, match=f"^space: {message}$"):
+        space_from_spec({"n": count})
+    message = re.escape(f"grid.steps: expected an integer >= 1, got {count!r}")
+    with pytest.raises(SchemaError, match=f"^space.grid: {message}$"):
+        space_from_spec({"grid": {"a": 0.0, "b": 1.0, "steps": count}})
 
 
 def test_grid_space_carries_capacity():
@@ -62,6 +73,7 @@ def test_function_value_lists_and_formulas():
     assert np.allclose(f.values, space.coord_array() ** 2)
     g = function_from_spec([0.1, "inf", 0.5], space)
     assert g.values[1] == INF
+    assert function_from_spec([0.1, INF, 0.5], space).values.tolist() == g.values.tolist()
     with pytest.raises(SchemaError):
         function_from_spec([0.1, 0.2], space)  # wrong length
     with pytest.raises(SchemaError):
