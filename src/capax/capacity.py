@@ -47,11 +47,12 @@ class InvalidCapacityError(ValueError):
 
 @dataclass(frozen=True)
 class GroundSpace:
-    """Finite indexed point set, optionally carrying grid coordinates."""
+    """Finite indexed point set, optionally carrying grid coordinates and cell
+    widths, each copied into a read-only float array (spaces compare by n)."""
 
     n: int
-    coords: Optional[tuple] = None
-    widths: Optional[tuple] = None
+    coords: Optional[np.ndarray] = field(default=None, compare=False)
+    widths: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -59,16 +60,19 @@ class GroundSpace:
         if (self.coords is None) != (self.widths is None):
             raise ValueError("coords and widths must be given together")
         if self.coords is not None:
-            if len(self.coords) != self.n or len(self.widths) != self.n:
+            cs, ws = np.array(self.coords, dtype=float), np.array(self.widths, dtype=float)
+            if cs.shape != (self.n,) or ws.shape != (self.n,):
                 raise ValueError("coords/widths length must equal n")
             # comparisons with NaN are false, so NaN fails every check
-            cs = np.asarray(self.coords, dtype=float)
             if not (cs >= 0).all():
                 raise ValueError("coordinates must be nonnegative numbers")
             if not (np.diff(cs) > 0).all():
                 raise ValueError("coordinates must be strictly increasing")
-            if not (np.asarray(self.widths, dtype=float) > 0).all():
+            if not (ws > 0).all():
                 raise ValueError("cell widths must be positive")
+            for name, a in (("coords", cs), ("widths", ws)):
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
 
     @property
     def full_mask(self) -> int:
@@ -77,7 +81,7 @@ class GroundSpace:
     def coord_array(self) -> np.ndarray:
         if self.coords is None:
             raise DomainError("space has no coordinates")
-        return np.asarray(self.coords, dtype=float)
+        return self.coords
 
 
 #: row b holds the bits of the byte b, least significant first
@@ -240,11 +244,10 @@ def make_grid_lebesgue(a: float, b: float, steps: int) -> tuple[GroundSpace, Cap
     if steps < 1:
         raise InvalidCapacityError("grid requires at least one cell")
     h = (b - a) / steps
-    coords = a + h * (np.arange(steps) + 0.5)
-    widths = np.full(steps, h)
-    widths.setflags(write=False)
-    space = GroundSpace(steps, coords=tuple(coords), widths=tuple(widths))
-    cap = Capacity(space=space, range=_infer_range(b - a), kind="grid", weights=widths)
+    space = GroundSpace(steps, coords=a + h * (np.arange(steps) + 0.5),
+                        widths=np.full(steps, h))
+    # the space's own read-only widths are the weights
+    cap = Capacity(space=space, range=_infer_range(b - a), kind="grid", weights=space.widths)
     return space, cap
 
 
@@ -617,13 +620,12 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
     if mode not in _MODES:
         raise DomainError(f"unknown check mode {mode!r}: expected one of {', '.join(_MODES)}")
     n = c.space.n
-    if prop == "monotone":
-        pair_count = n * 2 ** (n - 1)
-    else:
-        pair_count = 4**n
+    # above MAX_EXPLICIT_N every pair count exceeds the limit: no big integer
+    few_pairs = n <= MAX_EXPLICIT_N and (
+        n * 2 ** (n - 1) if prop == "monotone" else 4**n) <= EXHAUSTIVE_PAIR_LIMIT
 
     if mode == "auto":
-        if pair_count <= EXHAUSTIVE_PAIR_LIMIT:
+        if few_pairs:
             mode = "exhaustive"
         elif c.structural(prop) is not None:
             mode = "structural"
@@ -637,7 +639,7 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
         return PropertyReport(prop, known, "structural", slack=0.0)
 
     if mode == "exhaustive":
-        if pair_count > EXHAUSTIVE_PAIR_LIMIT:
+        if not few_pairs:
             raise DomainError("pair count too large for exhaustive checking")
         slack, witness = _worst(_exhaustive_blocks(prop, c.values()))
         return PropertyReport(prop, witness is None, "exhaustive",

@@ -15,9 +15,8 @@ from functools import partial
 from typing import Optional
 
 from . import falsifier, inequalities as ineq
-from .capacity import (InvalidCapacityError, check_modular, check_monotone,
-                       check_subadditive, check_submodular,
-                       make_grid_lebesgue)
+from .capacity import (GroundSpace, InvalidCapacityError, check_modular, check_monotone,
+                       check_subadditive, check_submodular, make_grid_lebesgue)
 from .dependence import check_positive_dependence, is_comonotone
 from .integrals import (brute_force_generalized_sugeno, choquet, from_formula,
                         generalized_sugeno, shilkret, sugeno)
@@ -267,14 +266,10 @@ def _demo_sharpness():
 
 
 def _demo_impossibility():
-    coords = tuple(10.0**-k for k in reversed(range(8)))
-    widths = tuple(1.0 for _ in coords)
-    from .capacity import GroundSpace
-    space = GroundSpace(len(coords), coords=coords, widths=widths)
+    space = GroundSpace(8, coords=[10.0**-k for k in reversed(range(8))], widths=[1.0] * 8)
     g = from_formula(space, "const:1")
     h = from_formula(space, "x^2")
-    rows = ineq.impossibility_demo(g, h, t_indices=reversed(range(len(coords))))
-    return rows
+    return ineq.impossibility_demo(g, h, t_indices=reversed(range(8)))
 
 
 DEMOS = {

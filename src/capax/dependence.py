@@ -111,8 +111,8 @@ def positive_dependence_rows(F: Values, A: np.ndarray, G: Values, B: np.ndarray,
     which is exact, not sampled: both sides are step functions constant
     between consecutive function values.  A cell where both sides are
     infinite holds with equality.  Rows go through in blocks of at most
-    POSDEP_BLOCK_CELLS cross-product cells (one row at least), so memory
-    stays flat for wide rows."""
+    POSDEP_BLOCK_CELLS cross-product cells, but one row is one block: its
+    memory grows with its a b cells (+96 MB for 2000 levels per side)."""
     # per side: levels, counts and point ranks plus one (rank 0 is the whole
     # space), so one level meet holds the marginals in its first column and row
     f, g = ((levels, count, np.where(X.valid, rank + 1, -1))

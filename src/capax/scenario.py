@@ -47,7 +47,10 @@ def _num(v, where: str, allow_inf: bool = False) -> float:
         return INF
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {v!r}")
-    x = float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # a JSON integer beyond float range
+        raise SchemaError(f"{where}: number must be finite") from None
     if math.isnan(x) or (math.isinf(x) and not allow_inf):
         raise SchemaError(f"{where}: number must be finite")
     if x < 0:
@@ -63,8 +66,10 @@ def _int(v, where: str, least: int) -> int:
 
 
 def _nums(seq, where: str, allow_inf: bool = False):
-    """Validate a list of numbers as one array, as ``_num`` would each; on
-    any other input fall back to ``_num`` per element, which raises its error."""
+    """Validate a list or tuple of numbers as ``_num`` would each: a list of
+    numbers as one array, else ``_num`` per element, which raises its error."""
+    if not isinstance(seq, (list, tuple)):
+        raise SchemaError(f"{where}: expected a list of numbers, got {seq!r}")
     if type(seq) is list and set(map(type, seq)) <= {int, float}:
         try:
             a = np.array(seq, dtype=float)
@@ -91,12 +96,10 @@ def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
         return space, cap
     if "n" not in spec:
         raise SchemaError("space needs either n or grid")
-    coords = spec.get("coords")
-    widths = spec.get("widths")
     try:
-        space = GroundSpace(_int(spec["n"], "n", 1),
-                            coords=tuple(coords) if coords is not None else None,
-                            widths=tuple(widths) if widths is not None else None)
+        coords, widths = (None if spec.get(k) is None else _nums(spec[k], k)
+                          for k in ("coords", "widths"))
+        space = GroundSpace(_int(spec["n"], "n", 1), coords=coords, widths=widths)
     except ValueError as e:
         raise SchemaError(f"space: {e}")
     return space, None

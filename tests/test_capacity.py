@@ -152,6 +152,64 @@ def test_ground_space_coordinate_checks():
             GroundSpace(2, coords=coords, widths=widths)
 
 
+def test_ground_space_holds_read_only_coordinate_arrays():
+    coords, widths = [0.1, 0.25, 0.4], [0.5, 0.5, 1.0]
+    spaces = [GroundSpace(3, coords=tuple(coords), widths=tuple(widths)),
+              GroundSpace(3, coords=coords, widths=widths),
+              GroundSpace(3, coords=np.array(coords), widths=np.array(widths))]
+    for space in spaces:
+        for a, given_values in ((space.coords, coords), (space.widths, widths)):
+            assert type(a) is np.ndarray and a.dtype == float
+            assert a.tolist() == given_values
+        assert space.coord_array() is space.coords
+        with pytest.raises(ValueError):
+            space.coords[0] = 0.0
+        with pytest.raises(ValueError):
+            space.widths[0] = 1.0
+    # the coordinates take no part in comparison or hashing
+    assert len({*spaces, GroundSpace(3)}) == 1
+    c = np.array(coords)
+    space = GroundSpace(3, coords=c, widths=widths)
+    c[0] = 0.2  # the space holds its own copy
+    assert space.coords[0] == 0.1
+    for bad in ([[0.1, 0.2], [0.1, 0.2]], 0.5):
+        with pytest.raises(ValueError, match="length must equal n"):
+            GroundSpace(2, coords=bad, widths=[1.0, 1.0])
+
+
+def test_a_grid_holds_its_points_as_arrays():
+    space, mu = make_grid_lebesgue(0.0, 1.0, 10**5)
+    assert type(space.coords) is np.ndarray and type(space.widths) is np.ndarray
+    assert space.coords.shape == space.widths.shape == (10**5,)
+    assert not space.coords.flags.writeable
+    assert mu.weights is space.widths
+
+
+def test_auto_mode_follows_the_pair_count_rule():
+    for n in range(1, 25):
+        for c in (make_additive([1.0] * n), make_distorted([1.0] * n, 2.0)):
+            for prop, check in (("monotone", check_monotone),
+                                ("submodular", check_submodular)):
+                pairs = n * 2 ** (n - 1) if prop == "monotone" else 4**n
+                if pairs <= capacity.EXHAUSTIVE_PAIR_LIMIT:
+                    mode = "exhaustive"
+                elif c.structural(prop) is not None:
+                    mode = "structural"
+                else:
+                    mode = "sampled"
+                assert check(c, trials=8).mode == mode, (n, c.kind, prop)
+
+
+def test_forced_exhaustive_mode_above_the_pair_limit_raises():
+    assert check_monotone(make_additive([1.0] * 16), mode="exhaustive").holds
+    assert check_submodular(make_additive([1.0] * 9), mode="exhaustive").holds
+    for check, c in ((check_monotone, make_additive([1.0] * 17)),
+                     (check_submodular, make_additive([1.0] * 10)),
+                     (check_submodular, make_grid_lebesgue(0.0, 1.0, 10**5)[1])):
+        with pytest.raises(DomainError, match="pair count too large"):
+            check(c, mode="exhaustive")
+
+
 def test_additive_rejects_empty_and_zero_total():
     with pytest.raises(InvalidCapacityError):
         make_additive([])

@@ -299,3 +299,38 @@ def test_replay_reads_a_scenario_as_the_cli_reads_its_file(tmp_path, capsys, par
             == (SchemaError, message))
     assert main(["integrate", path]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+HUGE = 10**400  # a 401-digit JSON integer, beyond float range
+CAP2 = {"type": "additive", "weights": [0.5, 0.5]}
+F2 = {"f": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"space": {"n": 2}, "capacity": CAP2, "functions": {"f": [0.5, HUGE]}},
+     "function values: number must be finite"),
+    ({"space": {"n": 2, "coords": [0.5, HUGE], "widths": [1, 1]}, "capacity": CAP2,
+      "functions": F2}, "space: coords: number must be finite"),
+    ({"space": {"grid": {"a": 0, "b": HUGE, "steps": 4}}, "functions": {"f": "x"}},
+     "space.grid: grid.b: number must be finite"),
+    ({"space": {"n": 2, "coords": 5, "widths": 1}, "capacity": CAP2, "functions": F2},
+     "space: coords: expected a list of numbers, got 5"),
+    ({"space": {"n": 2, "coords": [0.5, True], "widths": [1, 1]}, "capacity": CAP2,
+      "functions": F2}, "space: coords: expected a number, got True"),
+], ids=["huge-value", "huge-coord", "huge-grid-end", "scalar-coords", "bool-coord"])
+def test_bad_numbers_are_input_errors(tmp_path, capsys, doc, message):
+    assert main(["integrate", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_a_coordinate_space_from_a_file_reaches_the_shilkret_example(tmp_path):
+    doc = {"space": {"n": 5, "coords": [0.05, 0.3, 0.45, 0.65, 0.8], "widths": [0.2] * 5},
+           "capacity": {"type": "distorted", "weights": [0.1, 0.2, 0.3, 0.15, 0.25],
+                        "gamma": 0.5},
+           "functions": {"f": [0.1, 0.3, 0.3, 0.6, 0.9]}}
+    _, space, cap, fns, _ = cli._load_context(write(tmp_path, doc))
+    assert not space.coords.flags.writeable
+    rep = cli.ineq.shilkret_carlson_example(fns["f"], None, cap)
+    assert rep.hypotheses_pass and rep.holds
+    assert ((repr(rep.lhs), repr(rep.rhs), repr(rep.slack), repr(rep.extra["K"]))
+            == ("0.45", "0.8877707439226876", "0.4377707439226876", "0.41109609582188933"))

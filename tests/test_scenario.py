@@ -135,16 +135,24 @@ def test_dump_result_is_byte_stable_and_handles_infinity(tmp_path):
     assert parsed["report"]["arr"] == [1.0, 2.0]
 
 
+def _each(seq, where):
+    """A sequence of numbers, one _num call per element; anything else (a
+    number, a string, an object, null) is not a list of numbers."""
+    if not isinstance(seq, (list, tuple)):
+        raise SchemaError(f"{where}: expected a list of numbers, got {seq!r}")
+    return [_num(v, where) for v in seq]
+
+
 def _decode_per_element(spec, space):
     """The weights/table decoding capacity_from_spec replaced: one _num
     call per element, then the constructor, errors wrapped the same way."""
     try:
         if spec["type"] == "additive":
-            return make_additive([_num(w, "weights") for w in spec["weights"]], space)
+            return make_additive(_each(spec["weights"], "weights"), space)
         if spec["type"] == "distorted":
-            return make_distorted([_num(w, "weights") for w in spec["weights"]],
+            return make_distorted(_each(spec["weights"], "weights"),
                                   _num(spec["gamma"], "gamma"), space)
-        return make_explicit([_num(v, "table") for v in spec["table"]], space)
+        return make_explicit(_each(spec["table"], "table"), space)
     except KeyError as e:
         raise SchemaError(f"capacity: missing {e.args[0]!r}")
     except ValueError as e:
