@@ -5,19 +5,20 @@ boundary (``Capacity.__call__``, function arguments, scenario files).  A
 capacity is one of four families: weighted (per-point weights, summed and
 raised to a power gamma; gamma = 1 is modular), sup, explicit (all 2^n
 values in a table, capped at n = 20) and derived (a normalized capacity
-over a base).  Weighted and sup capacities evaluate any mask on demand.
+over a base).
 
 A ``CapacityStack`` holds k capacities as the rows of one stack, and
 ``subset_rows`` one subset per row as a (k, N) boolean membership row;
-the stack's chains, measures and level meets are the one batched measure
-path: each sums per-point weights over its sets and finishes the sums by
-one rule per family.  A single capacity is a stack of one.
+the stack's measures, value tables, chains and level meets each sum
+per-point weights over their sets and finish the sums by one rule per
+family.  A single capacity is a stack of one, which every measure of it
+reads.
 
 The structural checkers read the capacity's value table
 (``Capacity.values``, n <= 20) when they read at least as many masks as it
-holds, else measure the masks one by one.  Exhaustive checks read the
-table in bounded blocks: monotonicity from two bit views of it per bit,
-the pairwise properties on the upper band b >= a of the pair grid.
+holds, else measure the masks a bounded block at a time.  Exhaustive
+checks read the table in bounded blocks: monotonicity from two bit views
+of it per bit, the pairwise properties on the upper band b >= a.
 Sampled mode computes the margins of all its pairs at once, drawn in one
 batch from the same random stream the per-pair draws used, so a seed
 gives the same pairs, slack and witness.
@@ -38,6 +39,8 @@ MAX_EXPLICIT_N = 20
 #: exhaustive checks run when the relevant pair count stays below this
 EXHAUSTIVE_PAIR_LIMIT = 10**6
 SAMPLED_TRIALS = 10**5
+#: membership cells (n per mask) per block of a sampled check that measures its masks
+_BLOCK_CELLS = 2**16
 MODULAR_TOL = 1e-12
 
 
@@ -117,12 +120,12 @@ def indices_mask(indices: Iterable[int]) -> int:
 class Capacity:
     """Monotone set function over subsets of a finite ground space.
 
-    A weighted capacity measures B as (sum of the weights of B)**gamma,
-    gamma being 1 for the modular ones; its ``kind`` (``additive``,
-    ``grid`` or ``distorted``) only labels its scenario spec.  The other
-    kinds, which read no gamma, are ``sup``, ``explicit`` and ``derived``:
-    m(B) = base(B n given) / base(given), from ``normalize``.  Instances
-    are immutable; evaluation is pure.
+    The fields name the family: weighted (``weights`` and ``gamma``, 1 for
+    the modular ones; ``kind`` only labels the scenario spec), ``sup``,
+    ``explicit`` (a ``table``) or ``derived`` (``base`` and ``given``,
+    from ``normalize``).  Every measure is read from a one-row
+    ``CapacityStack``, which holds each family's rule.  Instances are
+    immutable; evaluation is pure.
     """
 
     space: GroundSpace
@@ -135,49 +138,19 @@ class Capacity:
     given: Optional[int] = None
 
     def __call__(self, mask: int) -> float:
-        mask &= self.space.full_mask
-        k = self.kind
-        if k == "sup":
-            return 0.0 if mask == 0 else 1.0
-        if k == "explicit":
-            return float(self.table[mask])
-        if k == "derived":
-            return self.base(mask & self.given) / self.base(self.given)
-        sel = self.weights[mask_bools(mask, self.space.n)]
-        # left to right, as a point-by-point sum adds (np.sum is pairwise)
-        t = float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
-        return t if self.gamma == 1.0 else t**self.gamma
+        return float(CapacityStack([self]).measure(mask_bools(mask, self.space.n)[None])[0])
 
     def measure_bools(self, sel: np.ndarray) -> float:
-        """Measure of the subset given as a boolean array."""
-        return self(indices_mask(np.flatnonzero(sel).tolist()))
+        """Measure of the subset given as n booleans."""
+        return float(CapacityStack([self]).measure(np.asarray(sel, dtype=bool)[None])[0])
 
     def values(self) -> np.ndarray:
         """All 2^n measures, entry m being the measure of the mask m
         (n <= MAX_EXPLICIT_N), equal bit for bit to evaluating each mask."""
-        n = self.space.n
-        if n > MAX_EXPLICIT_N:
+        if self.space.n > MAX_EXPLICIT_N:
             raise DomainError(f"value tables are capped at n={MAX_EXPLICIT_N}")
-        k = self.kind
-        if k == "explicit":
-            return self.table
-        if k == "sup":
-            v = np.ones(2**n)
-            v[0] = 0.0
-            return v
-        if k == "derived":
-            return (self.base.values()[np.arange(2**n) & self.given]
-                    / self.base(self.given))
-        # subset sums adding the weights in ascending order, as __call__
-        # does; -0.0 is the exact identity of addition (0.0 + -0.0 is 0.0)
-        v = np.array([-0.0])
-        for w in self.weights.tolist():
-            v = np.concatenate((v, v + w))
-        v[0] = 0.0
-        g = self.gamma
-        if g != 1.0:  # Python's pow: numpy's may differ in the last bit
-            v = np.array([t**g for t in v.tolist()])
-        return v
+        # an explicit capacity's own read-only table: no stack to build
+        return self.table if self.kind == "explicit" else CapacityStack([self]).values()[0]
 
     def chain_measures(self, order: Sequence[int]) -> np.ndarray:
         """Measures of the nested prefixes of ``order``: entry k is
@@ -335,11 +308,12 @@ def along(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def subset_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
     """(k, N) membership rows of int masks, row i on its first n[i] points
     (bits at or above n[i] are ignored)."""
-    if N >= 63:
-        out = np.zeros((len(masks), N), dtype=bool)
-        for i, (m, ni) in enumerate(zip(masks, n.tolist())):
-            out[i, :ni] = mask_bools(m, ni)
-        return out
+    if N >= 63:  # each mask's little-endian bytes, unpacked at once
+        nb = (N + 7) // 8
+        data = b"".join((m & ((1 << ni) - 1)).to_bytes(nb, "little")
+                        for m, ni in zip(masks, n.tolist()))
+        return np.unpackbits(np.frombuffer(data, np.uint8).reshape(-1, nb), axis=1, count=N,
+                             bitorder="little").view(bool)
     m = np.array([m & ((1 << ni) - 1) for m, ni in zip(masks, n.tolist())], dtype=np.int64)
     if N <= 8:
         return _BYTE_BITS[m, :N]
@@ -348,14 +322,17 @@ def subset_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
 
 class CapacityStack:
     """k capacities, row i on its own n[i] points of a stack N points
-    wide, for the row-wise kernels.  Each row has one weight per point
-    in one (k, N) array W: a weighted row's weights, 2^x for an explicit
-    row, 1 for a sup row.  Every kernel sums those weights over its sets
-    and ``_finish`` turns the sums into measures, weighted rows raising
-    theirs to gamma.  Explicit rows share one (k, 2^N) table array.  A
-    derived stack holds the stack of its bases, the conditioning subsets
-    and their base measures.  Every kernel gives each row what the row's
-    own capacity gives alone, bit for bit."""
+    wide: the one place that knows what each family measures.  Each row
+    has one weight per point in one (k, N) array W: a weighted row's
+    weights, 2^x for an explicit row, 1 for a sup row.  Every kernel sums
+    those weights over its sets and ``_finish`` turns the sums into
+    measures; weighted rows raise theirs to gamma with Python's pow in
+    ``measure`` and ``values``, value by value, and with numpy's array
+    power in ``chain`` and ``level_meet`` (the last bit may differ).
+    Explicit rows share one (k, 2^N) table array.  A derived stack holds
+    the stack of its bases, the conditioning subsets and their base
+    measures.  Every kernel gives each row what its capacity gives alone,
+    bit for bit."""
 
     def __init__(self, caps: Sequence[Capacity], width: Optional[int] = None):
         self.caps = list(caps)
@@ -437,18 +414,36 @@ class CapacityStack:
             out[rows[at]] = out[rows[at]] ** g
         return out
 
+    def _pow(self, out: np.ndarray) -> np.ndarray:
+        """Raise each row with gamma != 1 to its gamma in place, with Python's pow."""
+        for g, i in self.gammas:
+            out[i] = np.reshape([t**g for t in np.ravel(out[i]).tolist()], np.shape(out[i]))
+        return out
+
     def measure(self, S: np.ndarray) -> np.ndarray:
-        """Measure of one subset per row, given as (k, N) membership rows
-        with no point at or past the row's point count."""
+        """Measures (k, ...) of the subsets given as (k, ..., N) membership
+        rows, with no point at or past the row's point count."""
+        k = (len(S),) + (1,) * (S.ndim - 2)  # per-row arrays broadcast on the middle axes
         if self.base is not None:
-            return self.base.measure(S & self.given) / self.base_given
-        # left to right, as Capacity.__call__ adds; -0.0 is the exact
-        # identity of addition
-        sums = np.cumsum(np.where(S, self.W, -0.0), axis=1)[:, -1]
-        sums[~S.any(1)] = 0.0
-        for g, i in self.gammas:  # Python's pow: numpy's may differ in the last bit
-            sums[i] = float(sums[i]) ** g
-        return self._finish(sums)
+            return self.base.measure(S & self.given.reshape(k + (-1,))) / self.base_given.reshape(k)
+        # left to right, point by point; -0.0 is the exact identity of addition
+        # (the last column copied, so that the result pins no (k, ..., N) array)
+        sums = np.cumsum(np.where(S, self.W.reshape(k + (-1,)), -0.0), axis=-1)[..., -1].copy()
+        sums[~S.any(-1)] = 0.0
+        return self._finish(self._pow(sums))
+
+    def values(self) -> np.ndarray:
+        """(k, 2^N) measures: entry (i, m) is what ``measure`` gives row i
+        for the mask m < 2^n[i] (N <= MAX_EXPLICIT_N), from subset sums
+        doubled point by point from -0.0, adding weights in ascending order."""
+        if self.base is not None:
+            given = (self.given << np.arange(self.N)).sum(1)[:, None]
+            return along(self.base.values(), np.arange(2**self.N) & given) / self.base_given[:, None]
+        v = np.full((len(self), 2**self.N), -0.0)
+        for x, w in enumerate(self.W.T):  # the sets with point x: those without it, plus w
+            np.add(v[:, :1 << x], w[:, None], out=v[:, 1 << x:2 << x])
+        v[:, 0] = 0.0
+        return self._finish(self._pow(v))
 
     def chain(self, order: np.ndarray) -> np.ndarray:
         """Measures of the nested prefixes of each row of ``order`` (k, W),
@@ -648,14 +643,18 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
     if trials < 1:
         raise DomainError("a sampled check needs at least one trial")
     # the value table costs 2^n measures: sampled trials that read fewer
-    # masks (2 per monotone trial, 4 otherwise) measure them one by one,
-    # which gives the same numbers bit for bit
+    # masks (2 per monotone trial, 4 otherwise) measure them block by block,
+    # to the same numbers bit for bit
     reads = trials * (2 if prop == "monotone" else 4)
     if n <= MAX_EXPLICIT_N and (c.kind == "explicit" or 2**n <= reads):
         value = c.values().__getitem__
     else:
+        C, step = CapacityStack([c]), max(1, _BLOCK_CELLS // n)
+
         def value(masks):
-            return np.array([c(m) for m in masks.tolist()], dtype=float)
+            blocks = np.array_split(masks, range(step, len(masks), step))
+            return np.concatenate([C.measure(subset_rows(b.tolist(), C.n.repeat(len(b)), n)[None])[0]
+                                   for b in blocks])
 
     a, b = _sampled_pairs(prop, n, np.random.default_rng(seed), trials)
     slack, witness = _worst_pair(prop, value, a, b)

@@ -343,7 +343,7 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
     # measure of {f >= alpha}: count points with value >= alpha
     vals_desc = np.sort(f.values[idx])[::-1] if len(idx) else np.array([])
     counts = np.searchsorted(-vals_desc, -grid, side="right")
-    chain_all = c.chain_measures(idx[np.argsort(-f.values[idx], kind="stable")])
+    chain_all = C.chain(idx[np.argsort(-f.values[idx], kind="stable")][None])[0]
     grid_measures = chain_all[counts]
 
     alphas = np.concatenate([grid, distinct[np.isfinite(distinct)]])

@@ -1,16 +1,17 @@
 """Per-scenario evaluators, kept as oracles for the row-wise kernels.
 
 These are the one-scenario implementations the stacked kernels replaced:
-level sets from sorted run ends, the generalized Sugeno candidate
-evaluation, Choquet as a plain-Python sum taken left to right over the
-ascending levels (no ``np.dot``, whose bits depend on the BLAS kernel,
-and no ``sum()``, which compensates on Python 3.12), the kind-switched
-measures of pairwise intersections (weighted ones as a plain-Python
-histogram and suffix sums, in the kernel's order), positive dependence on
-the level cross product, the sorted comonotonicity test, and the
-exhaustive structural checks in one pass (every pair of the 4^n grid at
-once, and monotonicity as a gather of the sets without each bit).  The
-kernels must give what these give, bit for bit.
+the kind-switched measure of one mask, level sets from sorted run ends,
+the generalized Sugeno candidate evaluation, Choquet as a plain-Python
+sum taken left to right over the ascending levels (no ``np.dot``, whose
+bits depend on the BLAS kernel, and no ``sum()``, which compensates on
+Python 3.12), the kind-switched measures of pairwise intersections
+(weighted ones as a plain-Python histogram and suffix sums, in the
+kernel's order), positive dependence on the level cross product, the
+sorted comonotonicity test, and the exhaustive structural checks in one
+pass (every pair of the 4^n grid at once, and monotonicity as a gather
+of the sets without each bit). The kernels must give what these give,
+bit for bit.
 """
 
 import math
@@ -22,6 +23,24 @@ from capax.dependence import DependenceReport
 from capax.integrals import IntegralResult
 from capax.operators import min_op
 from capax.xreal import DEFAULT_CAP, INF, UNIT, DomainError, sup_of
+
+
+def measure(c, mask):
+    """Measure of the subset ``mask``, per capacity kind: weighted ones add
+    the selected weights left to right and raise the sum to gamma with
+    Python's pow."""
+    mask &= c.space.full_mask
+    k = c.kind
+    if k == "sup":
+        return 0.0 if mask == 0 else 1.0
+    if k == "explicit":
+        return float(c.table[mask])
+    if k == "derived":
+        return measure(c.base, mask & c.given) / measure(c.base, c.given)
+    sel = c.weights[mask_bools(mask, c.space.n)]
+    # left to right, as a point-by-point sum adds (np.sum is pairwise)
+    t = float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
+    return t if c.gamma == 1.0 else t**c.gamma
 
 
 def chain_measures(c, order):
@@ -40,7 +59,7 @@ def chain_measures(c, order):
         return np.concatenate(([0.0], c.table[np.cumsum(1 << order)]))
     inside = mask_bools(c.given, c.space.n)[order]
     chain = chain_measures(c.base, order[inside])
-    return chain[np.concatenate(([0], np.cumsum(inside)))] / c.base(c.given)
+    return chain[np.concatenate(([0], np.cumsum(inside)))] / measure(c.base, c.given)
 
 
 def measure_meet(c, R, S):
@@ -57,7 +76,7 @@ def measure_meet(c, R, S):
         bits = R.astype(np.int64) << np.arange(c.space.n)
         return c.table[bits @ S.T.astype(np.int64)]
     given = mask_bools(c.given, c.space.n)
-    return measure_meet(c.base, R & given, S) / c.base(c.given)
+    return measure_meet(c.base, R & given, S) / measure(c.base, c.given)
 
 
 def _weighted_meet(c, R, S):
@@ -119,7 +138,7 @@ def generalized_sugeno(f, c, A=None, op=None, cap=DEFAULT_CAP):
     alphas[1:k + 1] = distinct
     alphas[k + 1:] = top
     level_measures = np.zeros(k + 1 + tail)
-    level_measures[0] = c(A)
+    level_measures[0] = measure(c, A)
     level_measures[1:k + 1] = measures
     capped = k > 0 and math.isinf(distinct[0])
     if capped:

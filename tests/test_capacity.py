@@ -83,10 +83,10 @@ def test_measure_meet_matches_per_subset_calls(kind):
     for i in range(6):
         for j in range(4):
             assert meet[i, j] == pytest.approx(
-                c(indices_mask(np.flatnonzero(R[i] & S[j]))), abs=1e-15)
+                oracles.measure(c, indices_mask(np.flatnonzero(R[i] & S[j]))), abs=1e-15)
     for row in R:
         assert c.measure_bools(row) == pytest.approx(
-            c(indices_mask(np.flatnonzero(row))), abs=1e-15)
+            oracles.measure(c, indices_mask(np.flatnonzero(row))), abs=1e-15)
 
 
 def test_weighted_call_sums_left_to_right():
@@ -278,22 +278,24 @@ def test_chain_measures_match_direct_evaluation():
     mask = 0
     for k, i in enumerate(order):
         mask |= 1 << int(i)
-        assert chain[k + 1] == pytest.approx(c(mask))
+        assert chain[k + 1] == pytest.approx(oracles.measure(c, mask))
     assert chain[0] == 0.0
 
 
 def _derived_chain_loop(c, order):
     """The per-prefix evaluation derived chain_measures replaced: one
-    __call__ per prefix mask."""
+    measure per prefix mask."""
     out = np.zeros(len(order) + 1)
     m = 0
     for j, i in enumerate(order):
         m |= 1 << int(i)
-        out[j + 1] = c(m)
+        out[j + 1] = oracles.measure(c, m)
     return out
 
 
-#: weighted bases now sum in chain order, not index order
+#: a weighted base's chain sums in chain order, not index order, and
+#: raises its sums to gamma with numpy's array power, not Python's pow:
+#: either can move the last bit
 DERIVED_CHAIN_RTOL = 1e-12
 
 
@@ -460,10 +462,11 @@ def test_random_monotone_matches_bit_loop(n):
 
 
 def _margin(prop, c, a, b):
+    value = oracles.measure
     if prop == "monotone":  # b = a | single extra point
-        return c(b) - c(a)
-    va, vb = c(a), c(b)
-    vi, vu = c(a & b), c(a | b)
+        return value(c, b) - value(c, a)
+    va, vb = value(c, a), value(c, b)
+    vi, vu = value(c, a & b), value(c, a | b)
     if prop == "submodular":
         return va + vb - vi - vu
     if prop == "subadditive":
@@ -578,22 +581,36 @@ def test_exhaustive_checks_match_the_one_pass_oracle(prop, block_pairs, monkeypa
                 holds, repr(slack), witness), (n, kind)
 
 
-@pytest.mark.parametrize("prop", ["submodular", "subadditive", "modular"])
-def test_exhaustive_pairwise_check_memory_is_bounded(prop):
-    # the 4^9 pairs of n = 9 in one pass took 6.3 MB of temporaries
-    c = make_random_monotone(9, np.random.default_rng(3))
-    CHECKS[prop](c, mode="exhaustive")  # first-call allocations aside
+def _peak_of_second_call(call):
+    """call()'s result and the peak bytes it allocates beyond what was
+    live before it, on its second run (first-call allocations aside)."""
+    call()
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        CHECKS[prop](c, mode="exhaustive")
-        peak = tracemalloc.get_traced_memory()[1] - before
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("prop", ["submodular", "subadditive", "modular"])
+def test_exhaustive_pairwise_check_memory_is_bounded(prop):
+    # the 4^9 pairs of n = 9 in one pass took 6.3 MB of temporaries
+    c = make_random_monotone(9, np.random.default_rng(3))
+    assert _peak_of_second_call(lambda: CHECKS[prop](c, mode="exhaustive"))[1] < 1.5e6
+
+
+def test_sampled_check_of_a_wide_capacity_measures_in_bounded_blocks():
+    # 200 trials read 4 x 200 masks of 10^4 points: one read measured at
+    # once takes float temporaries of 16 MB each (35 MB of peak in all)
+    c = make_distorted(np.linspace(0.1, 1.0, 10**4), 1.5)
+    rep, peak = _peak_of_second_call(lambda: check_submodular(c, trials=200))
+    assert rep.mode == "sampled" and not rep.holds
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize("prop", list(CHECKS))
@@ -623,9 +640,12 @@ def test_auto_mode_that_samples_needs_a_trial():
 @pytest.mark.parametrize("prop, c", [
     ("monotone", make_random_monotone(17, np.random.default_rng(5))),
     ("monotone", normalize(make_distorted(np.linspace(1.0, 2.0, 21), 1.5), (1 << 21) - 2)),
+    ("submodular", normalize(make_distorted(np.linspace(1.0, 2.0, 21), 0.5), (1 << 21) - 6)),
+    ("submodular", make_distorted(np.linspace(0.1, 1.0, 24), 1.5)),
     ("submodular", make_distorted(np.linspace(0.1, 1.0, 40), 1.5)),
     ("modular", make_sup_capacity(GroundSpace(33))),
-], ids=["explicit_n17", "derived_n21", "distorted_n40", "sup_n33"])
+], ids=["explicit_n17", "derived_n21", "derived_submodular_n21", "distorted_n24",
+        "distorted_n40", "sup_n33"])
 def test_sampled_checks_beyond_exhaustive_sizes_match_scalar_loop(prop, c):
     check = CHECKS[prop]
     for trials in (1, 300):
@@ -634,33 +654,53 @@ def test_sampled_checks_beyond_exhaustive_sizes_match_scalar_loop(prop, c):
             prop, c, "sampled", 8, trials)
 
 
-def _capacity_kinds_for_values():
+def _capacity_kinds_for_values(n=7):
+    """Every family on n points, with a -0.0 weight, infinite table
+    entries (tables only up to n = 20) and derived of derived."""
     rng = np.random.default_rng(6)
-    w = rng.uniform(0.0, 1.0, size=7)
-    w[2] = -0.0  # the singleton {2} must keep its sign, as in __call__
-    table = rng.uniform(size=2**7)
-    table[0] = 0.0
-    table[9] = INF
+    full = (1 << n) - 1
+    w = rng.uniform(0.0, 1.0, size=n)
+    w[2] = -0.0  # the singleton {2} must keep its sign, as in the oracle
     distorted = make_distorted(w, gamma=2.3)
-    return {
+    kinds = {
         "additive": make_additive(w),
-        "grid": make_grid_lebesgue(0.0, 3.0, 7)[1],
+        "grid": make_grid_lebesgue(0.0, 3.0, n)[1],
         "distorted": distorted,
-        "sup": make_sup_capacity(GroundSpace(7)),
-        "explicit": make_explicit(table),
-        "derived": normalize(make_additive(w), 0b1101101),
-        "derived_distorted": normalize(distorted, 0b0111110),
+        "sup": make_sup_capacity(GroundSpace(n)),
+        "derived": normalize(make_additive(w), full ^ 0b0010010),
+        "derived_distorted": normalize(distorted, full ^ 0b1000001),
+        "derived_of_derived": normalize(normalize(distorted, full ^ 0b1000001), full ^ 0b100),
     }
+    if n <= capacity.MAX_EXPLICIT_N:
+        table = rng.uniform(size=2**n)
+        table[0] = 0.0
+        table[9] = INF
+        kinds["explicit"] = make_explicit(table)
+        kinds["derived_of_derived_explicit"] = normalize(
+            normalize(kinds["explicit"], full ^ 0b0010010), full ^ 0b0000100)
+    return kinds
 
 
 @pytest.mark.parametrize("kind", ["additive", "grid", "distorted", "sup",
-                                  "explicit", "derived", "derived_distorted"])
+                                  "explicit", "derived", "derived_distorted",
+                                  "derived_of_derived", "derived_of_derived_explicit"])
 def test_values_match_per_mask_calls(kind):
     c = _capacity_kinds_for_values()[kind]
-    expected = np.array([c(m) for m in range(2**c.space.n)])
+    expected = np.array([oracles.measure(c, m) for m in range(2**c.space.n)])
     got = c.values()
     assert np.array_equal(got, expected)
     assert got.tobytes() == expected.tobytes()  # bit for bit, signs of zero too
+
+
+@pytest.mark.parametrize("n", [7, 40, 70])  # 40 and 70: subset_rows' int64 and Python-int paths
+def test_single_measures_match_the_kind_switched_oracle(n):
+    rng = np.random.default_rng(n)
+    masks = [0, 0b100, (1 << n) - 1, *(int.from_bytes(rng.bytes(16), "little") for _ in range(30))]
+    for kind, c in _capacity_kinds_for_values(n).items():
+        for m in masks:
+            want = np.float64(oracles.measure(c, m)).tobytes()
+            assert np.float64(c(m)).tobytes() == want, (kind, m)
+            assert np.float64(c.measure_bools(mask_bools(m, n))).tobytes() == want, (kind, m)
 
 
 def test_values_are_capped_like_explicit_tables():

@@ -15,7 +15,7 @@ from capax import (DomainError, GroundSpace, INF, brute_force_generalized_sugeno
                    sugeno, table_op)
 from capax.capacity import mask_bools
 from capax.integrals import distinct_levels, one_row
-from oracles import choquet as oracle_choquet, level_sets as oracle_level_sets
+from oracles import choquet as oracle_choquet, level_sets as oracle_level_sets, measure
 from capax.xreal import DEFAULT_CAP
 
 
@@ -114,7 +114,7 @@ def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
     that does not absorb 0 on the right also sees the empty tail above it."""
     top = 1.0 if c.range == "unit" else cap
     idx = [i for i in range(f.space.n) if (A >> i) & 1]
-    best = op(0.0, c(A))
+    best = op(0.0, measure(c, A))
     for alpha in sorted({f[i] for i in idx}):
         mask = 0
         for i in idx:
@@ -122,7 +122,7 @@ def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
                 mask |= 1 << i
         a = top if math.isinf(alpha) else alpha
         lvl = min(a, 1.0) if op.domain == "unit" else a
-        best = max(best, op(lvl, c(mask)))
+        best = max(best, op(lvl, measure(c, mask)))
     if not op.zero_absorbing_right:
         best = max(best, op(top, 0.0))
     return best
@@ -137,7 +137,7 @@ def _per_level_loop(f, c, A, op, cap=DEFAULT_CAP):
     distinct, measures, _ = oracle_level_sets(f, c, A)
     top = cap if c.range == "extended" else 1.0
     capped = len(distinct) > 0 and math.isinf(distinct[0])
-    best, best_level, tail_won = op(0.0, c(A)), 0.0, False
+    best, best_level, tail_won = op(0.0, measure(c, A)), 0.0, False
     for v, m in zip(distinct, measures):
         if math.isinf(v):
             v = top
