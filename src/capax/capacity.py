@@ -27,12 +27,13 @@ gives the same pairs, slack and witness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .operators import row_groups
+from .operators import rows_pow
 from .xreal import EXTENDED, UNIT, DegenerateInputError, DomainError
 
 MAX_EXPLICIT_N = 20
@@ -110,10 +111,16 @@ def mask_indices(mask: int) -> list[int]:
 
 
 def indices_mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+    """The mask with the bits of ``indices`` set (any order, repeats
+    allowed), packed from one membership array."""
+    ix = np.fromiter(map(operator.index, indices), dtype=np.int64)
+    if not len(ix):
+        return 0
+    if ix.min() < 0:
+        raise ValueError("negative point index")
+    sel = np.zeros(int(ix.max()) + 1, dtype=bool)
+    sel[ix] = True
+    return int.from_bytes(np.packbits(sel, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -326,13 +333,12 @@ class CapacityStack:
     has one weight per point in one (k, N) array W: a weighted row's
     weights, 2^x for an explicit row, 1 for a sup row.  Every kernel sums
     those weights over its sets and ``_finish`` turns the sums into
-    measures; weighted rows raise theirs to gamma with Python's pow in
-    ``measure`` and ``values``, value by value, and with numpy's array
-    power in ``chain`` and ``level_meet`` (the last bit may differ).
-    Explicit rows share one (k, 2^N) table array.  A derived stack holds
-    the stack of its bases, the conditioning subsets and their base
-    measures.  Every kernel gives each row what its capacity gives alone,
-    bit for bit."""
+    measures; weighted rows raise theirs to gamma in ``_distort`` by
+    ``rows_pow``, the one power rule, so every kernel raises a given sum
+    to the same bits.  Explicit rows share one (k, 2^N) table array.  A derived
+    stack holds the stack of its bases, the conditioning subsets and their
+    base measures.  Every kernel gives each row what its capacity gives
+    alone, bit for bit."""
 
     def __init__(self, caps: Sequence[Capacity], width: Optional[int] = None):
         self.caps = list(caps)
@@ -407,17 +413,10 @@ class CapacityStack:
         return sums
 
     def _distort(self, out: np.ndarray) -> np.ndarray:
-        """Raise the rows of ``out`` with gamma != 1 to their gamma in
-        place, one power per distinct exponent, each a Python float."""
-        rows = np.array([i for _, i in self.gammas])
-        for g, at in row_groups(g for g, _ in self.gammas):
-            out[rows[at]] = out[rows[at]] ** g
-        return out
-
-    def _pow(self, out: np.ndarray) -> np.ndarray:
-        """Raise each row with gamma != 1 to its gamma in place, with Python's pow."""
-        for g, i in self.gammas:
-            out[i] = np.reshape([t**g for t in np.ravel(out[i]).tolist()], np.shape(out[i]))
+        """Raise the rows of ``out`` with gamma != 1 to their gamma in place."""
+        if self.gammas:
+            rows = [i for _, i in self.gammas]
+            out[rows] = rows_pow(out[rows], [g for g, _ in self.gammas])
         return out
 
     def measure(self, S: np.ndarray) -> np.ndarray:
@@ -430,7 +429,7 @@ class CapacityStack:
         # (the last column copied, so that the result pins no (k, ..., N) array)
         sums = np.cumsum(np.where(S, self.W.reshape(k + (-1,)), -0.0), axis=-1)[..., -1].copy()
         sums[~S.any(-1)] = 0.0
-        return self._finish(self._pow(sums))
+        return self._finish(self._distort(sums))
 
     def values(self) -> np.ndarray:
         """(k, 2^N) measures: entry (i, m) is what ``measure`` gives row i
@@ -443,7 +442,7 @@ class CapacityStack:
         for x, w in enumerate(self.W.T):  # the sets with point x: those without it, plus w
             np.add(v[:, :1 << x], w[:, None], out=v[:, 1 << x:2 << x])
         v[:, 0] = 0.0
-        return self._finish(self._pow(v))
+        return self._finish(self._distort(v))
 
     def chain(self, order: np.ndarray) -> np.ndarray:
         """Measures of the nested prefixes of each row of ``order`` (k, W),

@@ -53,12 +53,6 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _report_dict(rep: ineq.InequalityReport) -> dict:
-    d = dataclasses.asdict(rep)
-    d["hypotheses"] = [dataclasses.asdict(h) for h in rep.hypotheses]
-    return d
-
-
 def _print_report(rep: ineq.InequalityReport):
     print(f"theorem   {rep.theorem}")
     for h in rep.hypotheses:
@@ -167,13 +161,6 @@ def _audit_doc(doc, args) -> tuple[str, int, int]:
     return theorem, audit_cfg.get("trials", 1000), seed
 
 
-def _summary_dict(summary) -> dict:
-    return {"theorem": summary.theorem, "trials": summary.trials,
-            "hypothesis_pass": summary.hypothesis_pass,
-            "violations": [v.to_dict() for v in summary.violations],
-            "min_slack": summary.min_slack, "seed": summary.seed}
-
-
 def cmd_audit(args) -> int:
     doc = load_document(args.file)
     theorem, trials, seed = _audit_doc(doc, args)
@@ -184,7 +171,7 @@ def cmd_audit(args) -> int:
           f"min slack {_fmt(summary.min_slack)}")
     if args.out:
         dump_result(args.out, {"input": doc, "command": "audit",
-                               "report": _summary_dict(summary)})
+                               "report": dataclasses.asdict(summary)})
     return EXIT_OK if summary.violation_count == 0 else EXIT_CHECK_FAILED
 
 
@@ -212,7 +199,7 @@ def cmd_falsify(args) -> int:
         dump_result(args.out, {"input": doc, "command": f"falsify --drop {drop}",
                                "report": {"found": True,
                                           "scenario": witness.to_dict(),
-                                          "report": _report_dict(rep)}})
+                                          "report": dataclasses.asdict(rep)}})
     return EXIT_CHECK_FAILED
 
 
@@ -299,7 +286,7 @@ def cmd_demo(args) -> int:
         for k in ("ratio", "K", "C", "d"):
             if k in result.extra:
                 print(f"  {k}        {_fmt(result.extra[k])}")
-        report = _report_dict(result)
+        report = dataclasses.asdict(result)
         ok = result.holds
     if args.out:
         dump_result(args.out, {"input": {"theorem": args.name},

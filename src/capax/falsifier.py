@@ -35,7 +35,6 @@ from .operators import builtin_systems, get_op, get_system
 from .scenario import SchemaError, context_from_specs
 from .xreal import DomainError
 
-VIOLATION_RTOL = 1e-9
 MAX_SHRINK_STEPS = 200
 #: an audit chunk ends once its scenarios hold this many table entries
 #: and points, which bounds the memory of its stack; four times as many
@@ -463,8 +462,7 @@ def is_violation(rep: ineq.InequalityReport,
         return False
     if require_hypotheses and not rep.hypotheses_pass:
         return False
-    tol = VIOLATION_RTOL * max(1.0, abs(rep.rhs) if math.isfinite(rep.rhs) else 1.0)
-    return rep.slack < -tol
+    return rep.slack < -ineq.slack_tol(rep.rhs)
 
 
 # ---------------------------------------------------------------------------

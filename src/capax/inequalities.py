@@ -28,7 +28,7 @@ from .integrals import (SampleFunction, Values, choquet_rows,
                         generalized_sugeno_rows, one_row, pointwise_rows, power_rows)
 from .operators import (AggOperator, OperatorSystem, check_chebyshev_condition,
                         check_power_condition, lukasiewicz_op, min_op, prod_op,
-                        row_groups, rows_vec)
+                        rows_pow, rows_vec)
 from .xreal import EXTENDED, INF, UNIT, DomainError, xmul, xpow
 
 REL_TOL = 1e-9
@@ -66,11 +66,17 @@ def _slack(lhs: float, rhs: float) -> float:
     return rhs - lhs
 
 
+def slack_tol(rhs: float) -> float:
+    """How far below zero a slack may fall and the verdict still hold:
+    REL_TOL relative to a finite rhs, and never less than REL_TOL.  A NaN
+    slack passes no comparison, so it neither holds nor violates."""
+    return REL_TOL * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
+
+
 def _report(theorem, hypotheses, lhs, rhs, degenerate=None,
             extra=None) -> InequalityReport:
     slack = _slack(lhs, rhs)
-    tol = REL_TOL * max(1.0, abs(rhs) if math.isfinite(rhs) else 1.0)
-    holds = degenerate is None and slack >= -tol
+    holds = degenerate is None and slack >= -slack_tol(rhs)
     return InequalityReport(theorem, hypotheses, lhs, rhs, holds, slack,
                             degenerate=degenerate, extra=extra or {})
 
@@ -534,12 +540,9 @@ def h_pq_rows(a, b, G, H, A, C, p) -> list:
     G, H, A, C = (_sub(x, live, k) for x in (G, H, A, C))
     a, b, p = ([x[i] for i in live] for x in (a, b, p))
     q = [x / (x - 1) for x in p]
-    denom = np.array(b)[:, None] * G.v + np.array(a)[:, None] * H.v
-    vals = np.empty_like(denom)
-    for e, rows in row_groups([1.0 - x for x in q]):
-        d = denom[rows]
-        with np.errstate(divide="ignore"):
-            vals[rows] = np.where(d == 0, INF, d ** e)
+    d = np.array(b)[:, None] * G.v + np.array(a)[:, None] * H.v
+    with np.errstate(divide="ignore"):
+        vals = np.where(d == 0, INF, rows_pow(d, [1.0 - x for x in q]))
     inner = _ch(G.like(vals), A, C)
     for i, ai, bi, pi, qi, inn in zip(live.tolist(), a, b, p, q, inner):
         ab = ai * bi
@@ -603,14 +606,11 @@ def carlson_choquet_submodular_rows(F, G, H, A, C, p) -> list:
     finite = np.isfinite(a) & np.isfinite(b)
     a, b = np.where(finite, a, 0.0), np.where(finite, b, 0.0)
     mask = (F.v > 0) & F.valid
-    expr = np.zeros_like(F.v)
-    for pi, rows in row_groups(p):
-        qi = pi / (pi - 1)
-        m = mask[rows]
-        # points outside {f > 0} compute 0 and are dropped below
-        gb = np.where(m, G.v[rows], 0.0) * b[rows, None]
-        ha = np.where(m, H.v[rows], 0.0) * a[rows, None]
-        expr[rows] = (gb + ha) ** qi * np.where(m, F.v[rows], 0.0) ** pi
+    # points outside {f > 0} compute 0 and are dropped below
+    gb = np.where(mask, G.v, 0.0) * b[:, None]
+    ha = np.where(mask, H.v, 0.0) * a[:, None]
+    expr = (rows_pow(gb + ha, [x / (x - 1) for x in p])
+            * rows_pow(np.where(mask, F.v, 0.0), p))
     top = np.where(mask, expr, -np.inf).max(1).tolist()
     bottom = np.where(mask, expr, np.inf).min(1).tolist()
     for i, rep in enumerate(out):
@@ -655,10 +655,10 @@ def carlson_choquet_subadditive_rows(F, G, H, A, C, p) -> list:
         db_rhs = 2.0 * (If[i] + Ig[i])
         rep.extra["aux_holder_variant"] = {
             "lhs": sh_lhs[i], "rhs": sh_rhs,
-            "holds": _slack(sh_lhs[i], sh_rhs) >= -REL_TOL * max(1.0, abs(sh_rhs))}
+            "holds": _slack(sh_lhs[i], sh_rhs) >= -slack_tol(sh_rhs)}
         rep.extra["aux_doubling"] = {
             "lhs": db_lhs[i], "rhs": db_rhs,
-            "holds": _slack(db_lhs[i], db_rhs) >= -REL_TOL * max(1.0, abs(db_rhs))}
+            "holds": _slack(db_lhs[i], db_rhs) >= -slack_tol(db_rhs)}
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .capacity import Capacity, CapacityStack, GroundSpace, along, subset_rows
 from .xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
-from .operators import AggOperator, min_op, prod_op, row_groups, rows_vec
+from .operators import AggOperator, min_op, prod_op, rows_pow, rows_vec
 
 
 @dataclass(frozen=True)
@@ -379,17 +379,13 @@ def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction,
 
 
 def power_rows(F: Values, s: Sequence[float]) -> Values:
-    """Row i raised pointwise to s[i] with the 0**s = 0, inf**s = inf
-    conventions (s > 0): one power per distinct exponent, each a Python
-    float, since numpy's scalar-exponent paths differ from an exponent
-    array in the last bit."""
+    """Row i raised pointwise to s[i] by ``rows_pow``, with the 0**s = 0,
+    inf**s = inf conventions (s > 0)."""
     if any(e <= 0 for e in s):
         raise DomainError("power exponent must be positive")
-    out = np.empty_like(F.v)
-    for e, rows in row_groups(s):
-        v = F.v[rows]
-        with np.errstate(invalid="ignore"):
-            out[rows] = np.where(v == 0, 0.0, np.where(np.isinf(v), INF, v**e))
+    v = F.v
+    with np.errstate(invalid="ignore"):
+        out = np.where(v == 0, 0.0, np.where(np.isinf(v), INF, rows_pow(v, s)))
     return F.like(out, [UNIT if e >= 1 and u else None
                         for e, u in zip(s, F.unit.tolist())])
 

@@ -66,6 +66,22 @@ def rows_vec(ops: Sequence["AggOperator"], a, b) -> np.ndarray:
     return out
 
 
+def rows_pow(x, e: Sequence[float]) -> np.ndarray:
+    """Row i of x raised to e[i]: the one power rule.  Numpy's array power,
+    one call per distinct exponent, each a Python float; its bits do not
+    depend on the row's length or position.  An exponent array (numpy
+    takes 0.5 and 2 by other ufuncs only for a scalar one) or a 0-d
+    operand (libm's pow) can round otherwise."""
+    x = np.asarray(x, dtype=float)
+    groups = row_groups(float(g) for g in e)
+    if len(groups) == 1:
+        return x ** groups[0][0]
+    out = np.empty_like(x)
+    for g, rows in groups:
+        out[rows] = x[rows] ** g
+    return out
+
+
 def _prod_vec(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

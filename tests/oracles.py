@@ -27,8 +27,9 @@ from capax.xreal import DEFAULT_CAP, INF, UNIT, DomainError, sup_of
 
 def measure(c, mask):
     """Measure of the subset ``mask``, per capacity kind: weighted ones add
-    the selected weights left to right and raise the sum to gamma with
-    Python's pow."""
+    the selected weights left to right and raise the sum to gamma by the
+    one power rule, ``rows_pow``'s: numpy's array power on a one-element
+    array."""
     mask &= c.space.full_mask
     k = c.kind
     if k == "sup":
@@ -40,7 +41,7 @@ def measure(c, mask):
     sel = c.weights[mask_bools(mask, c.space.n)]
     # left to right, as a point-by-point sum adds (np.sum is pairwise)
     t = float(np.add.accumulate(sel)[-1]) if sel.size else 0.0
-    return t if c.gamma == 1.0 else t**c.gamma
+    return t if c.gamma == 1.0 else float((np.array([t]) ** c.gamma)[0])
 
 
 def chain_measures(c, order):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,24 @@ def test_mask_helpers_roundtrip():
     assert indices_mask([0, 1, 3]) == 0b1011
     assert mask_indices(0) == []
     assert indices_mask([]) == 0
+
+
+def test_indices_mask_matches_a_loop_of_shifts():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        ix = rng.integers(0, int(rng.integers(1, 300)), size=int(rng.integers(0, 40))).tolist()
+        m = 0
+        for i in ix:  # unsorted, with repeats, sometimes empty
+            m |= 1 << i
+        assert indices_mask(ix) == m
+    with pytest.raises(ValueError):
+        indices_mask([3, -1])
+
+
+def test_indices_mask_is_linear_in_the_index_count():
+    t0 = time.perf_counter()
+    assert indices_mask(range(10**6)) == (1 << 10**6) - 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _bit_walk(mask, n):
@@ -293,9 +312,8 @@ def _derived_chain_loop(c, order):
     return out
 
 
-#: a weighted base's chain sums in chain order, not index order, and
-#: raises its sums to gamma with numpy's array power, not Python's pow:
-#: either can move the last bit
+#: a weighted base's chain sums in chain order, not index order, which
+#: can move the last bit (its powers follow the one rule, as measures do)
 DERIVED_CHAIN_RTOL = 1e-12
 
 
@@ -320,6 +338,21 @@ def test_derived_chain_measures_match_per_prefix_calls(kind):
             else:
                 np.testing.assert_allclose(got, want, rtol=DERIVED_CHAIN_RTOL,
                                            atol=0)
+
+
+def test_distorted_chains_equal_single_measures_bit_for_bit():
+    """Chains and single measures raise gamma by one power rule: in index
+    order each prefix of the chain is the measure of that prefix mask, and
+    a capacity normalized by its whole space ends its chain at 1.0."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        d = make_distorted(rng.uniform(0.05, 1.0, size=n), float(rng.uniform(0.3, 3.0)))
+        whole = normalize(d, d.space.full_mask)
+        for c in (d, whole, normalize(d, int(rng.integers(1, 1 << n)))):
+            chain = c.chain_measures(np.arange(n)).tolist()
+            assert chain == [c((1 << j) - 1) for j in range(n + 1)], (n, c.given)
+        assert whole.chain_measures(np.arange(n))[-1] == 1.0
 
 
 # --- structural property checks -------------------------------------------

@@ -12,7 +12,7 @@ from capax.falsifier import (DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_ALIASES,
                              THEOREM_IDS, Scenario, _pick, audit, canonical_theorem,
                              hunt_counterexample, is_violation,
                              random_scenario, run_scenario, shrink)
-from capax.inequalities import InequalityReport
+from capax.inequalities import InequalityReport, _report
 from capax.scenario import SchemaError
 from capax.xreal import DomainError
 
@@ -88,6 +88,15 @@ def test_is_violation_tolerances():
     assert is_violation(rep2)
     rep3 = InequalityReport("t", [], 2.0, 1.0, False, -1.0, degenerate="x")
     assert not is_violation(rep3)
+    # infinite and NaN sides: the verdict and the violation test read one tolerance
+    inf, nan = math.inf, math.nan
+    for lhs, rhs, holds in [(inf, 1.0, False), (1.0, inf, True), (inf, inf, True),
+                            (1e12 + 1e2, 1e12, True), (1e12 + 1e4, 1e12, False),
+                            (nan, 1.0, False), (1.0, nan, False)]:
+        rep = _report("t", [], lhs, rhs)
+        assert rep.holds is holds, (lhs, rhs)
+        # a NaN slack neither holds nor violates
+        assert is_violation(rep) is (not holds and not math.isnan(rep.slack)), (lhs, rhs)
 
 
 def test_hunt_finds_small_chebyshev_counterexample():
