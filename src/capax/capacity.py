@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +44,9 @@ SAMPLED_TRIALS = 10**5
 #: membership cells (n per mask) per block of a sampled check that measures its masks
 _BLOCK_CELLS = 2**16
 MODULAR_TOL = 1e-12
+#: 2^x for x = 0, ..., MAX_EXPLICIT_N - 1: an explicit capacity's point weights
+_POW2 = 2.0 ** np.arange(MAX_EXPLICIT_N)
+_POW2.setflags(write=False)
 
 
 class InvalidCapacityError(ValueError):
@@ -59,24 +63,23 @@ class GroundSpace:
     widths: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("a ground space needs at least one point")
-        if (self.coords is None) != (self.widths is None):
-            raise ValueError("coords and widths must be given together")
-        if self.coords is not None:
-            cs, ws = np.array(self.coords, dtype=float), np.array(self.widths, dtype=float)
-            if cs.shape != (self.n,) or ws.shape != (self.n,):
-                raise ValueError("coords/widths length must equal n")
-            # comparisons with NaN are false, so NaN fails every check
-            if not (cs >= 0).all():
-                raise ValueError("coordinates must be nonnegative numbers")
-            if not (np.diff(cs) > 0).all():
-                raise ValueError("coordinates must be strictly increasing")
-            if not (ws > 0).all():
-                raise ValueError("cell widths must be positive")
-            for name, a in (("coords", cs), ("widths", ws)):
-                a.setflags(write=False)
-                object.__setattr__(self, name, a)
+        if self.coords is None and self.widths is None and self.n >= 1:
+            return  # a plain space: nothing to check or copy
+        ((coords, widths),) = _point_rows([self.n], [self.coords], [self.widths])
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "widths", widths)
+
+    @classmethod
+    def rows(cls, n: Sequence[int], coords: Sequence, widths: Sequence) -> list:
+        """The spaces of n[i] points with coords[i] and widths[i] (None and
+        None for a space without), checked all at once as each space checks
+        its own."""
+        out = []
+        for ni, (cs, ws) in zip(n, _point_rows(n, coords, widths)):
+            space = object.__new__(cls)  # checked above: set the fields as __init__ would
+            vars(space).update(n=ni, coords=cs, widths=ws)
+            out.append(space)
+        return out
 
     @property
     def full_mask(self) -> int:
@@ -86,6 +89,41 @@ class GroundSpace:
         if self.coords is None:
             raise DomainError("space has no coordinates")
         return self.coords
+
+
+def _point_rows(n: Sequence[int], coords: Sequence, widths: Sequence) -> list:
+    """A ground space's checks, made for k spaces at once: point counts
+    n[i] and, per row, coordinates and cell widths (or None and None).
+    Returns each row's (coords, widths) as read-only float views of one
+    copy of the rows' values, or (None, None)."""
+    if min(n) < 1:
+        raise ValueError("a ground space needs at least one point")
+    out = [(None, None)] * len(n)
+    rows = [i for i, (c, w) in enumerate(zip(coords, widths)) if c is not None or w is not None]
+    if not rows:
+        return out
+    if any(coords[i] is None or widths[i] is None for i in rows):
+        raise ValueError("coords and widths must be given together")
+    cs, ws = ([np.array(x[i], dtype=float) for i in rows] for x in (coords, widths))
+    if any(c.shape != (n[i],) or w.shape != (n[i],) for i, c, w in zip(rows, cs, ws)):
+        raise ValueError("coords/widths length must equal n")
+    cs, ws = (x[0] if len(rows) == 1 else np.concatenate(x) for x in (cs, ws))
+    ends = list(accumulate(n[i] for i in rows))
+    # a minimum with NaN is NaN, so NaN fails every check
+    if not np.minimum.reduce(cs) >= 0:
+        raise ValueError("coordinates must be nonnegative numbers")
+    rise = np.diff(cs)
+    if len(rows) > 1:
+        rise[[end - 1 for end in ends[:-1]]] = 1.0  # a row's first point follows none of its own
+    if not np.minimum.reduce(rise, initial=1.0) > 0:
+        raise ValueError("coordinates must be strictly increasing")
+    if not np.minimum.reduce(ws) > 0:
+        raise ValueError("cell widths must be positive")
+    cs.setflags(write=False)
+    ws.setflags(write=False)
+    for i, end in zip(rows, ends):
+        out[i] = cs[end - n[i]:end], ws[end - n[i]:end]
+    return out
 
 
 #: row b holds the bits of the byte b, least significant first
@@ -120,6 +158,11 @@ def indices_mask(indices: Iterable[int]) -> int:
         raise ValueError("negative point index")
     sel = np.zeros(int(ix.max()) + 1, dtype=bool)
     sel[ix] = True
+    return bools_mask(sel)
+
+
+def bools_mask(sel: np.ndarray) -> int:
+    """The mask of a membership vector (``mask_bools`` inverted)."""
     return int.from_bytes(np.packbits(sel, bitorder="little").tobytes(), "little")
 
 
@@ -188,18 +231,35 @@ def _infer_range(total: float) -> str:
 def make_additive(weights: Sequence[float], space: Optional[GroundSpace] = None) -> Capacity:
     """Additive (modular) capacity from per-point weights."""
     w = np.array(weights, dtype=float)  # a copy: the capacity is immutable
-    if w.ndim != 1 or len(w) == 0:
+    return weighted_rows(w, [w.size], [None], [space])[0]
+
+
+def weighted_rows(w: np.ndarray, lengths: Sequence[int], gammas: Sequence,
+                  spaces: Sequence[Optional[GroundSpace]]) -> list:
+    """The capacities of k rows of weights, concatenated in a float array
+    ``w`` that no one else holds (row i holds lengths[i]): additive where
+    gammas[i] is None, else the power distortion by gammas[i], on
+    spaces[i] (None: a space of its own).  The rows are checked all at
+    once as ``make_additive`` and ``make_distorted`` check one, and each
+    keeps a read-only view of w."""
+    if not all(g is None or (g > 0 and math.isfinite(g)) for g in gammas):
+        raise InvalidCapacityError("distortion exponent must be positive and finite")
+    if w.ndim != 1 or min(lengths) == 0:
         raise InvalidCapacityError("weights must be a nonempty 1-d sequence")
-    if not (w >= 0).all():  # also rejects NaN
+    if not np.minimum.reduce(w) >= 0:  # also rejects NaN
         raise InvalidCapacityError("weights must be nonnegative numbers")
-    if w.sum() == 0:
-        raise InvalidCapacityError("all-zero weights: the whole space must have positive measure")
-    if space is None:
-        space = GroundSpace(len(w))
-    elif space.n != len(w):
-        raise InvalidCapacityError("weight count must match the space")
     w.setflags(write=False)
-    return Capacity(space=space, range=_infer_range(float(w.sum())), kind="additive", weights=w)
+    rows = [w[end - m:end] for m, end in zip(lengths, accumulate(lengths))]
+    totals = [row.sum() for row in rows]  # each row's own sum, as one capacity sums it
+    if not all(totals):
+        raise InvalidCapacityError("all-zero weights: the whole space must have positive measure")
+    if any(space is not None and space.n != m for space, m in zip(spaces, lengths)):
+        raise InvalidCapacityError("weight count must match the space")
+    return [Capacity(space=GroundSpace(len(row)) if space is None else space,
+                     range=_infer_range(float(total if g is None else total ** g)),
+                     kind="additive" if g is None else "distorted", weights=row,
+                     gamma=1.0 if g is None else g)
+            for row, total, g, space in zip(rows, totals, gammas, spaces)]
 
 
 def make_sup_capacity(space: GroundSpace) -> Capacity:
@@ -210,11 +270,8 @@ def make_sup_capacity(space: GroundSpace) -> Capacity:
 def make_distorted(weights: Sequence[float], gamma: float,
                    space: Optional[GroundSpace] = None) -> Capacity:
     """Power distortion t -> t**gamma of an additive capacity."""
-    if not (gamma > 0) or not math.isfinite(gamma):
-        raise InvalidCapacityError("distortion exponent must be positive and finite")
-    base = make_additive(weights, space)
-    total = float(base.weights.sum() ** gamma)
-    return replace(base, range=_infer_range(total), kind="distorted", gamma=gamma)
+    w = np.array(weights, dtype=float)  # a copy: the capacity is immutable
+    return weighted_rows(w, [w.size], [gamma], [space])[0]
 
 
 def make_grid_lebesgue(a: float, b: float, steps: int) -> tuple[GroundSpace, Capacity]:
@@ -243,31 +300,46 @@ def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
 def _explicit(t: np.ndarray, space: Optional[GroundSpace],
               range_tag: Optional[str]) -> Capacity:
     """``make_explicit`` of a float table that no one else holds: the
-    capacity keeps t itself, made read-only."""
-    if t.ndim != 1 or t.size == 0:
+    capacity keeps a read-only view of t."""
+    return explicit_rows(t, [t.size], [space], [range_tag])[0]
+
+
+def explicit_rows(t: np.ndarray, lengths: Sequence[int],
+                  spaces: Sequence[Optional[GroundSpace]],
+                  range_tags: Sequence[Optional[str]]) -> list:
+    """The explicit capacities of k value tables, concatenated in a float
+    array ``t`` that no one else holds (row i holds lengths[i]), on
+    spaces[i] (None: a space of its own) with range tags range_tags[i]
+    (None: inferred).  The rows are checked all at once as
+    ``make_explicit`` checks one, and each keeps a read-only view of t."""
+    if t.ndim != 1 or min(lengths) == 0:
         raise InvalidCapacityError(f"a table must be a nonempty 1-d sequence, "
                                    f"got shape {t.shape}")
-    n = int(round(math.log2(len(t))))
-    if 2**n != len(t):
+    if any(m & (m - 1) for m in lengths):
         raise InvalidCapacityError("table length must be a power of two")
-    if n > MAX_EXPLICIT_N:
+    n = [m.bit_length() - 1 for m in lengths]
+    if max(n) > MAX_EXPLICIT_N:
         raise InvalidCapacityError(f"explicit tables are capped at n={MAX_EXPLICIT_N}")
-    if t[0] != 0.0:
+    ends = list(accumulate(lengths))
+    starts = [end - m for end, m in zip(ends, lengths)]
+    # each row's empty set, then its whole space (NaN is nonzero and not > 0)
+    corners = t[starts + [end - 1 for end in ends]]
+    if np.count_nonzero(corners[:len(ends)]):
         raise InvalidCapacityError("the empty set must have measure 0")
-    if not t[-1] > 0.0:
+    if np.count_nonzero(corners[len(ends):] > 0.0) < len(ends):
         raise InvalidCapacityError("the whole space must have positive measure")
-    if not (t >= 0).all():  # also rejects NaN
+    if not np.minimum.reduce(t) >= 0:  # also rejects NaN
         raise InvalidCapacityError("capacity values must be nonnegative numbers")
-    if space is None:
-        space = GroundSpace(n)
-    elif space.n != n:
+    if any(space is not None and space.n != ni for space, ni in zip(spaces, n)):
         raise InvalidCapacityError("table size must match the space")
-    if range_tag is None:
-        range_tag = UNIT if float(t.max()) <= 1.0 else EXTENDED
-    if range_tag == UNIT and float(t.max()) > 1.0:
+    tops = np.maximum.reduceat(t, starts).tolist()
+    if any(tag == UNIT and top > 1.0 for tag, top in zip(range_tags, tops)):
         raise InvalidCapacityError("unit-range capacity has a value above 1")
     t.setflags(write=False)
-    return Capacity(space=space, range=range_tag, kind="explicit", table=t)
+    return [Capacity(space=GroundSpace(ni) if space is None else space,
+                     range=(UNIT if top <= 1.0 else EXTENDED) if tag is None else tag,
+                     kind="explicit", table=t[start:end])
+            for ni, space, tag, top, start, end in zip(n, spaces, range_tags, tops, starts, ends)]
 
 
 def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
@@ -360,7 +432,7 @@ class CapacityStack:
         # table index (exact for n <= 20), 1 for a sup row its point count
         self.W = np.zeros((len(self.caps), self.N))
         for i, c in enumerate(self.caps):
-            self.W[i, :c.space.n] = (2.0 ** np.arange(c.space.n) if c.kind == "explicit"
+            self.W[i, :c.space.n] = (_POW2[:c.space.n] if c.kind == "explicit"
                                      else 1.0 if c.kind == "sup" else c.weights)
         # a stack of one full-width explicit row reads its capacity's table in place
         if len(self.caps) == 1 and self.n[0] == self.N and len(self.explicit):

@@ -5,7 +5,8 @@ with respect to the Lukasiewicz operator.
 Both checks run on stacks of rows (``comonotone_rows``,
 ``positive_dependence_rows``); checking one pair is a stack of one row.
 Positive dependence reads each point's rank among the levels of f and of
-g, from which ``CapacityStack.level_meet`` (a row whole) or
+g (``level_ranks``, so a function checked against two others is ranked
+once), from which ``CapacityStack.level_meet`` (a row whole) or
 ``level_bands`` (a wide row in bands of g ranks) measures all joint level
 sets in O(n + a b) time per row, summing in a fixed order with no BLAS
 call."""
@@ -105,22 +106,34 @@ class DependenceRows:
         return [w >= -POSDEP_TOL for w in self.slack]
 
 
+def level_ranks(X: Values, A: np.ndarray) -> tuple:
+    """One side of a positive-dependence check: per row, the levels of x
+    on A and their count (``_level_rows``), and each point's rank plus one,
+    -1 for none, so that rank 0 is the whole space and one level meet
+    holds the marginals in its first column and row."""
+    levels, count, rank = _level_rows(X, A)
+    return levels, count, np.where(X.valid, rank + 1, -1)
+
+
 def positive_dependence_rows(F: Values, A: np.ndarray, G: Values, B: np.ndarray,
                              C: CapacityStack, tris: Sequence[AggOperator]) -> DependenceRows:
     """Per row, mu({f|_A >= a} n {g|_B >= b}) >= mu({f|_A >= a}) tri
     mu({g|_B >= b}) on the distinct-value cross product (plus level 0),
     which is exact, not sampled: both sides are step functions constant
     between consecutive function values.  A cell where both sides are
-    infinite holds with equality.  Rows of at most POSDEP_BLOCK_CELLS
-    cross-product cells go through packed in blocks of about that many
-    cells; a wider row is walked alone in bands of g ranks
-    (``CapacityStack.level_bands``), so its memory is O(n + a + b +
-    POSDEP_BLOCK_CELLS).  Among equal margins the first cell in C order is
-    the witness, as in one pass over the whole cross product."""
-    # per side: levels, counts and point ranks plus one (rank 0 is the whole
-    # space), so one level meet holds the marginals in its first column and row
-    f, g = ((levels, count, np.where(X.valid, rank + 1, -1))
-            for X, (levels, count, rank) in ((F, _level_rows(F, A)), (G, _level_rows(G, B))))
+    infinite holds with equality.  See ``level_dependence_rows``."""
+    return level_dependence_rows(level_ranks(F, A), level_ranks(G, B), C, tris)
+
+
+def level_dependence_rows(f: tuple, g: tuple, C: CapacityStack,
+                          tris: Sequence[AggOperator]) -> DependenceRows:
+    """``positive_dependence_rows`` from the two sides' ``level_ranks``,
+    so that a side checked against several others is ranked once.  Rows
+    of at most POSDEP_BLOCK_CELLS cross-product cells go through packed in
+    blocks of about that many cells; a wider row is walked alone in bands
+    of g ranks (``CapacityStack.level_bands``), so its memory is O(n + a +
+    b + POSDEP_BLOCK_CELLS).  Among equal margins the first cell in C
+    order is the witness, as in one pass over the whole cross product."""
     size = f[1] * g[1]
     if size.sum() <= POSDEP_BLOCK_CELLS:
         return _positive_dependence_block(f, g, C, tris)

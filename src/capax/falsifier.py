@@ -11,12 +11,14 @@ lists, the alias table, ``DROPPABLE``, scenario generation, replay, audits
 and hunts all read that table.
 
 An audit draws its trials one by one and evaluates them in chunks: each
-chunk is decoded into one stack (``decode``) and its record's runner
-evaluates all rows at once.  Replay decodes exactly as the CLI reads a
-scenario file, through ``scenario.context_from_specs``, with the same
-checks and errors.  A hunt evaluates its trials in chunks of 1,
-2, 4, ... and a shrink step all its candidates as one stack; replay runs
-a stack of one row through the same runners.
+chunk is decoded into one stack by the one scenario decoder
+(``scenario.decode_specs``, field by field over the whole chunk) and its
+record's runner evaluates all rows at once.  Replay decodes a stack of
+one row, the case the CLI reads a scenario file with, so both raise the
+same checks and errors; a chunk that fails is decoded again row by row,
+and raises its first failing scenario's error.  A hunt evaluates its
+trials in chunks of 1, 2, 4, ... and a shrink step all its candidates as
+one stack; replay runs a stack of one row through the same runners.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import CapacityStack, random_monotone_table, subset_rows
-from .integrals import Values
+from .capacity import CapacityStack, random_monotone_table
 from .operators import builtin_systems, get_op, get_system
-from .scenario import SchemaError, context_from_specs
+from .scenario import SchemaError, decode_specs
 from .xreal import DomainError
 
 MAX_SHRINK_STEPS = 200
@@ -122,12 +123,9 @@ def _nonempty_subset(rng, n: int) -> list[int]:
 def _comonotone_family(rng, n: int, k: int, low: float = 0.0):
     """k pairwise-comonotone functions sharing one point order."""
     perm = rng.permutation(n)
-    out = []
-    for _ in range(k):
-        vals = np.empty(n)
-        vals[perm] = np.sort(low + (1.0 - low) * rng.uniform(size=n))
-        out.append(vals.tolist())
-    return out
+    vals = np.empty((k, n))  # row by row, the doubles k draws of n would read
+    vals[:, perm] = np.sort(low + (1.0 - low) * rng.uniform(size=(k, n)), axis=1)
+    return vals.tolist()
 
 
 def _unit_space_cap(rng, n: int):
@@ -400,20 +398,15 @@ class Stack:
 
 
 def decode(scenarios: list) -> Stack:
-    """One stack of scenarios of one theorem, each read by
-    ``context_from_specs`` as the CLI reads a scenario file."""
+    """One stack of scenarios of one theorem, decoded together by
+    ``scenario.decode_specs`` as the CLI decodes a scenario file."""
     params = [scn.params for scn in scenarios]
     if not scenarios[0].functions:  # the checker builds its own space from params
         return Stack({}, None, None, None, params)
-    spaces, caps, fns, masks = zip(*(
-        context_from_specs(scn.space, scn.capacity, scn.functions, scn.subsets)
-        for scn in scenarios))
-    n = np.array([space.n for space in spaces])
-    N = int(n.max())
-    A = subset_rows([m.get("A", space.full_mask) for m, space in zip(masks, spaces)], n, N)
-    B = subset_rows([m["B"] for m in masks], n, N) if "B" in masks[0] else A
-    return Stack({k: Values.build([f[k] for f in fns]) for k in fns[0]},
-                 A, B, CapacityStack(caps), params)
+    d = decode_specs([(scn.space, scn.capacity, scn.functions, scn.subsets)
+                      for scn in scenarios])
+    A = d.subsets.get("A", next(iter(d.fns.values())).valid)  # else the whole spaces
+    return Stack(d.fns, A, d.subsets.get("B", A), CapacityStack(d.caps), params)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .capacity import (NORMALIZE_DEGENERATE, Capacity, CapacityStack, check_subadditive,
                        check_submodular, make_sup_capacity)
-from .dependence import (comonotone_rows, make_uniform_example,
-                         positive_dependence_rows)
+from .dependence import (comonotone_rows, level_dependence_rows, level_ranks,
+                         make_uniform_example)
 from .integrals import (SampleFunction, Values, choquet_rows,
                         generalized_sugeno_rows, one_row, pointwise_rows, power_rows)
 from .operators import (AggOperator, OperatorSystem, check_chebyshev_condition,
@@ -129,8 +129,9 @@ def _prods(F) -> list:
     return [_PROD[u] for u in F.unit.tolist()]
 
 
-def _posdep_hyps(name, F, A, G, B, C, tris) -> list:
-    rows = positive_dependence_rows(F, A, G, B, C, tris)
+def _posdep_hyps(name, f, g, C, tris) -> list:
+    """Positive dependence per row from the sides' ``level_ranks``."""
+    rows = level_dependence_rows(f, g, C, tris)
     return [HypothesisCheck(name, holds, detail=f"worst margin {w:.3g}")
             for holds, w in zip(rows.holds, rows.slack)]
 
@@ -184,8 +185,8 @@ def chebyshev_sugeno_rows(systems, F1, F2, A, B, C) -> list:
     circ = [s.circ for s in systems]
     lhs = _apply([s.lhd for s in systems], _gs(F1, A, C, circ), _gs(F2, B, C, circ))
     rhs = _gs(pointwise_rows([s.box for s in systems], F1, F2), A & B, C, circ)
-    posdep = _posdep_hyps("positive_dependence[f1,f2]", F1, A, F2, B, C,
-                          [s.tri for s in systems])
+    posdep = _posdep_hyps("positive_dependence[f1,f2]", level_ranks(F1, A),
+                          level_ranks(F2, B), C, [s.tri for s in systems])
     return [_report("chebyshev_sugeno", [_cheb_ok(s), h], l, r,
                     extra={"flipped_orientation": True})
             for s, h, l, r in zip(systems, posdep, lhs, rhs)]
@@ -217,8 +218,9 @@ def carlson_sugeno_rows(systems, F, G, H, A, B, C) -> list:
     rhs = _apply(star, [xpow(x, s.r / s.p) for x, s in zip(Ipg, systems)],
                  [xpow(x, s.s / s.q) for x, s in zip(Iqh, systems)])
     tri = [s.tri for s in systems]
-    pg = _posdep_hyps("positive_dependence[f,g]", F, A, G, B, C, tri)
-    ph = _posdep_hyps("positive_dependence[f,h]", F, A, H, B, C, tri)
+    f = level_ranks(F, A)  # ranked once for both checks
+    pg = _posdep_hyps("positive_dependence[f,g]", f, level_ranks(G, B), C, tri)
+    ph = _posdep_hyps("positive_dependence[f,h]", f, level_ranks(H, B), C, tri)
     out = []
     for i, s in enumerate(systems):
         hyp = [_power_ok(s.circ, s.p), _power_ok(s.circ, s.q), _cheb_ok(s), pg[i], ph[i]]

@@ -108,16 +108,27 @@ class Values:
 
     @classmethod
     def build(cls, fns: Sequence[SampleFunction]) -> "Values":
-        n = np.array([f.space.n for f in fns])
-        if len(fns) == 1:  # one row uses its function's values in place
-            v = fns[0].values[None, :]
+        v = fns[0].values if len(fns) == 1 else np.concatenate([f.values for f in fns])
+        return cls.rows(v, [f.space for f in fns], np.array([f.range == UNIT for f in fns]))
+
+    @classmethod
+    def rows(cls, v: np.ndarray, spaces: Sequence[GroundSpace],
+             unit: Optional[np.ndarray] = None) -> "Values":
+        """The stack of k sample functions whose values are concatenated in
+        ``v``, row i holding spaces[i].n of them; a row's range tag is unit
+        where ``unit`` says so, or (None) where its values are at most 1, as
+        ``sample_function`` infers it."""
+        n = np.array([space.n for space in spaces])
+        if len(n) == 1:  # one row uses the values in place
+            v = v[None, :]
             valid = np.ones(v.shape, dtype=bool)
         else:
             valid = np.arange(n.max()) < n[:, None]
-            v = np.zeros(valid.shape)
-            v[valid] = np.concatenate([f.values for f in fns])
-        return cls(v, np.array([f.range == UNIT for f in fns]), n, valid,
-                   tuple(f.space for f in fns))
+            flat, v = v, np.zeros(valid.shape)
+            v[valid] = flat
+        if unit is None:  # the padding is 0, below every row's maximum
+            unit = np.maximum.reduce(v, axis=1) <= 1.0
+        return cls(v, unit, n, valid, tuple(spaces))
 
     @cached_property
     def coords(self) -> Optional[np.ndarray]:

@@ -11,21 +11,26 @@ kernel's order), positive dependence on the level cross product (per
 scenario, and row-wise as one pass over every row's whole cross product),
 the sorted comonotonicity test, the exhaustive
 structural checks in one pass (every pair of the 4^n grid at once, and
-monotonicity as a gather of the sets without each bit), and the Chebyshev
-condition sampler with every point at once. The kernels must give what
-these give, bit for bit.
+monotonicity as a gather of the sets without each bit), the Chebyshev
+condition sampler with every point at once, and the scenario decoder one
+scenario at a time (each list validated alone, then each capacity and
+space by its constructor's checks, and the stack filled row by row). The
+kernels must give what these give, bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from capax.capacity import mask_bools
+from capax.capacity import (Capacity, GroundSpace, InvalidCapacityError, make_grid_lebesgue,
+                            make_sup_capacity, mask_bools, subset_rows)
 from capax.dependence import DependenceReport, DependenceRows, _level_rows
-from capax.integrals import IntegralResult
+from capax.integrals import IntegralResult, from_formula, sample_function
 from capax.operators import (COND_TOL, ConditionReport, _domain_grid, _random_points,
                              min_op, rows_vec)
-from capax.xreal import DEFAULT_CAP, INF, UNIT, DomainError, sup_of
+from capax.scenario import (CAPACITY_KEYS, GRID_KEYS, SPACE_KEYS, SchemaError, _int, _num,
+                            _require_keys)
+from capax.xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
 
 
 def measure(c, mask):
@@ -299,3 +304,208 @@ def positive_dependence_rows(F, A, G, B, C, tris):
     return DependenceRows(margin[rows, i, j].tolist(), list(zip(
         levels_a[rows, i].tolist(), levels_b[rows, j].tolist(),
         joint[rows, i, j].tolist(), rhs[rows, i, j].tolist())))
+
+
+# ---------------------------------------------------------------------------
+# the scenario decoder, one scenario at a time
+
+
+def _nums(seq, where, allow_inf=False):
+    """One list of numbers: a list of ints and floats as one array, else
+    ``_num`` per element, which raises its error."""
+    if not isinstance(seq, (list, tuple)):
+        raise SchemaError(f"{where}: expected a list of numbers, got {seq!r}")
+    if type(seq) is list and set(map(type, seq)) <= {int, float}:
+        try:
+            a = np.array(seq, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if a.min(initial=0.0) >= 0 and (allow_inf or a.max(initial=0.0) < INF):
+                return a
+    return [_num(v, where, allow_inf) for v in seq]
+
+
+def ground_space(n, coords=None, widths=None):
+    if n < 1:
+        raise ValueError("a ground space needs at least one point")
+    if (coords is None) != (widths is None):
+        raise ValueError("coords and widths must be given together")
+    if coords is not None:
+        cs, ws = np.array(coords, dtype=float), np.array(widths, dtype=float)
+        if cs.shape != (n,) or ws.shape != (n,):
+            raise ValueError("coords/widths length must equal n")
+        if not (cs >= 0).all():
+            raise ValueError("coordinates must be nonnegative numbers")
+        if not (np.diff(cs) > 0).all():
+            raise ValueError("coordinates must be strictly increasing")
+        if not (ws > 0).all():
+            raise ValueError("cell widths must be positive")
+    return GroundSpace(n, coords=coords, widths=widths)
+
+
+def _infer_range(total):
+    return UNIT if total <= 1.0 + 1e-15 else EXTENDED
+
+
+def additive(weights, space):
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1 or len(w) == 0:
+        raise InvalidCapacityError("weights must be a nonempty 1-d sequence")
+    if not (w >= 0).all():
+        raise InvalidCapacityError("weights must be nonnegative numbers")
+    if w.sum() == 0:
+        raise InvalidCapacityError("all-zero weights: the whole space must have positive measure")
+    if space.n != len(w):
+        raise InvalidCapacityError("weight count must match the space")
+    return Capacity(space=space, range=_infer_range(float(w.sum())), kind="additive",
+                    weights=w)
+
+
+def distorted(weights, gamma, space):
+    if not (gamma > 0) or not math.isfinite(gamma):
+        raise InvalidCapacityError("distortion exponent must be positive and finite")
+    base = additive(weights, space)
+    return Capacity(space=space, range=_infer_range(float(base.weights.sum() ** gamma)),
+                    kind="distorted", weights=base.weights, gamma=gamma)
+
+
+def explicit(table, space):
+    t = np.array(table, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise InvalidCapacityError(f"a table must be a nonempty 1-d sequence, "
+                                   f"got shape {t.shape}")
+    n = int(round(math.log2(len(t))))
+    if 2**n != len(t):
+        raise InvalidCapacityError("table length must be a power of two")
+    if n > 20:
+        raise InvalidCapacityError("explicit tables are capped at n=20")
+    if t[0] != 0.0:
+        raise InvalidCapacityError("the empty set must have measure 0")
+    if not t[-1] > 0.0:
+        raise InvalidCapacityError("the whole space must have positive measure")
+    if not (t >= 0).all():
+        raise InvalidCapacityError("capacity values must be nonnegative numbers")
+    if space.n != n:
+        raise InvalidCapacityError("table size must match the space")
+    return Capacity(space=space, range=UNIT if float(t.max()) <= 1.0 else EXTENDED,
+                    kind="explicit", table=t)
+
+
+def space_from_spec(spec):
+    _require_keys(spec, SPACE_KEYS, "space")
+    if "grid" in spec:
+        g = spec["grid"]
+        _require_keys(g, GRID_KEYS, "space.grid")
+        try:
+            return make_grid_lebesgue(_num(g["a"], "grid.a"), _num(g["b"], "grid.b"),
+                                      _int(g["steps"], "grid.steps", 1))
+        except (KeyError, ValueError) as e:
+            raise SchemaError(f"space.grid: {e}")
+    if "n" not in spec:
+        raise SchemaError("space needs either n or grid")
+    try:
+        coords, widths = (None if spec.get(k) is None else _nums(spec[k], k)
+                          for k in ("coords", "widths"))
+        return ground_space(_int(spec["n"], "n", 1), coords, widths), None
+    except ValueError as e:
+        raise SchemaError(f"space: {e}")
+
+
+def capacity_from_spec(spec, space, grid_capacity=None):
+    _require_keys(spec, CAPACITY_KEYS, "capacity")
+    ctype = spec.get("type")
+    try:
+        if ctype == "additive":
+            return additive(_nums(spec["weights"], "weights"), space)
+        if ctype == "distorted":
+            return distorted(_nums(spec["weights"], "weights"), _num(spec["gamma"], "gamma"),
+                             space)
+        if ctype == "sup":
+            return make_sup_capacity(space)
+        if ctype == "explicit":
+            return explicit(_nums(spec["table"], "table"), space)
+        if ctype == "grid":
+            if grid_capacity is None:
+                raise SchemaError("capacity type grid requires a grid space")
+            return grid_capacity
+    except KeyError as e:
+        raise SchemaError(f"capacity: missing {e.args[0]!r}")
+    except ValueError as e:
+        raise SchemaError(f"capacity: {e}")
+    raise SchemaError(f"unknown capacity type {ctype!r}")
+
+
+def function_from_spec(spec, space):
+    if isinstance(spec, str):
+        return from_formula(space, spec)
+    if isinstance(spec, list):
+        vals = _nums(spec, "function values", allow_inf=True)
+        if len(vals) != space.n:
+            raise SchemaError(f"function has {len(vals)} values for a {space.n}-point space")
+        return sample_function(space, vals)
+    raise SchemaError("a function must be a formula id or a value list")
+
+
+def subset_from_spec(spec, space):
+    if spec == "all" or spec is None:
+        return space.full_mask
+    if isinstance(spec, list):
+        mask = 0
+        for i in spec:
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < space.n:
+                raise SchemaError(f"subset index {i!r} out of range")
+            mask |= 1 << i
+        return mask
+    raise SchemaError("a subset must be \"all\" or a list of point indices")
+
+
+def context_from_specs(space, capacity, functions, subsets):
+    space, cap = space_from_spec(space)
+    if capacity is not None:
+        cap = capacity_from_spec(capacity, space, cap)
+    return (space, cap,
+            {name: function_from_spec(spec, space) for name, spec in functions.items()},
+            {name: subset_from_spec(spec, space) for name, spec in subsets.items()})
+
+
+def stack_arrays(caps):
+    """A stack's point weights W and value tables, filled row by row."""
+    n = [c.space.n for c in caps]
+    N = max(n)
+    W = np.zeros((len(caps), N))
+    explicit = any(c.kind == "explicit" for c in caps)
+    tables = np.zeros((len(caps), 2**N if explicit else 0))
+    for i, c in enumerate(caps):
+        W[i, :n[i]] = (2.0 ** np.arange(n[i]) if c.kind == "explicit"
+                       else 1.0 if c.kind == "sup" else c.weights)
+        if c.kind == "explicit":
+            tables[i, :len(c.table)] = c.table
+    return W, tables
+
+
+def decode(scenarios):
+    """Scenarios decoded one by one and stacked: each function's Values,
+    the A and B rows, the capacities and their W and tables."""
+    spaces, caps, fns, masks = zip(*(
+        context_from_specs(scn.space, scn.capacity, scn.functions, scn.subsets)
+        for scn in scenarios))
+    n = np.array([space.n for space in spaces])
+    N = int(n.max())
+    A = subset_rows([m.get("A", space.full_mask) for m, space in zip(masks, spaces)], n, N)
+    B = subset_rows([m["B"] for m in masks], n, N) if "B" in masks[0] else A
+    return ({k: values([f[k] for f in fns]) for k in fns[0]}, A, B, caps,
+            stack_arrays(caps))
+
+
+def values(fns):
+    """(v, unit, n, valid) of the sample functions stacked row by row."""
+    n = np.array([f.space.n for f in fns])
+    if len(fns) == 1:
+        v = fns[0].values[None, :]
+        valid = np.ones(v.shape, dtype=bool)
+    else:
+        valid = np.arange(n.max()) < n[:, None]
+        v = np.zeros(valid.shape)
+        v[valid] = np.concatenate([f.values for f in fns])
+    return v, np.array([f.range == UNIT for f in fns]), n, valid

@@ -120,6 +120,24 @@ def test_audit_trials_and_seeds_are_integers(tmp_path, capsys, command, key, val
                             f"got {value!r}\n")
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("audit", {"theorem": 5}, "theorem: expected a string, got 5"),
+    ("falsify", {"theorem": ["3.1"]}, "theorem: expected a string, got ['3.1']"),
+    ("falsify", {"theorem": "3.1", "audit": {"trials": 5, "drop": 5}},
+     "audit.drop: expected a string, got 5"),
+    ("integrate", dict(BASIC, op=7), "op must be an object"),
+    ("integrate", dict(BASIC, op={"op": ["min"]}), "op.op: expected a string, got ['min']"),
+    ("integrate", dict(BASIC, op={"bogus": "min"}), "unknown keys in op: ['bogus']"),
+    ("check", dict(BASIC, op=7), "op must be an object"),
+], ids=["theorem-int", "theorem-list", "drop-int", "op-int", "op-list", "op-unknown-key",
+        "posdep-op-int"])
+def test_malformed_top_level_values_are_input_errors(tmp_path, capsys, command, doc, message):
+    argv = {"integrate": ["--integral", "generalized"], "check": ["--what", "posdep"]}
+    assert main([command, write(tmp_path, doc), *argv.get(command, [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
 def test_a_negative_seed_option_is_an_input_error(tmp_path, capsys):
     doc = {"theorem": "2.2", "audit": {"trials": 5, "seed": 0}}
     assert main(["audit", write(tmp_path, doc), "--seed", "-1"]) == 2

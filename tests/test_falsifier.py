@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from capax import capacity, falsifier
+from capax import capacity, falsifier, scenario
 from capax.falsifier import (DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_ALIASES,
                              THEOREM_IDS, Scenario, _pick, audit, canonical_theorem,
                              hunt_counterexample, is_violation,
@@ -68,11 +68,14 @@ def test_replay_has_no_decoder_of_its_own():
 
 
 def test_each_generated_table_is_validated_once(monkeypatch):
-    calls = []
-    validate = capacity._explicit
-    monkeypatch.setattr(capacity, "_explicit", lambda *a: calls.append(1) or validate(*a))
+    # the decoder checks a chunk's tables as rows of one array
+    rows, singles = [], []
+    validate, single = scenario.explicit_rows, capacity._explicit
+    monkeypatch.setattr(scenario, "explicit_rows",
+                        lambda t, lengths, *a: rows.extend(lengths) or validate(t, lengths, *a))
+    monkeypatch.setattr(capacity, "_explicit", lambda *a: singles.append(1) or single(*a))
     audit("jensen_choquet", 50, 2024)
-    assert len(calls) == 50
+    assert len(rows) == 50 and not singles
 
 
 @pytest.mark.parametrize("trials", [0, -5])

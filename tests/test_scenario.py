@@ -1,16 +1,21 @@
 """Scenario file schema: validation, round trips and stable output."""
 
+import copy
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from capax import INF
-from capax.scenario import (SchemaError, _num, capacity_from_spec,
-                            capacity_to_spec, dump_result, function_from_spec, load_document,
-                            space_from_spec, subset_from_spec, validate_document)
+import oracles
+from capax import INF, falsifier
+from capax.falsifier import DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_IDS, random_scenario
+from capax.scenario import (SchemaError, _num, capacity_from_spec, capacity_to_spec,
+                            context_from_specs, decode_specs, dump_result, function_from_spec,
+                            load_document, space_from_spec, subset_from_spec, validate_document)
+from capax.xreal import UNIT
 from capax.capacity import (make_additive, make_distorted, make_explicit,
                             make_random_monotone, make_sup_capacity)
 
@@ -197,3 +202,182 @@ def test_array_decoder_roundtrips_random_tables():
         assert all(type(v) is float for v in spec["table"])
         space, _ = space_from_spec({"n": n})
         assert capacity_from_spec(spec, space).values().tolist() == c.values().tolist()
+
+
+# ---------------------------------------------------------------------------
+# the batched decoder against the one-scenario oracle (tests/oracles.py)
+
+AUDIT_IDS = THEOREM_IDS + [f"carlson_sugeno:{s}" for s in SUGENO_SYSTEM_NAMES]
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_decodes_as_the_oracle(chunk):
+    st = falsifier.decode(chunk)
+    fns, A, B, caps, (W, tables) = oracles.decode(chunk)
+    assert st.fns.keys() == fns.keys()
+    for name, want in fns.items():
+        F = st.fns[name]
+        assert all(map(_same, (F.v, F.unit, F.n, F.valid), want)), name
+        for got, space in zip(F.spaces, caps):
+            assert all(_same(getattr(got, k), getattr(space.space, k))
+                       for k in ("n", "coords", "widths"))
+    assert _same(st.A, A) and _same(st.B, B)
+    C = st.cap
+    assert _same(C.W, W) and _same(C.tables, tables)
+    assert _same(C.unit, [c.range == UNIT for c in caps])
+    assert repr(C.gammas) == repr([(c.gamma, i) for i, c in enumerate(caps) if c.gamma != 1.0])
+
+
+def _streams():
+    for tid in AUDIT_IDS:
+        for seed in (2024, 7):
+            yield tid, partial(random_scenario, tid, seed), None
+    for theorem, dropped in sorted(DROPPABLE):
+        yield (f"{theorem}-{dropped}",
+               partial(falsifier._unconstrained_scenario, theorem, dropped, 2024), 1)
+
+
+@pytest.mark.parametrize("name, draw, size", list(_streams()),
+                         ids=[name for name, _, _ in _streams()])
+def test_batched_decoder_equals_the_per_scenario_oracle(name, draw, size):
+    chunks = list(falsifier._chunks(draw, 150, size))
+    if not chunks[0][0].functions:  # the checker builds its own space
+        return
+    for chunk in chunks:
+        _assert_decodes_as_the_oracle(chunk)
+
+
+def _outcome_of(call, *args):
+    try:
+        call(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return "ok"
+
+
+def _first_error(chunk):
+    """The first error of the scenarios read one by one by the oracle."""
+    for scn in chunk:
+        out = _outcome_of(oracles.context_from_specs, scn.space, scn.capacity,
+                          scn.functions, scn.subsets)
+        if out != "ok":
+            return out
+    return "ok"
+
+
+def _set(part, key, index, value):
+    """A change of scn.<part>[key] (at ``index`` in it, unless None)."""
+    def change(scn):
+        d = getattr(scn, part)
+        if index is None:
+            d[key] = value
+        else:
+            d[key] = list(d[key])
+            d[key][index] = value
+    return change
+
+
+def _bad_rows():
+    """(theorem id, change) pairs that break one field of a scenario."""
+    for bad in BAD_ELEMENTS:
+        yield "jensen_choquet", _set("functions", "f", 1, bad)
+        yield "jensen_choquet", _set("capacity", "table", 1, bad)
+        yield "holder_choquet", _set("capacity", "weights", 0, bad)
+        yield "holder_choquet", _set("capacity", "gamma", None, bad)
+        yield "carlson_choquet_subadditive", _set("space", "coords", 1, bad)
+        yield "carlson_choquet_subadditive", _set("space", "widths", 0, bad)
+        yield "jensen_choquet", _set("subsets", "A", 0, bad)
+        yield "jensen_choquet", _set("space", "n", None, bad)
+    for part, key, value in [
+            ("functions", "f", [0.5]), ("functions", "f", [0.5] * 9), ("functions", "f", 0.5),
+            ("functions", "f", (0.5, 0.5)), ("capacity", "table", [0.0, 1.0, 1.0]),
+            ("capacity", "table", [0.0] * 4 + [1.0] * 4), ("capacity", "table", []),
+            ("capacity", "table", [0.0, 1.0] * 2**20), ("subsets", "A", [8]),
+            ("subsets", "A", [-1]), ("subsets", "A", 3), ("subsets", "A", []),
+            ("subsets", "A", "all"), ("capacity", "type", "bogus"), ("capacity", "type", "grid"),
+            ("capacity", "type", "sup"), ("capacity", "extra", 1), ("space", "n", 9),
+            ("space", "grid", {"a": 0, "b": 1, "steps": 2})]:
+        yield "jensen_choquet", _set(part, key, None, value)
+    yield "jensen_choquet", _set("capacity", "table", 0, 0.5)  # mu(empty) != 0
+    yield "jensen_choquet", _set("capacity", "table", -1, 0.0)  # mu(X) = 0
+    yield "jensen_choquet", lambda scn: scn.capacity.pop("table")
+    yield "jensen_choquet", lambda scn: scn.space.pop("n")
+    yield "holder_choquet", lambda scn: scn.capacity.update(weights=[0.0] * len(
+        scn.capacity.get("weights", [0.0])))
+    yield "holder_choquet", _set("capacity", "weights", None, [0.5])
+    yield "carlson_choquet_subadditive", _set("space", "coords", None, [0.5] * 8)
+    yield "carlson_choquet_subadditive", lambda scn: scn.space["coords"].reverse()
+    yield "carlson_choquet_subadditive", _set("space", "coords", None, [0.5])
+    yield "carlson_choquet_subadditive", lambda scn: scn.space.pop("widths")
+    yield "shilkret_example", _set("space", "widths", 0, 0.0)
+
+
+@pytest.mark.parametrize("row", [0, 3])
+def test_a_bad_row_raises_the_oracles_first_error(row):
+    # the bad row goes among good ones, and a second bad row after it
+    for tid, change in _bad_rows():
+        chunk = copy.deepcopy([random_scenario(tid, 2024, i) for i in range(6)])
+        change(chunk[row])
+        chunk[row + 2].functions[next(iter(chunk[row + 2].functions))] = "x"
+        want = _first_error(chunk)
+        assert _outcome_of(falsifier.decode, chunk) == want, (tid, chunk[row])
+        alone = _first_error(chunk[row:row + 1])
+        assert alone == "ok" or want == alone
+        one = chunk[row]
+        assert (_outcome_of(context_from_specs, one.space, one.capacity, one.functions,
+                            one.subsets) == _first_error([one]))
+
+
+@pytest.mark.parametrize("doc", [
+    {"space": {"grid": {"a": 0, "b": 2, "steps": 5}}, "functions": {"f": "x", "g": "x^2"},
+     "subsets": {"A": [0, 3], "B": "all"}},
+    {"space": {"grid": {"a": 0, "b": 1, "steps": 4}}, "capacity": {"type": "grid"},
+     "functions": {"f": [0.1, "inf", 2.0, 0.0], "g": "const:0.5"}, "subsets": {"A": None}},
+    {"space": {"n": 3, "coords": [0.1, 0.2, 0.4], "widths": [1, 1, 2]},
+     "capacity": {"type": "distorted", "weights": [1, 2, 3], "gamma": 0.5},
+     "functions": {"f": [1, 0, 0.5]}},
+    {"space": {"n": 2}, "capacity": {"type": "sup"}, "functions": {}, "subsets": {"A": [1, 1]}},
+    {"space": {"n": 2}},
+    {"space": {"grid": {"a": 0, "b": 1, "steps": 2}}, "functions": {"f": "bogus"}},
+    {"space": {"n": 2}, "functions": {"f": "x"}},
+    {"space": {"n": 2, "coords": [0.1, 0.2]}, "functions": {}},
+    {"space": {"grid": {"a": 1, "b": 1, "steps": 2}}},
+    {"space": {"grid": {"a": 0, "b": 1}}},
+    {"space": {"n": 2}, "capacity": {"type": "grid"}},
+    {"space": {"n": 2}, "capacity": {"weights": [1, 1]}},
+    {"space": {"n": 2}, "capacity": "additive"},
+    {"space": []},
+])
+def test_one_scenario_reads_as_the_oracle_reads_it(doc):
+    args = [doc.get("space"), doc.get("capacity"), doc.get("functions", {}),
+            doc.get("subsets", {})]
+    want = _outcome_of(oracles.context_from_specs, *args)
+    assert _outcome_of(context_from_specs, *args) == want
+    if want != "ok":
+        return
+    (space, cap, fns, masks), (space2, cap2, fns2, masks2) = (
+        context_from_specs(*args), oracles.context_from_specs(*args))
+    assert space == space2 and _same(space.coords, space2.coords)
+    assert masks == masks2 and fns.keys() == fns2.keys()
+    for name, f in fns.items():
+        assert _same(f.values, fns2[name].values) and f.range == fns2[name].range
+    assert (cap is None) == (cap2 is None)
+    if cap is not None:
+        assert (cap.kind, cap.range, cap.gamma) == (cap2.kind, cap2.range, cap2.gamma)
+        assert _same(cap.values(), cap2.values())
+
+
+def test_scenarios_decoded_together_name_the_same_functions_and_subsets():
+    a, b = (random_scenario("jensen_choquet", 2024, i) for i in range(2))
+    b.functions["g"] = b.functions.pop("f")
+    rows = [(s.space, s.capacity, s.functions, s.subsets) for s in (a, b)]
+    with pytest.raises(SchemaError, match="must name the same functions and subsets"):
+        decode_specs(rows)
+    b.functions["f"] = b.functions.pop("g")
+    b.subsets.pop("A")
+    with pytest.raises(SchemaError, match="must name the same functions and subsets"):
+        decode_specs(rows)
