@@ -9,10 +9,11 @@ over a base).
 
 A ``CapacityStack`` holds k capacities as the rows of one stack, and
 ``subset_rows`` one subset per row as a (k, N) boolean membership row;
-the stack's measures, value tables, chains and level meets each sum
-per-point weights over their sets and finish the sums by one rule per
-family.  A single capacity is a stack of one, which every measure of it
-reads.
+the stack's measures, value tables, chains and level meets (the rows'
+level cross products side by side, walked in bands by ``level_bands``)
+each sum per-point weights over their sets and finish the sums by one
+rule per family.  A single capacity is a stack of one, which every
+measure of it reads.
 
 The structural checkers read the capacity's value table
 (``Capacity.values``, n <= 20) when they read at least as many masks as it
@@ -276,16 +277,33 @@ def make_distorted(weights: Sequence[float], gamma: float,
 
 def make_grid_lebesgue(a: float, b: float, steps: int) -> tuple[GroundSpace, Capacity]:
     """Discretized Lebesgue measure on [a, b]: midpoint cells of equal width."""
+    (cap,) = grid_rows(a, b, [steps])[1]
+    return cap.space, cap
+
+
+def grid_rows(a: float, b: float, steps: Sequence[int]) -> tuple[np.ndarray, list]:
+    """The discretized Lebesgue measures on [a, b] in steps[i] midpoint
+    cells of equal width, k at once: the (k, N) rows of the cells'
+    midpoints (0 past a row's cells) and each grid's capacity on its own
+    space, each row with the bits ``make_grid_lebesgue`` gives it alone."""
     if not a < b:
         raise InvalidCapacityError("grid requires a < b")
-    if steps < 1:
+    steps = np.asarray(steps)
+    if steps.min() < 1:
         raise InvalidCapacityError("grid requires at least one cell")
     h = (b - a) / steps
-    space = GroundSpace(steps, coords=a + h * (np.arange(steps) + 0.5),
-                        widths=np.full(steps, h))
-    # the space's own read-only widths are the weights
-    cap = Capacity(space=space, range=_infer_range(b - a), kind="grid", weights=space.widths)
-    return space, cap
+    x = np.arange(int(steps.max())) + 0.5
+    coords = h[:, None] * x
+    coords += a
+    if steps.min() < len(x):
+        coords[x > steps[:, None]] = 0.0  # past a row's cells
+    del x  # before the spaces copy their rows
+    n = steps.tolist()
+    spaces = GroundSpace.rows(n, [c[:m] for c, m in zip(coords, n)],
+                              [np.full(m, w) for m, w in zip(n, h.tolist())])
+    # each space's own read-only widths are its weights
+    return coords, [Capacity(space=space, range=_infer_range(b - a), kind="grid",
+                             weights=space.widths) for space in spaces]
 
 
 def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
@@ -471,24 +489,38 @@ class CapacityStack:
         base = self if len(ok) == len(self) else self.take(ok)
         return self._derived([None] * len(ok), base, A[ok], muA[ok]), ok
 
-    def _finish(self, sums: np.ndarray) -> np.ndarray:
+    def _finish(self, sums: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Measures from per-row sums of point weights (k, ...), in place:
         explicit rows read their table at the sum, sup rows are 1 where it
         is positive, weighted rows are their sums (gamma is left to the
-        kernel)."""
-        e = self.explicit
-        if len(e):
-            at = sums[e].astype(np.int64)
-            sums[e] = self.tables[e.reshape((-1,) + (1,) * (at.ndim - 1)), at]
-        if len(self.sup):
-            sums[self.sup] = sums[self.sup] > 0.0
+        kernel).  sums[j] belongs to stack row rows[j] (to row j if rows is
+        None)."""
+        e, s = self.explicit, self.sup
+        tables = e
+        if rows is not None:
+            e, s = (np.flatnonzero(np.bincount(x, minlength=len(self.caps))[rows]) if len(x)
+                    else x for x in (e, s))
+            tables = rows[e]
+        if len(e):  # each sum indexes its row's table, read as one flat array
+            whole = len(e) == len(sums)
+            at = (sums if whole else sums[e]).astype(np.int64)
+            at += (tables * self.tables.shape[1]).reshape((-1,) + (1,) * (at.ndim - 1))
+            sums[slice(None) if whole else e] = self.tables.take(at)
+        if len(s):
+            sums[s] = sums[s] > 0.0
         return sums
 
-    def _distort(self, out: np.ndarray) -> np.ndarray:
-        """Raise the rows of ``out`` with gamma != 1 to their gamma in place."""
+    def _distort(self, out: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Raise the rows of ``out`` with gamma != 1 to their gamma in place
+        (out[j] belongs to stack row rows[j], as in ``_finish``)."""
         if self.gammas:
-            rows = [i for _, i in self.gammas]
-            out[rows] = rows_pow(out[rows], [g for g, _ in self.gammas])
+            g, at = map(list, zip(*self.gammas))
+            if rows is not None:  # each entry's row's gamma
+                gamma = np.ones(len(self.caps))
+                gamma[at] = g
+                at = np.flatnonzero(gamma[rows] != 1.0)
+                g = gamma[rows[at]]
+            out[at] = rows_pow(out[at], g)
         return out
 
     def measure(self, S: np.ndarray) -> np.ndarray:
@@ -533,89 +565,136 @@ class CapacityStack:
         np.cumsum(along(self.W, order), axis=1, out=out[:, 1:])
         return self._finish(self._distort(out))
 
-    def level_meet(self, RF: np.ndarray, na, RG: np.ndarray, nb) -> np.ndarray:
-        """Per row i, entry (r, s) is the measure of {RF >= r} n {RG >= s}
-        for r < na[i] and s < nb[i] (other entries unspecified), RF and RG
-        being (k, N) rows of level ranks, -1 for none.  Each point's weight
-        goes into the cell of its two ranks, points in index order, and
-        suffix sums along g and then f sum the weights of the sets."""
+    def level_bands(self, RF: np.ndarray, RG: np.ndarray, rows: np.ndarray, a: np.ndarray,
+                    b: np.ndarray, cells: int):
+        """The level meets of the stack's rows, side by side in one table
+        walked in bands, RF and RG being (k, N) rows of level ranks, -1 for
+        none, and ``rows`` every stack row once, in the table's order.  Row
+        j of the layout is stack row rows[j] with a[j] f ranks and b[j] g
+        ranks: entry (r, s) of its level meet, the measure of {RF >= r} n
+        {RG >= s}, is entry r of column off[j] + s of the table, off[j]
+        being the sum of the b before it, and its entries at f ranks from
+        a[j] up are 0.  The heights a must not increase from row to row.  A
+        band is as tall as its first row and holds at most
+        max(2, cells // its height) columns: as many whole rows as fit, or
+        a run of columns of a row too wide to fit alone.  Yields (c0,
+        band), each band in turn, c0 its first column, with the bits a
+        whole level meet gives its entries.
+
+        The suffix sums along g are taken once, as runs (``_runs``); a band
+        repeats its rows' runs f rank by f rank and takes the suffix sums
+        along f viewed as complex128 (with a column of zeros more if it has
+        an odd number): a complex add is two float adds, so numpy's
+        accumulate walks two columns at a time, with the same bits."""
         if self.base is not None:
-            inside = np.where(self.given, RF, -1)
-            return self.base.level_meet(inside, na, RG, nb) / self.base_given[:, None, None]
-        k = len(RF)
-        a, b = int(max(na)), int(max(nb))
-        r, x = np.nonzero((RF >= 0) & (RG >= 0))
-        cells = (r * a + RF[r, x]) * b + RG[r, x]
-        out = np.bincount(cells, self.W[r, x], k * a * b).reshape(k, a, b)
-        rev = out[:, ::-1, ::-1]  # suffix sums in place, as prefix sums of this view
-        np.cumsum(rev, axis=2, out=rev)
-        np.cumsum(rev, axis=1, out=rev)
-        return self._finish(self._distort(out))
+            d = np.repeat(self.base_given[rows], b)
+            for c0, m in self.base.level_bands(np.where(self.given, RF, -1), RG, rows, a, b,
+                                               cells):
+                yield c0, np.divide(m, d[c0:c0 + m.shape[1]], out=m)
+            return
+        val, start, end, first = self._runs(RF, RG, rows, a, b)
+        ends = np.cumsum(b)
+        col_stack = np.repeat(rows, b)
+        finish = len(self.explicit) or len(self.sup) or self.gammas
+        pair0 = np.cumsum(a) - a  # each layout row's first (row, f rank) pair
+        zeros = len(val) - len(rows)  # the runs of zeros over whole rows
+        heights, starts, stops = a.tolist(), (ends - b).tolist(), ends.tolist()
+        c0 = j0 = 0
+        while j0 < len(rows):
+            h = heights[j0]
+            most = max(2, cells // h // 2 * 2)
+            if c0 + most < stops[j0] or c0 > starts[j0]:  # a row too wide for one band
+                j1, c1 = j0, min(c0 + most, stops[j0])
+            else:  # as many whole rows as fit
+                j1 = max(j0, int(np.searchsorted(ends, c0 + most, "right")) - 1)
+                c1 = stops[j1]
+            w = c1 - c0
+            if j0 == j1:  # one row: its runs in order
+                p = int(pair0[j0])
+                q = slice(int(first[p]), int(first[p + h]))
+                if w % 2:  # each f rank's last run, its zeros
+                    tails = first[p + 1:p + h + 1] - 1 - first[p]
+            else:  # f rank by f rank, each row's runs, or its zeros above its own ranks
+                J = np.arange(j0, j1 + 1)
+                r = np.arange(h)[:, None]
+                live = r < a[J]
+                p = np.where(live, pair0[J] + r, 0)
+                n = np.where(live, first[p + 1] - first[p], 1).ravel()
+                q0 = np.where(live, first[p], zeros + J).ravel()
+                ran = np.cumsum(n)
+                q = np.repeat(q0 - (ran - n), n) + np.arange(ran[-1])
+                tails = ran[len(J) - 1::len(J)] - 1
+            n = np.minimum(end[q], c1 - 1)
+            n -= np.maximum(start[q], c0 - 1)
+            np.maximum(n, 0, out=n)
+            if w % 2:  # a column of zeros at the end of each f rank
+                n[tails] += 1
+            m = np.repeat(val[q], n).reshape(h, w + w % 2)
+            c = m.view(np.complex128)[::-1]
+            np.cumsum(c, axis=0, out=c)
+            if finish:
+                at = col_stack[c0:c1]
+                self._finish(self._distort(m[:, :w].T, at), at)
+            yield c0, m[:, :w]
+            c0, j0 = c1, j0 if c1 < stops[j1] else j1 + 1
 
-    def level_bands(self, RF: np.ndarray, a: int, RG: np.ndarray, b: int, width: int):
-        """Row 0's ``level_meet`` (with na = a, nb = b) in bands of at most
-        ``width`` g ranks, from the top rank down, in O(n + a width)
-        memory: returns its column s = 0 (the measures of {RF >= r}) and an
-        iterator of (s0, m), m holding the entries (r, s0 + j) for every
-        r < a, with the bits ``level_meet`` gives them.  The suffix sums
-        along g are taken once, as runs (``_runs``); each band repeats them
-        over its g ranks and takes the suffix sums along f over an even
-        number of g ranks, viewed as complex128: a complex add is two float
-        adds, so numpy's accumulate walks two g ranks at a time, with the
-        same bits."""
-        if self.base is not None:
-            col, bands = self.base.level_bands(np.where(self.given, RF, -1), a, RG, b, width)
-            d = self.base_given[0]
-            return col / d, ((s0, np.divide(m, d, out=m)) for s0, m in bands)
-        val, start, end = self._runs(RF[0], a, RG[0], b)
-        col = val[start < 0]  # each f rank's first run: its g-suffix sum at 0
-        np.cumsum(col[::-1], out=col[::-1])
-
-        def bands():
-            for top in range(b, 0, -width):
-                s0 = max(top - width, 0)
-                w = top - s0 + (top - s0) % 2  # one g rank more if odd: a pad
-                n = np.minimum(end, s0 + w - 1) - np.maximum(start, s0 - 1)
-                m = np.repeat(val, np.maximum(n, 0, out=n)).reshape(a, w)
-                c = m.view(np.complex128)[::-1]
-                np.cumsum(c, axis=0, out=c)
-                yield s0, self._finish(self._distort(m[None, :, :top - s0]))[0]
-        return self._finish(self._distort(col[None]))[0], bands()
-
-    def _runs(self, rf, a, rg, b):
-        """Row 0's suffix sums along g as runs along each f rank.  They
-        change only at the cells that hold a point: an f rank holds one run
-        per such cell, its g ranks from the cell below (exclusive) up to the
+    def _runs(self, RF, RG, rows, a, b):
+        """The suffix sums along g of ``level_bands``' table as runs along
+        each pair (j, r) of a layout row j and an f rank r < a[j].  They
+        change only at the cells that hold a point: a pair holds one run per
+        such cell, its columns from the cell below (exclusive) up to the
         cell, valued at the cell's suffix sum, then one run of zeros up to
-        rank b (one past the last, a pad).  A cell sums its points' weights
-        in index order, as bincount adds them, and its suffix sum adds the
-        one of the cell above it, as the cumsum from the top does (an empty
-        cell adds an exact +0.0).  Returns (val, start, end), a run holding
-        the ranks start < s <= end."""
-        has = (rf >= 0) & (rg >= 0)
-        key = (rf * b + rg)[has]  # points in index order
+        the row's last column.  A cell sums its points' weights in index
+        order, as bincount adds them, and its suffix sum adds the one of the
+        cell above it, as the cumsum from the top does (an empty cell adds an
+        exact +0.0).  Returns (val, start, end, first): a run holds the
+        columns start < c <= end; pair p, the (sum of a before j) + r-th,
+        holds the runs first[p] to first[p + 1] - 1; then come one run of
+        zeros over each layout row's columns, in layout order."""
+        k = len(rows)
+        layout = np.empty(k, dtype=np.int64)
+        layout[rows] = np.arange(k)
+        live = RF >= 0
+        live &= RG >= 0
+        at = np.flatnonzero(live)  # points in index order, row by row
+        i, x = np.divmod(at, RF.shape[1])
+        j = layout[i]
+        pair0 = np.cumsum(a) - a
+        bmax = int(b.max())
+        key = (pair0[j] + RF.take(at)) * bmax + RG.take(at)
         order = np.argsort(key, kind="stable")
         key = key[order]
         first = np.empty(len(key), dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        suffix = np.bincount(np.cumsum(first) - 1, self.W[0, has][order])
-        r, s = np.divmod(key[first], b)
-        count = np.bincount(r, minlength=a)
+        suffix = np.bincount(np.cumsum(first) - 1, self.W.take((i * self.N + x)[order]))
+        pair, s = np.divmod(key[first], bmax)
+        P = int(pair0[-1] + a[-1])
+        count = np.bincount(pair, minlength=P)
         ends = np.cumsum(count)
-        if count.max() > 1:  # cell by cell down each f rank from its top cell
+        if count.max() > 1:  # cell by cell down each pair from its top cell
             by_count = np.argsort(-count, kind="stable")
             top, depth = ends[by_count] - 1, count[by_count]
             for d in range(1, int(depth[0])):
                 q = top[:np.count_nonzero(depth > d)] - d
                 suffix[q] += suffix[q + 1]
-        at = np.arange(len(r)) + r  # each f rank's runs, then its zeros
-        val, end = np.zeros(len(r) + a), np.full(len(r) + a, b)
-        val[at], end[at] = suffix, s
+        off = np.cumsum(b) - b
+        last = off + b - 1
+        pair_row = np.repeat(np.arange(k), a)
+        first = np.empty(P + 1, dtype=np.int64)  # each pair's cells, then its zeros
+        first[:P] = ends - count + np.arange(P)
+        first[P] = len(pair) + P
+        val = np.zeros(first[P] + k)
+        end = np.empty(first[P] + k, dtype=np.int64)
+        end[first[1:] - 1] = last[pair_row]
+        at = np.arange(len(pair)) + pair
+        val[at], end[at] = suffix, off[pair_row[pair]] + s
+        end[first[P]:] = last
         start = np.empty_like(end)
         start[0], start[1:] = -1, end[:-1]
-        start[ends[:-1] + np.arange(1, a)] = -1
-        return val, start, end
+        start[first[:P]] = off[pair_row] - 1
+        start[first[P]:] = off - 1
+        return val, start, end, first
 
 
 @dataclass

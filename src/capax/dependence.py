@@ -6,28 +6,29 @@ Both checks run on stacks of rows (``comonotone_rows``,
 ``positive_dependence_rows``); checking one pair is a stack of one row.
 Positive dependence reads each point's rank among the levels of f and of
 g (``level_ranks``, so a function checked against two others is ranked
-once), from which ``CapacityStack.level_meet`` (a row whole) or
-``level_bands`` (a wide row in bands of g ranks) measures all joint level
-sets in O(n + a b) time per row, summing in a fixed order with no BLAS
-call."""
+once).  One ragged walk checks every row of a stack: the rows' level
+cross products lie side by side in one table, tallest row first, which
+``CapacityStack.level_bands`` measures band by band (whole rows that fit
+a band together, a row too wide for one in bands of its own), summing in
+a fixed order with no BLAS call, in O(n + a b) time and O(n + a + b +
+POSDEP_BLOCK_CELLS) memory for the stack."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, CapacityStack, along, make_grid_lebesgue
+from .capacity import Capacity, CapacityStack, along, grid_rows
 from .integrals import SampleFunction, Values, one_row, sample_function
-from .operators import AggOperator, row_groups, rows_vec
+from .operators import AggOperator, row_groups
 from .xreal import UNIT, DomainError
 
 POSDEP_TOL = 1e-12
-#: level cross-product cells per block of packed rows, and per band of a
-#: row wider than that, so that a block or band holds a few arrays of
-#: about 64 KiB (a wide row's memory no longer grows as a b)
+#: level cross-product cells per band of the walk, which holds whole rows
+#: or a run of g ranks of a row wider than that, so that a band holds a
+#: few arrays of about 64 KiB (a wide row's memory does not grow as a b)
 POSDEP_BLOCK_CELLS = 1 << 13
 
 
@@ -128,93 +129,112 @@ def positive_dependence_rows(F: Values, A: np.ndarray, G: Values, B: np.ndarray,
 def level_dependence_rows(f: tuple, g: tuple, C: CapacityStack,
                           tris: Sequence[AggOperator]) -> DependenceRows:
     """``positive_dependence_rows`` from the two sides' ``level_ranks``,
-    so that a side checked against several others is ranked once.  Rows
-    of at most POSDEP_BLOCK_CELLS cross-product cells go through packed in
-    blocks of about that many cells; a wider row is walked alone in bands
-    of g ranks (``CapacityStack.level_bands``), so its memory is O(n + a +
-    b + POSDEP_BLOCK_CELLS).  Among equal margins the first cell in C
-    order is the witness, as in one pass over the whole cross product."""
-    size = f[1] * g[1]
-    if size.sum() <= POSDEP_BLOCK_CELLS:
-        return _positive_dependence_block(f, g, C, tris)
-    slack, witness = [None] * len(size), [None] * len(size)
-    for i in np.flatnonzero(size > POSDEP_BLOCK_CELLS).tolist():
-        at = slice(i, i + 1)
-        slack[i], witness[i] = _positive_dependence_bands(
-            [x[at] for x in f], [x[at] for x in g], C.take(np.array([i])), tris[i])
-    # blocks of rows of similar size, so that little of a block is padding
-    packed = np.flatnonzero(size <= POSDEP_BLOCK_CELLS)
-    order = packed[np.argsort(size[packed], kind="stable")]
-    block = np.cumsum(size[order]) // POSDEP_BLOCK_CELLS
-    for _, at in row_groups(block.tolist()):
-        rows = order[at]
-        part = _positive_dependence_block([x[rows] for x in f], [x[rows] for x in g],
-                                          C.take(rows), [tris[i] for i in rows.tolist()])
-        for i, s, w in zip(rows.tolist(), part.slack, part.witness):
-            slack[i], witness[i] = s, w
-    return DependenceRows(slack, witness)
-
-
-def _positive_dependence_block(f, g, C, tris) -> DependenceRows:
+    so that a side checked against several others is ranked once.  All
+    rows are checked in one walk (``_Walk``): their level cross products
+    side by side, tallest first, in bands of at most POSDEP_BLOCK_CELLS
+    cells (``CapacityStack.level_bands``), so the memory is O(n + a + b +
+    POSDEP_BLOCK_CELLS) per stack, a and b being the rows' level counts
+    summed.  Among equal margins the first cell in C order is the witness,
+    as in one pass over each row's cross product."""
     (levels_a, na, RF), (levels_b, nb, RG) = f, g
-    m = C.level_meet(RF, na + 1, RG, nb + 1)
-    joint = m[:, 1:, 1:]
-    k, a, b = joint.shape
-    rhs = rows_vec(tris, m[:, 1:, :1], m[:, :1, 1:])
-    with np.errstate(invalid="ignore"):
-        margin = joint - rhs
-    nan = np.isnan(margin)
-    if nan.any():  # inf - inf: both sides infinite, so equal
-        margin[nan & (joint == rhs)] = 0.0
-    # cells past a row's level counts never win; among equals, the first
-    # cell in C order does
-    if (na < a).any() or (nb < b).any():
-        live = ((np.arange(a) < na[:, None])[:, :, None]
-                & (np.arange(b) < nb[:, None])[:, None, :])
-        margin = np.where(live, margin, np.inf)
-    flat = margin.reshape(k, -1).argmin(1)
-    i, j = np.divmod(flat, b)
-    rows = np.arange(k)
-    worst = margin[rows, i, j].tolist()
-    witness = list(zip(levels_a[rows, i].tolist(), levels_b[rows, j].tolist(),
-                       joint[rows, i, j].tolist(), rhs[rows, i, j].tolist()))
-    return DependenceRows(worst, witness)
+    rows = np.argsort(-na, kind="stable")
+    walk = _Walk(na[rows] + 1, nb[rows] + 1, [tris[i] for i in rows.tolist()])
+    for c0, m in C.level_bands(RF, RG, rows, walk.a, walk.b, POSDEP_BLOCK_CELLS):
+        walk.band(c0, m)
+    col, i = walk.witnesses()
+    at = np.empty_like(rows)
+    at[rows] = np.arange(len(rows))  # each stack row's place in the walk
+    col, i, j = col[at], i[at], walk.s[col[at]] - 1
+    return DependenceRows(walk.val[col].tolist(), list(zip(
+        levels_a[np.arange(len(rows)), i].tolist(), levels_b[np.arange(len(rows)), j].tolist(),
+        walk.joint[col].tolist(), walk.rhs[col].tolist())))
 
 
-def _positive_dependence_bands(f, g, C, tri) -> tuple:
-    """One row's worst margin and witness (see ``_positive_dependence_block``),
-    its level meet walked in bands of g ranks, each at most
-    POSDEP_BLOCK_CELLS cells: the bands' first minima are combined by
-    value, then by (f level, g level), so that the first minimum in C order
-    wins as in one pass (a NaN margin first, as argmin takes it)."""
-    (levels_a, na, RF), (levels_b, nb, RG) = f, g
-    a, b = int(na[0]) + 1, int(nb[0]) + 1
-    width = max(1, POSDEP_BLOCK_CELLS // a // 2 * 2)  # even: see CapacityStack._meet
-    col, bands = C.level_bands(RF, a, RG, b, width)
-    fm = col[1:, None]
-    best = None
-    buf = np.empty((a - 1) * min(b, width))  # the margins of each band in turn
-    for s0, m in bands:
-        lo = int(s0 == 0)  # column 0 is the whole space, no level cell
-        joint = m[1:, lo:]
-        if not joint.size:
-            continue
-        rhs = tri.vec(fm, m[:1, lo:])
+class _Walk:
+    """The margins joint - tri(f-marginal, g-marginal) of rows laid side by
+    side, a[j] f ranks and b[j] g ranks each (heights not increasing),
+    band by band.  A band of one row keeps its first minimum in C order; a
+    band of several keeps each column's first minimum along f, over the
+    f ranks of the column's row.  ``witnesses`` reduces them to each row's
+    first minimum in C order, by value, then by (f rank, g rank), a NaN
+    margin first, as argmin takes it.  Column 0 of a row holds its
+    f-marginal; a row walked in several bands carries it from band to
+    band.  Each band evaluates each of its rows' operators once."""
+
+    def __init__(self, a, b, tris):
+        self.a, self.b = a, b
+        self.off = np.cumsum(b) - b
+        width = int(self.off[-1] + b[-1])
+        self.row = np.repeat(np.arange(len(a)), b)  # each column's row
+        self.s = np.arange(width) - self.off[self.row]  # and g rank
+        groups = row_groups(map(id, tris))  # operator objects, each evaluated alone
+        by_id = {id(t): t for t in tris}
+        self.tris = [by_id[key] for key, _ in groups]
+        self.op = np.empty(len(a), dtype=np.int64)
+        for t, (_, at) in enumerate(groups):
+            self.op[at] = t
+        self.op = self.op[self.row]
+        self.val, self.joint, self.rhs = np.full(width, np.inf), np.empty(width), np.empty(width)
+        self.arg = np.empty(width, dtype=np.int64)
+        self.best = np.zeros(width, dtype=bool)  # the columns that keep a cell
+        self.buf = np.empty(max(POSDEP_BLOCK_CELLS, 2 * int(a[0])))  # each band's margins
+
+    def band(self, c0: int, m: np.ndarray):
+        h, w = m.shape
+        c1 = c0 + w
+        j0, j1 = self.row[c0], self.row[c1 - 1]
+        one = j0 == j1
+        lo = int(one and self.s[c0] == 0)  # a row's column 0 has no margin
+        if not one:  # whole rows, each one's marginal over its columns
+            fa = np.repeat(m[1:, self.off[j0:j1 + 1] - c0], self.b[j0:j1 + 1], axis=1)
+        elif lo:
+            fa = self.carry = m[1:, :1]
+        else:
+            fa = self.carry
+        J, gm = m[1:, lo:], m[:1, lo:]
+        ops = self.op[c0:c1]
+        if one or ops.min() == ops.max():
+            tri = self.tris[ops[0]]  # along the longer axis: fewer loops in numpy
+            R = tri.vec(fa, gm) if w >= h else tri.vec(fa.T, gm.T).T
+        else:
+            R = np.empty(J.shape)
+            for t in np.unique(ops).tolist():
+                at = np.flatnonzero(ops == t)
+                R[:, at] = self.tris[t].vec(fa[:, at], gm[:, at])
         with np.errstate(invalid="ignore"):
-            margin = np.subtract(joint, rhs, out=buf[:joint.size].reshape(joint.shape))
-        j = int(margin.argmin())
-        v = margin.item(j)
-        if math.isnan(v):  # inf - inf: both sides infinite, so equal
-            margin[np.isnan(margin) & (joint == rhs)] = 0.0
-            j = int(margin.argmin())
-            v = margin.item(j)
-        i, j = divmod(j, margin.shape[1])
-        key = (not math.isnan(v), 0.0 if math.isnan(v) else v, i, s0 + lo + j - 1)
-        if best is None or key < best:
-            best = key
-            witness = (levels_a.item(0, i), levels_b.item(0, key[3]), joint.item(i, j),
-                       rhs.item(i, j))
-    return best[1] if best[0] else math.nan, witness
+            M = np.subtract(J, R, out=self.buf[:J.size].reshape(J.shape))
+        if one:
+            i = int(M.argmin())
+            if np.isnan(M.flat[i]):  # inf - inf: both sides infinite, so equal
+                M[np.isnan(M) & (J == R)] = 0.0
+                i = int(M.argmin())
+            i, c = divmod(i, w - lo)
+            at = c0 + lo + c
+            self.val[at], self.arg[at], self.joint[at], self.rhs[at] = M[i, c], i, J[i, c], R[i, c]
+            self.best[at] = True
+            return
+        high = self.a[self.row[c0:c1]] - 1
+        if high[-1] < h - 1:  # cells above a row's own f ranks never win
+            M[np.arange(h - 1)[:, None] >= high] = np.inf
+        cols = np.arange(w)
+        i = M.argmin(0)
+        if np.isnan(M[i, cols]).any():
+            M[np.isnan(M) & (J == R)] = 0.0
+            i = M.argmin(0)
+        self.val[c0:c1], self.arg[c0:c1] = M[i, cols], i
+        self.joint[c0:c1], self.rhs[c0:c1] = J[i, cols], R[i, cols]
+        self.best[c0:c1] = True
+
+    def witnesses(self) -> tuple:
+        """Each row's witness column and f rank index (f rank - 1)."""
+        off, val = self.off, self.val
+        val[off], self.best[off] = np.inf, False
+        low = np.minimum.reduceat(val, off)[self.row]
+        first = self.best & ((val == low) | (np.isnan(val) & np.isnan(low)))
+        bmax = int(self.b.max())
+        key = np.where(first, self.arg * bmax + self.s, np.iinfo(np.int64).max)
+        i, s = np.divmod(np.minimum.reduceat(key, off), bmax)
+        return off + s, i
 
 
 def check_positive_dependence(f: SampleFunction, A: int, g: SampleFunction,
@@ -239,14 +259,29 @@ INCREASING_BIJECTIONS = {
 def make_uniform_example(phi_id: str, psi_id: str, n: int):
     """Discretized uniform driver U on [0,1] with f = phi(U) and
     h = 1 - psi(U): not comonotone, but positively dependent with respect
-    to the Lukasiewicz operator."""
+    to the Lukasiewicz operator (``uniform_example_rows``' one row)."""
+    F, H, (P,) = uniform_example_rows([phi_id], [psi_id], [n])
+    return (sample_function(P.space, F.v[0], UNIT), sample_function(P.space, H.v[0], UNIT), P)
+
+
+def uniform_example_rows(phi_ids: Sequence[str], psi_ids: Sequence[str],
+                         n: Sequence[int]) -> tuple:
+    """The uniform-driver examples of k rows at once: f and h as the
+    Values of k rows on the grids of n[i] cells of [0, 1], and the grids'
+    Lebesgue capacities, each row with the bits it has alone."""
     try:
-        phi = INCREASING_BIJECTIONS[phi_id]
-        psi = INCREASING_BIJECTIONS[psi_id]
+        bijections = [(INCREASING_BIJECTIONS[phi], INCREASING_BIJECTIONS[psi])
+                      for phi, psi in zip(phi_ids, psi_ids)]
     except KeyError as e:
         raise DomainError(f"unknown bijection id {e.args[0]!r}")
-    space, P = make_grid_lebesgue(0.0, 1.0, n)
-    u = space.coord_array()
-    f = sample_function(space, np.clip(phi(u), 0.0, 1.0), UNIT)
-    h = sample_function(space, np.clip(1.0 - psi(u), 0.0, 1.0), UNIT)
-    return f, h, P
+    U, caps = grid_rows(0.0, 1.0, n)
+    f, h = np.empty_like(U), np.empty_like(U)
+    for (phi, psi), rows in row_groups(bijections):
+        f[rows] = np.clip(phi(U[rows]), 0.0, 1.0)
+        h[rows] = np.clip(1.0 - psi(U[rows]), 0.0, 1.0)
+    n = np.array(n)
+    valid = np.arange(U.shape[1]) < n[:, None]
+    spaces = tuple(c.space for c in caps)
+    unit = np.ones(len(n), dtype=bool)
+    return (Values(np.where(valid, f, 0.0), unit, n, valid, spaces),
+            Values(np.where(valid, h, 0.0), unit.copy(), n, valid, spaces), caps)

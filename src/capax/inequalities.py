@@ -23,8 +23,8 @@ import numpy as np
 from .capacity import (NORMALIZE_DEGENERATE, Capacity, CapacityStack, check_subadditive,
                        check_submodular, make_sup_capacity)
 from .dependence import (comonotone_rows, level_dependence_rows, level_ranks,
-                         make_uniform_example)
-from .integrals import (SampleFunction, Values, choquet_rows,
+                         uniform_example_rows)
+from .integrals import (SampleFunction, choquet_rows,
                         generalized_sugeno_rows, one_row, pointwise_rows, power_rows)
 from .operators import (AggOperator, OperatorSystem, check_chebyshev_condition,
                         check_power_condition, lukasiewicz_op, min_op, prod_op,
@@ -336,15 +336,13 @@ def shilkret_carlson_example(f: SampleFunction, A: Optional[int],
 def lukasiewicz_carlson_example_rows(phi, psi, n, p, q) -> list:
     """Uniform-driver scenarios: Shilkret integrals, Lukasiewicz dependence,
     with the product for circ and star."""
-    examples = [make_uniform_example(*args) for args in zip(phi, psi, n)]
+    F, H, caps = uniform_example_rows(phi, psi, n)
     luk, pr = lukasiewicz_op(), prod_op()
     systems = [OperatorSystem("luk_example", circ=pr, box=luk, star=pr,
                               lhd=luk, tri=luk, p=pi, q=qi, r=1.0, s=1.0)
                for pi, qi in zip(p, q)]
-    F = Values.build([f for f, _, _ in examples])
-    ones = F.like(np.ones_like(F.v), [UNIT] * len(examples))
-    out = carlson_sugeno_rows(systems, F, ones, Values.build([h for _, h, _ in examples]),
-                              F.valid, F.valid, CapacityStack([P for _, _, P in examples]))
+    ones = F.like(np.ones_like(F.v), [UNIT] * len(caps))
+    out = carlson_sugeno_rows(systems, F, ones, H, F.valid, F.valid, CapacityStack(caps))
     for rep, args in zip(out, zip(phi, psi, n)):
         rep.theorem = "lukasiewicz_carlson_example"
         rep.extra.update(zip(("phi", "psi", "n"), args))

@@ -46,12 +46,15 @@ class AggOperator:
 
 def row_groups(keys) -> list:
     """(key, row indices) per distinct key, in order of first appearance;
-    the indices are ``slice(None)`` when every row has the same key."""
+    the indices are ``slice(None)`` when every row has the same key, which
+    one scan finds without hashing a key (``list.count`` compares by
+    identity first, and a tuple compares its items so)."""
+    keys = list(keys)
+    if keys and keys.count(keys[0]) == len(keys):
+        return [(keys[0], slice(None))]
     rows: dict = {}
     for i, key in enumerate(keys):
         rows.setdefault(key, []).append(i)
-    if len(rows) == 1:
-        return [(key, slice(None)) for key in rows]
     return [(key, np.array(ix)) for key, ix in rows.items()]
 
 
@@ -59,7 +62,7 @@ def rows_vec(ops: Sequence["AggOperator"], a, b) -> np.ndarray:
     """ops[i] applied to row i of the broadcast arrays a and b, one
     vectorized call per distinct operator."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    groups = row_groups((op, op.vec) for op in ops)
+    groups = row_groups(zip(ops, [op.vec for op in ops]))
     if len(groups) == 1:
         return groups[0][0][0].vec(a, b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
@@ -75,7 +78,7 @@ def rows_pow(x, e: Sequence[float]) -> np.ndarray:
     takes 0.5 and 2 by other ufuncs only for a scalar one) or a 0-d
     operand (libm's pow) can round otherwise."""
     x = np.asarray(x, dtype=float)
-    groups = row_groups(float(g) for g in e)
+    groups = row_groups(map(float, e))
     if len(groups) == 1:
         return x ** groups[0][0]
     out = np.empty_like(x)

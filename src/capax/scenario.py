@@ -205,8 +205,11 @@ def _capacity_rows(specs, spaces, grid_caps) -> list:
             caps[i] = make_sup_capacity(spaces[i])
         elif ctype != "grid":
             raise SchemaError(f"unknown capacity type {ctype!r}")
-        elif grid_caps[i] is None:
-            raise SchemaError("capacity: capacity type grid requires a grid space")
+        elif grid_caps[i] is None:  # n points alone: the grid of n cells of [0, 1]
+            if spaces[i].coords is not None:
+                raise SchemaError("capacity: capacity type grid requires a grid space "
+                                  "or a space of n points alone")
+            spaces[i], caps[i] = make_grid_lebesgue(0.0, 1.0, spaces[i].n)
     try:
         if weighted:
             w, lengths = _nums([specs[i]["weights"] for i in weighted], "weights")

@@ -280,15 +280,53 @@ def check_chebyshev_condition(system, grid_resolution=17, seed=0, random_trials=
                            violations, len(bad), not violations)
 
 
+def level_meet(C, RF, na, RG, nb):
+    """Per row i of the stack C, entry (r, s) is the measure of {RF >= r}
+    n {RG >= s} for r < na[i] and s < nb[i] (other entries unspecified),
+    RF and RG being (k, N) rows of level ranks, -1 for none, in one dense
+    pass: each point's weight goes into the cell of its two ranks, points
+    in index order, and suffix sums along g and then f sum the weights of
+    the sets, finished by the stack's rule per family."""
+    if C.base is not None:
+        inside = np.where(C.given, RF, -1)
+        return level_meet(C.base, inside, na, RG, nb) / C.base_given[:, None, None]
+    k = len(RF)
+    a, b = int(max(na)), int(max(nb))
+    r, x = np.nonzero((RF >= 0) & (RG >= 0))
+    cells = (r * a + RF[r, x]) * b + RG[r, x]
+    out = np.bincount(cells, C.W[r, x], k * a * b).reshape(k, a, b)
+    rev = out[:, ::-1, ::-1]  # suffix sums in place, as prefix sums of this view
+    np.cumsum(rev, axis=2, out=rev)
+    np.cumsum(rev, axis=1, out=rev)
+    return C._finish(C._distort(out))
+
+
+def banded_level_meet(C, RF, na, RG, nb, cells=10**6):
+    """``level_meet``'s layout filled from the kernel under test,
+    ``CapacityStack.level_bands``: the rows side by side, tallest first,
+    walked in bands of at most ``cells`` cells."""
+    na, nb = np.asarray(na), np.asarray(nb)
+    rows = np.argsort(-na, kind="stable")
+    a, b = na[rows], nb[rows]
+    off = np.cumsum(b) - b
+    table = np.zeros((a[0], b.sum()))
+    for c0, m in C.level_bands(RF, RG, rows, a, b, cells):
+        table[:len(m), c0:c0 + m.shape[1]] = m
+    out = np.zeros((len(na), na.max(), nb.max()))
+    for j, i in enumerate(rows.tolist()):
+        out[i, :a[j], :b[j]] = table[:a[j], off[j]:off[j] + b[j]]
+    return out
+
+
 def positive_dependence_rows(F, A, G, B, C, tris):
     """Row-wise positive dependence in one pass over every row's whole
-    level cross product (``CapacityStack.level_meet``), padded to the
-    widest row: the first minimum in C order is each row's witness, and a
-    cell infinite on both sides holds with equality."""
+    level cross product (``level_meet``), padded to the widest row: the
+    first minimum in C order is each row's witness, and a cell infinite on
+    both sides holds with equality."""
     (levels_a, na, RF), (levels_b, nb, RG) = (
         (levels, count, np.where(X.valid, rank + 1, -1))
         for X, (levels, count, rank) in ((F, _level_rows(F, A)), (G, _level_rows(G, B))))
-    m = C.level_meet(RF, na + 1, RG, nb + 1)
+    m = level_meet(C, RF, na + 1, RG, nb + 1)
     joint = m[:, 1:, 1:]
     k, a, b = joint.shape
     rhs = rows_vec(tris, m[:, 1:, :1], m[:, :1, 1:])
@@ -426,9 +464,12 @@ def capacity_from_spec(spec, space, grid_capacity=None):
         if ctype == "explicit":
             return explicit(_nums(spec["table"], "table"), space)
         if ctype == "grid":
-            if grid_capacity is None:
-                raise SchemaError("capacity type grid requires a grid space")
-            return grid_capacity
+            if grid_capacity is not None:
+                return grid_capacity
+            if space.coords is not None:
+                raise SchemaError("capacity type grid requires a grid space or a space "
+                                  "of n points alone")
+            return make_grid_lebesgue(0.0, 1.0, space.n)[1]
     except KeyError as e:
         raise SchemaError(f"capacity: missing {e.args[0]!r}")
     except ValueError as e:
@@ -464,6 +505,7 @@ def context_from_specs(space, capacity, functions, subsets):
     space, cap = space_from_spec(space)
     if capacity is not None:
         cap = capacity_from_spec(capacity, space, cap)
+        space = cap.space  # a grid capacity's own space
     return (space, cap,
             {name: function_from_spec(spec, space) for name, spec in functions.items()},
             {name: subset_from_spec(spec, space) for name, spec in subsets.items()})

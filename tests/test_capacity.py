@@ -96,7 +96,7 @@ def test_measure_meet_matches_per_subset_calls(kind):
     rg = rng.integers(0, 4, size=n)
     R = rf >= np.arange(6)[:, None]
     S = rg >= np.arange(4)[:, None]
-    meet = CapacityStack([c]).level_meet(rf[None], [6], rg[None], [4])[0]
+    meet = oracles.banded_level_meet(CapacityStack([c]), rf[None], [6], rg[None], [4])[0]
     assert meet.shape == (6, 4)
     for i in range(6):
         for j in range(4):

@@ -11,7 +11,8 @@ from capax import (GroundSpace, check_positive_dependence, dependence, dombi_op,
                    make_sup_capacity, make_uniform_example, min_op, normalize, prod_op,
                    project_first_op, sample_function, table_op)
 from capax.capacity import CapacityStack, subset_rows
-from capax.dependence import INCREASING_BIJECTIONS, _level_rows, positive_dependence_rows
+from capax.dependence import (INCREASING_BIJECTIONS, _level_rows, level_dependence_rows,
+                              level_ranks, positive_dependence_rows)
 from capax.integrals import Values
 from capax.operators import AggOperator
 from capax.xreal import DomainError
@@ -216,6 +217,23 @@ def test_posdep_on_a_2000_cell_grid_walks_in_bounded_bands(peak_of_second_call):
     assert peak <= 8e6
 
 
+def test_posdep_of_many_rows_and_a_wide_one_walks_in_bounded_bands(peak_of_second_call):
+    # 100 Lukasiewicz-example rows and f = x, g = x^2 on a 10^4-cell grid
+    # (10^8 level cells) in one stack, ranked beforehand
+    rng = np.random.default_rng(3)
+    rows = [make_uniform_example(*rng.choice(list(INCREASING_BIJECTIONS), 2),
+                                 int(rng.integers(50, 201))) for _ in range(100)]
+    space, P = make_grid_lebesgue(0.0, 1.0, 10**4)
+    fs, hs, caps = map(list, zip(*rows, (from_formula(space, "x"), from_formula(space, "x^2"),
+                                         P)))
+    F, H = Values.build(fs), Values.build(hs)
+    f, h = level_ranks(F, F.valid), level_ranks(H, H.valid)
+    C, tris = CapacityStack(caps), [lukasiewicz_op()] * len(caps)
+    rep, peak = peak_of_second_call(lambda: level_dependence_rows(f, h, C, tris))
+    assert all(rep.holds)
+    assert peak <= 8e6
+
+
 def test_positive_dependence_on_a_grid_past_1024_cells_raises_no_warning():
     # the explicit rows' bit weights 2^x overflow at 1024 points, so they
     # must not be computed for a stack that has no explicit row
@@ -250,7 +268,7 @@ def test_weighted_posdep_agrees_with_a_matmul(seed):
         F, G = Values.build([f]), Values.build([g])
         _, na, RF = _level_rows(F, subset_rows([A], F.n, n))
         _, nb, RG = _level_rows(G, subset_rows([B], F.n, n))
-        joint = CapacityStack([c]).level_meet(RF, na, RG, nb)[0]
+        joint = oracles.banded_level_meet(CapacityStack([c]), RF, na, RG, nb)[0]
         R = RF[0] >= np.arange(na[0])[:, None]
         S = RG[0] >= np.arange(nb[0])[:, None]
         product = R.astype(float) @ (w[:, None] * S.T)
@@ -321,9 +339,11 @@ def _band_stacks(rng):
     """(functions f and g, subsets A and B, capacities, tris) of stacks of
     every family: weighted (a -0.0 weight, gamma 1, 0.6 and 2.5), sup and
     explicit rows on the unit range, derived rows over them, and weighted
-    and explicit rows with infinite measures under the extended tris.  The
-    functions are tie-rich or continuous, with infinite values on the
-    extended rows."""
+    and explicit rows with infinite measures under the extended tris, each
+    family at n = 1 to 30 points; then each family's rows of n = 1 to 13 in
+    one stack, shuffled, its first row twice, so that narrow and wide rows,
+    and equal ones, share bands.  The functions are tie-rich or continuous, with
+    infinite values on the extended rows."""
     def fn(n, extended):
         v = rng.choice(TIE_VALUES, size=n) if rng.uniform() < 0.5 else rng.uniform(size=n)
         if extended:
@@ -344,16 +364,24 @@ def _band_stacks(rng):
         return [make_additive(np.r_[rng.uniform(0.1, 1.0, size=n - 1), np.inf]),
                 make_explicit(table) if n <= 8 else make_additive(np.full(n, np.inf))]
 
+    mixed = [[], [], []]
     for n in (1, 3, 6, 8, 13, 30):
         unit = plain(n)
         derived = [normalize(c, int(rng.integers(0, 2**c.space.n)) | 1) for c in unit]
-        for caps, tris, ext in ((unit, UNIT_TRIS, False), (derived, UNIT_TRIS, False),
-                                (extended(n), EXT_TRIS, True)):
+        for rows, caps, tris, ext in zip(mixed, (unit, derived, extended(n)),
+                                         (UNIT_TRIS, UNIT_TRIS, EXT_TRIS), (False, False, True)):
             k = len(caps)
             fs = [fn(c.space.n, ext) for c in caps]
             gs = [fn(c.space.n, ext) for c in caps]
             masks = [[int(rng.integers(0, 2**c.space.n)) | 1 for c in caps] for _ in range(2)]
-            yield fs, gs, masks, caps, [tris[int(t)] for t in rng.integers(0, len(tris), k)]
+            tris = [tris[int(t)] for t in rng.integers(0, len(tris), k)]
+            yield fs, gs, masks, caps, tris
+            if n <= 13:  # a stack's tables span 2^n of its widest row
+                rows += zip(fs, gs, *masks, caps, tris)
+    for rows in mixed:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        fs, gs, As, Bs, caps, tris = map(list, zip(rows[0], *rows))
+        yield fs, gs, [As, Bs], caps, tris
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -372,23 +400,43 @@ def test_band_walk_equals_the_one_pass_oracle_bit_for_bit(seed, monkeypatch):
                     == [repr(r) for r in zip(want.slack, want.witness)]), (seed, cells)
 
 
+def test_rows_of_infinite_margins_take_their_first_cell_as_witness(monkeypatch):
+    # infinite joint measures against a capped rhs: every margin is +inf, in
+    # a band of its own or shared, so each row's witness is its first cell
+    capped = AggOperator("capped", "extended", lambda a, b: np.minimum(np.minimum(a, b), 1.0))
+    caps = [make_additive([np.inf] * 3), make_additive([np.inf] * 2), make_additive([1.0, 2.0])]
+    fs = [_fn([0.2, 0.5, 0.9]), _fn([0.3, 0.3]), _fn([0.1, 0.6])]
+    gs = [_fn([0.4, 0.1, 0.7]), _fn([0.8, 0.2]), _fn([0.5, 0.5])]
+    F, G, C = Values.build(fs), Values.build(gs), CapacityStack(caps)
+    want = oracles.positive_dependence_rows(F, F.valid, G, F.valid, C, [capped] * 3)
+    assert want.slack[:2] == [np.inf, np.inf]
+    for cells in (1, 16, 10**6):
+        monkeypatch.setattr(dependence, "POSDEP_BLOCK_CELLS", cells)
+        got = positive_dependence_rows(F, F.valid, G, F.valid, C, [capped] * 3)
+        assert repr((got.slack, got.witness)) == repr((want.slack, want.witness)), cells
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_level_bands_equal_the_dense_level_meet_bit_for_bit(seed):
-    # every band width, odd and even, down to one g rank
+    # every stack's rows side by side, tallest first, in bands of every size
+    # down to two columns: whole rows, or columns of one row too wide
     rng = np.random.default_rng([seed, 1984])
     for fs, gs, (As, Bs), caps, _ in _band_stacks(rng):
         F, G, C = Values.build(fs), Values.build(gs), CapacityStack(caps)
         A, B = (subset_rows(m, F.n, F.v.shape[1]) for m in (As, Bs))
         (_, na, RF), (_, nb, RG) = _level_rows(F, A), _level_rows(G, B)
         RF, RG = np.where(F.valid, RF + 1, -1), np.where(F.valid, RG + 1, -1)
-        want = C.level_meet(RF, na + 1, RG, nb + 1)
-        for i in range(len(caps)):
-            a, b = int(na[i]) + 1, int(nb[i]) + 1
-            for width in (1, 2, 3, 4, b):
-                col, bands = C.take(np.array([i])).level_bands(RF[i:i + 1], a, RG[i:i + 1], b,
-                                                             width)
-                assert col.tobytes() == want[i, :a, 0].tobytes()
-                got = np.zeros((a, b))
-                for s0, m in bands:
-                    got[:, s0:s0 + m.shape[1]] = m
-                assert got.tobytes() == want[i, :a, :b].tobytes(), (seed, i, width)
+        want = oracles.level_meet(C, RF, na + 1, RG, nb + 1)
+        rows = np.argsort(-na, kind="stable")
+        a, b = na[rows] + 1, nb[rows] + 1
+        off = np.cumsum(b) - b
+        for cells in (1, 2, 3, 16, 40, 10**6):
+            got = np.full((a[0], b.sum()), np.nan)
+            for c0, m in C.level_bands(RF, RG, rows, a, b, cells):
+                h, w = m.shape
+                assert h * w <= max(cells, 2 * h) and h == a[np.searchsorted(off, c0, "right") - 1]
+                got[:h, c0:c0 + w] = m
+            for j, i in enumerate(rows.tolist()):
+                block = got[:, off[j]:off[j] + b[j]]
+                assert block[:a[j]].tobytes() == want[i, :a[j], :b[j]].tobytes(), (seed, i, cells)
+                assert not np.nan_to_num(block[a[j]:]).any(), (seed, i, cells)  # 0 if held

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from capax import INF, falsifier
+from capax import INF, falsifier, make_uniform_example
 from capax.falsifier import DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_IDS, random_scenario
 from capax.scenario import (SchemaError, _num, capacity_from_spec, capacity_to_spec,
                             context_from_specs, decode_specs, dump_result, function_from_spec,
@@ -314,6 +314,7 @@ def _bad_rows():
     yield "carlson_choquet_subadditive", _set("space", "coords", None, [0.5])
     yield "carlson_choquet_subadditive", lambda scn: scn.space.pop("widths")
     yield "shilkret_example", _set("space", "widths", 0, 0.0)
+    yield "carlson_choquet_subadditive", _set("capacity", "type", None, "grid")  # has coords
 
 
 @pytest.mark.parametrize("row", [0, 3])
@@ -348,6 +349,8 @@ def test_a_bad_row_raises_the_oracles_first_error(row):
     {"space": {"grid": {"a": 1, "b": 1, "steps": 2}}},
     {"space": {"grid": {"a": 0, "b": 1}}},
     {"space": {"n": 2}, "capacity": {"type": "grid"}},
+    {"space": {"n": 2}, "capacity": {"type": "grid"}, "functions": {"f": "x^2"}},
+    {"space": {"n": 2, "coords": [0.1, 0.2], "widths": [1, 1]}, "capacity": {"type": "grid"}},
     {"space": {"n": 2}, "capacity": {"weights": [1, 1]}},
     {"space": {"n": 2}, "capacity": "additive"},
     {"space": []},
@@ -369,6 +372,21 @@ def test_one_scenario_reads_as_the_oracle_reads_it(doc):
     if cap is not None:
         assert (cap.kind, cap.range, cap.gamma) == (cap2.kind, cap2.range, cap2.gamma)
         assert _same(cap.values(), cap2.values())
+
+
+def test_a_recorded_lukasiewicz_scenario_reads_back():
+    # its generator writes {"n": n} with {"type": "grid"}: the grid of n cells
+    # of [0, 1] that its checker builds from the params
+    chunk = [random_scenario("lukasiewicz_example", 2024, i) for i in range(4)]
+    d = decode_specs([(s.space, s.capacity, s.functions, s.subsets) for s in chunk])
+    for scn, space, cap in zip(chunk, d.spaces, d.caps):
+        P = make_uniform_example(scn.params["phi"], scn.params["psi"], scn.params["n"])[2]
+        assert (cap.kind, cap.range, space.n, cap.space) == ("grid", UNIT, scn.params["n"], space)
+        assert _same(space.coords, P.space.coords) and _same(cap.weights, P.weights)
+    one = chunk[0]
+    space, cap, fns, masks = context_from_specs(one.space, one.capacity, one.functions,
+                                                one.subsets)
+    assert _same(space.coords, d.spaces[0].coords) and (fns, masks) == ({}, {})
 
 
 def test_scenarios_decoded_together_name_the_same_functions_and_subsets():

@@ -93,7 +93,7 @@ def test_meet_equals_the_kind_switched_oracle_bit_for_bit(seed):
         points = np.arange(C.N) < n[:, None]  # padding holds no point
         RF = np.where(points, rng.integers(-1, na[:, None], size=(k, C.N)), -1)
         RG = np.where(points, rng.integers(0, nb[:, None], size=(k, C.N)), -1)
-        got = C.level_meet(RF, na, RG, nb)
+        got = oracles.banded_level_meet(C, RF, na, RG, nb)
         for i, c in enumerate(caps):
             R = RF[i, :n[i]] >= np.arange(na[i])[:, None]
             S = RG[i, :n[i]] >= np.arange(nb[i])[:, None]
@@ -148,14 +148,15 @@ def test_a_tall_stack_with_a_gamma_per_row_measures_each_row_as_alone():
     points = np.arange(N) < C.n[:, None]
     RF = np.where(points, rng.integers(-1, na[:, None], size=(k, N)), -1)
     RG = np.where(points, rng.integers(0, nb[:, None], size=(k, N)), -1)
-    meet = C.level_meet(RF, na, RG, nb)
+    meet = oracles.banded_level_meet(C, RF, na, RG, nb)
     for i, (c, m) in enumerate(zip(caps, n)):
         one = CapacityStack([c])
         assert (chain[i, :m + 1].tobytes()
                 == one.chain(order[i:i + 1, :m])[0].tobytes()), i
         assert (measure[i:i + 1].tobytes()
                 == one.measure(subset_rows(masks[i:i + 1], C.n[i:i + 1], m)).tobytes()), i
-        alone = one.level_meet(RF[i:i + 1, :m], na[i:i + 1], RG[i:i + 1, :m], nb[i:i + 1])
+        alone = oracles.banded_level_meet(one, RF[i:i + 1, :m], na[i:i + 1],
+                                          RG[i:i + 1, :m], nb[i:i + 1])
         assert (meet[i, :na[i], :nb[i]].tobytes()
                 == alone[0, :na[i], :nb[i]].tobytes()), i
 
