@@ -18,7 +18,6 @@ from .operators import (AggOperator, ConditionReport, OperatorSystem,
                         check_nondecreasing, check_power_condition, dombi_op,
                         get_op, get_system, lukasiewicz_op, min_op,
                         prod_op, project_first_op, table_op)
-from .xreal import (DEFAULT_CAP, EXTENDED, INF, UNIT, DegenerateInputError,
-                    DomainError)
+from .xreal import EXTENDED, INF, UNIT, DegenerateInputError, DomainError
 
 __version__ = "0.1.0"

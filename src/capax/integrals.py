@@ -1,13 +1,13 @@
 """Generalized Sugeno, Sugeno, Shilkret and Choquet integral evaluators,
 plus a dense-grid brute-force oracle.
 
-The candidate-set evaluator is exact for operators that are declared
-left-continuous and right-zero-absorbing: between consecutive distinct
-values of f the level-set measure is constant, so the supremum sits at the
-right endpoint.  The candidates are level 0 with mu(A), the distinct
-values of f on A with their level-set measures and, for an operator that
-does not absorb 0 on the right, the top of the range with the empty set;
-one vectorized operator call evaluates them all.
+The candidate-set evaluator is exact for every nondecreasing operator:
+between consecutive distinct values of f the level-set measure is
+constant, so the supremum over that interval sits at its right endpoint.
+The candidates are level 0 with mu(A), the distinct values of f on A with
+their level-set measures and the tail alpha = inf with the empty set, all
+over the operator's domain ([0, 1] clips inf to 1, and [0, inf] evaluates
+it as it stands); one vectorized operator call evaluates them all.
 
 The evaluators run on stacks: ``Values`` (k sample functions), (k, N)
 boolean subset rows and a ``CapacityStack``, row i of each belonging to
@@ -18,7 +18,6 @@ is a stack of one row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -26,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import Capacity, CapacityStack, GroundSpace, along, subset_rows
-from .xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
+from .xreal import EXTENDED, INF, UNIT, DomainError
 from .operators import AggOperator, min_op, prod_op, rows_pow, rows_vec
 
 
@@ -82,13 +81,17 @@ def from_formula(space: GroundSpace, formula: str, range_tag: str = None) -> Sam
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Integral value with the level achieving it and an exactness tag."""
+    """Integral value with the level achieving it and the largest error it
+    may carry: 0.0 from an exact evaluator, the grid spacing from the
+    brute-force oracle."""
 
     value: float
     argmax_level: Optional[float]
-    exact: bool
-    bound: float = 0.0  # grid resolution when not exact
-    cap_hit: bool = False
+    bound: float = 0.0
+
+    @property
+    def exact(self) -> bool:
+        return self.bound == 0.0
 
     def __float__(self) -> float:
         return self.value
@@ -216,44 +219,31 @@ def distinct_levels(F: Values, A: np.ndarray, C: CapacityStack):
 
 @dataclass
 class IntegralRows:
-    """Per-row integral values with their levels and exactness tags."""
+    """Per-row integral values with their levels."""
 
     value: np.ndarray
     level: list
-    exact: np.ndarray
-    bound: np.ndarray
-    cap_hit: np.ndarray
 
     def result(self, i: int) -> IntegralResult:
-        return IntegralResult(float(self.value[i]), self.level[i], bool(self.exact[i]),
-                              bound=float(self.bound[i]), cap_hit=bool(self.cap_hit[i]))
+        return IntegralResult(float(self.value[i]), self.level[i])
 
 
 def generalized_sugeno_rows(F: Values, A: np.ndarray, C: CapacityStack,
-                            ops: Sequence[AggOperator],
-                            cap: float = DEFAULT_CAP) -> IntegralRows:
+                            ops: Sequence[AggOperator]) -> IntegralRows:
     """sup over alpha of alpha o mu(A n {f >= alpha}) per row, with row i's
     operator ops[i], evaluated on the candidate levels {0} u {distinct
-    values of f on A} plus the tail, all rows in one candidate matrix."""
+    values of f on A} u {inf}, all rows in one candidate matrix."""
     _check_compat(F, C, ops)
     distinct, measures, kd = distinct_levels(F, A, C)
     k, N = distinct.shape
-    top = np.where(C.unit, 1.0, cap)
-    tail = np.array([not op.zero_absorbing_right for op in ops])
     # the candidates in tie-break order, since the first index of the max
     # wins: level 0 with mu(A), the distinct values descending with their
-    # level-set measures (the first kd), then the tail (alpha above max f,
-    # where mu(empty set) = 0) at the top of the range if op does not
-    # absorb 0
+    # level-set measures (the first kd), then the tail alpha = inf with
+    # mu(empty set) = 0, which a zero-absorbing operator takes to 0
     alphas = np.empty((k, N + 2))
     alphas[:, 0] = 0.0
     alphas[:, 1:N + 1] = distinct
-    alphas[:, N + 1] = top
-    # an infinite value, necessarily the highest, is evaluated at the top
-    capped = (kd > 0) & np.isinf(distinct[:, 0])
-    if capped.any():
-        inf = np.isinf(alphas)
-        alphas[inf] = np.broadcast_to(top[:, None], alphas.shape)[inf]
+    alphas[:, N + 1] = INF
     level_measures = np.zeros((k, N + 2))
     level_measures[:, 0] = C.measure(A)
     level_measures[:, 1:N + 1] = measures
@@ -261,26 +251,23 @@ def generalized_sugeno_rows(F: Values, A: np.ndarray, C: CapacityStack,
     x = alphas if not unit_dom.any() else np.where(unit_dom[:, None],
                                                    np.minimum(alphas, 1.0), alphas)
     t = rows_vec(ops, x, level_measures)
-    live = np.empty((k, N + 2), dtype=bool)
-    live[:, 0] = True
+    live = np.ones((k, N + 2), dtype=bool)
     live[:, 1:N + 1] = np.arange(N) < kd[:, None]
-    live[:, N + 1] = tail
     i = np.where(live, t, -np.inf).argmax(1)
     rows = np.arange(k)
-    tail_won = tail & (i == N + 1)
-    exact = np.array([op.zero_absorbing_right and op.left_continuous for op in ops]) & ~capped
-    return IntegralRows(t[rows, i], alphas[rows, i].tolist(), exact,
-                        np.where(exact, 0.0, cap), (capped | tail_won) & ~C.unit)
+    return IntegralRows(t[rows, i], x[rows, i].tolist())
 
 
 def generalized_sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None,
-                       op: AggOperator = None, cap: float = DEFAULT_CAP) -> IntegralResult:
-    """sup over alpha of alpha o mu(A n {f >= alpha}), evaluated on the
-    candidate level set {0} u {distinct values of f on A} plus the tail."""
+                       op: AggOperator = None) -> IntegralResult:
+    """sup over alpha of alpha o mu(A n {f >= alpha}), evaluated exactly on
+    the candidate level set {0} u {distinct values of f on A} u {inf}.  Its
+    one hypothesis is that op is nondecreasing, which
+    ``check_nondecreasing`` samples."""
     if op is None:
         op = min_op(c.range)
     (F,), (A,), C = one_row([f], c, [A])
-    return generalized_sugeno_rows(F, A, C, [op], cap).result(0)
+    return generalized_sugeno_rows(F, A, C, [op]).result(0)
 
 
 def sugeno(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> IntegralResult:
@@ -319,17 +306,19 @@ def choquet(f: SampleFunction, c: Capacity, A: Optional[int] = None) -> Integral
     (F,), (A,), C = one_row([f], c, [A])
     values, infinite = choquet_rows(F, A, C)
     if infinite[0]:
-        return IntegralResult(INF, INF, True)
-    return IntegralResult(float(values[0]), None, True)
+        return IntegralResult(INF, INF)
+    return IntegralResult(float(values[0]), None)
 
 
 def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
                                    A: Optional[int] = None,
                                    op: AggOperator = None,
-                                   alpha_grid_size: int = 10_000,
-                                   cap: float = DEFAULT_CAP) -> IntegralResult:
-    """Independent oracle: dense uniform alpha grid union the candidate
-    set; reported bound is the grid spacing."""
+                                   alpha_grid_size: int = 10_000) -> IntegralResult:
+    """Independent oracle: a uniform alpha grid on [0, g] (g = 1 for a
+    unit-domain operator, else the largest finite value of f on A or 1,
+    whichever is larger) union the candidate set and, for an extended
+    operator, alpha = inf with the empty set.  The grid approaches the
+    value from below; the reported bound is its spacing."""
     if alpha_grid_size < 2:
         raise DomainError("alpha grid needs at least two points")
     if op is None:
@@ -340,14 +329,8 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
     distinct, measures = distinct[0, :kd[0]], measures[0, :kd[0]]
     idx = np.flatnonzero(A[0])
 
-    finite_vals = f.values[idx][np.isfinite(f.values[idx])] if len(idx) else np.array([])
-    if c.range == UNIT:
-        top = 1.0
-    elif op.zero_absorbing_right:
-        top = float(finite_vals.max()) if len(finite_vals) else 0.0
-        top = max(top, 1.0)
-    else:
-        top = cap
+    finite_vals = distinct[np.isfinite(distinct)]
+    top = 1.0 if op.domain == UNIT else max(float(finite_vals.max(initial=0.0)), 1.0)
     grid = np.linspace(0.0, top, alpha_grid_size)
     spacing = top / (alpha_grid_size - 1)
 
@@ -357,22 +340,16 @@ def brute_force_generalized_sugeno(f: SampleFunction, c: Capacity,
     chain_all = C.chain(idx[np.argsort(-f.values[idx], kind="stable")][None])[0]
     grid_measures = chain_all[counts]
 
-    alphas = np.concatenate([grid, distinct[np.isfinite(distinct)]])
-    meas = np.concatenate([grid_measures, measures[np.isfinite(distinct)]])
-    if len(distinct) and math.isinf(distinct[0]):
-        alphas = np.concatenate([alphas, [sup_of(c.range, cap)]])
-        meas = np.concatenate([meas, [measures[0]]])
+    tail = [] if op.domain == UNIT else [INF]
+    alphas = np.concatenate([grid, distinct, tail])
+    meas = np.concatenate([grid_measures, measures, np.zeros(len(tail))])
 
     best, best_level = op(0.0, float(C.measure(A)[0])), 0.0
     vec = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas, meas)
-    i = int(np.argmax(vec)) if len(vec) else -1
-    if i >= 0 and vec[i] > best:
+    i = int(np.argmax(vec))
+    if vec[i] > best:
         best, best_level = float(vec[i]), float(alphas[i])
-    if not op.zero_absorbing_right:
-        t = op(top, 0.0)
-        if t > best:
-            best, best_level = t, top
-    return IntegralResult(best, best_level, False, bound=spacing)
+    return IntegralResult(best, best_level, spacing)
 
 
 def pointwise_rows(ops: Sequence[AggOperator], F: Values, G: Values) -> Values:

@@ -29,16 +29,12 @@ class AggOperator:
 
     ``vec`` is the one evaluation: it takes arrays (or scalars) and
     broadcasts; calling the operator on two scalars returns
-    ``float(vec(a, b))``.  ``zero_absorbing_right`` declares a o 0 = 0 for
-    all a; ``left_continuous`` is a declared flag (pointwise limits are not
-    grid-decidable) and gates exactness claims in the integral evaluators.
+    ``float(vec(a, b))``.  On the extended domain it takes inf as it stands.
     """
 
     name: str
     domain: str
     vec: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
-    zero_absorbing_right: bool = True
-    left_continuous: bool = True
 
     def __call__(self, a: float, b: float) -> float:
         return float(self.vec(a, b))
@@ -130,21 +126,18 @@ def dombi_op() -> AggOperator:
 
 
 def project_first_op(domain: str = UNIT) -> AggOperator:
-    return AggOperator("project_first", domain, _first_vec,
-                       zero_absorbing_right=False)
+    return AggOperator("project_first", domain, _first_vec)
 
 
 def table_op(values: Sequence[Sequence[float]], name: str = "custom") -> AggOperator:
     """Operator from a k x k lookup table over the uniform grid of [0,1]
-    (nearest-node lookup). Not assumed left-continuous."""
+    (nearest-node lookup)."""
     t = np.asarray(values, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
         raise ValueError("table must be square with at least 2 nodes per axis")
     if not ((t >= 0) & (t <= 1)).all():  # also rejects NaN
         raise ValueError("table entries must be numbers in [0, 1]")
-    return AggOperator(name, UNIT, _TableLookup(len(t), t.tobytes()),
-                       zero_absorbing_right=bool((t[:, 0] == 0).all()),
-                       left_continuous=False)
+    return AggOperator(name, UNIT, _TableLookup(len(t), t.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ INF = math.inf
 UNIT = "unit"
 EXTENDED = "extended"
 
-#: default ceiling used when a supremum over [0, inf] must be evaluated
-#: at a finite point; results touching it are flagged by callers
-DEFAULT_CAP = float(2**20)
-
 
 class DomainError(ValueError):
     """An input lies outside the declared range."""
@@ -40,7 +36,3 @@ def xpow(a: float, s: float) -> float:
     if math.isinf(a):
         return INF
     return a**s
-
-
-def sup_of(range_tag: str, cap: float = DEFAULT_CAP) -> float:
-    return 1.0 if range_tag == UNIT else cap

@@ -30,7 +30,7 @@ from capax.operators import (COND_TOL, ConditionReport, _domain_grid, _random_po
                              min_op, rows_vec)
 from capax.scenario import (CAPACITY_KEYS, GRID_KEYS, SPACE_KEYS, SchemaError, _int, _num,
                             _require_keys)
-from capax.xreal import DEFAULT_CAP, EXTENDED, INF, UNIT, DomainError, sup_of
+from capax.xreal import EXTENDED, INF, UNIT, DomainError
 
 
 def measure(c, mask):
@@ -133,7 +133,7 @@ def level_sets(f, c, A):
     return sorted_desc[ends], chain[ends + 1], idx
 
 
-def generalized_sugeno(f, c, A=None, op=None, cap=DEFAULT_CAP):
+def generalized_sugeno(f, c, A=None, op=None):
     if op is None:
         op = min_op(c.range)
     check_compat(f, c, op)
@@ -141,25 +141,18 @@ def generalized_sugeno(f, c, A=None, op=None, cap=DEFAULT_CAP):
         A = f.space.full_mask
     distinct, measures, idx = level_sets(f, c, A)
     k = len(distinct)
-    top = sup_of(c.range, cap)
-    tail = not op.zero_absorbing_right
-    alphas = np.zeros(k + 1 + tail)
+    # level 0, the distinct values descending, then the tail alpha = inf
+    # with the empty set, each clipped to 1 on a unit domain
+    alphas = np.zeros(k + 2)
     alphas[1:k + 1] = distinct
-    alphas[k + 1:] = top
-    level_measures = np.zeros(k + 1 + tail)
+    alphas[k + 1] = INF
+    level_measures = np.zeros(k + 2)
     level_measures[0] = measure(c, A)
     level_measures[1:k + 1] = measures
-    capped = k > 0 and math.isinf(distinct[0])
-    if capped:
-        alphas[1] = top
-    t = op.vec(np.minimum(alphas, 1.0) if op.domain == UNIT else alphas,
-               level_measures)
+    x = np.minimum(alphas, 1.0) if op.domain == UNIT else alphas
+    t = op.vec(x, level_measures)
     i = int(np.argmax(t))
-    tail_won = tail and i == k + 1
-    exact = op.zero_absorbing_right and op.left_continuous and not capped
-    return IntegralResult(float(t[i]), float(alphas[i]), exact,
-                          bound=0.0 if exact else cap,
-                          cap_hit=(capped or tail_won) and c.range != UNIT)
+    return IntegralResult(float(t[i]), float(x[i]))
 
 
 def choquet(f, c, A=None):
@@ -168,15 +161,15 @@ def choquet(f, c, A=None):
         A = f.space.full_mask
     distinct, measures, idx = level_sets(f, c, A)
     if len(distinct) == 0:
-        return IntegralResult(0.0, None, True)
+        return IntegralResult(0.0, None)
     if math.isinf(distinct[0]) and measures[0] > 0:
-        return IntegralResult(INF, INF, True)
+        return IntegralResult(INF, INF)
     total, prev = 0.0, 0.0
     for v, m in zip(distinct[::-1].tolist(), measures[::-1].tolist()):
         # 0 * inf = 0: a zero step or a zero measure adds nothing
         total = total + (0.0 if v == prev or m == 0 else (v - prev) * m)
         prev = v
-    return IntegralResult(total, None, True)
+    return IntegralResult(total, None)
 
 
 def is_comonotone(f, g):

@@ -16,7 +16,6 @@ from capax import (DomainError, GroundSpace, INF, brute_force_generalized_sugeno
 from capax.capacity import mask_bools
 from capax.integrals import distinct_levels, one_row
 from oracles import choquet as oracle_choquet, level_sets as oracle_level_sets, measure
-from capax.xreal import DEFAULT_CAP
 
 
 def uniform3():
@@ -108,11 +107,11 @@ def test_midpoint_grid_choquet_of_identity():
     assert choquet(from_formula(space, "x"), cap).value == pytest.approx(0.5)
 
 
-def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
-    """Independent oracle: loop over candidate levels with raw mask calls.
-    An infinite value is evaluated at the top of the range, and an operator
-    that does not absorb 0 on the right also sees the empty tail above it."""
-    top = 1.0 if c.range == "unit" else cap
+def _direct_sugeno_style(f, c, A, op):
+    """Independent oracle: loop over candidate levels with raw mask calls,
+    then the empty tail at the top of op's domain (1, or inf on the
+    extended one, where an infinite value is evaluated as it stands)."""
+    top = 1.0 if op.domain == "unit" else INF
     idx = [i for i in range(f.space.n) if (A >> i) & 1]
     best = op(0.0, measure(c, A))
     for alpha in sorted({f[i] for i in idx}):
@@ -120,33 +119,27 @@ def _direct_sugeno_style(f, c, A, op, cap=DEFAULT_CAP):
         for i in idx:
             if f[i] >= alpha:
                 mask |= 1 << i
-        a = top if math.isinf(alpha) else alpha
-        lvl = min(a, 1.0) if op.domain == "unit" else a
+        lvl = min(alpha, 1.0) if op.domain == "unit" else alpha
         best = max(best, op(lvl, measure(c, mask)))
-    if not op.zero_absorbing_right:
-        best = max(best, op(top, 0.0))
-    return best
+    return max(best, op(top, 0.0))
 
 
-def _per_level_loop(f, c, A, op, cap=DEFAULT_CAP):
+def _per_level_loop(f, c, A, op):
     """The scalar evaluation order generalized_sugeno must reproduce:
-    level 0, then descending levels, then the tail, each a strict >
-    against the running best.  Returns (value, level, cap_hit): the cap is
-    hit on an extended range when an infinite value was evaluated at it or
-    when the tail won."""
+    level 0, then descending levels, then the empty tail at the top of
+    op's domain, each a strict > against the running best.  Returns
+    (value, level)."""
     distinct, measures, _ = oracle_level_sets(f, c, A)
-    top = cap if c.range == "extended" else 1.0
-    capped = len(distinct) > 0 and math.isinf(distinct[0])
-    best, best_level, tail_won = op(0.0, measure(c, A)), 0.0, False
+    top = 1.0 if op.domain == "unit" else INF
+    best, best_level = op(0.0, measure(c, A)), 0.0
     for v, m in zip(distinct, measures):
-        if math.isinf(v):
-            v = top
-        t = op(min(v, 1.0) if op.domain == "unit" else v, m)
+        lvl = min(v, 1.0) if op.domain == "unit" else v
+        t = op(lvl, m)
         if t > best:
-            best, best_level = t, float(v)
-    if not op.zero_absorbing_right and op(top, 0.0) > best:
-        best, best_level, tail_won = op(top, 0.0), top, True
-    return best, best_level, (capped or tail_won) and c.range == "extended"
+            best, best_level = t, float(lvl)
+    if op(top, 0.0) > best:
+        best, best_level = op(top, 0.0), top
+    return best, best_level
 
 
 def _coarse_table_op():
@@ -155,11 +148,19 @@ def _coarse_table_op():
                     name="coarse")
 
 
+def _lifted_table_op():
+    # nondecreasing, with a o 0 = a / 2 at the nodes: the empty tail at
+    # alpha = 1 gives 0.5 and wins when f and mu are small
+    return table_op([[0.0, 0.0, 0.0], [0.25, 0.25, 0.5], [0.5, 0.5, 1.0]],
+                    name="lifted")
+
+
 OPERATORS = {
     "min": lambda rng: min_op(rng), "prod": lambda rng: prod_op(rng),
     "lukasiewicz": lambda rng: lukasiewicz_op(), "dombi": lambda rng: dombi_op(),
     "project_first": lambda rng: project_first_op(rng),
     "table": lambda rng: _coarse_table_op(),
+    "lifted_table": lambda rng: _lifted_table_op(),
 }
 
 
@@ -180,23 +181,35 @@ def test_vectorized_sugeno_matches_oracles(opname, extended):
         res = generalized_sugeno(f, c, A, op)
         assert res.value == pytest.approx(_direct_sugeno_style(f, c, A, op),
                                           rel=1e-12, abs=1e-14)
-        best, level, cap_hit = _per_level_loop(f, c, A, op)
+        best, level = _per_level_loop(f, c, A, op)
         assert (res.value, res.argmax_level) == (float(best), level)
-        assert res.cap_hit == cap_hit
-        capped = bool(np.isinf(f.values[mask_bools(A, n)]).any())
-        assert res.exact == (op.zero_absorbing_right and op.left_continuous
-                             and not capped)
+        assert res.exact
 
 
-def test_infinite_level_evaluated_at_the_cap_is_flagged():
+def test_infinite_level_is_evaluated_at_infinity():
     c = make_additive([1.0, 1.0])
     res = shilkret(sample_function(c.space, [INF, 1.0]), c)
-    assert res.value == DEFAULT_CAP  # the cap times mu({f = inf}) = 1
-    assert res.argmax_level == DEFAULT_CAP
-    assert not res.exact
-    assert res.cap_hit
+    assert res.value == INF  # inf times mu({f = inf}) = 1
+    assert res.argmax_level == INF
+    assert res.exact
     finite = shilkret(sample_function(c.space, [3.0, 1.0]), c)
-    assert (finite.value, finite.exact, finite.cap_hit) == (3.0, True, False)
+    assert (finite.value, finite.argmax_level, finite.exact) == (3.0, 3.0, True)
+
+
+def test_extended_operators_on_a_unit_capacity_reach_past_one():
+    # alpha ranges over the operator's domain [0, inf], not over the
+    # capacity's [0, 1]: an infinite level stays infinite, and a o 0 = a
+    # grows without bound above max f
+    c = make_additive([0.5, 0.5])
+    f_inf = sample_function(c.space, [2.5, INF])
+    f_fin = sample_function(c.space, [2.5, 3.0])
+    for op, f in [(prod_op("extended"), f_inf), (project_first_op("extended"), f_inf),
+                  (project_first_op("extended"), f_fin)]:
+        res = generalized_sugeno(f, c, op=op)
+        assert (res.value, res.argmax_level, res.exact) == (INF, INF, True), op.name
+    # min(alpha, mu) never exceeds mu(A) = 1, first reached at alpha = 2.5
+    res = generalized_sugeno(f_inf, c, op=min_op("extended"))
+    assert (res.value, res.argmax_level) == (1.0, 2.5)
 
 
 @pytest.mark.parametrize("opname", ["min", "prod", "lukasiewicz", "dombi"])
@@ -223,17 +236,16 @@ def test_brute_force_agrees_within_reported_bound():
     for op in (min_op(), prod_op(), lukasiewicz_op(), dombi_op()):
         exact = generalized_sugeno(f, c, op=op)
         approx = brute_force_generalized_sugeno(f, c, op=op)
-        assert abs(exact.value - approx.value) <= approx.bound
+        assert approx.value <= exact.value  # the grid approaches from below
+        assert exact.value - approx.value <= approx.bound
 
 
-def test_non_absorbing_operator_hits_the_cap():
-    # a o b = a is maximized at the top of the range, above every f value
+def test_non_absorbing_operator_takes_its_tail_at_infinity():
+    # a o b = a is maximized at the top of the domain, above every f value
     space, cap = make_grid_lebesgue(0.0, 2.0, 10)
     f = from_formula(space, "x")
-    res = generalized_sugeno(f, cap, op=project_first_op("extended"), cap=64.0)
-    assert res.value == 64.0
-    assert res.cap_hit
-    assert not res.exact
+    res = generalized_sugeno(f, cap, op=project_first_op("extended"))
+    assert (res.value, res.argmax_level, res.exact) == (INF, INF, True)
 
 
 def test_unit_operator_rejects_extended_inputs():

@@ -43,7 +43,6 @@ def test_product_zero_times_infinity_is_zero():
 def test_project_first_is_not_zero_absorbing():
     pf = project_first_op()
     assert pf(0.7, 0.0) == 0.7
-    assert not pf.zero_absorbing_right
 
 
 def test_get_op_rejects_unknown_and_bad_domain():
@@ -53,13 +52,11 @@ def test_get_op_rejects_unknown_and_bad_domain():
         get_op("lukasiewicz", "extended")
 
 
-def test_table_op_lookup_and_flags():
+def test_table_op_lookup():
     t = [[0.0, 0.0], [0.0, 1.0]]  # min on {0,1} nodes
     op = table_op(t)
     assert op(1.0, 1.0) == 1.0
     assert op(0.9, 0.1) == 0.0
-    assert op.zero_absorbing_right
-    assert not op.left_continuous
 
 
 @pytest.mark.parametrize("table", [[[0.0, 0.0], [0.0, float("nan")]],

@@ -358,7 +358,7 @@ def test_sugeno_and_shilkret_of_a_constant(k):
         assert shilkret(f, c, A).value == k * muA
 
 
-@pytest.mark.parametrize("op", EXT_OPS[:2], ids=lambda op: op.name)
+@pytest.mark.parametrize("op", EXT_OPS, ids=lambda op: op.name)
 def test_exact_evaluator_matches_brute_force_on_extended_capacities(op):
     rng = np.random.default_rng(41)
     for _ in range(60):
@@ -370,4 +370,9 @@ def test_exact_evaluator_matches_brute_force_on_extended_capacities(op):
         A = int(rng.integers(0, 2**n))
         exact = generalized_sugeno(f, c, A, op)
         approx = brute_force_generalized_sugeno(f, c, A, op, alpha_grid_size=2000)
-        assert abs(exact.value - approx.value) <= approx.bound, (exact, approx)
+        # the grid approaches the value from below; inf - inf is NaN
+        assert approx.value <= exact.value, (exact, approx)
+        if exact.value == INF:
+            assert approx.value == INF, (exact, approx)
+        else:
+            assert exact.value - approx.value <= approx.bound, (exact, approx)
