@@ -51,7 +51,7 @@ _POW2.setflags(write=False)
 
 
 class InvalidCapacityError(ValueError):
-    """A capacity axiom (empty set, positivity, range) is violated."""
+    """A capacity axiom (empty set, positivity) is violated."""
 
 
 @dataclass(frozen=True)
@@ -306,29 +306,26 @@ def grid_rows(a: float, b: float, steps: Sequence[int]) -> tuple[np.ndarray, lis
                              weights=space.widths) for space in spaces]
 
 
-def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None,
-                  range_tag: Optional[str] = None) -> Capacity:
-    """Capacity from a full 2^n value table (monotonicity is checked
-    separately via check_monotone, so deliberately broken tables are
-    representable)."""
+def make_explicit(table: Sequence[float], space: Optional[GroundSpace] = None) -> Capacity:
+    """Capacity from a full 2^n value table, unit-range where every value
+    is at most 1 (monotonicity is checked separately via check_monotone,
+    so deliberately broken tables are representable)."""
     t = np.array(table, dtype=float)  # a copy: the capacity is immutable
-    return _explicit(t, space, range_tag)
+    return _explicit(t, space)
 
 
-def _explicit(t: np.ndarray, space: Optional[GroundSpace],
-              range_tag: Optional[str]) -> Capacity:
+def _explicit(t: np.ndarray, space: Optional[GroundSpace]) -> Capacity:
     """``make_explicit`` of a float table that no one else holds: the
     capacity keeps a read-only view of t."""
-    return explicit_rows(t, [t.size], [space], [range_tag])[0]
+    return explicit_rows(t, [t.size], [space])[0]
 
 
 def explicit_rows(t: np.ndarray, lengths: Sequence[int],
-                  spaces: Sequence[Optional[GroundSpace]],
-                  range_tags: Sequence[Optional[str]]) -> list:
+                  spaces: Sequence[Optional[GroundSpace]]) -> list:
     """The explicit capacities of k value tables, concatenated in a float
     array ``t`` that no one else holds (row i holds lengths[i]), on
-    spaces[i] (None: a space of its own) with range tags range_tags[i]
-    (None: inferred).  The rows are checked all at once as
+    spaces[i] (None: a space of its own), each unit-range where its
+    values are at most 1.  The rows are checked all at once as
     ``make_explicit`` checks one, and each keeps a read-only view of t."""
     if t.ndim != 1 or min(lengths) == 0:
         raise InvalidCapacityError(f"a table must be a nonempty 1-d sequence, "
@@ -351,18 +348,16 @@ def explicit_rows(t: np.ndarray, lengths: Sequence[int],
     if any(space is not None and space.n != ni for space, ni in zip(spaces, n)):
         raise InvalidCapacityError("table size must match the space")
     tops = np.maximum.reduceat(t, starts).tolist()
-    if any(tag == UNIT and top > 1.0 for tag, top in zip(range_tags, tops)):
-        raise InvalidCapacityError("unit-range capacity has a value above 1")
     t.setflags(write=False)
     return [Capacity(space=GroundSpace(ni) if space is None else space,
-                     range=(UNIT if top <= 1.0 else EXTENDED) if tag is None else tag,
-                     kind="explicit", table=t[start:end])
-            for ni, space, tag, top, start, end in zip(n, spaces, range_tags, tops, starts, ends)]
+                     range=UNIT if top <= 1.0 else EXTENDED, kind="explicit",
+                     table=t[start:end])
+            for ni, space, top, start, end in zip(n, spaces, tops, starts, ends)]
 
 
 def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
     """The explicit capacity of ``random_monotone_table(n, rng)``."""
-    return _explicit(random_monotone_table(n, rng), None, None)
+    return _explicit(random_monotone_table(n, rng), None)
 
 
 def random_monotone_table(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -39,7 +39,9 @@ class CliError(Exception):
 
 def _load_context(path: str):
     doc = load_document(path)
-    return (doc, *context_from_specs(doc.get("space", {"n": 1}), doc.get("capacity"),
+    if "space" not in doc:
+        raise SchemaError("missing key 'space'")
+    return (doc, *context_from_specs(doc["space"], doc.get("capacity"),
                                      doc.get("functions", {}), doc.get("subsets", {})))
 
 

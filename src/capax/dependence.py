@@ -23,7 +23,7 @@ import numpy as np
 from .capacity import Capacity, CapacityStack, along, grid_rows
 from .integrals import SampleFunction, Values, one_row, sample_function
 from .operators import AggOperator, row_groups
-from .xreal import UNIT, DomainError
+from .xreal import DomainError
 
 POSDEP_TOL = 1e-12
 #: level cross-product cells per band of the walk, which holds whole rows
@@ -261,7 +261,7 @@ def make_uniform_example(phi_id: str, psi_id: str, n: int):
     h = 1 - psi(U): not comonotone, but positively dependent with respect
     to the Lukasiewicz operator (``uniform_example_rows``' one row)."""
     F, H, (P,) = uniform_example_rows([phi_id], [psi_id], [n])
-    return (sample_function(P.space, F.v[0], UNIT), sample_function(P.space, H.v[0], UNIT), P)
+    return sample_function(P.space, F.v[0]), sample_function(P.space, H.v[0]), P
 
 
 def uniform_example_rows(phi_ids: Sequence[str], psi_ids: Sequence[str],
@@ -282,6 +282,5 @@ def uniform_example_rows(phi_ids: Sequence[str], psi_ids: Sequence[str],
     n = np.array(n)
     valid = np.arange(U.shape[1]) < n[:, None]
     spaces = tuple(c.space for c in caps)
-    unit = np.ones(len(n), dtype=bool)
-    return (Values(np.where(valid, f, 0.0), unit, n, valid, spaces),
-            Values(np.where(valid, h, 0.0), unit.copy(), n, valid, spaces), caps)
+    return (Values(np.where(valid, f, 0.0), n, valid, spaces),
+            Values(np.where(valid, h, 0.0), n, valid, spaces), caps)

@@ -124,9 +124,9 @@ def _apply(ops, a, b) -> list:
 _PROD = {True: prod_op(UNIT), False: prod_op(EXTENDED)}
 
 
-def _prods(F) -> list:
-    """prod_op(f.range) per row."""
-    return [_PROD[u] for u in F.unit.tolist()]
+def _times(F, G):
+    """The pointwise product f g per row."""
+    return pointwise_rows([prod_op()] * len(F.n), F, G)
 
 
 def _posdep_hyps(name, f, g, C, tris) -> list:
@@ -299,9 +299,7 @@ def carlson_sugeno_wang(f, g, h, A: int, c: Capacity, p: float,
 def shilkret_carlson_example_rows(F, A, C) -> list:
     if F.coords is None:
         raise DomainError("space has no coordinates")
-    unit_coords = np.where(F.valid, F.coords, 0.0).max(1) <= 1
-    X = F.like(F.coords, [(UNIT if u else EXTENDED) if uc else None
-                          for u, uc in zip(F.unit.tolist(), unit_coords.tolist())])
+    X = F.like(F.coords)
     if ((F.v[:, 1:] < F.v[:, :-1]) & F.valid[:, 1:]).any():
         raise DomainError("shilkret example requires f nondecreasing along coordinates")
     k = len(F.n)
@@ -317,7 +315,7 @@ def shilkret_carlson_example_rows(F, A, C) -> list:
         f2 = power_rows(F, [2.0] * len(ok))
         lhs = _gs(F, A, C, ops)
         Nf2 = _gs(f2, A, C, ops)
-        Nxf = _gs(pointwise_rows(_prods(F), power_rows(X, [2.0] * len(ok)), f2), A, C, ops)
+        Nxf = _gs(_times(power_rows(X, [2.0] * len(ok)), f2), A, C, ops)
         for j, i in enumerate(ok.tolist()):
             rhs = K[i]**-0.5 * xpow(Nf2[j], 0.25) * xpow(Nxf[j], 0.25)
             out[i] = _report("shilkret_carlson_example", [hyp[i]], lhs[j], rhs,
@@ -341,7 +339,7 @@ def lukasiewicz_carlson_example_rows(phi, psi, n, p, q) -> list:
     systems = [OperatorSystem("luk_example", circ=pr, box=luk, star=pr,
                               lhd=luk, tri=luk, p=pi, q=qi, r=1.0, s=1.0)
                for pi, qi in zip(p, q)]
-    ones = F.like(np.ones_like(F.v), [UNIT] * len(caps))
+    ones = F.like(np.ones_like(F.v))
     out = carlson_sugeno_rows(systems, F, ones, H, F.valid, F.valid, CapacityStack(caps))
     for rep, args in zip(out, zip(phi, psi, n)):
         rep.theorem = "lukasiewicz_carlson_example"
@@ -392,7 +390,7 @@ def chebyshev_choquet_rows(F, G, C, A) -> list:
     if len(ok):
         F, G, A = (_sub(x, ok, k) for x in (F, G, A))
         lhs = [xmul(a, b) for a, b in zip(_ch(F, A, M), _ch(G, A, M))]
-        rhs = _ch(pointwise_rows(_prods(F), F, G), A, M)
+        rhs = _ch(_times(F, G), A, M)
         for i, l, r in zip(ok.tolist(), lhs, rhs):
             out[i] = _report("chebyshev_choquet", [hyp[i]], l, r,
                              extra={"flipped_orientation": True})
@@ -431,9 +429,8 @@ def carlson_choquet_comonotone_rows(F, G, H, A, C, p, q, r, s) -> list:
         return out
     F, G, H, A, C = (_sub(x, ok, k) for x in (F, G, H, A, C))
     p, q, r, s = ([x[i] for i in ok] for x in (p, q, r, s))
-    pr = _prods(F)
-    Ipg = _ch(power_rows(pointwise_rows(pr, F, G), p), A, C)
-    Iqh = _ch(power_rows(pointwise_rows(pr, F, H), q), A, C)
+    Ipg = _ch(power_rows(_times(F, G), p), A, C)
+    Iqh = _ch(power_rows(_times(F, H), q), A, C)
     # squared display form of the g = 1, r = s specialization
     ones = (np.abs(G.v - 1.0) <= 1e-08 + 1e-05 * 1.0) | ~G.valid  # np.allclose
     ouyang = np.flatnonzero([ri == si for ri, si in zip(r, s)] & ones.all(1))
@@ -472,12 +469,11 @@ def sharpness_demo(f, g, h, A: Optional[int], r: float,
     (F, G, H), (A,), C = one_row([f, g, h], make_sup_capacity(f.space), [A])
     hyp = [_comono_hyps("comonotone[f,g]", F, G)[0],
            _comono_hyps("comonotone[f,h]", F, H)[0]]
-    pr = _prods(F)
     (sf,), (sg,), (sh,) = _ch(F, A, C), _ch(G, A, C), _ch(H, A, C)
     if sg <= 0 or sh <= 0:
         return _report("sharpness_demo", hyp, sf, math.nan,
                        degenerate=f"sup g = {sg}, sup h = {sh}")
-    (sfg,), (sfh,) = _ch(pointwise_rows(pr, F, G), A, C), _ch(pointwise_rows(pr, F, H), A, C)
+    (sfg,), (sfh,) = _ch(_times(F, G), A, C), _ch(_times(F, H), A, C)
     rhs = (sg ** (-r / (r + s)) * sh ** (-s / (r + s))
            * xpow(sfg, r / (r + s)) * xpow(sfh, s / (r + s)))
     return _report("sharpness_demo", hyp, sf, rhs,
@@ -499,7 +495,7 @@ def holder_choquet_rows(PHI, PSI, C, A, p) -> list:
         raise DomainError("holder requires p > 1")
     q = [x / (x - 1) for x in p]
     sub = _structural_hyps("submodular", check_submodular, C)
-    lhs = _ch(pointwise_rows(_prods(PHI), PHI, PSI), A, C)
+    lhs = _ch(_times(PHI, PSI), A, C)
     a, b = _ch(power_rows(PHI, p), A, C), _ch(power_rows(PSI, q), A, C)
     return [_report("holder_choquet", [h], l,
                     xmul(xpow(ai, 1 / pi), xpow(bi, 1 / qi)), extra={"q": qi})
@@ -565,10 +561,9 @@ def h_pq(a: float, b: float, g: SampleFunction, h: SampleFunction,
 
 def _hpq_rows(theorem, multiplier, hyps, F, G, H, A, C, p):
     """The H_pq reports, and int f per row."""
-    pr = _prods(F)
     fp = power_rows(F, p)
-    a = _ch(pointwise_rows(pr, G, fp), A, C)
-    b = _ch(pointwise_rows(pr, H, fp), A, C)
+    a = _ch(_times(G, fp), A, C)
+    b = _ch(_times(H, fp), A, C)
     k = len(a)
     live = np.flatnonzero([ai > 0 or bi > 0 for ai, bi in zip(a, b)])
     Hs = [HpqResult(0.0, degenerate="both inner integrals are 0")] * k
@@ -642,7 +637,7 @@ def carlson_choquet_subadditive_rows(F, G, H, A, C, p) -> list:
     out, If = _hpq_rows("carlson_choquet_subadditive", mult, hyps, F, G, H, A, C, p)
     # the two auxiliary inequalities the subadditive proof route relies on,
     # evaluated on the same inputs
-    sh_lhs = _ch(pointwise_rows(_prods(F), F, G), A, C)
+    sh_lhs = _ch(_times(F, G), A, C)
     Ifp, Igq = _ch(power_rows(F, p), A, C), _ch(power_rows(G, q), A, C)
     db_lhs = _ch(F.like(F.v + G.v), A, C)
     Ig = _ch(G, A, C)

@@ -9,6 +9,9 @@ their level-set measures and the tail alpha = inf with the empty set, all
 over the operator's domain ([0, 1] clips inf to 1, and [0, inf] evaluates
 it as it stands); one vectorized operator call evaluates them all.
 
+A function's range is its values: a unit-domain operator needs sup f <= 1
+on its row, which ``_check_compat`` checks with the capacity's range.
+
 The evaluators run on stacks: ``Values`` (k sample functions), (k, N)
 boolean subset rows and a ``CapacityStack``, row i of each belonging to
 one integral, and each row gives what it gives alone, bit for bit.  Both
@@ -25,17 +28,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import Capacity, CapacityStack, GroundSpace, along, subset_rows
-from .xreal import EXTENDED, INF, UNIT, DomainError
+from .xreal import INF, UNIT, DomainError
 from .operators import AggOperator, min_op, prod_op, rows_pow, rows_vec
 
 
 @dataclass(frozen=True)
 class SampleFunction:
-    """Nonnegative (possibly infinite) value per point of a ground space."""
+    """Nonnegative (possibly infinite) value per point of a ground space;
+    its range is read from its values where an operator needs it."""
 
     space: GroundSpace
     values: np.ndarray = field(compare=False)
-    range: str = EXTENDED
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)  # a copy: instances are immutable
@@ -43,8 +46,6 @@ class SampleFunction:
             raise DomainError("value count must match the space")
         if not v.min() >= 0:  # NaN fails this comparison too
             raise DomainError("sample values must be nonnegative")
-        if self.range == UNIT and v.max() > 1:
-            raise DomainError("unit-range sample has a value above 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -52,11 +53,8 @@ class SampleFunction:
         return float(self.values[i])
 
 
-def sample_function(space: GroundSpace, values, range_tag: str = None) -> SampleFunction:
-    v = np.asarray(values, dtype=float)
-    if range_tag is None:
-        range_tag = UNIT if v.size and v.max() <= 1.0 else EXTENDED
-    return SampleFunction(space, v, range_tag)
+def sample_function(space: GroundSpace, values) -> SampleFunction:
+    return SampleFunction(space, values)
 
 
 FORMULAS = {
@@ -66,17 +64,17 @@ FORMULAS = {
 }
 
 
-def from_formula(space: GroundSpace, formula: str, range_tag: str = None) -> SampleFunction:
+def from_formula(space: GroundSpace, formula: str) -> SampleFunction:
     """Sample one of the named formulas ("x", "x^2", "1/(1+x^2)", "const:k")
     on the space coordinates."""
     if formula.startswith("const:"):
         k = float(formula.split(":", 1)[1])
-        return sample_function(space, np.full(space.n, k), range_tag)
+        return sample_function(space, np.full(space.n, k))
     try:
         f = FORMULAS[formula]
     except KeyError:
         raise DomainError(f"unknown formula {formula!r}")
-    return sample_function(space, f(space.coord_array()), range_tag)
+    return sample_function(space, f(space.coord_array()))
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,10 @@ class IntegralResult:
 @dataclass(frozen=True)
 class Values:
     """k sample functions evaluated together: row i holds the n[i] values
-    of its function, then padding that no kernel reads, its range tag
-    (``unit``) and its ground space."""
+    of its function, then padding that no kernel reads, and its ground
+    space."""
 
     v: np.ndarray
-    unit: np.ndarray
     n: np.ndarray
     valid: np.ndarray
     spaces: tuple
@@ -112,15 +109,12 @@ class Values:
     @classmethod
     def build(cls, fns: Sequence[SampleFunction]) -> "Values":
         v = fns[0].values if len(fns) == 1 else np.concatenate([f.values for f in fns])
-        return cls.rows(v, [f.space for f in fns], np.array([f.range == UNIT for f in fns]))
+        return cls.rows(v, [f.space for f in fns])
 
     @classmethod
-    def rows(cls, v: np.ndarray, spaces: Sequence[GroundSpace],
-             unit: Optional[np.ndarray] = None) -> "Values":
+    def rows(cls, v: np.ndarray, spaces: Sequence[GroundSpace]) -> "Values":
         """The stack of k sample functions whose values are concatenated in
-        ``v``, row i holding spaces[i].n of them; a row's range tag is unit
-        where ``unit`` says so, or (None) where its values are at most 1, as
-        ``sample_function`` infers it."""
+        ``v``, row i holding spaces[i].n of them."""
         n = np.array([space.n for space in spaces])
         if len(n) == 1:  # one row uses the values in place
             v = v[None, :]
@@ -129,9 +123,7 @@ class Values:
             valid = np.arange(n.max()) < n[:, None]
             flat, v = v, np.zeros(valid.shape)
             v[valid] = flat
-        if unit is None:  # the padding is 0, below every row's maximum
-            unit = np.maximum.reduce(v, axis=1) <= 1.0
-        return cls(v, unit, n, valid, tuple(spaces))
+        return cls(v, n, valid, tuple(spaces))
 
     @cached_property
     def coords(self) -> Optional[np.ndarray]:
@@ -142,23 +134,15 @@ class Values:
         coords[self.valid] = np.concatenate([space.coord_array() for space in self.spaces])
         return coords
 
-    def like(self, v: np.ndarray, tags=None) -> "Values":
+    def like(self, v: np.ndarray) -> "Values":
         """Values ``v`` on the same spaces, checked as ``sample_function``
-        checks them; ``tags`` holds a range tag or None (inferred) per row."""
-        live = np.where(self.valid, v, 0.0)
-        if not (live.min(1) >= 0).all():  # NaN fails this comparison too
+        checks them."""
+        if not (np.where(self.valid, v, 0.0).min(1) >= 0).all():  # NaN fails too
             raise DomainError("sample values must be nonnegative")
-        unit = live.max(1) <= 1.0
-        if tags is not None:
-            for i, tag in enumerate(tags):
-                if tag == UNIT and not unit[i]:
-                    raise DomainError("unit-range sample has a value above 1")
-                if tag is not None:
-                    unit[i] = tag == UNIT
-        return Values(v, unit, self.n, self.valid, self.spaces)
+        return Values(v, self.n, self.valid, self.spaces)
 
     def take(self, rows: np.ndarray) -> "Values":
-        return Values(self.v[rows], self.unit[rows], self.n[rows], self.valid[rows],
+        return Values(self.v[rows], self.n[rows], self.valid[rows],
                       tuple(self.spaces[i] for i in rows.tolist()))
 
     def row(self, i: int) -> np.ndarray:
@@ -179,14 +163,19 @@ def one_row(fns: Sequence[SampleFunction], c: Optional[Capacity] = None,
     return [Values.build([f]) for f in fns], subs, None if c is None else CapacityStack([c])
 
 
-def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]):
-    for i, op in enumerate(ops):
-        if op is not None and op.domain == UNIT:
-            if not C.unit[i]:
-                raise DomainError(f"operator {op.name} needs a unit-range capacity")
-            # a unit-range sample was checked against 1 when it was built
-            if not F.unit[i] and float(F.row(i).max()) > 1.0:
-                raise DomainError(f"operator {op.name} needs unit-range function values")
+def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]) -> np.ndarray:
+    """The rows whose operator has the unit domain, each checked to have a
+    unit-range capacity and values at most 1 (one masked maximum over the
+    stack); the first failing row raises, its capacity checked first."""
+    unit_dom = np.array([op.domain == UNIT for op in ops])
+    if unit_dom.any():
+        top = np.maximum.reduce(F.v, axis=1, where=F.valid, initial=0.0)
+        bad = np.flatnonzero(unit_dom & (~C.unit | (top > 1.0)))
+        if len(bad):
+            i = bad[0]
+            what = "unit-range function values" if C.unit[i] else "a unit-range capacity"
+            raise DomainError(f"operator {ops[i].name} needs {what}")
+    return unit_dom
 
 
 def distinct_levels(F: Values, A: np.ndarray, C: CapacityStack):
@@ -233,7 +222,7 @@ def generalized_sugeno_rows(F: Values, A: np.ndarray, C: CapacityStack,
     """sup over alpha of alpha o mu(A n {f >= alpha}) per row, with row i's
     operator ops[i], evaluated on the candidate levels {0} u {distinct
     values of f on A} u {inf}, all rows in one candidate matrix."""
-    _check_compat(F, C, ops)
+    unit_dom = _check_compat(F, C, ops)
     distinct, measures, kd = distinct_levels(F, A, C)
     k, N = distinct.shape
     # the candidates in tie-break order, since the first index of the max
@@ -247,7 +236,6 @@ def generalized_sugeno_rows(F: Values, A: np.ndarray, C: CapacityStack,
     level_measures = np.zeros((k, N + 2))
     level_measures[:, 0] = C.measure(A)
     level_measures[:, 1:N + 1] = measures
-    unit_dom = np.array([op.domain == UNIT for op in ops])
     x = alphas if not unit_dom.any() else np.where(unit_dom[:, None],
                                                    np.minimum(alphas, 1.0), alphas)
     t = rows_vec(ops, x, level_measures)
@@ -357,13 +345,12 @@ def pointwise_rows(ops: Sequence[AggOperator], F: Values, G: Values) -> Values:
     return F.like(rows_vec(ops, F.v, G.v))
 
 
-def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction,
-              range_tag: str = None) -> SampleFunction:
+def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction) -> SampleFunction:
     """Pointwise combination of two sample functions."""
     if f.space.n != g.space.n:
         raise DomainError("pointwise combination needs a common space")
     out = pointwise_rows([op], Values.build([f]), Values.build([g]))
-    return sample_function(f.space, out.v[0], range_tag)
+    return SampleFunction(f.space, out.v[0])
 
 
 def power_rows(F: Values, s: Sequence[float]) -> Values:
@@ -374,11 +361,10 @@ def power_rows(F: Values, s: Sequence[float]) -> Values:
     v = F.v
     with np.errstate(invalid="ignore"):
         out = np.where(v == 0, 0.0, np.where(np.isinf(v), INF, rows_pow(v, s)))
-    return F.like(out, [UNIT if e >= 1 and u else None
-                        for e, u in zip(s, F.unit.tolist())])
+    return F.like(out)
 
 
 def power(f: SampleFunction, s: float) -> SampleFunction:
     """Pointwise f**s with the 0**s = 0, inf**s = inf conventions (s > 0)."""
     out = power_rows(Values.build([f]), [s])
-    return SampleFunction(f.space, out.v[0], UNIT if out.unit[0] else EXTENDED)
+    return SampleFunction(f.space, out.v[0])

@@ -1,9 +1,9 @@
 """Scenario file format: one JSON schema for CLI input and result files.
 
 Unknown keys are rejected; all numbers must be finite and nonnegative,
-except that the literal "inf" is permitted in extended-range function
-values.  Result files embed the original input under "input" so they can
-be re-read as input (round-trip stability).
+except that the literal "inf" is permitted in function values.  Result
+files embed the original input under "input" so they can be re-read as
+input (round-trip stability).
 
 There is one decoder, ``decode_specs``: it reads k scenarios' specs at
 once and validates each field once over all of them (spaces, capacity
@@ -28,7 +28,7 @@ import numpy as np
 from .capacity import (Capacity, GroundSpace, bools_mask, explicit_rows,
                        make_grid_lebesgue, make_sup_capacity, weighted_rows)
 from .integrals import SampleFunction, Values, from_formula
-from .xreal import EXTENDED, INF, UNIT
+from .xreal import INF
 
 
 class SchemaError(ValueError):
@@ -220,8 +220,7 @@ def _capacity_rows(specs, spaces, grid_caps) -> list:
                 caps[i] = c
         if explicit:
             t, lengths = _nums([specs[i]["table"] for i in explicit], "table")
-            for i, c in zip(explicit, explicit_rows(t, lengths, [spaces[i] for i in explicit],
-                                                    [None] * len(explicit))):
+            for i, c in zip(explicit, explicit_rows(t, lengths, [spaces[i] for i in explicit])):
                 caps[i] = c
     except KeyError as e:
         raise SchemaError(f"capacity: missing {e.args[0]!r}")
@@ -272,11 +271,6 @@ def _subset_rows(specs, spaces) -> np.ndarray:
     return rows.reshape(-1, N)
 
 
-def _function(F: Values, space: GroundSpace) -> SampleFunction:
-    """The sample function of a one-row stack."""
-    return SampleFunction(space, F.row(0), UNIT if F.unit[0] else EXTENDED)
-
-
 # one scenario, or one of its fields, is a stack of one row
 
 
@@ -288,7 +282,7 @@ def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
     the same checks and errors."""
     d = decode_specs([(space, capacity, functions, subsets)])
     space = d.spaces[0]
-    return (space, d.caps[0], {name: _function(F, space) for name, F in d.fns.items()},
+    return (space, d.caps[0], {name: SampleFunction(space, F.row(0)) for name, F in d.fns.items()},
             {name: bools_mask(rows[0]) for name, rows in d.subsets.items()})
 
 
@@ -304,7 +298,7 @@ def capacity_from_spec(spec: dict, space: GroundSpace,
 
 
 def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
-    return _function(_function_rows([spec], [space]), space)
+    return SampleFunction(space, _function_rows([spec], [space]).row(0))
 
 
 def subset_from_spec(spec, space: GroundSpace) -> int:

@@ -1,7 +1,7 @@
 """Extended nonnegative real arithmetic helpers.
 
-Values live in [0, 1] ("unit") or [0, inf] ("extended"). The product
-convention is 0 * inf = inf * 0 = 0 throughout.
+Operator domains and capacity ranges are [0, 1] ("unit") or [0, inf]
+("extended"). The product convention is 0 * inf = inf * 0 = 0 throughout.
 """
 
 from __future__ import annotations

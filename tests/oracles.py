@@ -114,7 +114,7 @@ def check_compat(f, c, op=None):
     if op is not None and op.domain == UNIT:
         if c.range != UNIT:
             raise DomainError(f"operator {op.name} needs a unit-range capacity")
-        if f.range != UNIT and float(np.max(f.values, initial=0)) > 1.0:
+        if float(np.max(f.values, initial=0)) > 1.0:
             raise DomainError(f"operator {op.name} needs unit-range function values")
 
 
@@ -534,7 +534,7 @@ def decode(scenarios):
 
 
 def values(fns):
-    """(v, unit, n, valid) of the sample functions stacked row by row."""
+    """(v, n, valid) of the sample functions stacked row by row."""
     n = np.array([f.space.n for f in fns])
     if len(fns) == 1:
         v = fns[0].values[None, :]
@@ -543,4 +543,4 @@ def values(fns):
         valid = np.arange(n.max()) < n[:, None]
         v = np.zeros(valid.shape)
         v[valid] = np.concatenate([f.values for f in fns])
-    return v, np.array([f.range == UNIT for f in fns]), n, valid
+    return v, n, valid

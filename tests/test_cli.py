@@ -341,6 +341,19 @@ def test_bad_numbers_are_input_errors(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["integrate", "--integral", "shilkret"],
+     {"capacity": {"type": "additive", "weights": [1, 1]}, "functions": {"f": ["inf", 1]}}),
+    (["integrate"], {"functions": {"f": [0.5, 1]}}),
+    (["check", "--what", "comonotone"], {"functions": {"f": [0.5, 1], "g": [0.2, 0.3]}}),
+], ids=["capacity", "function", "check"])
+def test_a_scenario_without_a_space_is_an_input_error(tmp_path, capsys, argv, doc):
+    # it read as a one-point space, and the error blamed the capacity or function
+    assert main([argv[0], write(tmp_path, doc), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: missing key 'space'\n"
+
+
 def test_a_coordinate_space_from_a_file_reaches_the_shilkret_example(tmp_path):
     doc = {"space": {"n": 5, "coords": [0.05, 0.3, 0.45, 0.65, 0.8], "widths": [0.2] * 5},
            "capacity": {"type": "distorted", "weights": [0.1, 0.2, 0.3, 0.15, 0.25],

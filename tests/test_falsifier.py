@@ -9,12 +9,12 @@ import pytest
 
 from capax import capacity, falsifier, scenario
 from capax.falsifier import (DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_ALIASES,
-                             THEOREM_IDS, Scenario, _pick, audit, canonical_theorem,
+                             THEOREM_IDS, Scenario, Theorem, _pick, audit, canonical_theorem,
                              hunt_counterexample, is_violation,
                              random_scenario, run_scenario, shrink)
-from capax.inequalities import InequalityReport, _report
+from capax.inequalities import HypothesisCheck, InequalityReport, _report
 from capax.scenario import SchemaError
-from capax.xreal import DomainError
+from capax.xreal import INF, DomainError
 
 
 def test_aliases_resolve_to_known_theorems():
@@ -59,6 +59,30 @@ def test_audit_counts_and_min_slack():
     assert s.hypothesis_pass == 50
     assert s.violation_count == 0
     assert s.min_slack >= -1e-9
+
+
+def test_audit_skips_degenerate_and_hypothesis_failing_trials(monkeypatch):
+    def gen(rng, n, system):
+        return ({"n": 2}, {"type": "additive", "weights": [0.5, 0.5]}, {"f": [0.1, 0.2]},
+                {}, {"draw": float(rng.uniform())})
+
+    fails = [HypothesisCheck("h", False)]
+    crafted = [_report("stub", [], math.nan, math.nan, degenerate="zero"),
+               _report("stub", fails, 2.0, 1.0),  # would violate, but a hypothesis fails
+               _report("stub", [], 1.5, 1.0),  # violates
+               _report("stub", [], 0.5, 1.0),  # holds
+               _report("stub", [], 0.0, INF),  # holds with an infinite slack
+               _report("stub", fails, 9.0, 1.0)]
+    reports = iter(crafted)
+    monkeypatch.setitem(falsifier.THEOREMS, "stub",
+                        Theorem(gen, lambda st: [next(reports) for _ in st.params]))
+    s = audit("stub", trials=len(crafted), seed=5)
+    assert (s.trials, s.hypothesis_pass, s.violation_count) == (6, 3, 1)
+    assert s.violations == [random_scenario("stub", 5, 2)]
+    assert s.min_slack == -0.5  # the infinite slack is left out
+    reports = iter(crafted[:2])
+    s = audit("stub", trials=2, seed=5)
+    assert (s.hypothesis_pass, s.violations, math.isnan(s.min_slack)) == (0, [], True)
 
 
 def test_replay_has_no_decoder_of_its_own():

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from capax import (DomainError, GroundSpace, INF, check_chebyshev_condition,
                    check_power_condition, choquet, from_formula, get_system,
                    make_additive, make_distorted, make_grid_lebesgue,
-                   make_random_monotone, make_sup_capacity, min_op, power,
+                   make_random_monotone, make_sup_capacity, min_op, normalize, power,
                    prod_op, sample_function, table_op)
 from capax import inequalities
 from capax.operators import OperatorSystem
@@ -23,6 +23,7 @@ from capax.inequalities import (_cheb_ok, _power_ok, carlson_choquet_comonotone,
                                 jensen_choquet, jensen_sugeno,
                                 lukasiewicz_carlson_example,
                                 shilkret_carlson_example, sharpness_demo)
+from oracles import choquet as oracle_choquet
 
 
 def _como_triple(seed, n, low=0.2):
@@ -112,6 +113,22 @@ def test_xu_specialization_matches_general_form():
     assert dl <= dr + 1e-9 * max(1.0, dr)
     # general-form lhs (If Ig)(If Ih) is the display lhs squared times C
     assert rep.lhs == pytest.approx(dl**2 * C)
+
+
+def test_choquet_checkers_on_a_normalized_capacity_normalize_it_again():
+    # the stack of m is derived: its rows are taken from a derived stack
+    c = make_additive([0.5, 0.3, 0.2])
+    m = normalize(c, 0b011)
+    f = sample_function(c.space, [0.2, 0.5, 0.9])
+    degenerate = "normalize needs 0 < mu(A) < inf"
+    assert jensen_choquet(f, m, 0b100, 2.0).degenerate == degenerate  # m({2}) = 0
+    assert chebyshev_choquet(f, f, m, 0b100).degenerate == degenerate
+    for A in (0b001, 0b011, 0b111):
+        rep = jensen_choquet(f, m, A, 2.0)
+        mA = normalize(m, A)
+        assert rep.degenerate is None
+        assert rep.lhs == oracle_choquet(f, mA, A).value ** 2
+        assert rep.rhs == oracle_choquet(power(f, 2.0), mA, A).value
 
 
 def test_xu_degenerate_when_normalizer_vanishes():

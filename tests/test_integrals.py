@@ -13,9 +13,10 @@ from capax import (DomainError, GroundSpace, INF, brute_force_generalized_sugeno
                    make_random_monotone, make_sup_capacity, min_op, pointwise,
                    power, prod_op, project_first_op, sample_function, shilkret,
                    sugeno, table_op)
-from capax.capacity import mask_bools
-from capax.integrals import distinct_levels, one_row
-from oracles import choquet as oracle_choquet, level_sets as oracle_level_sets, measure
+from capax.capacity import CapacityStack, mask_bools
+from capax.integrals import Values, distinct_levels, generalized_sugeno_rows, one_row
+from oracles import (choquet as oracle_choquet, generalized_sugeno as oracle_gs,
+                     level_sets as oracle_level_sets, measure)
 
 
 def uniform3():
@@ -263,38 +264,48 @@ def test_sample_function_validation():
         sample_function(sp, [-0.1, 0.5])
 
 
-@pytest.mark.parametrize("values, range_tag, message", [
-    ([math.nan, 0.5], None, "sample values must be nonnegative"),
-    ([0.5, math.nan], "unit", "sample values must be nonnegative"),
-    ([math.nan, math.nan], None, "sample values must be nonnegative"),
-    ([0.5, -0.0, -1e-300], None, "sample values must be nonnegative"),
-    ([-INF, 0.5], "extended", "sample values must be nonnegative"),
-    ([0.5, 1.0 + 1e-15], "unit", "unit-range sample has a value above 1"),
-    ([INF, 0.5], "unit", "unit-range sample has a value above 1"),
+@pytest.mark.parametrize("values", [
+    [math.nan, 0.5],
+    [0.5, math.nan],
+    [math.nan, math.nan],
+    [0.5, -0.0, -1e-300],
+    [-INF, 0.5],
 ])
-def test_sample_function_errors_are_unchanged(values, range_tag, message):
+def test_sample_function_errors_are_unchanged(values):
     sp = GroundSpace(len(values))
-    with pytest.raises(DomainError, match=f"^{message}$"):
-        sample_function(sp, values, range_tag)
+    with pytest.raises(DomainError, match="^sample values must be nonnegative$"):
+        sample_function(sp, values)
 
 
-def test_sample_function_range_tags():
-    sp = GroundSpace(3)
-    assert sample_function(sp, [0.0, -0.0, 1.0]).range == "unit"
-    assert sample_function(sp, [0.0, 0.5, 1.0 + 1e-15]).range == "extended"
-    assert sample_function(sp, [0.0, INF, 0.5]).range == "extended"
-
-
-def test_unit_operator_value_scan_by_range_tag():
+def test_unit_operator_reads_the_range_from_the_values():
     sp = GroundSpace(3)
     c = make_additive([0.2, 0.3, 0.5])
     luk = lukasiewicz_op()
-    with pytest.raises(DomainError, match="needs unit-range function values"):
+    values_above_1 = "^operator lukasiewicz needs unit-range function values$"
+    with pytest.raises(DomainError, match=values_above_1):
         generalized_sugeno(sample_function(sp, [0.2, 1.5, 0.0]), c, op=luk)
-    # a sample tagged extended but inside [0, 1] still passes the scan
-    vals = [0.2, 1.0, 0.0]
-    assert (generalized_sugeno(sample_function(sp, vals, "extended"), c, op=luk)
-            == generalized_sugeno(sample_function(sp, vals), c, op=luk))
+    f = sample_function(sp, [0.2, 1.0, 0.0])
+    assert generalized_sugeno(f, c, op=luk) == oracle_gs(f, c, op=luk)
+    # in a stack, the first failing row raises, its capacity checked first
+    rows = [[0.2, 1.0, 0.0], [0.2, 1.5, 0.0], [0.5, 0.5, 0.5]]
+    F = Values.build([sample_function(sp, v) for v in rows])
+    A = np.ones((3, 3), dtype=bool)
+    heavy = make_additive([1.0, 1.0, 1.0])
+    with pytest.raises(DomainError, match=values_above_1):
+        generalized_sugeno_rows(F, A, CapacityStack([c, c, heavy]), [luk] * 3)
+    with pytest.raises(DomainError, match="^operator dombi needs a unit-range capacity$"):
+        generalized_sugeno_rows(F, A, CapacityStack([c, heavy, c]), [luk, dombi_op(), luk])
+    # padding is no value of f: inf there passes the scan
+    G = Values.build([sample_function(GroundSpace(2), [0.2, 1.0]), f])
+    G = G.like(np.where(G.valid, G.v, INF))
+    got = generalized_sugeno_rows(G, G.valid, CapacityStack([make_additive([0.5, 0.5]), c]),
+                                  [luk, luk])
+    assert got.value.tolist() == [0.5, oracle_gs(f, c, op=luk).value]
+    # a row whose operator is extended is not scanned
+    ops = [luk, min_op("extended"), luk]
+    got = generalized_sugeno_rows(F, A, CapacityStack([c] * 3), ops)
+    assert got.value.tolist() == [generalized_sugeno(sample_function(sp, v), c, op=op).value
+                                  for v, op in zip(rows, ops)]
 
 
 def _level_sets_unique(f, c, A):
