@@ -425,17 +425,17 @@ class CapacityStack:
     base measures.  Every kernel gives each row what its capacity gives
     alone, bit for bit."""
 
-    def __init__(self, caps: Sequence[Capacity], width: Optional[int] = None):
+    def __init__(self, caps: Sequence[Capacity]):
         self.caps = list(caps)
         self.n = np.array([c.space.n for c in self.caps])
-        self.N = width or int(self.n.max())
+        self.N = int(self.n.max())
         self.unit = np.array([c.range == UNIT for c in self.caps])
         self.base = None
         kinds = [c.kind for c in self.caps]
         if "derived" in kinds:
             if set(kinds) != {"derived"}:
                 raise DomainError("a stack holds derived capacities only with each other")
-            self.base = CapacityStack([c.base for c in self.caps], width=self.N)
+            self.base = CapacityStack([c.base for c in self.caps])
             self.given = subset_rows([c.given for c in self.caps], self.n, self.N)
             self.base_given = self.base.measure(self.given)
             return
@@ -457,32 +457,20 @@ class CapacityStack:
                 self.tables[i, :len(t)] = t
         self.gammas = [(c.gamma, i) for i, c in enumerate(self.caps) if c.gamma != 1.0]
 
-    @staticmethod
-    def _derived(caps: list, base: "CapacityStack", given: np.ndarray,
-                 base_given: np.ndarray) -> "CapacityStack":
-        """The stack of m(B) = base(B n given) / base(given), row by row."""
-        out = CapacityStack.__new__(CapacityStack)
-        out.caps, out.n, out.N, out.unit = caps, base.n, base.N, np.ones(len(caps), bool)
-        out.base, out.given, out.base_given = base, given, base_given
-        return out
-
     def __len__(self) -> int:
         return len(self.caps)
 
-    def take(self, rows: np.ndarray) -> "CapacityStack":
-        """The stack of the given rows, as wide as this one."""
-        caps = [self.caps[i] for i in rows.tolist()]
-        if self.base is None:
-            return CapacityStack(caps, width=self.N)
-        return self._derived(caps, self.base.take(rows), self.given[rows], self.base_given[rows])
-
     def normalize(self, A: np.ndarray) -> tuple["CapacityStack", np.ndarray]:
-        """The stack of normalized capacities m(B) = mu(A n B) / mu(A) of
-        the rows where 0 < mu(A) < inf, and those rows."""
+        """The stack of normalized capacities m(B) = mu(A n B) / mu(A), one
+        per row, and the mask of the rows where 0 < mu(A) < inf.  A row
+        outside the mask divides by 1.0: its measures are finite or inf,
+        and no caller reads them."""
         muA = self.measure(A)
-        ok = np.flatnonzero((muA != 0.0) & ~np.isinf(muA))
-        base = self if len(ok) == len(self) else self.take(ok)
-        return self._derived([None] * len(ok), base, A[ok], muA[ok]), ok
+        ok = (muA != 0.0) & ~np.isinf(muA)
+        out, k = CapacityStack.__new__(CapacityStack), len(self)
+        out.caps, out.n, out.N, out.unit = [None] * k, self.n, self.N, np.ones(k, bool)
+        out.base, out.given, out.base_given = self, A, np.where(ok, muA, 1.0)
+        return out, ok
 
     def _finish(self, sums: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """Measures from per-row sums of point weights (k, ...), in place:

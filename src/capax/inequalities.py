@@ -9,7 +9,11 @@ numeric computation: the falsifier needs both sides either way.
 Each audited checker has a row form (``carlson_sugeno_rows`` and so on)
 that takes stacks and returns one report per row; its single-scenario
 form is a stack of one row.  The report algebra stays in Python floats,
-row by row.
+row by row.  A row checker runs its kernels on the whole stack and
+decides each degenerate row (mu(A) in {0, inf}, a vanishing normalizer,
+a = b = 0 in H_pq) as it builds that row's report, from the values the
+stack computed: every kernel gives a row what it gives alone, so no row's
+report depends on its neighbours.
 """
 
 from __future__ import annotations
@@ -142,13 +146,6 @@ def _comono_hyps(name, F, G) -> list:
             for ok, w in zip(holds.tolist(), witnesses)]
 
 
-def _sub(x, rows, k):
-    """Rows ``rows`` of a stacked argument (all of it when they are all k)."""
-    if len(rows) == k:
-        return x
-    return x[rows] if isinstance(x, np.ndarray) else x.take(rows)
-
-
 # ---------------------------------------------------------------------------
 # generalized Sugeno inequalities
 #
@@ -157,7 +154,7 @@ def _sub(x, rows, k):
 
 
 def jensen_sugeno_rows(F, C, A, ops, s) -> list:
-    if any(x < 1 for x in s):
+    if not all(x >= 1 for x in s):  # NaN fails too
         raise DomainError("jensen requires s >= 1")
     base = _gs(F, A, C, ops)
     rhs = _gs(power_rows(F, s), A, C, ops)
@@ -302,25 +299,19 @@ def shilkret_carlson_example_rows(F, A, C) -> list:
     X = F.like(F.coords)
     if ((F.v[:, 1:] < F.v[:, :-1]) & F.valid[:, 1:]).any():
         raise DomainError("shilkret example requires f nondecreasing along coordinates")
-    k = len(F.n)
     ops = [_PROD[u] for u in C.unit.tolist()]
     K = [m * x for m, x in zip(C.measure(A).tolist(), _gs(X, A, C, ops))]
     hyp = _comono_hyps("comonotone[f,x]", F, X)
-    out = [_report("shilkret_carlson_example", [hyp[i]], math.nan, math.nan,
-                   degenerate="K = mu(A) N(x) = 0") for i in range(k)]
-    ok = np.flatnonzero(np.array(K) > 0)
-    if len(ok):
-        F, X, A, C = (_sub(x, ok, k) for x in (F, X, A, C))
-        ops = [ops[i] for i in ok]
-        f2 = power_rows(F, [2.0] * len(ok))
-        lhs = _gs(F, A, C, ops)
-        Nf2 = _gs(f2, A, C, ops)
-        Nxf = _gs(_times(power_rows(X, [2.0] * len(ok)), f2), A, C, ops)
-        for j, i in enumerate(ok.tolist()):
-            rhs = K[i]**-0.5 * xpow(Nf2[j], 0.25) * xpow(Nxf[j], 0.25)
-            out[i] = _report("shilkret_carlson_example", [hyp[i]], lhs[j], rhs,
-                             extra={"K": K[i]})
-    return out
+    # a row with K <= 0 integrates f = 0, so its values meet no domain check
+    F = F.like(np.where(np.array(K)[:, None] > 0, F.v, 0.0))
+    f2 = power_rows(F, [2.0] * len(K))
+    lhs, Nf2 = _gs(F, A, C, ops), _gs(f2, A, C, ops)
+    Nxf = _gs(_times(power_rows(X, [2.0] * len(K)), f2), A, C, ops)
+    return [_report("shilkret_carlson_example", [h], l,
+                    k**-0.5 * xpow(nf2, 0.25) * xpow(nxf, 0.25), extra={"K": k}) if k > 0
+            else _report("shilkret_carlson_example", [h], math.nan, math.nan,
+                         degenerate="K = mu(A) N(x) = 0")
+            for h, k, l, nf2, nxf in zip(hyp, K, lhs, Nf2, Nxf)]
 
 
 def shilkret_carlson_example(f: SampleFunction, A: Optional[int],
@@ -359,19 +350,14 @@ def lukasiewicz_carlson_example(phi_id: str, psi_id: str, n: int,
 
 
 def jensen_choquet_rows(F, C, A, exponent) -> list:
-    if any(e < 1 for e in exponent):
+    if not all(e >= 1 for e in exponent):  # NaN fails too
         raise DomainError("jensen requires exponent >= 1")
-    k = len(F.n)
     M, ok = C.normalize(A)
-    out = [_report("jensen_choquet", [], math.nan, math.nan,
-                   degenerate=NORMALIZE_DEGENERATE) for _ in range(k)]
-    if len(ok):
-        F, A = _sub(F, ok, k), _sub(A, ok, k)
-        e = [exponent[i] for i in ok]
-        lhs, rhs = _ch(F, A, M), _ch(power_rows(F, e), A, M)
-        for i, l, r, ei in zip(ok.tolist(), lhs, rhs, e):
-            out[i] = _report("jensen_choquet", [], xpow(l, ei), r, extra={"exponent": ei})
-    return out
+    lhs, rhs = _ch(F, A, M), _ch(power_rows(F, exponent), A, M)
+    return [_report("jensen_choquet", [], xpow(l, e), r, extra={"exponent": e}) if live
+            else _report("jensen_choquet", [], math.nan, math.nan,
+                         degenerate=NORMALIZE_DEGENERATE)
+            for live, l, r, e in zip(ok.tolist(), lhs, rhs, exponent)]
 
 
 def jensen_choquet(f: SampleFunction, c: Capacity, A: Optional[int],
@@ -382,19 +368,14 @@ def jensen_choquet(f: SampleFunction, c: Capacity, A: Optional[int],
 
 
 def chebyshev_choquet_rows(F, G, C, A) -> list:
-    k = len(F.n)
     hyp = _comono_hyps("comonotone[f,g]", F, G)
     M, ok = C.normalize(A)
-    out = [_report("chebyshev_choquet", [hyp[i]], math.nan, math.nan,
-                   degenerate=NORMALIZE_DEGENERATE) for i in range(k)]
-    if len(ok):
-        F, G, A = (_sub(x, ok, k) for x in (F, G, A))
-        lhs = [xmul(a, b) for a, b in zip(_ch(F, A, M), _ch(G, A, M))]
-        rhs = _ch(_times(F, G), A, M)
-        for i, l, r in zip(ok.tolist(), lhs, rhs):
-            out[i] = _report("chebyshev_choquet", [hyp[i]], l, r,
-                             extra={"flipped_orientation": True})
-    return out
+    lhs = [xmul(a, b) for a, b in zip(_ch(F, A, M), _ch(G, A, M))]
+    rhs = _ch(_times(F, G), A, M)
+    return [_report("chebyshev_choquet", [h], l, r, extra={"flipped_orientation": True})
+            if live else _report("chebyshev_choquet", [h], math.nan, math.nan,
+                                 degenerate=NORMALIZE_DEGENERATE)
+            for live, h, l, r in zip(ok.tolist(), hyp, lhs, rhs)]
 
 
 def chebyshev_choquet(f: SampleFunction, g: SampleFunction, c: Capacity,
@@ -406,15 +387,21 @@ def chebyshev_choquet(f: SampleFunction, g: SampleFunction, c: Capacity,
 
 
 def carlson_choquet_comonotone_rows(F, G, H, A, C, p, q, r, s) -> list:
-    if any(pi < 1 or qi < 1 or ri <= 0 or si <= 0 for pi, qi, ri, si in zip(p, q, r, s)):
+    if not all(pi >= 1 and qi >= 1 and ri > 0 and si > 0  # NaN fails too
+               for pi, qi, ri, si in zip(p, q, r, s)):
         raise DomainError("need p,q >= 1 and r,s > 0")
-    k = len(F.n)
     fg = _comono_hyps("comonotone[f,g]", F, G)
     fh = _comono_hyps("comonotone[f,h]", F, H)
     muA = C.measure(A).tolist()
     If, Ig, Ih = _ch(F, A, C), _ch(G, A, C), _ch(H, A, C)
-    out = [None] * k
-    for i in range(k):
+    Ipg = _ch(power_rows(_times(F, G), p), A, C)
+    Iqh = _ch(power_rows(_times(F, H), q), A, C)
+    # squared display form of the g = 1, r = s specialization
+    ones = (np.abs(G.v - 1.0) <= 1e-08 + 1e-05 * 1.0) | ~G.valid  # np.allclose
+    ouyang = ([ri == si for ri, si in zip(r, s)] & ones.all(1)).tolist()
+    Ifp = _ch(power_rows(F, p), A, C) if any(ouyang) else None
+    out = []
+    for i, (pi, qi, ri, si) in enumerate(zip(p, q, r, s)):
         hyp = [fg[i], fh[i], HypothesisCheck("f_integrable", math.isfinite(If[i]),
                                              detail=f"int f = {If[i]:.6g}")]
         degenerate = None
@@ -422,34 +409,20 @@ def carlson_choquet_comonotone_rows(F, G, H, A, C, p, q, r, s) -> list:
             degenerate = f"mu(A) = {muA[i]} outside (0, inf)"
         elif Ig[i] <= 0 or Ih[i] <= 0 or math.isinf(Ig[i]) or math.isinf(Ih[i]):
             degenerate = f"normalizing integrals int g = {Ig[i]}, int h = {Ih[i]}"
-        out[i] = _report("carlson_choquet_comonotone", hyp, If[i], math.nan,
-                         degenerate=degenerate)
-    ok = np.flatnonzero([rep.degenerate is None for rep in out])
-    if not len(ok):
-        return out
-    F, G, H, A, C = (_sub(x, ok, k) for x in (F, G, H, A, C))
-    p, q, r, s = ([x[i] for i in ok] for x in (p, q, r, s))
-    Ipg = _ch(power_rows(_times(F, G), p), A, C)
-    Iqh = _ch(power_rows(_times(F, H), q), A, C)
-    # squared display form of the g = 1, r = s specialization
-    ones = (np.abs(G.v - 1.0) <= 1e-08 + 1e-05 * 1.0) | ~G.valid  # np.allclose
-    ouyang = np.flatnonzero([ri == si for ri, si in zip(r, s)] & ones.all(1))
-    Ifp = dict(zip(ouyang.tolist(), _ch(power_rows(_sub(F, ouyang, len(ok)), [p[j] for j in ouyang]),
-                                        _sub(A, ouyang, len(ok)), _sub(C, ouyang, len(ok)))
-                   if len(ouyang) else []))
-    for j, i in enumerate(ok.tolist()):
-        pj, qj, rj, sj = p[j], q[j], r[j], s[j]
-        K = Ig[i] ** (-rj / (rj + sj)) * Ih[i] ** (-sj / (rj + sj))
-        d = 2.0 - (rj / pj + sj / qj) / (rj + sj)
-        rhs = (K * muA[i]**d * xpow(Ipg[j], rj / (pj * (rj + sj)))
-               * xpow(Iqh[j], sj / (qj * (rj + sj))))
+        if degenerate:
+            out.append(_report("carlson_choquet_comonotone", hyp, If[i], math.nan,
+                               degenerate=degenerate))
+            continue
+        K = Ig[i] ** (-ri / (ri + si)) * Ih[i] ** (-si / (ri + si))
+        d = 2.0 - (ri / pi + si / qi) / (ri + si)
+        rhs = (K * muA[i]**d * xpow(Ipg[i], ri / (pi * (ri + si)))
+               * xpow(Iqh[i], si / (qi * (ri + si))))
         extra = {"K": K, "d": d, "mu_A": muA[i], "Ig": Ig[i], "Ih": Ih[i]}
-        if j in Ifp:
+        if ouyang[i]:
             extra["ouyang_lhs"] = If[i]**2
-            extra["ouyang_rhs"] = (muA[i] ** (3.0 - (1 / pj + 1 / qj)) / Ih[i]
-                                   * xpow(Ifp[j], 1 / pj) * xpow(Iqh[j], 1 / qj))
-        out[i] = _report("carlson_choquet_comonotone", out[i].hypotheses, If[i], rhs,
-                         extra=extra)
+            extra["ouyang_rhs"] = (muA[i] ** (3.0 - (1 / pi + 1 / qi)) / Ih[i]
+                                   * xpow(Ifp[i], 1 / pi) * xpow(Iqh[i], 1 / qi))
+        out.append(_report("carlson_choquet_comonotone", hyp, If[i], rhs, extra=extra))
     return out
 
 
@@ -491,7 +464,7 @@ def _structural_hyps(name, check, C) -> list:
 
 
 def holder_choquet_rows(PHI, PSI, C, A, p) -> list:
-    if any(x <= 1 for x in p):
+    if not all(x > 1 for x in p):  # NaN fails too
         raise DomainError("holder requires p > 1")
     q = [x / (x - 1) for x in p]
     sub = _structural_hyps("submodular", check_submodular, C)
@@ -517,35 +490,42 @@ class HpqResult:
     inner_integral: float = math.nan
 
 
+def _bg_ah(a, b, G, H):
+    """b g + a h per row, with 0 * inf = 0, and with a = b = 0 on a row
+    where a or b is infinite: one expression, so that numpy reuses its
+    temporaries."""
+    a, b = np.array(a)[:, None], np.array(b)[:, None]
+    finite = np.isfinite(a) & np.isfinite(b)
+    a, b = np.where(finite, a, 0.0), np.where(finite, b, 0.0)
+    return b * np.where(b > 0, G, 0.0) + a * np.where(a > 0, H, 0.0)
+
+
 def h_pq_rows(a, b, G, H, A, C, p) -> list:
-    """H(a, b) per row (see ``h_pq``)."""
-    for ai, bi, pi in zip(a, b, p):
-        if pi <= 1:
-            raise DomainError("H_pq requires p > 1")
-        if ai < 0 or bi < 0:
-            raise DomainError("H_pq requires a, b >= 0")
-    k = len(a)
-    out = [HpqResult(0.0, degenerate="a = b = 0") if ai == 0.0 and bi == 0.0
-           else HpqResult(INF, inner_integral=math.nan) if math.isinf(ai) or math.isinf(bi)
-           else None for ai, bi in zip(a, b)]
-    live = np.flatnonzero([r is None for r in out])
-    if not len(live):
-        return out
-    G, H, A, C = (_sub(x, live, k) for x in (G, H, A, C))
-    a, b, p = ([x[i] for i in live] for x in (a, b, p))
+    """H(a, b) per row (see ``h_pq``).  The inner integrals are evaluated
+    on the whole stack; a row with a = b = 0, or with an infinite a or b,
+    is decided from a and b alone (``_bg_ah`` takes a = b = 0 on it)."""
+    if not all(x > 1 for x in p):  # NaN fails too
+        raise DomainError("H_pq requires p > 1")
+    if not all(ai >= 0 and bi >= 0 for ai, bi in zip(a, b)):
+        raise DomainError("H_pq requires a, b >= 0")
     q = [x / (x - 1) for x in p]
-    d = np.array(b)[:, None] * G.v + np.array(a)[:, None] * H.v
-    with np.errstate(divide="ignore"):
-        vals = np.where(d == 0, INF, rows_pow(d, [1.0 - x for x in q]))
+    with np.errstate(divide="ignore", over="ignore"):  # a zero or tiny d gives inf
+        d = _bg_ah(a, b, G.v, H.v)
+        vals = np.where(d == 0, INF, rows_pow(d, [1.0 - qi for qi in q]))
     inner = _ch(G.like(vals), A, C)
-    for i, ai, bi, pi, qi, inn in zip(live.tolist(), a, b, p, q, inner):
-        ab = ai * bi
-        if ab == 0.0:
-            out[i] = HpqResult(0.0, inner_integral=inn,
-                               degenerate="ab = 0 against infinite inner integral"
-                               if math.isinf(inn) else "ab = 0")
+    out = []
+    for ai, bi, pi, qi, inn in zip(a, b, p, q, inner):
+        if ai == 0.0 and bi == 0.0:
+            out.append(HpqResult(0.0, degenerate="a = b = 0"))
+        elif math.isinf(ai) or math.isinf(bi):
+            out.append(HpqResult(INF, inner_integral=math.nan))
+        elif ai * bi == 0.0:
+            out.append(HpqResult(0.0, inner_integral=inn,
+                                 degenerate="ab = 0 against infinite inner integral"
+                                 if math.isinf(inn) else "ab = 0"))
         else:
-            out[i] = HpqResult(xmul(xpow(ab, 1 / pi), xpow(inn, 1 / qi)), inner_integral=inn)
+            out.append(HpqResult(xmul(xpow(ai * bi, 1 / pi), xpow(inn, 1 / qi)),
+                                 inner_integral=inn))
     return out
 
 
@@ -562,52 +542,37 @@ def h_pq(a: float, b: float, g: SampleFunction, h: SampleFunction,
 def _hpq_rows(theorem, multiplier, hyps, F, G, H, A, C, p):
     """The H_pq reports, and int f per row."""
     fp = power_rows(F, p)
-    a = _ch(_times(G, fp), A, C)
-    b = _ch(_times(H, fp), A, C)
-    k = len(a)
-    live = np.flatnonzero([ai > 0 or bi > 0 for ai, bi in zip(a, b)])
-    Hs = [HpqResult(0.0, degenerate="both inner integrals are 0")] * k
-    if len(live):
-        for i, r in zip(live.tolist(), h_pq_rows(
-                [a[i] for i in live], [b[i] for i in live],
-                *(_sub(x, live, k) for x in (G, H, A, C)), [p[i] for i in live])):
-            Hs[i] = r
+    a, b = _ch(_times(G, fp), A, C), _ch(_times(H, fp), A, C)
     lhs = _ch(F, A, C)
     out = []
-    for i in range(k):
-        Hi = Hs[i]
-        extra = dict(a=a[i], b=b[i], H=Hi.value, multiplier=multiplier[i],
-                     inner_integral=Hi.inner_integral)
-        if Hi.degenerate:
-            out.append(_report(theorem, hyps[i], lhs[i], math.nan,
-                               degenerate=Hi.degenerate, extra=extra))
-        else:
-            out.append(_report(theorem, hyps[i], lhs[i], multiplier[i] * Hi.value,
-                               extra=extra))
+    for ai, bi, Hi, l, m, hyp in zip(a, b, h_pq_rows(a, b, G, H, A, C, p), lhs,
+                                     multiplier, hyps):
+        if not (ai > 0 or bi > 0):
+            Hi = HpqResult(0.0, degenerate="both inner integrals are 0")
+        extra = dict(a=ai, b=bi, H=Hi.value, multiplier=m, inner_integral=Hi.inner_integral)
+        out.append(_report(theorem, hyp, l, math.nan if Hi.degenerate else m * Hi.value,
+                           degenerate=Hi.degenerate, extra=extra))
     return out, lhs
 
 
 def carlson_choquet_submodular_rows(F, G, H, A, C, p) -> list:
-    if any(x <= 1 for x in p):
+    if not all(x > 1 for x in p):  # NaN fails too
         raise DomainError("requires p > 1")
     sub = _structural_hyps("submodular", check_submodular, C)
     out, _ = _hpq_rows("carlson_choquet_submodular", [2.0 ** (1 / x) for x in p],
                        [[h] for h in sub], F, G, H, A, C, p)
-    # equality condition: (g b + h a)**q f**p constant over {f > 0}
-    a = np.array([rep.extra["a"] for rep in out])
-    b = np.array([rep.extra["b"] for rep in out])
-    finite = np.isfinite(a) & np.isfinite(b)
-    a, b = np.where(finite, a, 0.0), np.where(finite, b, 0.0)
+    # equality condition: (g b + h a)**q f**p constant over {f > 0}, each
+    # product taking 0 * inf = 0
+    a, b = ([rep.extra[x] for rep in out] for x in "ab")
     mask = (F.v > 0) & F.valid
-    # points outside {f > 0} compute 0 and are dropped below
-    gb = np.where(mask, G.v, 0.0) * b[:, None]
-    ha = np.where(mask, H.v, 0.0) * a[:, None]
-    expr = (rows_pow(gb + ha, [x / (x - 1) for x in p])
-            * rows_pow(np.where(mask, F.v, 0.0), p))
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf is set to 0 below
+        expr = rows_pow(_bg_ah(a, b, G.v, H.v), [x / (x - 1) for x in p]) * rows_pow(F.v, p)
+    expr[np.isnan(expr)] = 0.0
+    # points outside {f > 0} are dropped
     top = np.where(mask, expr, -np.inf).max(1).tolist()
     bottom = np.where(mask, expr, np.inf).min(1).tolist()
     for i, rep in enumerate(out):
-        if not finite[i]:
+        if math.isinf(a[i]) or math.isinf(b[i]):
             continue
         if mask[i].any():
             spread = top[i] - bottom[i]
@@ -626,7 +591,7 @@ def carlson_choquet_submodular(f, g, h, A: Optional[int], c: Capacity,
 
 
 def carlson_choquet_subadditive_rows(F, G, H, A, C, p) -> list:
-    if any(x <= 1 for x in p):
+    if not all(x > 1 for x in p):  # NaN fails too
         raise DomainError("requires p > 1")
     q = [x / (x - 1) for x in p]
     sub = _structural_hyps("subadditive", check_subadditive, C)

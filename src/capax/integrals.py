@@ -141,10 +141,6 @@ class Values:
             raise DomainError("sample values must be nonnegative")
         return Values(v, self.n, self.valid, self.spaces)
 
-    def take(self, rows: np.ndarray) -> "Values":
-        return Values(self.v[rows], self.n[rows], self.valid[rows],
-                      tuple(self.spaces[i] for i in rows.tolist()))
-
     def row(self, i: int) -> np.ndarray:
         return self.v[i, :self.n[i]]
 
@@ -354,12 +350,12 @@ def pointwise(op: AggOperator, f: SampleFunction, g: SampleFunction) -> SampleFu
 
 
 def power_rows(F: Values, s: Sequence[float]) -> Values:
-    """Row i raised pointwise to s[i] by ``rows_pow``, with the 0**s = 0,
-    inf**s = inf conventions (s > 0)."""
-    if any(e <= 0 for e in s):
+    """Row i raised pointwise to s[i] by ``rows_pow`` (s > 0): 0**s = 0,
+    inf**s = inf, and a power beyond the largest double is inf."""
+    if not all(e > 0 for e in s):  # NaN fails too
         raise DomainError("power exponent must be positive")
     v = F.v
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         out = np.where(v == 0, 0.0, np.where(np.isinf(v), INF, rows_pow(v, s)))
     return F.like(out)
 

@@ -197,9 +197,9 @@ class OperatorSystem:
         doms = {o.domain for o in (self.circ, self.box, self.star, self.lhd, self.tri)}
         if len(doms) != 1:
             raise DomainError("all five operators must share one domain")
-        if self.p < 1 or self.q < 1:
+        if not (self.p >= 1 and self.q >= 1):  # NaN fails too
             raise DomainError("exponents p, q must be >= 1")
-        if self.r <= 0 or self.s <= 0:
+        if not (self.r > 0 and self.s > 0):
             raise DomainError("exponents r, s must be positive")
 
     @property

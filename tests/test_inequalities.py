@@ -9,12 +9,12 @@ from scipy.integrate import quad
 
 from capax import (DomainError, GroundSpace, INF, check_chebyshev_condition,
                    check_power_condition, choquet, from_formula, get_system,
-                   make_additive, make_distorted, make_grid_lebesgue,
+                   make_additive, make_distorted, make_explicit, make_grid_lebesgue,
                    make_random_monotone, make_sup_capacity, min_op, normalize, power,
                    prod_op, sample_function, table_op)
 from capax import inequalities
 from capax.operators import OperatorSystem
-from capax.inequalities import (_cheb_ok, _power_ok, carlson_choquet_comonotone,
+from capax.inequalities import (HpqResult, _cheb_ok, _power_ok, carlson_choquet_comonotone,
                                 carlson_choquet_subadditive,
                                 carlson_choquet_submodular, carlson_sugeno,
                                 carlson_sugeno_wang, carlson_sugeno_xu,
@@ -57,6 +57,13 @@ def test_jensen_choquet_holds_and_degenerates_on_null_set():
     rep0 = jensen_choquet(f, c, 0b010, 2.0)  # mu(A) = 0
     assert rep0.degenerate is not None
     assert not rep0.holds
+
+
+def test_jensen_choquet_degenerate_row_with_an_overflowing_power():
+    # the row's kernels run, and f**2 = inf raises no overflow warning
+    c = make_additive([0.5, 0.0])
+    f = sample_function(c.space, [1e200, 1e200])
+    assert jensen_choquet(f, c, 0b10, 2.0).degenerate == "normalize needs 0 < mu(A) < inf"
 
 
 def test_chebyshev_choquet_comonotone_holds():
@@ -116,7 +123,7 @@ def test_xu_specialization_matches_general_form():
 
 
 def test_choquet_checkers_on_a_normalized_capacity_normalize_it_again():
-    # the stack of m is derived: its rows are taken from a derived stack
+    # the stack of m is derived, and normalizing it derives it again
     c = make_additive([0.5, 0.3, 0.2])
     m = normalize(c, 0b011)
     f = sample_function(c.space, [0.2, 0.5, 0.9])
@@ -172,6 +179,17 @@ def test_shilkret_example_requires_nondecreasing():
     f = sample_function(space, np.linspace(1.0, 0.1, 8))
     with pytest.raises(DomainError):
         shilkret_carlson_example(f, None, cap)
+
+
+def test_shilkret_example_degenerate_row_meets_no_domain_check():
+    # K = 0 decides the row: f > 1 on a unit-range capacity is not integrated
+    space = GroundSpace(2, coords=(0.0, 1.0), widths=(0.5, 0.5))
+    c = make_additive([0.5, 0.5], space)
+    f = sample_function(space, [0.5, 2.0])
+    for A in (0b00, 0b01):  # mu(A) = 0, then N(x) = 0 on A
+        assert shilkret_carlson_example(f, A, c).degenerate == "K = mu(A) N(x) = 0"
+    with pytest.raises(DomainError, match="unit-range function values"):
+        shilkret_carlson_example(f, 0b10, c)
 
 
 def test_lukasiewicz_example_holds():
@@ -277,6 +295,68 @@ def test_h_pq_zero_denominator_gives_infinite_inner_integral():
     res = h_pq(1.0, 1.0, zero, zero, None, c, 2.0)
     assert math.isinf(res.inner_integral)
     assert res.value == INF  # inf**(1/q) times 1
+
+
+def test_h_pq_takes_zero_times_inf_to_zero():
+    # a = 0 against h = inf (or b = 0 against g = inf) adds nothing to b g + a h
+    c = make_additive([0.5, 0.5])
+    g = sample_function(c.space, [0.5, 1.0])
+    h = sample_function(c.space, [INF, 1.0])
+    want = HpqResult(value=0.0, degenerate="ab = 0", inner_integral=0.75)
+    assert h_pq(0.0, 2.0, g, h, None, c, 2.0) == want
+    assert h_pq(2.0, 0.0, h, g, None, c, 2.0) == want
+
+
+def test_submodular_and_subadditive_rows_take_zero_times_inf_to_zero():
+    # each of these warned (an error under this suite's filterwarnings)
+    c = make_additive([0.5, 0.5])
+    f, g, h = (sample_function(c.space, v) for v in ([0.3, 0.6], [0.5, 1.0], [INF, 1.0]))
+    rep = carlson_choquet_submodular(f, g, h, None, c, 2.0)  # b = inf
+    assert rep.holds and rep.rhs == INF and "equality_condition" not in rep.extra
+    # A = 0 gives a = b = 0, and f = inf on {f > 0}: (g b + h a)**q f**p = 0
+    c = make_explicit([0.0, 3.0])
+    f, g = sample_function(c.space, [INF]), sample_function(c.space, [0.25])
+    rep = carlson_choquet_submodular(f, g, g, 0, c, 1.5)
+    assert rep.degenerate == "both inner integrals are 0"
+    assert rep.extra["equality_condition"] is True
+    # b g + a h is so small that its power 1 - q overflows to inf
+    c = make_explicit([0, 0.88672166, 0.13466976, 0.88672166, 2.6730165, 3, 2.6730165, 3])
+    g = np.array([0.0027385, 0.85740428, 0.03358558])
+    f, g, h = (sample_function(c.space, v) for v in ([0, 0, 4.03172191e-178], g, g[::-1]))
+    for checker in (carlson_choquet_submodular, carlson_choquet_subadditive):
+        rep = checker(f, g, h, 0b100, c, 1.5)
+        assert rep.degenerate == "ab = 0 against infinite inner integral"
+        assert rep.extra["inner_integral"] == INF
+
+
+def _nan_calls():
+    c = make_additive([0.5, 0.5])
+    f = sample_function(c.space, [0.3, 0.6])
+    nan = math.nan
+    return {
+        "h_pq_a": (lambda: h_pq(nan, 1.0, f, f, None, c, 2.0), "a, b >= 0"),
+        "h_pq_b": (lambda: h_pq(1.0, nan, f, f, None, c, 2.0), "a, b >= 0"),
+        "h_pq_p": (lambda: h_pq(1.0, 1.0, f, f, None, c, nan), "p > 1"),
+        "jensen_sugeno": (lambda: jensen_sugeno(f, c, None, min_op(), nan), "s >= 1"),
+        "jensen_choquet": (lambda: jensen_choquet(f, c, None, nan), "exponent >= 1"),
+        "comonotone_p": (lambda: carlson_choquet_comonotone(f, f, f, None, c, nan, 2.0, 1.0,
+                                                            1.0), "p,q >= 1"),
+        "comonotone_r": (lambda: carlson_choquet_comonotone(f, f, f, None, c, 2.0, 2.0, nan,
+                                                            1.0), "r,s > 0"),
+        "holder": (lambda: holder_choquet(f, f, c, None, nan), "p > 1"),
+        "submodular": (lambda: carlson_choquet_submodular(f, f, f, None, c, nan), "p > 1"),
+        "subadditive": (lambda: carlson_choquet_subadditive(f, f, f, None, c, nan), "p > 1"),
+        "power": (lambda: power(f, nan), "must be positive"),
+        "system_p": (lambda: get_system("min").with_exponents(nan), "p, q must be >= 1"),
+        "system_r": (lambda: get_system("min").with_exponents(r=nan), "r, s must be positive"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_nan_calls()))
+def test_nan_parameters_are_rejected_with_their_own_message(name):
+    call, message = _nan_calls()[name]
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_carlson_choquet_submodular_classical_grid():

@@ -307,6 +307,38 @@ def test_stacked_checkers_equal_one_row_stacks_under_all_six_systems(batch, data
         assert (repr(dep.slack[i]), dep.holds[i]) == (repr(one.slack), one.holds)
 
 
+@given(rows(extended=True), st.data())
+def test_stacked_choquet_checkers_equal_one_row_calls(batch, data):
+    # mu(A) = 0 (A = 0) and mu(A) = inf (infinite tables) rows sit next to
+    # live ones, and every row's report is the one its own call gives
+    fns, gs, caps, masks = zip(*batch)
+    gs = [sample_function(g.space, np.ones(g.space.n)) if data.draw(st.booleans()) else g
+          for g in gs]  # g = 1 takes the Ouyang display form where r = s
+    hs = [sample_function(g.space, g.values[::-1]) for g in gs]
+    p = [data.draw(st.sampled_from([1.5, 2.0, 3.0])) for _ in batch]
+    r = [data.draw(st.sampled_from([0.5, 1.0])) for _ in batch]
+    F, A, C = _stack(fns, masks, caps)
+    G, H = Values.build(gs), Values.build(hs)
+    checkers = [
+        (ineq.jensen_choquet_rows(F, C, A, p),
+         lambda f, g, h, c, m, i: ineq.jensen_choquet(f, c, m, p[i])),
+        (ineq.chebyshev_choquet_rows(F, G, C, A),
+         lambda f, g, h, c, m, i: ineq.chebyshev_choquet(f, g, c, m)),
+        (ineq.carlson_choquet_comonotone_rows(F, G, H, A, C, p, p, r, [1.0] * len(p)),
+         lambda f, g, h, c, m, i: ineq.carlson_choquet_comonotone(f, g, h, m, c, p[i], p[i],
+                                                                  r[i], 1.0)),
+        (ineq.carlson_choquet_submodular_rows(F, G, H, A, C, p),
+         lambda f, g, h, c, m, i: ineq.carlson_choquet_submodular(f, g, h, m, c, p[i])),
+        (ineq.carlson_choquet_subadditive_rows(F, G, H, A, C, p),
+         lambda f, g, h, c, m, i: ineq.carlson_choquet_subadditive(f, g, h, m, c, p[i])),
+        (ineq.holder_choquet_rows(F, G, C, A, p),
+         lambda f, g, h, c, m, i: ineq.holder_choquet(f, g, c, m, p[i])),
+    ]
+    for reports, one in checkers:
+        for i, args in enumerate(zip(fns, gs, hs, caps, masks)):
+            assert repr(reports[i]) == repr(one(*args, i))
+
+
 # --- properties of the integrals -------------------------------------------
 
 def _pair_of_capacities(rng, n):
