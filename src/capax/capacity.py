@@ -362,15 +362,24 @@ def make_random_monotone(n: int, rng: np.random.Generator) -> Capacity:
 
 def random_monotone_table(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random monotone value table with mu(X) = 1: i.i.d. uniforms per
-    subset, one upward max pass to enforce monotonicity, rescaled."""
+    subset, made monotone by ``monotone_rows`` (its one-row case)."""
     if n > MAX_EXPLICIT_N:
         raise InvalidCapacityError(f"random explicit capacities are capped at n={MAX_EXPLICIT_N}")
-    t = rng.uniform(size=2**n)
-    t[0] = 0.0
-    for i in range(n):  # raise each set with bit i to its subset without it
-        v = t.reshape(-1, 2, 1 << i)
-        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
-    t /= t[-1]
+    return monotone_rows(rng.uniform(size=2**n))
+
+
+def monotone_rows(t: np.ndarray) -> np.ndarray:
+    """Uniforms ``t``, one row of 2^n or (k, 2^n) rows, made monotone value
+    tables with mu(X) = 1 in place: each row's empty set set to 0, one
+    upward max pass over all rows, then each row divided by its last
+    value.  A maximum and a division are exact per element, so each row
+    gets the bits it gets alone."""
+    t[..., 0] = 0.0
+    for i in range(t.shape[-1].bit_length() - 1):  # raise each set with bit i to its subset without it
+        v = t.reshape(-1, 2, 1 << i)  # each pair of blocks lies inside one row
+        up = v[:, 1]
+        np.maximum(up, v[:, 0], out=up)
+    t /= t[-1] if t.ndim == 1 else t[:, -1:]  # a scalar divides one row faster
     return t
 
 

@@ -10,30 +10,34 @@ Each audited theorem is one ``Theorem`` record in ``THEOREMS``; the id
 lists, the alias table, ``DROPPABLE``, scenario generation, replay, audits
 and hunts all read that table.
 
-An audit draws its trials one by one and evaluates them in chunks: each
-chunk is decoded into one stack by the one scenario decoder
-(``scenario.decode_specs``, field by field over the whole chunk) and its
-record's runner evaluates all rows at once.  Replay decodes a stack of
-one row, the case the CLI reads a scenario file with, so both raise the
-same checks and errors; a chunk that fails is decoded again row by row,
-and raises its first failing scenario's error.  A hunt evaluates its
-trials in chunks of 1, 2, 4, ... and a shrink step all its candidates as
-one stack; replay runs a stack of one row through the same runners.
+An audit draws its trials a chunk at a time: each generator writes its
+trial's draws straight into the chunk's columns (``Chunk``), the input of
+the decoder's array stage (``scenario.decode_columns``), which checks and
+builds the chunk's one stack; its record's runner evaluates all rows at
+once.  No scenario dict is built on that path: a chunk renders a row as
+its ``Scenario`` only when asked (a violation, a hunt's witness,
+``random_scenario``).  Replay reads a scenario's specs with the decoder's
+spec entry (``scenario.decode_specs``) as a stack of one row, the case
+the CLI reads a scenario file with, so both raise the same checks and
+errors; a chunk that fails is replayed row by row from its rendered
+scenarios, and raises its first failing scenario's error.  A hunt draws
+its trials in chunks of 1, 2, 4, ... and a shrink step evaluates all its
+candidates as one stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import CapacityStack, random_monotone_table
+from .capacity import CapacityStack, mask_indices, monotone_rows
 from .operators import builtin_systems, get_op, get_system
-from .scenario import SchemaError, decode_specs
+from .scenario import Columns, Decoded, SchemaError, decode_columns, decode_specs
 from .xreal import DomainError
 
 MAX_SHRINK_STEPS = 200
@@ -84,14 +88,15 @@ class AuditSummary:
 class Theorem:
     """One audited theorem.
 
-    ``generate(rng, n, system)`` draws a hypothesis-satisfying scenario's
-    (space, capacity, functions, subsets, params) from the trial stream;
-    ``system`` is the operator system named in ``<theorem>:<system>``,
-    else None, and ``systems`` lists the names it may take.  ``run(stack)``
-    calls the checker's row form (looked up in ``inequalities`` at call
-    time) and returns one report per row.  ``drop`` maps each droppable
-    hypothesis to a generator ``(rng, n, system)`` that does not enforce
-    it.
+    ``generate(rng, n, system, out)`` draws a hypothesis-satisfying
+    scenario from the trial stream and writes it as one row of the chunk
+    ``out`` (its space, capacity, functions, subsets and params, with the
+    ``Chunk`` writers); ``system`` is the operator system named in
+    ``<theorem>:<system>``, else None, and ``systems`` lists the names it
+    may take.  ``run(stack)`` calls the checker's row form (looked up in
+    ``inequalities`` at call time) and returns one report per row.
+    ``drop`` maps each droppable hypothesis to a generator of the same
+    form that does not enforce it.
     """
 
     generate: Callable
@@ -102,7 +107,7 @@ class Theorem:
 
 
 # ---------------------------------------------------------------------------
-# scenario generation
+# scenario generation: each trial drawn straight into a chunk's columns
 
 
 def _trial_rng(seed: int, i: int) -> np.random.Generator:
@@ -115,156 +120,265 @@ def _pick(rng, seq):
     return seq[rng.integers(len(seq))]
 
 
-def _nonempty_subset(rng, n: int) -> list[int]:
-    mask = int(rng.integers(1, 2**n))
-    return [i for i in range(n) if (mask >> i) & 1]
+def _nonempty_mask(rng, n: int) -> int:
+    return int(rng.integers(1, 2**n))
 
 
-def _comonotone_family(rng, n: int, k: int, low: float = 0.0):
-    """k pairwise-comonotone functions sharing one point order."""
+def _comonotone_family(rng, n: int, k: int, low: float = 0.0) -> np.ndarray:
+    """k pairwise-comonotone functions sharing one point order, as rows."""
     perm = rng.permutation(n)
     vals = np.empty((k, n))  # row by row, the doubles k draws of n would read
     vals[:, perm] = np.sort(low + (1.0 - low) * rng.uniform(size=(k, n)), axis=1)
-    return vals.tolist()
+    return vals
 
 
-def _unit_space_cap(rng, n: int):
-    """An n-point space and a random monotone table, validated when decoded."""
-    return {"n": n}, {"type": "explicit", "table": random_monotone_table(n, rng).tolist()}
+class Chunk:
+    """Consecutive trials of one theorem, drawn straight into the columns
+    that the decoder's array stage reads (``scenario.Columns``), one row
+    per trial.  A generator writes its row with ``space``,
+    ``monotone_table`` or ``capacity``, ``values``, ``subsets`` and
+    ``params.append``.  The random tables are made monotone in one pass
+    per point count (``capacity.monotone_rows``) when the chunk is first
+    read.  ``stack()`` decodes all rows as one stack; ``chunk[j]``
+    renders row j as the Scenario its trial replays as."""
+
+    def __init__(self, theorem: str, seed: int, dropped: Optional[str] = None):
+        """An empty chunk of the canonical theorem id, its trials drawn
+        with the named hypothesis not enforced (None: all enforced)."""
+        record = _record(theorem)
+        self.generate, self.points = record.generate, 9  # 2 to 8 points
+        if dropped is not None:
+            self.generate, self.points = record.drop.get(dropped), 7  # 2 to 6
+            if self.generate is None:
+                raise DomainError(f"hypothesis {dropped!r} cannot be dropped for {theorem!r}")
+        name, colon, system = theorem.partition(":")
+        self.theorem, self.seed, self.system = theorem, seed, system if colon else None
+        self.n, self.coords, self.params = [], [], []
+        # per row ("explicit", n, its row of tables[n]) or (kind, weights, gamma)
+        self.caps = []
+        self.fns, self.masks = {}, {}
+        self.uniforms = {}  # per point count, the explicit rows' uniforms
+        self.cells = 0  # table entries and points
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def draw(self, i: int) -> None:
+        """Trial i, drawn from its own stream into a new row."""
+        rng = _trial_rng(self.seed, i)
+        self.generate(rng, int(rng.integers(2, self.points)), self.system, self)
+        n = self.n[-1]
+        self.cells += n + (2**n if self.caps[-1][0] == "explicit" else 0)
+
+    def space(self, n: int, coords: Optional[np.ndarray] = None) -> None:
+        """n points, at ``coords`` in cells of width 1/n if given."""
+        self.n.append(n)
+        self.coords.append(coords)
+
+    def monotone_table(self, rng, n: int) -> None:
+        """A random monotone table on n points, its uniforms drawn now."""
+        rows = self.uniforms.setdefault(n, [])
+        self.caps.append(("explicit", n, len(rows)))
+        rows.append(rng.uniform(size=2**n))
+
+    def capacity(self, kind: str, weights: Optional[np.ndarray] = None,
+                 gamma: Optional[float] = None) -> None:
+        """An additive, distorted (given gamma), sup or grid capacity."""
+        self.caps.append((kind, weights, gamma))
+
+    def values(self, **named) -> None:
+        for name, v in named.items():
+            self.fns.setdefault(name, []).append(v)
+
+    def subsets(self, **named) -> None:
+        """Subsets as int masks."""
+        for name, mask in named.items():
+            self.masks.setdefault(name, []).append(mask)
+
+    @cached_property
+    def tables(self) -> dict:
+        """Per point count, the explicit rows' monotone tables as rows."""
+        return {n: monotone_rows(np.array(rows)) for n, rows in self.uniforms.items()}
+
+    def stack(self) -> "Stack":
+        """The rows as one stack, decoded by ``scenario.decode_columns``."""
+        if not self.fns:
+            return Stack.of(self.params, None)
+        weighted = [(w, g) for kind, w, g in self.caps if kind in ("additive", "distorted")]
+        return Stack.of(self.params, decode_columns(Columns(
+            self.n, [None] * len(self), self.coords,
+            [None if c is None else np.full(n, 1.0 / n) for n, c in zip(self.n, self.coords)],
+            [kind for kind, _, _ in self.caps],
+            (*_joined([w for w, _ in weighted]), [g for _, g in weighted]),
+            _joined([self.tables[n][j] for kind, n, j in self.caps if kind == "explicit"]),
+            {name: (*_joined(rows), {}) for name, rows in self.fns.items()}, self.masks)))
+
+    def __getitem__(self, j: int) -> Scenario:
+        n = self.n[j]
+        space = {"n": n}
+        if self.coords[j] is not None:
+            space.update(coords=self.coords[j].tolist(), widths=[1.0 / n] * n)
+        kind, a, b = self.caps[j]
+        capacity = {"type": kind}
+        if kind == "explicit":
+            capacity["table"] = self.tables[a][b].tolist()
+        elif kind in ("additive", "distorted"):
+            capacity["weights"] = a.tolist()
+            if b is not None:
+                capacity["gamma"] = b
+        return Scenario(self.theorem, self.seed, space, capacity,
+                        {name: rows[j].tolist() for name, rows in self.fns.items()},
+                        {name: mask_indices(masks[j]) for name, masks in self.masks.items()},
+                        dict(self.params[j]))
 
 
-def _coord_space(rng, n: int) -> dict:
+def _joined(rows: list) -> tuple:
+    """Float rows concatenated in one array, and their lengths."""
+    return np.concatenate(rows) if rows else np.empty(0), [len(row) for row in rows]
+
+
+def _unit_space_cap(rng, n: int, out: Chunk) -> None:
+    """An n-point space and a random monotone table."""
+    out.space(n)
+    out.monotone_table(rng, n)
+
+
+def _coord_space(rng, n: int, out: Chunk) -> None:
     coords = np.sort(rng.uniform(0.02, 1.0, size=n))
     while len(np.unique(coords)) < n:
         coords = np.sort(rng.uniform(0.02, 1.0, size=n))
-    return {"n": n, "coords": [float(x) for x in coords],
-            "widths": [1.0 / n] * n}
+    out.space(n, coords)
 
 
-def _submodular_cap(rng, n: int) -> dict:
+def _submodular_cap(rng, n: int, out: Chunk) -> None:
     if rng.uniform() < 0.2:
-        return {"type": "sup"}
-    weights = rng.uniform(0.1, 1.0, size=n)
-    return {"type": "distorted", "weights": [float(w) for w in weights],
-            "gamma": float(rng.uniform(0.3, 1.0))}
+        out.capacity("sup")
+    else:
+        weights = rng.uniform(0.1, 1.0, size=n)
+        out.capacity("distorted", weights, float(rng.uniform(0.3, 1.0)))
 
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0]
 OUTER = [0.5, 1.0, 2.0]
 
 
-def _gen_jensen_sugeno(rng, n, system):
-    space, cap = _unit_space_cap(rng, n)
-    f = rng.uniform(size=n).tolist()
-    params = {"op": _pick(rng, ["min", "prod", "dombi"]),
-              "s": _pick(rng, [1.5, 2.0, 3.0])}
-    return space, cap, {"f": f}, {"A": _nonempty_subset(rng, n)}, params
+def _gen_jensen_sugeno(rng, n, system, out):
+    _unit_space_cap(rng, n, out)
+    out.values(f=rng.uniform(size=n))
+    out.params.append({"op": _pick(rng, ["min", "prod", "dombi"]),
+                       "s": _pick(rng, [1.5, 2.0, 3.0])})
+    out.subsets(A=_nonempty_mask(rng, n))
 
 
-def _gen_chebyshev_sugeno(rng, n, system):
-    space, cap = _unit_space_cap(rng, n)
-    f1, f2 = _comonotone_family(rng, n, 2)
-    A = _nonempty_subset(rng, n)
-    return (space, cap, {"f1": f1, "f2": f2}, {"A": A, "B": A},
-            {"system": _pick(rng, SUGENO_SYSTEM_NAMES)})
+def _gen_chebyshev_sugeno(rng, n, system, out):
+    _unit_space_cap(rng, n, out)
+    out.values(**dict(zip(("f1", "f2"), _comonotone_family(rng, n, 2))))
+    A = _nonempty_mask(rng, n)
+    out.subsets(A=A, B=A)
+    out.params.append({"system": _pick(rng, SUGENO_SYSTEM_NAMES)})
 
 
-def _gen_carlson_sugeno(rng, n, system):
+def _gen_carlson_sugeno(rng, n, system, out):
     if system is None:
         system = _pick(rng, SUGENO_SYSTEM_NAMES)
-    space, cap = _unit_space_cap(rng, n)
-    fns = dict(zip("fgh", _comonotone_family(rng, n, 3)))
-    A = _nonempty_subset(rng, n)
-    params = {"system": system, "p": _pick(rng, EXPONENTS),
-              "q": _pick(rng, EXPONENTS), "r": _pick(rng, OUTER),
-              "s": _pick(rng, OUTER)}
-    return space, cap, fns, {"A": A, "B": A}, params
+    _unit_space_cap(rng, n, out)
+    out.values(**dict(zip("fgh", _comonotone_family(rng, n, 3))))
+    A = _nonempty_mask(rng, n)
+    out.subsets(A=A, B=A)
+    out.params.append({"system": system, "p": _pick(rng, EXPONENTS),
+                       "q": _pick(rng, EXPONENTS), "r": _pick(rng, OUTER),
+                       "s": _pick(rng, OUTER)})
 
 
-def _gen_sugeno_pq(rng, n, system):
-    space, cap = _unit_space_cap(rng, n)
-    fns = dict(zip("fgh", _comonotone_family(rng, n, 3, low=0.2)))
-    A = _nonempty_subset(rng, n)
-    params = {"p": _pick(rng, EXPONENTS), "q": _pick(rng, EXPONENTS)}
-    return space, cap, fns, {"A": A}, params
+def _gen_sugeno_pq(rng, n, system, out):
+    _unit_space_cap(rng, n, out)
+    out.values(**dict(zip("fgh", _comonotone_family(rng, n, 3, low=0.2))))
+    out.subsets(A=_nonempty_mask(rng, n))
+    out.params.append({"p": _pick(rng, EXPONENTS), "q": _pick(rng, EXPONENTS)})
 
 
-def _gen_shilkret(rng, n, system):
-    space = _coord_space(rng, n)
-    f = np.sort(rng.uniform(size=n)).tolist()
+def _gen_shilkret(rng, n, system, out):
+    _coord_space(rng, n, out)
+    out.values(f=np.sort(rng.uniform(size=n)))
     if rng.uniform() < 0.5:
-        _, cap = _unit_space_cap(rng, n)
+        out.monotone_table(rng, n)
     else:
-        cap = {"type": "additive",
-               "weights": rng.uniform(0.05, 1.0 / n, size=n).tolist()}
-    return space, cap, {"f": f}, {"A": list(range(n))}, {}
+        out.capacity("additive", rng.uniform(0.05, 1.0 / n, size=n))
+    out.subsets(A=(1 << n) - 1)
+    out.params.append({})
 
 
-def _gen_lukasiewicz(rng, n, system):
+def _gen_lukasiewicz(rng, n, system, out):
     params = {"phi": _pick(rng, ["identity", "square", "sqrt"]),
               "psi": _pick(rng, ["identity", "square", "sqrt"]),
               "n": int(rng.integers(50, 201)),
               "p": _pick(rng, EXPONENTS), "q": _pick(rng, EXPONENTS)}
-    return {"n": params["n"]}, {"type": "grid"}, {}, {}, params
+    out.space(params["n"])
+    out.capacity("grid")
+    out.params.append(params)
 
 
-def _gen_jensen_choquet(rng, n, system):
-    space, cap = _unit_space_cap(rng, n)
-    f = rng.uniform(size=n).tolist()
-    params = {"exponent": _pick(rng, EXPONENTS)}
-    return space, cap, {"f": f}, {"A": _nonempty_subset(rng, n)}, params
+def _gen_jensen_choquet(rng, n, system, out):
+    _unit_space_cap(rng, n, out)
+    out.values(f=rng.uniform(size=n))
+    out.params.append({"exponent": _pick(rng, EXPONENTS)})
+    out.subsets(A=_nonempty_mask(rng, n))
 
 
-def _gen_chebyshev_choquet(rng, n, system):
-    space, cap = _unit_space_cap(rng, n)
-    f, g = _comonotone_family(rng, n, 2)
-    return space, cap, {"f": f, "g": g}, {"A": _nonempty_subset(rng, n)}, {}
+def _gen_chebyshev_choquet(rng, n, system, out):
+    _unit_space_cap(rng, n, out)
+    out.values(**dict(zip("fg", _comonotone_family(rng, n, 2))))
+    out.subsets(A=_nonempty_mask(rng, n))
+    out.params.append({})
 
 
-def _gen_choquet_comonotone(rng, n, system):
-    space, cap = _unit_space_cap(rng, n)
-    fns = dict(zip("fgh", _comonotone_family(rng, n, 3, low=0.2)))
-    params = {"p": _pick(rng, [1.0, 2.0, 3.0]), "q": _pick(rng, [1.0, 2.0, 3.0]),
-              "r": _pick(rng, OUTER), "s": _pick(rng, OUTER)}
-    return space, cap, fns, {"A": _nonempty_subset(rng, n)}, params
+def _gen_choquet_comonotone(rng, n, system, out):
+    _unit_space_cap(rng, n, out)
+    out.values(**dict(zip("fgh", _comonotone_family(rng, n, 3, low=0.2))))
+    out.params.append({"p": _pick(rng, [1.0, 2.0, 3.0]), "q": _pick(rng, [1.0, 2.0, 3.0]),
+                       "r": _pick(rng, OUTER), "s": _pick(rng, OUTER)})
+    out.subsets(A=_nonempty_mask(rng, n))
 
 
-def _gen_distorted(rng, n, system, keys, coords):
+def _gen_distorted(rng, n, system, out, keys, coords):
     """Submodular capacity (sup, or distorted with gamma <= 1) and
     independent values on the whole space."""
-    space = _coord_space(rng, n) if coords else {"n": n}
-    cap = _submodular_cap(rng, n)
-    vals = rng.uniform(0.05, 1.0, size=(3, n))
-    params = {"p": _pick(rng, [1.5, 2.0, 3.0])}
-    return (space, cap, {k: v.tolist() for k, v in zip(keys, vals)},
-            {"A": list(range(n))}, params)
+    if coords:
+        _coord_space(rng, n, out)
+    else:
+        out.space(n)
+    _submodular_cap(rng, n, out)
+    out.values(**dict(zip(keys, rng.uniform(0.05, 1.0, size=(3, n)))))
+    out.subsets(A=(1 << n) - 1)
+    out.params.append({"p": _pick(rng, [1.5, 2.0, 3.0])})
 
 
-def _drop_order(rng, n, system, keys, low, sugeno, exponents):
+def _drop_order(rng, n, system, out, keys, low, sugeno, exponents):
     """Independent (unordered) functions under the uniform additive
     capacity: neither comonotone nor positively dependent in general.  A
     Sugeno theorem keeps the named system, or draws one last."""
-    fns = {k: rng.uniform(low, 1.0, size=n).tolist() for k in keys}
+    out.space(n)
+    out.capacity("additive", np.full(n, 1.0 / n))
+    out.values(**{k: rng.uniform(low, 1.0, size=n) for k in keys})
     params = {}
     if sugeno:
         params["system"] = _pick(rng, SUGENO_SYSTEM_NAMES) if system is None else system
     params.update(exponents)
-    everything = list(range(n))
-    return ({"n": n}, {"type": "additive", "weights": [1.0 / n] * n}, fns,
-            {"A": everything, "B": everything}, params)
+    out.params.append(params)
+    out.subsets(A=(1 << n) - 1, B=(1 << n) - 1)
 
 
-def _drop_submodular(rng, n, system, keys):
+def _drop_submodular(rng, n, system, out, keys):
     """A distorted capacity with gamma > 1, which is supermodular."""
-    cap = {"type": "distorted",
-           "weights": rng.uniform(0.2, 1.0, size=n).tolist(),
-           "gamma": float(rng.uniform(1.5, 3.0))}
+    out.space(n)
+    out.capacity("distorted", rng.uniform(0.2, 1.0, size=n), float(rng.uniform(1.5, 3.0)))
     vals = rng.uniform(0.05, 1.0, size=(2, n))
-    fns = {keys[0]: vals[0].tolist(), keys[1]: vals[1].tolist()}
+    fns = {keys[0]: vals[0], keys[1]: vals[1]}
     if len(keys) == 3:
-        fns[keys[2]] = rng.uniform(0.05, 1.0, size=n).tolist()
-    return ({"n": n}, cap, fns, {"A": list(range(n))},
-            {"p": _pick(rng, [1.5, 2.0, 3.0])})
+        fns[keys[2]] = rng.uniform(0.05, 1.0, size=n)
+    out.values(**fns)
+    out.subsets(A=(1 << n) - 1)
+    out.params.append({"p": _pick(rng, [1.5, 2.0, 3.0])})
 
 
 def _fgh(checker: str, *exponents: str):
@@ -368,13 +482,15 @@ def _record(theorem_id: str) -> Theorem:
 
 def random_scenario(theorem_id: str, seed: int, trial: int = 0) -> Scenario:
     """Deterministic hypothesis-satisfying scenario for a theorem id
-    (``carlson_sugeno:<system>`` selects the operator system)."""
-    theorem = canonical_theorem(theorem_id)
-    name, colon, system = theorem.partition(":")
-    rng = _trial_rng(seed, trial)
-    n = int(rng.integers(2, 9))  # 2 to 8 points
-    parts = THEOREMS[name].generate(rng, n, system if colon else None)
-    return Scenario(theorem, seed, *parts)
+    (``carlson_sugeno:<system>`` selects the operator system): a chunk of
+    the one trial, rendered."""
+    return _drawn(canonical_theorem(theorem_id), seed, trial)
+
+
+def _drawn(theorem: str, seed: int, trial: int, dropped: Optional[str] = None) -> Scenario:
+    chunk = Chunk(theorem, seed, dropped)
+    chunk.draw(trial)
+    return chunk[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +512,22 @@ class Stack:
     def p(self, key: str) -> list:
         return [p[key] for p in self.params]
 
+    @classmethod
+    def of(cls, params: list, d: Optional[Decoded]) -> "Stack":
+        """The stack of decoded rows and their params; without functions
+        (d None) the checker builds its own space from the params."""
+        if d is None:
+            return cls({}, None, None, None, params)
+        A = d.subsets.get("A", next(iter(d.fns.values())).valid)  # else the whole spaces
+        return cls(d.fns, A, d.subsets.get("B", A), CapacityStack(d.caps), params)
+
 
 def decode(scenarios: list) -> Stack:
     """One stack of scenarios of one theorem, decoded together by
     ``scenario.decode_specs`` as the CLI decodes a scenario file."""
-    params = [scn.params for scn in scenarios]
-    if not scenarios[0].functions:  # the checker builds its own space from params
-        return Stack({}, None, None, None, params)
-    d = decode_specs([(scn.space, scn.capacity, scn.functions, scn.subsets)
-                      for scn in scenarios])
-    A = d.subsets.get("A", next(iter(d.fns.values())).valid)  # else the whole spaces
-    return Stack(d.fns, A, d.subsets.get("B", A), CapacityStack(d.caps), params)
+    return Stack.of([scn.params for scn in scenarios],
+                    decode_specs([(scn.space, scn.capacity, scn.functions, scn.subsets)
+                                  for scn in scenarios]) if scenarios[0].functions else None)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
@@ -414,38 +535,44 @@ def run_scenario(scn: Scenario) -> ineq.InequalityReport:
     return _record(scn.theorem).run(decode([scn]))[0]
 
 
-def run_stack(scenarios: list) -> list:
-    """Reports of scenarios of one theorem, evaluated as one stack.  A
-    stack that fails raises the error its first failing scenario raises
+def _reports(theorem: str, stack: Callable, rows) -> list:
+    """Reports of ``rows`` (scenarios, or a chunk that renders them) of
+    one theorem, evaluated as the one stack ``stack()``.  A stack that
+    fails raises the error its first failing row raises when replayed
     alone."""
     try:
-        return _record(scenarios[0].theorem).run(decode(scenarios))
+        return _record(theorem).run(stack())
     except Exception:
-        for scn in scenarios:
-            run_scenario(scn)
+        for j in range(len(rows)):
+            run_scenario(rows[j])
         raise
 
 
-def _first_violation(scenarios: list, require_hypotheses: bool,
+def run_stack(scenarios: list) -> list:
+    """Reports of scenarios of one theorem, evaluated as one stack."""
+    return _reports(scenarios[0].theorem, partial(decode, scenarios), scenarios)
+
+
+def _first_violation(theorem: str, stack: Callable, rows, require_hypotheses: bool,
                      skip: tuple = ()) -> Optional[int]:
-    """Index of the first of the scenarios whose replay is a violation, or
-    None, as replaying them one by one in order finds it: they run as one
-    stack, and one by one only if the stack fails, a scenario that raises
-    one of the ``skip`` errors being passed over."""
+    """Index of the first of ``rows`` (as in ``_reports``) whose replay is a
+    violation, or None, as replaying them one by one in order finds it:
+    they run as one stack, and one by one only if the stack fails, a row
+    that raises one of the ``skip`` errors being passed over."""
     try:
-        reports = _record(scenarios[0].theorem).run(decode(scenarios))
+        reports = _record(theorem).run(stack())
     except Exception:  # replayed one by one below, which raises what replay raises
         reports = None
-    for i, scn in enumerate(scenarios):
+    for j in range(len(rows)):
         if reports is None:
             try:
-                rep = run_scenario(scn)
+                rep = run_scenario(rows[j])
             except skip:
                 continue
         else:
-            rep = reports[i]
+            rep = reports[j]
         if is_violation(rep, require_hypotheses=require_hypotheses):
-            return i
+            return j
     return None
 
 
@@ -462,44 +589,40 @@ def is_violation(rep: ineq.InequalityReport,
 # audits
 
 
-def _cells(scn: Scenario) -> int:
-    return len(scn.capacity.get("table", ())) + scn.space.get("n", 0)
-
-
-def _chunks(draw: Callable, trials: int, size: Optional[int] = None):
-    """The scenarios draw(0), ..., draw(trials - 1) in consecutive chunks,
-    each ending once it holds AUDIT_CHUNK_CELLS table entries and points
-    or, given a first ``size``, that many scenarios, the size doubling from
-    chunk to chunk."""
-    chunk, cells = [], 0
+def _chunks(theorem: str, seed: int, trials: int, dropped: Optional[str] = None,
+            size: Optional[int] = None):
+    """The trials 0, ..., trials - 1 (``Chunk`` and its ``dropped``) in
+    consecutive chunks, each ending once it holds AUDIT_CHUNK_CELLS table
+    entries and points or, given a first ``size``, that many trials, the
+    size doubling from chunk to chunk."""
+    chunk = Chunk(theorem, seed, dropped)
     for i in range(trials):
-        scn = draw(i)
-        chunk.append(scn)
-        cells += _cells(scn)
-        if cells >= AUDIT_CHUNK_CELLS or len(chunk) == size or i == trials - 1:
+        chunk.draw(i)
+        if chunk.cells >= AUDIT_CHUNK_CELLS or len(chunk) == size or i == trials - 1:
             yield chunk
-            chunk, cells = [], 0
+            chunk = Chunk(theorem, seed, dropped)
             size = size and 2 * size
 
 
 def audit(theorem_id: str, trials: int, seed: int) -> AuditSummary:
     """Run seeded hypothesis-satisfying scenarios and count violations.
-    Trials are drawn one by one and evaluated a chunk at a time."""
+    Trials are drawn a chunk at a time and evaluated as its stack; only
+    violations are rendered as scenarios."""
     theorem = canonical_theorem(theorem_id)
     if trials < 1:
         raise DomainError(f"an audit needs at least one trial, got {trials}")
     hyp_pass = 0
     min_slack = math.inf
     violations: list[Scenario] = []
-    for chunk in _chunks(lambda i: random_scenario(theorem, seed, i), trials):
-        for scn, rep in zip(chunk, run_stack(chunk)):
+    for chunk in _chunks(theorem, seed, trials):
+        for j, rep in enumerate(_reports(theorem, chunk.stack, chunk)):
             if rep.degenerate is not None or not rep.hypotheses_pass:
                 continue
             hyp_pass += 1
             if math.isfinite(rep.slack):
                 min_slack = min(min_slack, rep.slack)
             if is_violation(rep):
-                violations.append(scn)
+                violations.append(chunk[j])
     return AuditSummary(theorem, trials, hyp_pass, violations,
                         min_slack if math.isfinite(min_slack) else math.nan,
                         seed)
@@ -512,14 +635,7 @@ def audit(theorem_id: str, trials: int, seed: int) -> AuditSummary:
 def _unconstrained_scenario(theorem: str, dropped: str, seed: int,
                             trial: int) -> Scenario:
     """Like random_scenario but with the named hypothesis not enforced."""
-    theorem = canonical_theorem(theorem)
-    generate = _record(theorem).drop.get(dropped)
-    if generate is None:
-        raise DomainError(f"hypothesis {dropped!r} cannot be dropped for {theorem!r}")
-    name, colon, system = theorem.partition(":")
-    rng = _trial_rng(seed, trial)
-    return Scenario(theorem, seed, *generate(rng, int(rng.integers(2, 7)),
-                                             system if colon else None))
+    return _drawn(canonical_theorem(theorem), seed, trial, dropped)
 
 
 def _snap(v: float) -> float:
@@ -563,7 +679,8 @@ def shrink(scn: Scenario, require_hypotheses: bool = False) -> Scenario:
     current = scn
     for _ in range(MAX_SHRINK_STEPS):
         candidates = list(_shrink_candidates(current))
-        hit = _first_violation(candidates, require_hypotheses,
+        hit = _first_violation(current.theorem, partial(decode, candidates), candidates,
+                               require_hypotheses,
                                skip=(DomainError, SchemaError)) if candidates else None
         if hit is None:
             break
@@ -581,11 +698,10 @@ def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
         raise DomainError(
             f"unknown droppable hypothesis {dropped_hypothesis!r} for "
             f"{theorem.split(':', 1)[0]!r}; droppable: {droppable}")
-    # chunks of 1, 2, 4, ... trials: a hunt that ends early evaluates few
-    # trials past its witness
-    draw = partial(_unconstrained_scenario, theorem, dropped_hypothesis, seed)
-    for chunk in _chunks(draw, trials, size=1):
-        hit = _first_violation(chunk, require_hypotheses=False)
+    # chunks of 1, 2, 4, ... trials: a hunt that ends early draws few
+    # trials past its witness, and renders only the witness it shrinks
+    for chunk in _chunks(theorem, seed, trials, dropped_hypothesis, size=1):
+        hit = _first_violation(theorem, chunk.stack, chunk, require_hypotheses=False)
         if hit is not None:
             return shrink(chunk[hit])
     return None

@@ -564,7 +564,7 @@ def carlson_choquet_submodular_rows(F, G, H, A, C, p) -> list:
     # equality condition: (g b + h a)**q f**p constant over {f > 0}, each
     # product taking 0 * inf = 0
     a, b = ([rep.extra[x] for rep in out] for x in "ab")
-    mask = (F.v > 0) & F.valid
+    mask = (F.v > 0) & A
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf is set to 0 below
         expr = rows_pow(_bg_ah(a, b, G.v, H.v), [x / (x - 1) for x in p]) * rows_pow(F.v, p)
     expr[np.isnan(expr)] = 0.0

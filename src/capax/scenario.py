@@ -5,15 +5,20 @@ except that the literal "inf" is permitted in function values.  Result
 files embed the original input under "input" so they can be re-read as
 input (round-trip stability).
 
-There is one decoder, ``decode_specs``: it reads k scenarios' specs at
-once and validates each field once over all of them (spaces, capacity
-weights and tables, function values, subset indices), each field's
-numbers as one concatenated array, then builds the values, subset rows
-and capacities of the stack.  A scenario file, or a replayed scenario,
-is its one-row case (``context_from_specs``), as is each per-field
-reader.  When k rows fail a check, they are decoded again one by one,
-so the error raised is the first failing row's, with the type and text
-it has alone.
+There is one decoder, in two stages.  Spec parsing reads k scenarios'
+specs at once (keys, types, numbers, subset indices), each field's
+numbers as one concatenated array, into the columns of ``Columns``.  The
+array stage builds and checks the stack's spaces, capacities, values and
+subset rows from the columns (``GroundSpace.rows``, ``weighted_rows``,
+``explicit_rows``, ``Values.rows``, ``subset_rows``).  The decoder has
+two entries.  ``decode_specs`` parses each field and runs its array step
+in turn, so a row raises its first bad field's error; a scenario file or
+a replayed scenario is its one-row case (``context_from_specs``), as is
+each per-field reader, and when k rows fail they are decoded again one
+by one, so the error raised is the first failing row's, with the type
+and text it has alone.  ``decode_columns`` takes columns that a
+generator wrote directly, tests their function values as ``_nums`` tests
+parsed ones (``_checked``) and runs the array stage.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .capacity import (Capacity, GroundSpace, bools_mask, explicit_rows,
-                       make_grid_lebesgue, make_sup_capacity, weighted_rows)
+from .capacity import (Capacity, GroundSpace, bools_mask, explicit_rows, indices_mask,
+                       make_grid_lebesgue, make_sup_capacity, subset_rows, weighted_rows)
 from .integrals import SampleFunction, Values, from_formula
 from .xreal import INF
 
@@ -78,8 +83,9 @@ def _int(v, where: str, least: int) -> int:
 def _nums(seqs, where: str, allow_inf: bool = False):
     """The numbers of k lists (or tuples), concatenated into one float
     array and validated as ``_num`` validates each, and the lists' lengths.
-    A list of numbers is read as one array; anything else is walked with
-    ``_num``, which raises for the first bad element in order."""
+    A list of numbers is read as one array and checked by ``_checked``;
+    anything else is walked with ``_num``, which raises for the first bad
+    element in order."""
     for seq in seqs:
         if not isinstance(seq, (list, tuple)):
             raise SchemaError(f"{where}: expected a list of numbers, got {seq!r}")
@@ -90,15 +96,54 @@ def _nums(seqs, where: str, allow_inf: bool = False):
             a = np.array(flat, dtype=float)
         except OverflowError:  # an int beyond float range: the walk below
             pass               # raises for the first bad element in order
-        else:  # NaN fails the first test
-            if (np.minimum.reduce(a, initial=0.0) >= 0
-                    and (allow_inf or np.maximum.reduce(a, initial=0.0) < INF)):
-                return a, lengths
+        else:
+            return _checked(a, where, allow_inf), lengths
     return np.array([_num(v, where, allow_inf) for v in flat], dtype=float), lengths
+
+
+def _checked(a: np.ndarray, where: str, allow_inf: bool = False) -> np.ndarray:
+    """The float array a if each of its numbers passes ``_num``, tested as
+    one array; else ``_num``'s error for the first that fails."""
+    # NaN fails the first test
+    if not (np.minimum.reduce(a, initial=0.0) >= 0
+            and (allow_inf or np.maximum.reduce(a, initial=0.0) < INF)):
+        for x in a.tolist():
+            _num(x, where, allow_inf)
+    return a
 
 
 # ---------------------------------------------------------------------------
 # the decoder: k scenarios at once, each field validated over all rows
+
+
+class Columns(NamedTuple):
+    """k scenarios as the decoder's array stage reads them, row i of each
+    list being scenario i's:
+
+    - ``n``: its point count (a grid space's cell count);
+    - ``grids``: (a, b) if its space is the grid of n cells of [a, b],
+      else None;
+    - ``coords``, ``widths``: its points' coordinates and cell widths as
+      float arrays, or None;
+    - ``kinds``: its capacity type, None without a capacity spec;
+    - ``weights``: the weighted rows' weights concatenated in one float
+      array, their lengths and their gammas (None: additive);
+    - ``tables``: the explicit rows' tables concatenated in one float
+      array, and their lengths;
+    - ``fns``: per function name, the value lists concatenated in one
+      float array, their lengths, and the formula id of each row that
+      names one, by row;
+    - ``subsets``: per subset name, each row's int mask."""
+
+    n: list
+    grids: list
+    coords: list
+    widths: list
+    kinds: list
+    weights: tuple
+    tables: tuple
+    fns: dict
+    subsets: dict
 
 
 class Decoded(NamedTuple):
@@ -114,10 +159,10 @@ class Decoded(NamedTuple):
 
 
 def decode_specs(rows: Sequence[tuple]) -> Decoded:
-    """Scenarios given as (space, capacity, functions, subsets) specs,
-    decoded field by field over all of them at once.  Rows that fail are
-    decoded again one by one, so the error raised is the first failing
-    row's, as it raises alone."""
+    """Scenarios given as (space, capacity, functions, subsets) specs, each
+    field parsed into its columns and built by the array stage over all
+    of them at once.  Rows that fail are decoded again one by one, so the
+    error raised is the first failing row's, as it raises alone."""
     if len(rows) == 1:
         return _decode(rows)
     try:
@@ -128,147 +173,210 @@ def decode_specs(rows: Sequence[tuple]) -> Decoded:
         raise
 
 
+def decode_columns(c: Columns) -> Decoded:
+    """Generated scenarios, written straight into columns: the array
+    stage, after each function's values pass the test ``_nums`` applies
+    (``_checked``).  A failing row is not told apart: read its scenario
+    with ``decode_specs`` for its own error."""
+    for v, _, _ in c.fns.values():
+        _checked(v, "function values", allow_inf=True)
+    return _build(c)
+
+
 def _decode(rows) -> Decoded:
+    """The specs parsed and built field by field, each field's parse then
+    its array step, so a row raises its first bad field's error."""
     space_specs, cap_specs, fn_specs, subset_specs = zip(*rows)
-    spaces, caps = _space_rows(space_specs)
-    caps = _capacity_rows(cap_specs, spaces, caps)
+    spaces, caps = _space_rows(*_parse_spaces(space_specs))
+    _capacity_rows(*_parse_capacities(cap_specs), spaces, caps)
     for specs in (fn_specs, subset_specs):
         if any(spec.keys() != specs[0].keys() for spec in specs):
             raise SchemaError("scenarios decoded together must name the same "
                               "functions and subsets")
-    return Decoded(spaces, caps,
-                   {name: _function_rows([f[name] for f in fn_specs], spaces)
-                    for name in fn_specs[0]},
-                   {name: _subset_rows([m[name] for m in subset_specs], spaces)
-                    for name in subset_specs[0]})
+    fns = {name: _function_rows(_parse_functions([f[name] for f in fn_specs]), spaces)
+           for name in fn_specs[0]}
+    n = [space.n for space in spaces]
+    return _decoded(spaces, caps, fns, {name: _parse_subsets([m[name] for m in subset_specs], n)
+                                        for name in subset_specs[0]})
 
 
-def _space_rows(specs) -> tuple[list, list]:
-    """Each row's space, and its Lebesgue capacity if it is a grid."""
-    spaces, caps = [None] * len(specs), [None] * len(specs)
-    points, coords, widths = [], [], []
+# spec parsing: the specs' keys, types, numbers and subset indices
+
+
+def _parse_spaces(specs) -> tuple:
+    """Each row's point count, grid, coordinates and widths."""
+    k = len(specs)
+    n, grids, coords, widths = [None] * k, [None] * k, [None] * k, [None] * k
+    points = []
     for i, spec in enumerate(specs):
         _require_keys(spec, SPACE_KEYS, "space")
         if "grid" in spec:
             g = spec["grid"]
             _require_keys(g, GRID_KEYS, "space.grid")
             try:
-                spaces[i], caps[i] = make_grid_lebesgue(
-                    _num(g["a"], "grid.a"), _num(g["b"], "grid.b"),
-                    _int(g["steps"], "grid.steps", 1))
+                grids[i] = _num(g["a"], "grid.a"), _num(g["b"], "grid.b")
+                n[i] = _int(g["steps"], "grid.steps", 1)
             except (KeyError, ValueError) as e:
                 raise SchemaError(f"space.grid: {e}")
         elif "n" not in spec:
             raise SchemaError("space needs either n or grid")
         else:
             points.append(i)
-            coords.append(spec.get("coords"))
-            widths.append(spec.get("widths"))
+    try:
+        for key, out in (("coords", coords), ("widths", widths)):
+            given = [i for i in points if specs[i].get(key) is not None]
+            if given:
+                a, lengths = _nums([specs[i][key] for i in given], key)
+                for i, end, m in zip(given, accumulate(lengths), lengths):
+                    out[i] = a[end - m:end]
+        for i in points:
+            n[i] = _int(specs[i]["n"], "n", 1)
+    except ValueError as e:
+        raise SchemaError(f"space: {e}")
+    return n, grids, coords, widths
+
+
+def _parse_capacities(specs) -> tuple:
+    """Each row's capacity type, the weighted rows' weights and gammas and
+    the explicit rows' tables."""
+    kinds, weighted, explicit = [], [], []
+    for i, spec in enumerate(specs):
+        kind = None
+        if spec is not None:
+            _require_keys(spec, CAPACITY_KEYS, "capacity")
+            kind = spec.get("type")
+            if kind in ("additive", "distorted"):
+                weighted.append(i)
+            elif kind == "explicit":
+                explicit.append(i)
+            elif kind not in ("sup", "grid"):
+                raise SchemaError(f"unknown capacity type {kind!r}")
+        kinds.append(kind)
+    try:
+        weights = (*_nums([specs[i]["weights"] for i in weighted], "weights"),
+                   [_num(specs[i]["gamma"], "gamma") if kinds[i] == "distorted" else None
+                    for i in weighted])
+        tables = _nums([specs[i]["table"] for i in explicit], "table")
+    except KeyError as e:
+        raise SchemaError(f"capacity: missing {e.args[0]!r}")
+    except ValueError as e:
+        raise SchemaError(f"capacity: {e}")
+    return kinds, weights, tables
+
+
+def _parse_functions(specs) -> tuple:
+    """A function's value lists, concatenated and validated as one array,
+    their lengths, and its formula ids by row."""
+    lists, formulas = [], {}
+    for i, spec in enumerate(specs):
+        if isinstance(spec, str):
+            formulas[i] = spec
+        elif isinstance(spec, list):
+            lists.append(i)
+        else:
+            raise SchemaError("a function must be a formula id or a value list")
+    return (*_nums([specs[i] for i in lists], "function values", allow_inf=True), formulas)
+
+
+def _parse_subsets(specs, n) -> list:
+    """A subset's int mask per row: "all" (or null) is the whole space, a
+    list of point indices its points."""
+    masks = []
+    for spec, m in zip(specs, n):
+        if spec == "all" or spec is None:
+            masks.append((1 << m) - 1)
+        elif isinstance(spec, list):
+            for x in spec:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < m:
+                    raise SchemaError(f"subset index {x!r} out of range")
+            masks.append(indices_mask(spec))
+        else:
+            raise SchemaError("a subset must be \"all\" or a list of point indices")
+    return masks
+
+
+# the array stage: spaces, capacities, values and subset rows from columns
+
+
+def _build(c: Columns) -> Decoded:
+    """The array stage, field by field."""
+    spaces, caps = _space_rows(c.n, c.grids, c.coords, c.widths)
+    _capacity_rows(c.kinds, c.weights, c.tables, spaces, caps)
+    return _decoded(spaces, caps, {name: _function_rows(f, spaces) for name, f in c.fns.items()},
+                    c.subsets)
+
+
+def _decoded(spaces, caps, fns, subsets) -> Decoded:
+    """The decoded rows, with each subset's masks as (k, N) rows."""
+    n = np.array([space.n for space in spaces])
+    return Decoded(spaces, caps, fns,
+                   {name: subset_rows(masks, n, int(n.max())) for name, masks in subsets.items()})
+
+
+def _space_rows(n, grids, coords, widths) -> tuple[list, list]:
+    """Each row's space, and its Lebesgue capacity if it is a grid."""
+    spaces, caps = [None] * len(n), [None] * len(n)
+    points = []
+    for i, grid in enumerate(grids):
+        if grid is None:
+            points.append(i)
+            continue
+        try:
+            spaces[i], caps[i] = make_grid_lebesgue(*grid, n[i])
+        except ValueError as e:
+            raise SchemaError(f"space.grid: {e}")
     if points:
         try:
-            located = any(x is not None for x in coords + widths)
-            if located:
-                coords, widths = _views(coords, "coords"), _views(widths, "widths")
-            n = [_int(specs[i]["n"], "n", 1) for i in points]
-            for i, space in zip(points, GroundSpace.rows(n, coords, widths) if located
-                                else map(GroundSpace, n)):
-                spaces[i] = space
+            rows = GroundSpace.rows(*([x[i] for i in points] for x in (n, coords, widths)))
         except ValueError as e:
             raise SchemaError(f"space: {e}")
+        for i, space in zip(points, rows):
+            spaces[i] = space
     return spaces, caps
 
 
-def _views(seqs, where: str) -> list:
-    """Per row, a view of its numbers (``_nums``), or None for no list."""
-    given = [i for i, seq in enumerate(seqs) if seq is not None]
-    out = [None] * len(seqs)
-    if given:
-        a, lengths = _nums([seqs[i] for i in given], where)
-        for i, end, m in zip(given, accumulate(lengths), lengths):
-            out[i] = a[end - m:end]
-    return out
-
-
-def _capacity_rows(specs, spaces, grid_caps) -> list:
-    caps = list(grid_caps)  # a row without a spec keeps its grid's capacity
+def _capacity_rows(kinds, weights, tables, spaces, caps) -> None:
+    """Each row's capacity into caps (a row without a spec keeps its grid's
+    capacity, or None); a grid capacity on n points alone makes the row's
+    space the grid of n cells of [0, 1]."""
     weighted, explicit = [], []
-    for i, spec in enumerate(specs):
-        if spec is None:
-            continue
-        _require_keys(spec, CAPACITY_KEYS, "capacity")
-        ctype = spec.get("type")
-        if ctype in ("additive", "distorted"):
+    for i, kind in enumerate(kinds):
+        if kind in ("additive", "distorted"):
             weighted.append(i)
-        elif ctype == "explicit":
+        elif kind == "explicit":
             explicit.append(i)
-        elif ctype == "sup":
+        elif kind == "sup":
             caps[i] = make_sup_capacity(spaces[i])
-        elif ctype != "grid":
-            raise SchemaError(f"unknown capacity type {ctype!r}")
-        elif grid_caps[i] is None:  # n points alone: the grid of n cells of [0, 1]
+        elif kind == "grid" and caps[i] is None:
             if spaces[i].coords is not None:
                 raise SchemaError("capacity: capacity type grid requires a grid space "
                                   "or a space of n points alone")
             spaces[i], caps[i] = make_grid_lebesgue(0.0, 1.0, spaces[i].n)
     try:
         if weighted:
-            w, lengths = _nums([specs[i]["weights"] for i in weighted], "weights")
-            gammas = [_num(specs[i]["gamma"], "gamma") if specs[i]["type"] == "distorted"
-                      else None for i in weighted]
-            for i, c in zip(weighted, weighted_rows(w, lengths, gammas,
-                                                    [spaces[i] for i in weighted])):
-                caps[i] = c
+            for i, cap in zip(weighted, weighted_rows(*weights, [spaces[i] for i in weighted])):
+                caps[i] = cap
         if explicit:
-            t, lengths = _nums([specs[i]["table"] for i in explicit], "table")
-            for i, c in zip(explicit, explicit_rows(t, lengths, [spaces[i] for i in explicit])):
-                caps[i] = c
-    except KeyError as e:
-        raise SchemaError(f"capacity: missing {e.args[0]!r}")
+            for i, cap in zip(explicit, explicit_rows(*tables, [spaces[i] for i in explicit])):
+                caps[i] = cap
     except ValueError as e:
         raise SchemaError(f"capacity: {e}")
-    return caps
 
 
-def _function_rows(specs, spaces) -> Values:
-    """The functions' values: value lists, validated as one array, or
-    formula ids sampled on their spaces."""
-    lists, sampled = [], {}
-    for i, spec in enumerate(specs):
-        if isinstance(spec, str):
-            sampled[i] = from_formula(spaces[i], spec).values
-        elif isinstance(spec, list):
-            lists.append(i)
-        else:
-            raise SchemaError("a function must be a formula id or a value list")
-    v, lengths = _nums([specs[i] for i in lists], "function values", allow_inf=True)
-    for i, m in zip(lists, lengths):
+def _function_rows(f, spaces) -> Values:
+    """A function's values on its rows' spaces: its value lists, each as
+    long as its space, or its formula ids sampled on their spaces."""
+    v, lengths, formulas = f
+    sampled = {i: from_formula(spaces[i], formula).values for i, formula in formulas.items()}
+    listed = [i for i in range(len(spaces)) if i not in sampled]
+    for i, m in zip(listed, lengths):
         if m != spaces[i].n:
             raise SchemaError(f"function has {m} values for a {spaces[i].n}-point space")
     if sampled:
-        listed = dict(zip(lists, np.split(v, np.cumsum(lengths)[:-1])))
+        listed = dict(zip(listed, np.split(v, np.cumsum(lengths)[:-1])))
         v = np.concatenate([sampled[i] if i in sampled else listed[i]
-                            for i in range(len(specs))])
+                            for i in range(len(spaces))])
     return Values.rows(v, spaces)
-
-
-def _subset_rows(specs, spaces) -> np.ndarray:
-    """(k, N) membership rows: "all" (or null) is the whole space, a list
-    of point indices its points."""
-    N = max(space.n for space in spaces)
-    rows = np.zeros(len(specs) * N, dtype=bool)
-    cells = []  # row-major, in the (k, N) rows
-    for i, (spec, space) in enumerate(zip(specs, spaces)):
-        if spec == "all" or spec is None:
-            rows[i * N:i * N + space.n] = True
-        elif isinstance(spec, list):
-            for x in spec:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < space.n:
-                    raise SchemaError(f"subset index {x!r} out of range")
-                cells.append(i * N + x)
-        else:
-            raise SchemaError("a subset must be \"all\" or a list of point indices")
-    rows[cells] = True
-    return rows.reshape(-1, N)
 
 
 # one scenario, or one of its fields, is a stack of one row
@@ -288,21 +396,23 @@ def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
 
 def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
     """Build a space; grid mode also yields the Lebesgue capacity."""
-    (space,), (cap,) = _space_rows([spec])
+    (space,), (cap,) = _space_rows(*_parse_spaces([spec]))
     return space, cap
 
 
 def capacity_from_spec(spec: dict, space: GroundSpace,
                        grid_capacity: Optional[Capacity] = None) -> Capacity:
-    return _capacity_rows([spec], [space], [grid_capacity])[0]
+    caps = [grid_capacity]
+    _capacity_rows(*_parse_capacities([spec]), [space], caps)
+    return caps[0]
 
 
 def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
-    return SampleFunction(space, _function_rows([spec], [space]).row(0))
+    return SampleFunction(space, _function_rows(_parse_functions([spec]), [space]).row(0))
 
 
 def subset_from_spec(spec, space: GroundSpace) -> int:
-    return bools_mask(_subset_rows([spec], [space])[0])
+    return _parse_subsets([spec], [space.n])[0]
 
 
 def capacity_to_spec(c: Capacity) -> dict:

@@ -30,9 +30,13 @@ def xmul(a: float, b: float) -> float:
 
 
 def xpow(a: float, s: float) -> float:
-    """a**s for a in [0, inf], s > 0, with 0**s = 0 and inf**s = inf."""
+    """a**s for a in [0, inf], s > 0, with 0**s = 0, inf**s = inf, and a
+    power beyond the largest double inf."""
     if a == 0.0:
         return 0.0
     if math.isinf(a):
         return INF
-    return a**s
+    try:
+        return a**s
+    except OverflowError:
+        return INF

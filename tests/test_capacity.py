@@ -487,10 +487,15 @@ def _reference_random_monotone(n, rng):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_random_monotone_matches_bit_loop(n):
-    for seed in (0, 1, 7, 2024):
+    seeds = (0, 1, 7, 2024)
+    expected = [_reference_random_monotone(n, np.random.default_rng(seed)) for seed in seeds]
+    for seed, want in zip(seeds, expected):
         c = make_random_monotone(n, np.random.default_rng(seed))
-        expected = _reference_random_monotone(n, np.random.default_rng(seed))
-        assert c.table.tobytes() == expected.tobytes()
+        assert c.table.tobytes() == want.tobytes()
+    # the seeds' uniforms as one stack of rows: each row gets its own bits
+    rows = capacity.monotone_rows(np.array([np.random.default_rng(seed).uniform(size=2**n)
+                                            for seed in seeds]))
+    assert [row.tobytes() for row in rows] == [want.tobytes() for want in expected]
 
 
 def _margin(prop, c, a, b):

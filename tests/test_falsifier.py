@@ -1,6 +1,7 @@
 """Randomized audits: determinism, replay, shrinking and hypothesis
 dropping."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -62,9 +63,11 @@ def test_audit_counts_and_min_slack():
 
 
 def test_audit_skips_degenerate_and_hypothesis_failing_trials(monkeypatch):
-    def gen(rng, n, system):
-        return ({"n": 2}, {"type": "additive", "weights": [0.5, 0.5]}, {"f": [0.1, 0.2]},
-                {}, {"draw": float(rng.uniform())})
+    def gen(rng, n, system, out):
+        out.space(2)
+        out.capacity("additive", np.array([0.5, 0.5]))
+        out.values(f=np.array([0.1, 0.2]))
+        out.params.append({"draw": float(rng.uniform())})
 
     fails = [HypothesisCheck("h", False)]
     crafted = [_report("stub", [], math.nan, math.nan, degenerate="zero"),
@@ -329,3 +332,79 @@ def test_batched_hunts_find_the_one_by_one_witness(theorem, dropped):
     for seed in (1, 2):
         assert (hunt_counterexample(theorem, dropped, 10_000, seed)
                 == _hunt_one_by_one(theorem, dropped, 10_000, seed))
+
+
+# ---------------------------------------------------------------------------
+# chunks: trials drawn straight into the decoder's columns
+
+
+def _streams():
+    """(theorem, dropped) of every audit id and every droppable generator."""
+    return [(tid, None) for tid in AUDIT_IDS] + sorted(DROPPABLE)
+
+
+def _cut(theorem, dropped, seed, trials, every):
+    """The trials drawn into chunks of ``every`` trials."""
+    for start in range(0, trials, every):
+        chunk = falsifier.Chunk(theorem, seed, dropped)
+        for i in range(start, min(start + every, trials)):
+            chunk.draw(i)
+        yield chunk
+
+
+def _chunk_reports(chunks):
+    return [repr(rep) for chunk in chunks
+            for rep in falsifier._reports(chunk.theorem, chunk.stack, chunk)]
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+@pytest.mark.parametrize("theorem, dropped", _streams())
+def test_chunk_written_stacks_equal_dict_decoded_stacks(theorem, dropped, seed):
+    trials = 300
+    chunks = list(falsifier._chunks(theorem, seed, trials, dropped))
+    rendered = [chunk[j] for chunk in chunks for j in range(len(chunk))]
+    # each rendered row is the scenario its trial draws alone
+    alone = (random_scenario(theorem, seed, i) if dropped is None
+             else falsifier._unconstrained_scenario(theorem, dropped, seed, i)
+             for i in range(trials))
+    assert [s.to_dict() for s in rendered] == [s.to_dict() for s in alone]
+    # the chunks' reports are those of the rendered dicts decoded as one stack
+    want = [repr(rep) for rep in falsifier.run_stack(rendered)]
+    assert _chunk_reports(chunks) == want
+    # and do not depend on where the chunks end
+    for every in (1, 7):
+        assert _chunk_reports(_cut(theorem, dropped, seed, trials, every)) == want
+
+
+def _spoiled(monkeypatch, theorem, spoil):
+    """The theorem's generator, spoiling each trial of 5 points."""
+    record = falsifier.THEOREMS[theorem]
+
+    def generate(rng, n, system, out):
+        record.generate(rng, n, system, out)
+        if n == 5:
+            spoil(out)
+    monkeypatch.setitem(falsifier.THEOREMS, theorem, dataclasses.replace(record, generate=generate))
+
+
+def _error(call, *args):
+    with pytest.raises(Exception) as e:
+        call(*args)
+    return type(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("theorem, spoil", [
+    ("jensen_choquet", lambda out: out.uniforms[5][-1].__setitem__(3, math.nan)),
+    ("carlson_choquet_submodular", lambda out: out.fns["g"][-1].__setitem__(2, -0.5)),
+])
+def test_generated_rows_are_still_checked(monkeypatch, theorem, spoil):
+    _spoiled(monkeypatch, theorem, spoil)
+    first = next(i for i in range(100)
+                 if random_scenario(theorem, 2024, i).space["n"] == 5)
+    chunk = next(falsifier._chunks(theorem, 2024, 100))
+    assert 0 < first < len(chunk)  # the first failing trial is not the chunk's first
+    with pytest.raises(SchemaError):  # the array stage itself rejects the chunk
+        chunk.stack()
+    want = _error(run_scenario, random_scenario(theorem, 2024, first))
+    assert want[0] is SchemaError
+    assert _error(audit, theorem, 100, 2024) == want

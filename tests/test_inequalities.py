@@ -66,6 +66,14 @@ def test_jensen_choquet_degenerate_row_with_an_overflowing_power():
     assert jensen_choquet(f, c, 0b10, 2.0).degenerate == "normalize needs 0 < mu(A) < inf"
 
 
+def test_jensen_choquet_with_a_power_beyond_the_largest_double():
+    # (int f dm)**2 = (1e200)**2 overflows: inf, not OverflowError
+    c = make_additive([0.5, 0.0])
+    f = sample_function(c.space, [1e200, 1e200])
+    rep = jensen_choquet(f, c, 0b01, 2.0)
+    assert (rep.lhs, rep.rhs, rep.holds) == (INF, INF, True)
+
+
 def test_chebyshev_choquet_comonotone_holds():
     c = make_random_monotone(5, np.random.default_rng(1))
     f, g, _ = _como_triple(2, 5)
@@ -382,6 +390,16 @@ def test_carlson_choquet_submodular_equality_condition_for_constants():
     const = sample_function(c.space, [0.7, 0.7, 0.7])
     rep = carlson_choquet_submodular(const, const, const, None, c, 2.0)
     assert rep.holds
+    assert rep.extra["equality_condition"] is True
+
+
+@pytest.mark.parametrize("outside", [0.2, 0.0])
+def test_carlson_choquet_submodular_equality_condition_reads_only_A(outside):
+    # f = g = h = 0.7 on A = {0, 1}: the point outside A does not count
+    c = make_additive([0.25, 0.25, 0.5])
+    f = sample_function(c.space, [0.7, 0.7, outside])
+    g = sample_function(c.space, [0.7, 0.7, 0.7])
+    rep = carlson_choquet_submodular(f, g, g, 0b011, c, 2.0)
     assert rep.extra["equality_condition"] is True
 
 
