@@ -15,14 +15,13 @@ each sum per-point weights over their sets and finish the sums by one
 rule per family.  A single capacity is a stack of one, which every
 measure of it reads.
 
-The structural checkers read the capacity's value table
-(``Capacity.values``, n <= 20) when they read at least as many masks as it
-holds, else measure the masks a bounded block at a time.  Exhaustive
-checks read the table in bounded blocks: monotonicity from two bit views
-of it per bit, the pairwise properties on the upper band b >= a.
-Sampled mode computes the margins of all its pairs at once, drawn in one
-batch from the same random stream the per-pair draws used, so a seed
-gives the same pairs, slack and witness.
+``check_rows`` checks a property on k capacities, and each ``check_*`` is
+its one-row case.  Exhaustive rows read their stack's value tables (an
+explicit row's own table) in blocks bounded by pairs summed over the rows:
+monotonicity from two bit views per bit, the pairwise properties on the
+upper band b >= a.  A sampled row reads its table when its trials read as
+many masks, else measures them a bounded block at a time; its pairwise
+trials are drawn in one batch, its monotone ones a trial at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +43,10 @@ EXHAUSTIVE_PAIR_LIMIT = 10**6
 SAMPLED_TRIALS = 10**5
 #: membership cells (n per mask) per block of a sampled check that measures its masks
 _BLOCK_CELLS = 2**16
+#: pairs per block of an exhaustive check, summed over its rows, which bounds its temporaries
+#: (2^13 to 2^14 measured fastest at n = 8 and 9, 2^16 two to three times slower)
+_BLOCK_PAIRS = 2**14
+_MODES = ("auto", "exhaustive", "sampled", "structural")
 MODULAR_TOL = 1e-12
 #: 2^x for x = 0, ..., MAX_EXPLICIT_N - 1: an explicit capacity's point weights
 _POW2 = 2.0 ** np.arange(MAX_EXPLICIT_N)
@@ -200,8 +203,7 @@ class Capacity:
         (n <= MAX_EXPLICIT_N), equal bit for bit to evaluating each mask."""
         if self.space.n > MAX_EXPLICIT_N:
             raise DomainError(f"value tables are capped at n={MAX_EXPLICIT_N}")
-        # an explicit capacity's own read-only table: no stack to build
-        return self.table if self.kind == "explicit" else CapacityStack([self]).values()[0]
+        return CapacityStack([self]).values()[0]
 
     def chain_measures(self, order: Sequence[int]) -> np.ndarray:
         """Measures of the nested prefixes of ``order``: entry k is
@@ -436,8 +438,8 @@ class CapacityStack:
 
     def __init__(self, caps: Sequence[Capacity]):
         self.caps = list(caps)
-        self.n = np.array([c.space.n for c in self.caps])
-        self.N = int(self.n.max())
+        self.n = np.array(n := [c.space.n for c in self.caps])
+        self.N = max(n)
         self.unit = np.array([c.range == UNIT for c in self.caps])
         self.base = None
         kinds = [c.kind for c in self.caps]
@@ -462,8 +464,8 @@ class CapacityStack:
         else:
             self.tables = np.zeros((len(self.caps), 2**self.N if len(self.explicit) else 0))
             for i in self.explicit.tolist():
-                t = self.caps[i].table
-                self.tables[i, :len(t)] = t
+                self.tables[i, :len(self.caps[i].table)] = self.caps[i].table
+            self.tables.setflags(write=False)  # ``values()`` hands it out
         self.gammas = [(c.gamma, i) for i, c in enumerate(self.caps) if c.gamma != 1.0]
 
     def __len__(self) -> int:
@@ -530,10 +532,13 @@ class CapacityStack:
     def values(self) -> np.ndarray:
         """(k, 2^N) measures: entry (i, m) is what ``measure`` gives row i
         for the mask m < 2^n[i] (N <= MAX_EXPLICIT_N), from subset sums
-        doubled point by point from -0.0, adding weights in ascending order."""
+        doubled point by point from -0.0, adding weights in ascending order.
+        When every row is explicit, the stack's own read-only tables."""
         if self.base is not None:
             given = (self.given << np.arange(self.N)).sum(1)[:, None]
             return along(self.base.values(), np.arange(2**self.N) & given) / self.base_given[:, None]
+        if len(self.explicit) == len(self):
+            return self.tables
         v = np.full((len(self), 2**self.N), -0.0)
         for x, w in enumerate(self.W.T):  # the sets with point x: those without it, plus w
             np.add(v[:, :1 << x], w[:, None], out=v[:, 1 << x:2 << x])
@@ -704,81 +709,73 @@ class PropertyReport:
 
 def _margins(prop: str, value, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Margins of the pairs of the broadcast mask arrays a and b (negative
-    = violation), a fresh array.  ``value`` maps an array of masks to their
-    measures; monotone pairs have b = a | one extra point."""
-    with np.errstate(invalid="ignore"):
-        if prop == "monotone":
-            return value(b) - value(a)
-        m = value(a) + value(b)
-        if prop != "subadditive":
-            m -= value(a & b)
-        m -= value(a | b)
-        if prop == "modular":
-            np.subtract(MODULAR_TOL, np.abs(m, out=m), out=m)
+    = violation, NaN for inf - inf), a fresh array.  ``value`` maps an array
+    of masks to their measures; monotone pairs have b = a | one extra point."""
+    if prop == "monotone":
+        return value(b) - value(a)
+    m = value(a) + value(b)
+    if prop != "subadditive":
+        m -= value(a & b)
+    m -= value(a | b)
+    if prop == "modular":
+        np.subtract(MODULAR_TOL, np.abs(m, out=m), out=m)
     return m
 
 
-def _worst(blocks) -> tuple[float, Optional[tuple[int, int]]]:
-    """The smallest margin over ``blocks`` of (margins, pair) and, if it is
-    a violation, its pair of masks ``pair(j)``, j being the margin's flat
-    index in its block.  The first minimum in C order wins: argmin's within
-    a block, a strict < across blocks, which come in C order.  An inf - inf
-    margin (NaN) is no evidence either way and is skipped."""
-    slack, worst = math.inf, None
-    for margins, pair in blocks:
-        if margins.size == 0:
-            continue
-        j = int(np.argmin(margins))
-        if np.isnan(margins.flat[j]):  # argmin stops at the first NaN
-            margins[np.isnan(margins)] = math.inf
-            j = int(np.argmin(margins))
-        m = float(margins.flat[j])
-        if m < slack:
-            slack, worst = m, (pair, j)
-    if slack >= -MODULAR_TOL:
-        return slack, None
-    pair, j = worst
-    return slack, pair(j)
-
-
-def _worst_pair(prop: str, value, a: np.ndarray, b: np.ndarray):
-    """``_worst`` over the pairs of the equal-length mask arrays a and b."""
-    return _worst([(_margins(prop, value, a, b), lambda j: (int(a[j]), int(b[j])))])
-
-
-#: pairs per block of an exhaustive pairwise check, which bounds its
-#: temporaries to a few arrays of this many entries (2^13 to 2^14 measured
-#: fastest at n = 8 and 9, 2^16 two to three times slower)
-_BLOCK_PAIRS = 2**14
+def _worst(k: int, blocks) -> list:
+    """Each of k rows' smallest margin over ``blocks`` of (margins (k, ...),
+    pair) and, if it is a violation, its pair of masks ``pair(j)``, j its
+    flat index in its row of the block: the first minimum in C order, the
+    blocks coming in C order.  The blocks are drawn under one ``np.errstate``;
+    an inf - inf margin (NaN) is no evidence either way and is skipped."""
+    lows, at, r = [], [], np.arange(k)
+    with np.errstate(invalid="ignore"):
+        for margins, pair in blocks:
+            m = margins.reshape(k, -1)
+            if m.shape[1]:
+                j = m.argmin(1)
+                low = m[r, j].tolist()
+                if math.isnan(sum(low)):  # a NaN low: argmin stops at the first NaN
+                    m[np.isnan(m)] = math.inf
+                    j = m.argmin(1)
+                    low = m[r, j].tolist()
+                lows.append(low)
+                at.append((pair, j.tolist()))
+    out = []
+    for i, row in enumerate(zip(*lows) if lows else [[math.inf]] * k):
+        b = row.index(slack := min(row))
+        out.append((slack, None if slack >= -MODULAR_TOL else at[b][0](at[b][1][i])))
+    return out
 
 
 def _exhaustive_blocks(prop: str, v: np.ndarray):
-    """Every pair's margins from the value table v, in blocks of C order,
-    each with its ``pair`` function (see ``_worst``).  Monotone pairs go bit
-    by bit: the two halves of ``v.reshape(-1, 2, 1 << i)`` hold the sets
-    without bit i and with it, in ascending order.  The other margins are
-    symmetric bit for bit (IEEE addition commutes), so rows a0.. read only
-    the columns b >= a0: a skipped pair (a, b), b < a0, mirrors the pair
-    (b, a) of an earlier block, which comes first in C order."""
-    N = len(v)
-    if prop == "monotone":
-        for i in range(N.bit_length() - 1):
-            half = v.reshape(-1, 2, 1 << i)
-            with np.errstate(invalid="ignore"):
-                margins = half[:, 1] - half[:, 0]
+    """Every pair's margins from the (k, 2^n) value tables v in blocks of C
+    order, each (k, ...) with its ``pair`` function (see ``_worst``): bit i's
+    monotone pairs are the halves of ``v.reshape(k, -1, 2, 1 << i)``, as many
+    bits to a block as fit.  The other margins are symmetric bit for bit (IEEE
+    addition commutes), so rows a0.. read only the columns b >= a0: a skipped
+    pair (a, b), b < a0, mirrors the pair (b, a) of an earlier block."""
+    k, N = v.shape
+    if prop == "monotone":  # block row i - i0: bit i's margins
+        n, half = N.bit_length() - 1, N >> 1
+        for i0 in range(0, n, step := max(1, _BLOCK_PAIRS // (k * half))):
+            margins = np.empty((k, min(step, n - i0), half))
+            for i in range(i0, i0 + margins.shape[1]):
+                u = v.reshape(k, -1, 2, 1 << i)
+                np.subtract(u[:, :, 1], u[:, :, 0], out=margins[:, i - i0].reshape(k, -1, 1 << i))
 
-            def pair(j, i=i):
+            def pair(j, i0=i0):
+                i, j = i0 + j // half, j % half
                 a = (j >> i << i + 1) | (j & ((1 << i) - 1))
                 return a, a | 1 << i
             yield margins, pair
         return
-    masks = np.arange(N)
-    a0 = 0
+    masks, a0 = np.arange(N), 0
     while a0 < N:
         w = N - a0
-        rows = max(1, _BLOCK_PAIRS // w)
-        margins = _margins(prop, v.__getitem__, masks[a0:a0 + rows, None], masks[a0:])
-        yield margins, lambda j, a0=a0, w=w: (a0 + j // w, a0 + j % w)
+        rows = max(1, _BLOCK_PAIRS // (k * w))
+        yield (_margins(prop, lambda m: v.take(m, 1), masks[a0:a0 + rows, None], masks[None, a0:]),
+               lambda j, a0=a0, w=w: (a0 + j // w, a0 + j % w))
         a0 += rows
 
 
@@ -801,10 +798,10 @@ def _sampled_pairs(prop: str, n: int, rng: np.random.Generator, trials: int):
         dtype = np.int64 if n <= MAX_EXPLICIT_N else object
         ab = np.array(pairs, dtype=dtype).reshape(-1, 2)
         return ab[:, 0], ab[:, 1]
-    # rng.bytes(nbytes) takes ceil(nbytes / 4) words of this uint32 stream
+    # rng.bytes(nbytes) takes ceil(nbytes / 4) uint32 words: 64-bit outputs' halves, low first
     nbytes = (n + 7) // 8
     words = (nbytes + 3) // 4
-    u = rng.integers(0, 2**32, size=(trials, 2, words), dtype=np.uint32)
+    u = rng.bit_generator.random_raw(trials * words).astype("<u8").view("<u4").reshape(-1, 2, words)
     if n <= MAX_EXPLICIT_N:
         ab = u[..., 0].astype(np.int64) & full
     else:
@@ -814,49 +811,16 @@ def _sampled_pairs(prop: str, n: int, rng: np.random.Generator, trials: int):
     return ab[:, 0], ab[:, 1]
 
 
-_MODES = ("auto", "exhaustive", "sampled", "structural")
-
-
-def _check_property(prop: str, c: Capacity, mode: str, seed: int,
-                    trials: int) -> PropertyReport:
-    if mode not in _MODES:
-        raise DomainError(f"unknown check mode {mode!r}: expected one of {', '.join(_MODES)}")
-    n = c.space.n
-    # above MAX_EXPLICIT_N every pair count exceeds the limit: no big integer
-    few_pairs = n <= MAX_EXPLICIT_N and (
-        n * 2 ** (n - 1) if prop == "monotone" else 4**n) <= EXHAUSTIVE_PAIR_LIMIT
-
-    if mode == "auto":
-        if few_pairs:
-            mode = "exhaustive"
-        elif c.structural(prop) is not None:
-            mode = "structural"
-        else:
-            mode = "sampled"
-
-    if mode == "structural":
-        known = c.structural(prop)
-        if known is None:
-            raise DomainError(f"{prop} is not known structurally for kind {c.kind!r}")
-        return PropertyReport(prop, known, "structural", slack=0.0)
-
-    if mode == "exhaustive":
-        if not few_pairs:
-            raise DomainError("pair count too large for exhaustive checking")
-        slack, witness = _worst(_exhaustive_blocks(prop, c.values()))
-        return PropertyReport(prop, witness is None, "exhaustive",
-                              slack=slack, witness=witness)
-
-    if trials < 1:
-        raise DomainError("a sampled check needs at least one trial")
-    # the value table costs 2^n measures: sampled trials that read fewer
-    # masks (2 per monotone trial, 4 otherwise) measure them block by block,
-    # to the same numbers bit for bit
+def _sampled_blocks(prop: str, c: Capacity, seed: int, trials: int):
+    """The one block of a sampled check of c: ``trials`` pairs drawn from ``seed``."""
+    n, C = c.space.n, CapacityStack([c])
+    # the value table costs 2^n measures: trials that read fewer masks (2 per
+    # monotone trial, 4 otherwise) measure them block by block, to the same bits
     reads = trials * (2 if prop == "monotone" else 4)
     if n <= MAX_EXPLICIT_N and (c.kind == "explicit" or 2**n <= reads):
-        value = c.values().__getitem__
+        value = C.values()[0].take
     else:
-        C, step = CapacityStack([c]), max(1, _BLOCK_CELLS // n)
+        step = max(1, _BLOCK_CELLS // n)
 
         def value(masks):
             blocks = np.array_split(masks, range(step, len(masks), step))
@@ -864,26 +828,65 @@ def _check_property(prop: str, c: Capacity, mode: str, seed: int,
                                    for b in blocks])
 
     a, b = _sampled_pairs(prop, n, np.random.default_rng(seed), trials)
-    slack, witness = _worst_pair(prop, value, a, b)
-    return PropertyReport(prop, witness is None, "sampled",
-                          slack=slack, witness=witness, trials=trials, seed=seed)
+    yield _margins(prop, value, a, b), lambda j: (int(a[j]), int(b[j]))
+
+
+def check_rows(prop: str, caps: Sequence[Capacity], mode: str = "auto", seed: int = 0,
+               trials: int = SAMPLED_TRIALS) -> list:
+    """One ``PropertyReport`` of ``prop`` per capacity, each the one its check
+    gives alone; the first row that cannot be checked in ``mode`` raises its
+    own error.  Exhaustive rows go a stack per point count and depth of
+    normalization, in parts of at most _BLOCK_PAIRS >> n rows."""
+    if mode not in _MODES:
+        raise DomainError(f"unknown check mode {mode!r}: expected one of {', '.join(_MODES)}")
+    out, groups = [None] * len(caps), {}
+    for i, c in enumerate(caps):
+        n, known, m = c.space.n, c.structural(prop), mode
+        # above MAX_EXPLICIT_N every pair count exceeds the limit: no big integer
+        few_pairs = n <= MAX_EXPLICIT_N and (
+            n * 2 ** (n - 1) if prop == "monotone" else 4**n) <= EXHAUSTIVE_PAIR_LIMIT
+        if m == "auto":
+            m = "exhaustive" if few_pairs else "sampled" if known is None else "structural"
+        if m == "structural":
+            if known is None:
+                raise DomainError(f"{prop} is not known structurally for kind {c.kind!r}")
+            out[i] = PropertyReport(prop, known, "structural", slack=0.0)
+        elif m == "sampled":
+            if trials < 1:
+                raise DomainError("a sampled check needs at least one trial")
+            ((slack, witness),) = _worst(1, _sampled_blocks(prop, c, seed, trials))
+            out[i] = PropertyReport(prop, witness is None, "sampled", slack, witness, trials, seed)
+        elif not few_pairs:
+            raise DomainError("pair count too large for exhaustive checking")
+        else:  # a stack holds derived rows only with rows as deeply derived
+            base, depth = c, 0
+            while base.kind == "derived":
+                base, depth = base.base, depth + 1
+            groups.setdefault((n, depth), []).append(i)
+    for (n, _), rows in groups.items():
+        for p in range(0, len(rows), step := max(1, _BLOCK_PAIRS >> n)):
+            part = rows[p:p + step]
+            v = CapacityStack([caps[i] for i in part]).values()
+            for i, (slack, witness) in zip(part, _worst(len(part), _exhaustive_blocks(prop, v))):
+                out[i] = PropertyReport(prop, witness is None, "exhaustive", slack, witness)
+    return out
 
 
 def check_monotone(c: Capacity, mode: str = "auto", seed: int = 0,
                    trials: int = SAMPLED_TRIALS) -> PropertyReport:
-    return _check_property("monotone", c, mode, seed, trials)
+    return check_rows("monotone", [c], mode, seed, trials)[0]
 
 
 def check_submodular(c: Capacity, mode: str = "auto", seed: int = 0,
                      trials: int = SAMPLED_TRIALS) -> PropertyReport:
-    return _check_property("submodular", c, mode, seed, trials)
+    return check_rows("submodular", [c], mode, seed, trials)[0]
 
 
 def check_subadditive(c: Capacity, mode: str = "auto", seed: int = 0,
                       trials: int = SAMPLED_TRIALS) -> PropertyReport:
-    return _check_property("subadditive", c, mode, seed, trials)
+    return check_rows("subadditive", [c], mode, seed, trials)[0]
 
 
 def check_modular(c: Capacity, mode: str = "auto", seed: int = 0,
                   trials: int = SAMPLED_TRIALS) -> PropertyReport:
-    return _check_property("modular", c, mode, seed, trials)
+    return check_rows("modular", [c], mode, seed, trials)[0]

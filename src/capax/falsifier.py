@@ -698,6 +698,8 @@ def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
         raise DomainError(
             f"unknown droppable hypothesis {dropped_hypothesis!r} for "
             f"{theorem.split(':', 1)[0]!r}; droppable: {droppable}")
+    if trials < 1:
+        raise DomainError(f"a hunt needs at least one trial, got {trials}")
     # chunks of 1, 2, 4, ... trials: a hunt that ends early draws few
     # trials past its witness, and renders only the witness it shrinks
     for chunk in _chunks(theorem, seed, trials, dropped_hypothesis, size=1):

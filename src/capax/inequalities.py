@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import (NORMALIZE_DEGENERATE, Capacity, CapacityStack, check_subadditive,
-                       check_submodular, make_sup_capacity)
+from .capacity import NORMALIZE_DEGENERATE, Capacity, CapacityStack, check_rows, make_sup_capacity
 from .dependence import (comonotone_rows, level_dependence_rows, level_ranks,
                          uniform_example_rows)
 from .integrals import (SampleFunction, choquet_rows,
@@ -453,21 +452,17 @@ def sharpness_demo(f, g, h, A: Optional[int], r: float,
                    extra={"sup_f": sf, "sup_g": sg, "sup_h": sh})
 
 
-def _structural_hyps(name, check, C) -> list:
-    """The structural property per row, one check per capacity."""
-    out = []
-    for c in C.caps:
-        rep = check(c)
-        out.append(HypothesisCheck(name, rep.holds,
-                                   detail=f"mode={rep.mode}, slack={rep.slack:.3g}"))
-    return out
+def _structural_hyps(prop, C) -> list:
+    """The structural property ``prop`` per row, its capacities checked together."""
+    return [HypothesisCheck(prop, rep.holds, detail=f"mode={rep.mode}, slack={rep.slack:.3g}")
+            for rep in check_rows(prop, C.caps)]
 
 
 def holder_choquet_rows(PHI, PSI, C, A, p) -> list:
     if not all(x > 1 for x in p):  # NaN fails too
         raise DomainError("holder requires p > 1")
     q = [x / (x - 1) for x in p]
-    sub = _structural_hyps("submodular", check_submodular, C)
+    sub = _structural_hyps("submodular", C)
     lhs = _ch(_times(PHI, PSI), A, C)
     a, b = _ch(power_rows(PHI, p), A, C), _ch(power_rows(PSI, q), A, C)
     return [_report("holder_choquet", [h], l,
@@ -558,7 +553,7 @@ def _hpq_rows(theorem, multiplier, hyps, F, G, H, A, C, p):
 def carlson_choquet_submodular_rows(F, G, H, A, C, p) -> list:
     if not all(x > 1 for x in p):  # NaN fails too
         raise DomainError("requires p > 1")
-    sub = _structural_hyps("submodular", check_submodular, C)
+    sub = _structural_hyps("submodular", C)
     out, _ = _hpq_rows("carlson_choquet_submodular", [2.0 ** (1 / x) for x in p],
                        [[h] for h in sub], F, G, H, A, C, p)
     # equality condition: (g b + h a)**q f**p constant over {f > 0}, each
@@ -594,7 +589,7 @@ def carlson_choquet_subadditive_rows(F, G, H, A, C, p) -> list:
     if not all(x > 1 for x in p):  # NaN fails too
         raise DomainError("requires p > 1")
     q = [x / (x - 1) for x in p]
-    sub = _structural_hyps("subadditive", check_subadditive, C)
+    sub = _structural_hyps("subadditive", C)
     mult = [4.0 ** (1 / pi) * (pi**-0.5 + qi**-0.5) ** 2 for pi, qi in zip(p, q)]
     hyps = [[h, HypothesisCheck("coordinate_space", space.coords is not None,
                                 detail="restriction recorded, not interpreted")]

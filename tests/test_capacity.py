@@ -152,6 +152,10 @@ def test_constructors_copy_their_arrays_and_hand_out_read_only_ones():
     assert c(0) == 0.0
     assert check_monotone(c).holds
     assert not c.values().flags.writeable
+    # an all-explicit stack hands out its own tables: read-only too
+    v = CapacityStack([c, make_explicit([0.0, 1.0])]).values()
+    assert v.tolist() == [[0.0, 0.3, 0.5, 1.0], [0.0, 1.0, 0.0, 0.0]]
+    assert not v.flags.writeable
     for make in (make_additive, lambda w: make_distorted(w, 0.5)):
         w = np.array([0.5, 0.5])
         d = make(w)
@@ -625,6 +629,62 @@ def test_exhaustive_pairwise_check_memory_is_bounded(prop, peak_of_second_call):
     assert peak_of_second_call(lambda: CHECKS[prop](c, mode="exhaustive"))[1] < 1.5e6
 
 
+def _report_key(rep):
+    return rep.holds, repr(rep.slack), rep.witness, rep.mode, rep.trials, rep.seed
+
+
+@pytest.mark.parametrize("block_pairs", [capacity._BLOCK_PAIRS, 37])
+@pytest.mark.parametrize("prop", list(CHECKS))
+def test_a_stack_of_checks_equals_its_rows_alone(prop, block_pairs, monkeypatch):
+    # 37 pairs a block splits each point count's rows into parts of one to
+    # eighteen rows; a normalization of a normalization stacks apart from
+    # the families' own derived rows; the wide rows resolve to sampled and
+    # structural modes
+    monkeypatch.setattr(capacity, "_BLOCK_PAIRS", block_pairs)
+    caps = [c for n in range(1, 10) for c in _exhaustive_families(n).values()]
+    base = _exhaustive_families(4)["random"]
+    w = np.random.default_rng(9).uniform(0.1, 1.0, size=24)
+    caps += [normalize(normalize(base, 0b1110), 0b0110),
+             make_random_monotone(10, np.random.default_rng(1)),  # sampled pairwise
+             make_additive(w[:10]),  # structural pairwise
+             make_random_monotone(17, np.random.default_rng(2)),  # sampled monotone
+             make_additive(w[:17]),  # structural monotone
+             make_distorted(w, 2.0),  # structural monotone, sampled pairwise
+             normalize(make_distorted(w[:21], 1.5), (1 << 21) - 2)]  # sampled
+    reps = capacity.check_rows(prop, caps, seed=3, trials=300)
+    modes = {rep.mode for rep in reps}
+    assert modes == {"exhaustive", "sampled", "structural"}, modes
+    for c, rep in zip(caps, reps):
+        assert _report_key(rep) == _report_key(CHECKS[prop](c, seed=3, trials=300)), c
+
+
+@pytest.mark.parametrize("prop", list(CHECKS))
+def test_a_stack_raises_its_first_unresolvable_rows_own_error(prop):
+    # the first row resolves in each mode; the second and third do not, and
+    # the second's error is raised
+    wide = make_random_monotone(17, np.random.default_rng(1))  # sampled in auto mode
+    for mode, trials, bad, other in [
+            ("structural", 10, make_explicit([0, .2, .3, 1]), wide),
+            ("exhaustive", 10, make_additive([1.0] * 17), wide),
+            ("auto", 0, wide, make_explicit([0, .2, .3, 1]))]:
+        with pytest.raises(DomainError) as alone:
+            CHECKS[prop](bad, mode=mode, trials=trials)
+        with pytest.raises(DomainError) as stacked:
+            capacity.check_rows(prop, [make_additive([0.5, 0.5]), bad, other], mode, 0, trials)
+        assert str(stacked.value) == str(alone.value), mode
+
+
+@pytest.mark.parametrize("prop", ["submodular", "subadditive", "modular"])
+def test_stacked_exhaustive_check_memory_is_bounded(prop, peak_of_second_call):
+    # 64 tables of n = 9 in one stack: each block bounds its pairs summed
+    # over its rows, so the stack takes what one table takes
+    rng = np.random.default_rng(5)
+    caps = [make_random_monotone(9, rng) for _ in range(64)]
+    reps, peak = peak_of_second_call(lambda: capacity.check_rows(prop, caps, "exhaustive"))
+    assert [rep.mode for rep in reps] == ["exhaustive"] * 64
+    assert peak < 1.5e6
+
+
 def test_sampled_check_of_a_wide_capacity_measures_in_bounded_blocks(peak_of_second_call):
     # 200 trials read 4 x 200 masks of 10^4 points: one read measured at
     # once takes float temporaries of 16 MB each (35 MB of peak in all)
@@ -757,10 +817,12 @@ def test_sampled_check_of_few_trials_reads_masks_one_by_one():
 
 @pytest.mark.parametrize("prop", ["monotone", "submodular", "subadditive", "modular"])
 def test_sampled_checks_agree_with_and_without_the_value_table(prop):
-    from capax.capacity import _sampled_pairs, _worst_pair
+    from capax.capacity import _margins, _sampled_pairs, _worst
     c = make_distorted(np.random.default_rng(2).uniform(0.1, 1.0, size=14), 1.7)
     check = CHECKS[prop]
     got = check(c, mode="sampled", seed=4, trials=500)  # 2^14 > masks read
     a, b = _sampled_pairs(prop, 14, np.random.default_rng(4), 500)
-    slack, witness = _worst_pair(prop, c.values().__getitem__, a, b)
+    # the same pairs' margins from the value table, as a one-row block
+    margins = _margins(prop, c.values().__getitem__, a, b)[None]
+    ((slack, witness),) = _worst(1, [(margins, lambda j: (int(a[j]), int(b[j])))])
     assert (repr(got.slack), got.witness) == (repr(slack), witness)

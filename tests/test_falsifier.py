@@ -111,6 +111,18 @@ def test_an_audit_needs_a_trial(trials):
         audit("jensen_choquet", trials, 0)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_a_hunt_needs_a_trial(trials):
+    # a hunt of no trials found nothing because it looked at nothing
+    with pytest.raises(DomainError, match=f"^a hunt needs at least one trial, got {trials}$"):
+        hunt_counterexample("3.1", "comonotone", trials, 1)
+    # the theorem and the dropped hypothesis are checked first
+    with pytest.raises(DomainError, match="unknown theorem"):
+        hunt_counterexample("no_such_theorem", "comonotone", trials, 1)
+    with pytest.raises(DomainError, match="unknown droppable hypothesis"):
+        hunt_counterexample("3.1", "no_such_hypothesis", trials, 1)
+
+
 def test_is_violation_tolerances():
     rep = InequalityReport("t", [], 1.0, 1.0 - 1e-12, False, -1e-12)
     assert not is_violation(rep)  # inside relative tolerance
