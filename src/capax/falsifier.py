@@ -16,13 +16,14 @@ the decoder's array stage (``scenario.decode_columns``), which checks and
 builds the chunk's one stack; its record's runner evaluates all rows at
 once.  No scenario dict is built on that path: a chunk renders a row as
 its ``Scenario`` only when asked (a violation, a hunt's witness,
-``random_scenario``).  Replay reads a scenario's specs with the decoder's
-spec entry (``scenario.decode_specs``) as a stack of one row, the case
-the CLI reads a scenario file with, so both raise the same checks and
-errors; a chunk that fails is replayed row by row from its rendered
-scenarios, and raises its first failing scenario's error.  A hunt draws
-its trials in chunks of 1, 2, 4, ... and a shrink step evaluates all its
-candidates as one stack.
+``random_scenario``).  A hunt draws its trials in chunks of 1, 2, 4, ...,
+and a shrink step writes its row's candidates into a new chunk
+(``Chunk.shrunk``).  Audits, hunts and shrink steps read a chunk's
+reports by one rule (``_reports``): a chunk whose stack fails is replayed
+row by row from its rendered scenarios.  Replay reads a scenario's specs
+with the decoder's spec entry (``scenario.decode_spec``) as a stack of
+one row, the case the CLI reads a scenario file with, so both raise the
+same checks and errors.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import inequalities as ineq
 from .capacity import CapacityStack, mask_indices, monotone_rows
 from .operators import builtin_systems, get_op, get_system
-from .scenario import Columns, Decoded, SchemaError, decode_columns, decode_specs
+from .scenario import Columns, Decoded, SchemaError, decode_columns, decode_spec
 from .xreal import DomainError
 
 MAX_SHRINK_STEPS = 200
@@ -140,7 +141,8 @@ class Chunk:
     ``params.append``.  The random tables are made monotone in one pass
     per point count (``capacity.monotone_rows``) when the chunk is first
     read.  ``stack()`` decodes all rows as one stack; ``chunk[j]``
-    renders row j as the Scenario its trial replays as."""
+    renders row j as the Scenario its trial replays as, and
+    ``shrunk(j)`` writes row j's shrink candidates into a new chunk."""
 
     def __init__(self, theorem: str, seed: int, dropped: Optional[str] = None):
         """An empty chunk of the canonical theorem id, its trials drawn
@@ -212,6 +214,38 @@ class Chunk:
             (*_joined([w for w, _ in weighted]), [g for _, g in weighted]),
             _joined([self.tables[n][j] for kind, n, j in self.caps if kind == "explicit"]),
             {name: (*_joined(rows), {}) for name, rows in self.fns.items()}, self.masks)))
+
+    def shrunk(self, j: int) -> "Chunk":
+        """Row j's shrink candidates as a new chunk, in order: for a
+        weighted capacity on a space without coordinates, the row without
+        point x, for each x while every subset keeps a point; then the row
+        with its values snapped to eighths, if that changes any."""
+        out = Chunk(self.theorem, self.seed)
+        n, coords, (kind, a, b), params = self.n[j], self.coords[j], self.caps[j], self.params[j]
+        fns = {name: rows[j] for name, rows in self.fns.items()}
+        masks = {name: m[j] for name, m in self.masks.items()}
+        if coords is None and kind in ("additive", "distorted") and n > 1:
+            for x in range(n):
+                low = (1 << x) - 1  # bit x leaves each mask, the bits above move down
+                kept = {name: m & low | m >> 1 & ~low for name, m in masks.items()}
+                if all(kept.values()):
+                    out.space(n - 1)
+                    out.capacity(kind, np.delete(a, x), b)
+                    out.values(**{name: np.delete(v, x) for name, v in fns.items()})
+                    out.subsets(**kept)
+                    out.params.append(params)
+        snapped = {name: np.round(v * 8.0) / 8.0 for name, v in fns.items()}
+        if any((snapped[name] != v).any() for name, v in fns.items()):
+            out.space(n, coords)
+            if kind == "explicit":  # its uniforms, made the same monotone table
+                out.uniforms[n] = [self.uniforms[a][b]]
+                out.caps.append((kind, n, 0))
+            else:
+                out.capacity(kind, a, b)
+            out.values(**snapped)
+            out.subsets(**masks)
+            out.params.append(params)
+        return out
 
     def __getitem__(self, j: int) -> Scenario:
         n = self.n[j]
@@ -522,58 +556,45 @@ class Stack:
         return cls(d.fns, A, d.subsets.get("B", A), CapacityStack(d.caps), params)
 
 
-def decode(scenarios: list) -> Stack:
-    """One stack of scenarios of one theorem, decoded together by
-    ``scenario.decode_specs`` as the CLI decodes a scenario file."""
-    return Stack.of([scn.params for scn in scenarios],
-                    decode_specs([(scn.space, scn.capacity, scn.functions, scn.subsets)
-                                  for scn in scenarios]) if scenarios[0].functions else None)
+def decode(scn: Scenario) -> Stack:
+    """A scenario as a stack of one row, decoded by ``scenario.decode_spec``
+    as the CLI decodes a scenario file."""
+    return Stack.of([scn.params], decode_spec(scn.space, scn.capacity, scn.functions, scn.subsets)
+                    if scn.functions else None)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:
     """Replay a scenario through its theorem checker (a stack of one)."""
-    return _record(scn.theorem).run(decode([scn]))[0]
+    return _record(scn.theorem).run(decode(scn))[0]
 
 
-def _reports(theorem: str, stack: Callable, rows) -> list:
-    """Reports of ``rows`` (scenarios, or a chunk that renders them) of
-    one theorem, evaluated as the one stack ``stack()``.  A stack that
-    fails raises the error its first failing row raises when replayed
-    alone."""
+def _reports(chunk: Chunk, skip: tuple = ()):
+    """The reports of a chunk's rows, evaluated as its one stack.  If the
+    stack fails, its rows are replayed one by one as they are read: a row
+    that raises one of the ``skip`` errors reports None, any other error
+    propagates, and a failure that no row explains is raised again once
+    every row has replayed."""
     try:
-        return _record(theorem).run(stack())
+        reports = _record(chunk.theorem).run(chunk.stack())
     except Exception:
-        for j in range(len(rows)):
-            run_scenario(rows[j])
-        raise
-
-
-def run_stack(scenarios: list) -> list:
-    """Reports of scenarios of one theorem, evaluated as one stack."""
-    return _reports(scenarios[0].theorem, partial(decode, scenarios), scenarios)
-
-
-def _first_violation(theorem: str, stack: Callable, rows, require_hypotheses: bool,
-                     skip: tuple = ()) -> Optional[int]:
-    """Index of the first of ``rows`` (as in ``_reports``) whose replay is a
-    violation, or None, as replaying them one by one in order finds it:
-    they run as one stack, and one by one only if the stack fails, a row
-    that raises one of the ``skip`` errors being passed over."""
-    try:
-        reports = _record(theorem).run(stack())
-    except Exception:  # replayed one by one below, which raises what replay raises
-        reports = None
-    for j in range(len(rows)):
-        if reports is None:
+        explained = False
+        for j in range(len(chunk)):
             try:
-                rep = run_scenario(rows[j])
+                yield run_scenario(chunk[j])
             except skip:
-                continue
-        else:
-            rep = reports[j]
-        if is_violation(rep, require_hypotheses=require_hypotheses):
-            return j
-    return None
+                explained = True
+                yield None
+        if not explained:
+            raise
+    else:
+        yield from reports
+
+
+def _first_violation(reports) -> Optional[int]:
+    """Index of the first of ``reports`` that is a violation, its
+    hypotheses aside, or None (a skipped row, reported None, is not)."""
+    return next((j for j, rep in enumerate(reports)
+                 if rep is not None and is_violation(rep, require_hypotheses=False)), None)
 
 
 def is_violation(rep: ineq.InequalityReport,
@@ -615,7 +636,7 @@ def audit(theorem_id: str, trials: int, seed: int) -> AuditSummary:
     min_slack = math.inf
     violations: list[Scenario] = []
     for chunk in _chunks(theorem, seed, trials):
-        for j, rep in enumerate(_reports(theorem, chunk.stack, chunk)):
+        for j, rep in enumerate(_reports(chunk)):
             if rep.degenerate is not None or not rep.hypotheses_pass:
                 continue
             hyp_pass += 1
@@ -638,54 +659,20 @@ def _unconstrained_scenario(theorem: str, dropped: str, seed: int,
     return _drawn(canonical_theorem(theorem), seed, trial, dropped)
 
 
-def _snap(v: float) -> float:
-    return round(v * 8.0) / 8.0
-
-
-def _shrink_candidates(scn: Scenario):
-    """Smaller variants: drop one point, or snap values to eighths."""
-    n = scn.space.get("n", 0)
-    if "coords" not in scn.space and scn.capacity["type"] in ("additive", "distorted") and n > 1:
-        for drop in range(n):
-            keep = [i for i in range(n) if i != drop]
-            cap = dict(scn.capacity)
-            cap["weights"] = [cap["weights"][i] for i in keep]
-            fns = {k: [v[i] for i in keep] for k, v in scn.functions.items()}
-            subs = {}
-            ok = True
-            for k, v in scn.subsets.items():
-                if v == "all":
-                    subs[k] = "all"
-                    continue
-                kept = [keep.index(i) for i in v if i in keep]
-                if not kept:
-                    ok = False
-                    break
-                subs[k] = kept
-            if not ok:
-                continue
-            yield Scenario(scn.theorem, scn.seed, {"n": n - 1}, cap, fns,
-                           subs, scn.params)
-    snapped = {k: [_snap(x) for x in v] for k, v in scn.functions.items()}
-    if snapped != scn.functions:
-        yield Scenario(scn.theorem, scn.seed, dict(scn.space),
-                       dict(scn.capacity), snapped, dict(scn.subsets),
-                       scn.params)
-
-
-def shrink(scn: Scenario, require_hypotheses: bool = False) -> Scenario:
-    """Greedy shrink preserving the violation verdict (<= 200 steps): each
-    step moves to the first smaller variant that still violates."""
-    current = scn
+def shrink(chunk: Chunk, j: int) -> Scenario:
+    """Row j of the chunk, shrunk greedily while it still violates (at
+    most MAX_SHRINK_STEPS steps): each step evaluates the row's candidates
+    (``Chunk.shrunk``) as one stack and moves to the first that violates,
+    a candidate that fails validation being passed over."""
     for _ in range(MAX_SHRINK_STEPS):
-        candidates = list(_shrink_candidates(current))
-        hit = _first_violation(current.theorem, partial(decode, candidates), candidates,
-                               require_hypotheses,
-                               skip=(DomainError, SchemaError)) if candidates else None
+        candidates = chunk.shrunk(j)
+        if not candidates:
+            break
+        hit = _first_violation(_reports(candidates, skip=(DomainError, SchemaError)))
         if hit is None:
             break
-        current = candidates[hit]
-    return current
+        chunk, j = candidates, hit
+    return chunk[j]
 
 
 def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
@@ -703,7 +690,7 @@ def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
     # chunks of 1, 2, 4, ... trials: a hunt that ends early draws few
     # trials past its witness, and renders only the witness it shrinks
     for chunk in _chunks(theorem, seed, trials, dropped_hypothesis, size=1):
-        hit = _first_violation(theorem, chunk.stack, chunk, require_hypotheses=False)
+        hit = _first_violation(_reports(chunk))
         if hit is not None:
-            return shrink(chunk[hit])
+            return shrink(chunk, hit)
     return None

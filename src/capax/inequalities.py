@@ -99,7 +99,7 @@ def _power_ok(op: AggOperator, s: float) -> HypothesisCheck:
         _POWER_CACHE[key] = check_power_condition(op, [s], seed=7)
     rep = _POWER_CACHE[key]
     return HypothesisCheck(f"power_condition[{op.name},s={s}]", rep.holds_on_grid,
-                           detail=f"{len(rep.violations)} grid violations")
+                           detail=f"{rep.violation_count} grid violations")
 
 
 def _cheb_ok(system: OperatorSystem) -> HypothesisCheck:
@@ -109,7 +109,7 @@ def _cheb_ok(system: OperatorSystem) -> HypothesisCheck:
         _CHEB_CACHE[key] = check_chebyshev_condition(system, seed=7)
     rep = _CHEB_CACHE[key]
     return HypothesisCheck(f"chebyshev_condition[{system.name}]", rep.holds_on_grid,
-                           detail=f"{len(rep.violations)} grid violations")
+                           detail=f"{rep.violation_count} grid violations")
 
 
 def _gs(F, A, C, ops) -> list:

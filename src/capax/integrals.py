@@ -67,14 +67,14 @@ FORMULAS = {
 def from_formula(space: GroundSpace, formula: str) -> SampleFunction:
     """Sample one of the named formulas ("x", "x^2", "1/(1+x^2)", "const:k")
     on the space coordinates."""
-    if formula.startswith("const:"):
-        k = float(formula.split(":", 1)[1])
-        return sample_function(space, np.full(space.n, k))
     try:
-        f = FORMULAS[formula]
-    except KeyError:
+        if formula.startswith("const:"):
+            values = np.full(space.n, float(formula.split(":", 1)[1]))
+        else:
+            values = FORMULAS[formula](space.coord_array())
+    except (KeyError, ValueError):  # no such formula, or a constant that is not a number
         raise DomainError(f"unknown formula {formula!r}")
-    return sample_function(space, f(space.coord_array()))
+    return sample_function(space, values)
 
 
 @dataclass(frozen=True)

@@ -289,11 +289,12 @@ def check_nondecreasing(op: AggOperator, grid_resolution: int = 33,
     with np.errstate(invalid="ignore"):  # inf - inf on extended grids
         rows_bad = np.argwhere(np.diff(vals, axis=1) < -COND_TOL)
         cols_bad = np.argwhere(np.diff(vals, axis=0) < -COND_TOL)
+    pts = g.tolist()  # as floats
     for i, j in rows_bad[:20]:
-        violations.append(((g[i], g[j]), (g[i], g[j + 1]),
+        violations.append(((pts[i], pts[j]), (pts[i], pts[j + 1]),
                            float(vals[i, j]), float(vals[i, j + 1])))
     for i, j in cols_bad[:20]:
-        violations.append(((g[i], g[j]), (g[i + 1], g[j]),
+        violations.append(((pts[i], pts[j]), (pts[i + 1], pts[j]),
                            float(vals[i, j]), float(vals[i + 1, j])))
     # one row per trial: two points, then two steps in [0, 0.5), the draws
     # of a per-trial loop in the same order
@@ -303,14 +304,14 @@ def check_nondecreasing(op: AggOperator, grid_resolution: int = 33,
     if op.domain != UNIT:
         draws[:, :2] = np.exp(draws[:, :2])
     a, b, da, db = draws.T
-    if op.domain == UNIT:
-        hi = op.vec(np.minimum(a + da, 1.0), np.minimum(b + db, 1.0))
-    else:
-        hi = op.vec(a + da, b + db)
+    a2, b2 = a + da, b + db
+    if op.domain == UNIT:  # the second point stays on the domain
+        a2, b2 = np.minimum(a2, 1.0), np.minimum(b2, 1.0)
+    hi = op.vec(a2, b2)
     lo = op.vec(a, b)
     random_bad = np.flatnonzero(hi < lo - COND_TOL)
-    for i in random_bad[:20]:  # first 20 in draw order
-        violations.append(((a[i], b[i]), (a[i] + da[i], b[i] + db[i]),
+    for i in random_bad[:20]:  # first 20 in draw order, at the points evaluated
+        violations.append(((float(a[i]), float(b[i])), (float(a2[i]), float(b2[i])),
                            float(lo[i]), float(hi[i])))
     return ConditionReport("nondecreasing", grid_resolution, random_trials, seed, violations,
                            len(rows_bad) + len(cols_bad) + len(random_bad), not violations)

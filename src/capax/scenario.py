@@ -5,28 +5,26 @@ except that the literal "inf" is permitted in function values.  Result
 files embed the original input under "input" so they can be re-read as
 input (round-trip stability).
 
-There is one decoder, in two stages.  Spec parsing reads k scenarios'
-specs at once (keys, types, numbers, subset indices), each field's
-numbers as one concatenated array, into the columns of ``Columns``.  The
-array stage builds and checks the stack's spaces, capacities, values and
-subset rows from the columns (``GroundSpace.rows``, ``weighted_rows``,
+There is one decoder, in two stages.  Spec parsing reads one scenario's
+specs (keys, types, numbers, subset indices), each field's numbers as one
+array, into one-row columns (``Columns``).  The array stage builds and
+checks the spaces, capacities, values and subset rows of a stack of k
+rows from its columns (``GroundSpace.rows``, ``weighted_rows``,
 ``explicit_rows``, ``Values.rows``, ``subset_rows``).  The decoder has
-two entries.  ``decode_specs`` parses each field and runs its array step
-in turn, so a row raises its first bad field's error; a scenario file or
-a replayed scenario is its one-row case (``context_from_specs``), as is
-each per-field reader, and when k rows fail they are decoded again one
-by one, so the error raised is the first failing row's, with the type
-and text it has alone.  ``decode_columns`` takes columns that a
-generator wrote directly, tests their function values as ``_nums`` tests
-parsed ones (``_checked``) and runs the array stage.
+two entries.  ``decode_spec`` parses each field and runs its array step
+in turn, so a scenario raises its first bad field's error; scenario files
+and replayed scenarios are read with it (``context_from_specs``), and
+each per-field reader is its one-field case.  ``decode_columns`` takes
+the columns of k scenarios that a generator wrote directly, tests their
+function values as ``_nums`` tests parsed ones (``_checked``) and runs
+the array stage.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate, chain
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,12 +38,10 @@ class SchemaError(ValueError):
     """Scenario document violates the file schema."""
 
 
-TOP_KEYS = {"space", "capacity", "functions", "subsets", "system", "op",
-            "exponents", "theorem", "audit"}
+TOP_KEYS = {"space", "capacity", "functions", "subsets", "op", "theorem", "audit"}
 SPACE_KEYS = {"n", "grid", "coords", "widths"}
 GRID_KEYS = {"a", "b", "steps"}
 CAPACITY_KEYS = {"type", "weights", "gamma", "table"}
-EXPONENT_KEYS = {"p", "q", "r", "s", "exponent"}
 AUDIT_KEYS = {"trials", "seed", "drop"}
 
 
@@ -80,25 +76,21 @@ def _int(v, where: str, least: int) -> int:
     return v
 
 
-def _nums(seqs, where: str, allow_inf: bool = False):
-    """The numbers of k lists (or tuples), concatenated into one float
-    array and validated as ``_num`` validates each, and the lists' lengths.
-    A list of numbers is read as one array and checked by ``_checked``;
-    anything else is walked with ``_num``, which raises for the first bad
-    element in order."""
-    for seq in seqs:
-        if not isinstance(seq, (list, tuple)):
-            raise SchemaError(f"{where}: expected a list of numbers, got {seq!r}")
-    flat = seqs[0] if len(seqs) == 1 else list(chain.from_iterable(seqs))
-    lengths = [len(seq) for seq in seqs]
-    if type(flat) is list and set(map(type, flat)) <= {int, float}:
+def _nums(seq, where: str, allow_inf: bool = False) -> np.ndarray:
+    """The numbers of a list (or tuple) as a float array, validated as
+    ``_num`` validates each.  A list of numbers is read as one array and
+    checked by ``_checked``; anything else is walked with ``_num``, which
+    raises for the first bad element in order."""
+    if not isinstance(seq, (list, tuple)):
+        raise SchemaError(f"{where}: expected a list of numbers, got {seq!r}")
+    if type(seq) is list and set(map(type, seq)) <= {int, float}:
         try:
-            a = np.array(flat, dtype=float)
+            a = np.array(seq, dtype=float)
         except OverflowError:  # an int beyond float range: the walk below
             pass               # raises for the first bad element in order
         else:
-            return _checked(a, where, allow_inf), lengths
-    return np.array([_num(v, where, allow_inf) for v in flat], dtype=float), lengths
+            return _checked(a, where, allow_inf)
+    return np.array([_num(v, where, allow_inf) for v in seq], dtype=float)
 
 
 def _checked(a: np.ndarray, where: str, allow_inf: bool = False) -> np.ndarray:
@@ -113,7 +105,7 @@ def _checked(a: np.ndarray, where: str, allow_inf: bool = False) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the decoder: k scenarios at once, each field validated over all rows
+# the decoder: one scenario from its specs, or k generated ones from columns
 
 
 class Columns(NamedTuple):
@@ -158,141 +150,104 @@ class Decoded(NamedTuple):
     subsets: dict
 
 
-def decode_specs(rows: Sequence[tuple]) -> Decoded:
-    """Scenarios given as (space, capacity, functions, subsets) specs, each
-    field parsed into its columns and built by the array stage over all
-    of them at once.  Rows that fail are decoded again one by one, so the
-    error raised is the first failing row's, as it raises alone."""
-    if len(rows) == 1:
-        return _decode(rows)
-    try:
-        return _decode(rows)
-    except Exception:
-        for row in rows:
-            _decode([row])
-        raise
+def decode_spec(space: dict, capacity: Optional[dict], functions: dict,
+                subsets: dict) -> Decoded:
+    """One scenario's specs, decoded as a stack of one row.  Each field is
+    parsed and then built by its array step before the next field is
+    parsed, so the scenario raises its first bad field's error."""
+    spaces, caps = _space_rows(*_parse_space(space))
+    _capacity_rows(*_parse_capacity(capacity), spaces, caps)
+    fns = {name: _function_rows(_parse_function(spec), spaces) for name, spec in functions.items()}
+    return _decoded(spaces, caps, fns, {name: [_parse_subset(spec, spaces[0].n)]
+                                        for name, spec in subsets.items()})
 
 
 def decode_columns(c: Columns) -> Decoded:
     """Generated scenarios, written straight into columns: the array
     stage, after each function's values pass the test ``_nums`` applies
     (``_checked``).  A failing row is not told apart: read its scenario
-    with ``decode_specs`` for its own error."""
+    with ``decode_spec`` for its own error."""
     for v, _, _ in c.fns.values():
         _checked(v, "function values", allow_inf=True)
     return _build(c)
 
 
-def _decode(rows) -> Decoded:
-    """The specs parsed and built field by field, each field's parse then
-    its array step, so a row raises its first bad field's error."""
-    space_specs, cap_specs, fn_specs, subset_specs = zip(*rows)
-    spaces, caps = _space_rows(*_parse_spaces(space_specs))
-    _capacity_rows(*_parse_capacities(cap_specs), spaces, caps)
-    for specs in (fn_specs, subset_specs):
-        if any(spec.keys() != specs[0].keys() for spec in specs):
-            raise SchemaError("scenarios decoded together must name the same "
-                              "functions and subsets")
-    fns = {name: _function_rows(_parse_functions([f[name] for f in fn_specs]), spaces)
-           for name in fn_specs[0]}
-    n = [space.n for space in spaces]
-    return _decoded(spaces, caps, fns, {name: _parse_subsets([m[name] for m in subset_specs], n)
-                                        for name in subset_specs[0]})
+# spec parsing: one spec's keys, types, numbers and subset indices, as the
+# one-row columns of the array stage
 
 
-# spec parsing: the specs' keys, types, numbers and subset indices
+def _parse_space(spec) -> tuple:
+    """The space's point count, grid, coordinates and widths."""
+    _require_keys(spec, SPACE_KEYS, "space")
+    grid = coords = widths = None
+    if "grid" in spec:
+        g = spec["grid"]
+        _require_keys(g, GRID_KEYS, "space.grid")
+        try:
+            grid = _num(g["a"], "grid.a"), _num(g["b"], "grid.b")
+            n = _int(g["steps"], "grid.steps", 1)
+        except (KeyError, ValueError) as e:
+            raise SchemaError(f"space.grid: {e}")
+    elif "n" not in spec:
+        raise SchemaError("space needs either n or grid")
+    else:
+        try:
+            if spec.get("coords") is not None:
+                coords = _nums(spec["coords"], "coords")
+            if spec.get("widths") is not None:
+                widths = _nums(spec["widths"], "widths")
+            n = _int(spec["n"], "n", 1)
+        except ValueError as e:
+            raise SchemaError(f"space: {e}")
+    return [n], [grid], [coords], [widths]
 
 
-def _parse_spaces(specs) -> tuple:
-    """Each row's point count, grid, coordinates and widths."""
-    k = len(specs)
-    n, grids, coords, widths = [None] * k, [None] * k, [None] * k, [None] * k
-    points = []
-    for i, spec in enumerate(specs):
-        _require_keys(spec, SPACE_KEYS, "space")
-        if "grid" in spec:
-            g = spec["grid"]
-            _require_keys(g, GRID_KEYS, "space.grid")
-            try:
-                grids[i] = _num(g["a"], "grid.a"), _num(g["b"], "grid.b")
-                n[i] = _int(g["steps"], "grid.steps", 1)
-            except (KeyError, ValueError) as e:
-                raise SchemaError(f"space.grid: {e}")
-        elif "n" not in spec:
-            raise SchemaError("space needs either n or grid")
-        else:
-            points.append(i)
-    try:
-        for key, out in (("coords", coords), ("widths", widths)):
-            given = [i for i in points if specs[i].get(key) is not None]
-            if given:
-                a, lengths = _nums([specs[i][key] for i in given], key)
-                for i, end, m in zip(given, accumulate(lengths), lengths):
-                    out[i] = a[end - m:end]
-        for i in points:
-            n[i] = _int(specs[i]["n"], "n", 1)
-    except ValueError as e:
-        raise SchemaError(f"space: {e}")
-    return n, grids, coords, widths
-
-
-def _parse_capacities(specs) -> tuple:
-    """Each row's capacity type, the weighted rows' weights and gammas and
-    the explicit rows' tables."""
-    kinds, weighted, explicit = [], [], []
-    for i, spec in enumerate(specs):
-        kind = None
-        if spec is not None:
-            _require_keys(spec, CAPACITY_KEYS, "capacity")
-            kind = spec.get("type")
+def _parse_capacity(spec) -> tuple:
+    """The capacity's type, and its weights and gamma or its table (None
+    for any other type)."""
+    kind = weights = table = None
+    if spec is not None:
+        _require_keys(spec, CAPACITY_KEYS, "capacity")
+        kind = spec.get("type")
+        if kind not in ("additive", "distorted", "explicit", "sup", "grid"):
+            raise SchemaError(f"unknown capacity type {kind!r}")
+        try:
             if kind in ("additive", "distorted"):
-                weighted.append(i)
+                w = _nums(spec["weights"], "weights")
+                weights = w, [len(w)], [_num(spec["gamma"], "gamma")
+                                        if kind == "distorted" else None]
             elif kind == "explicit":
-                explicit.append(i)
-            elif kind not in ("sup", "grid"):
-                raise SchemaError(f"unknown capacity type {kind!r}")
-        kinds.append(kind)
-    try:
-        weights = (*_nums([specs[i]["weights"] for i in weighted], "weights"),
-                   [_num(specs[i]["gamma"], "gamma") if kinds[i] == "distorted" else None
-                    for i in weighted])
-        tables = _nums([specs[i]["table"] for i in explicit], "table")
-    except KeyError as e:
-        raise SchemaError(f"capacity: missing {e.args[0]!r}")
-    except ValueError as e:
-        raise SchemaError(f"capacity: {e}")
-    return kinds, weights, tables
+                t = _nums(spec["table"], "table")
+                table = t, [len(t)]
+        except KeyError as e:
+            raise SchemaError(f"capacity: missing {e.args[0]!r}")
+        except ValueError as e:
+            raise SchemaError(f"capacity: {e}")
+    return [kind], weights, table
 
 
-def _parse_functions(specs) -> tuple:
-    """A function's value lists, concatenated and validated as one array,
-    their lengths, and its formula ids by row."""
-    lists, formulas = [], {}
-    for i, spec in enumerate(specs):
-        if isinstance(spec, str):
-            formulas[i] = spec
-        elif isinstance(spec, list):
-            lists.append(i)
-        else:
-            raise SchemaError("a function must be a formula id or a value list")
-    return (*_nums([specs[i] for i in lists], "function values", allow_inf=True), formulas)
+def _parse_function(spec) -> tuple:
+    """A function's values, their length and its formula id, if it names
+    one (by row, as ``Columns.fns`` holds them)."""
+    if isinstance(spec, str):
+        return np.empty(0), [], {0: spec}
+    if not isinstance(spec, list):
+        raise SchemaError("a function must be a formula id or a value list")
+    v = _nums(spec, "function values", allow_inf=True)
+    return v, [len(v)], {}
 
 
-def _parse_subsets(specs, n) -> list:
-    """A subset's int mask per row: "all" (or null) is the whole space, a
-    list of point indices its points."""
-    masks = []
-    for spec, m in zip(specs, n):
-        if spec == "all" or spec is None:
-            masks.append((1 << m) - 1)
-        elif isinstance(spec, list):
-            for x in spec:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < m:
-                    raise SchemaError(f"subset index {x!r} out of range")
-            masks.append(indices_mask(spec))
-        else:
-            raise SchemaError("a subset must be \"all\" or a list of point indices")
-    return masks
+def _parse_subset(spec, n: int) -> int:
+    """A subset's int mask on n points: "all" (or null) is the whole
+    space, a list of point indices its points."""
+    if spec == "all" or spec is None:
+        return (1 << n) - 1
+    if not isinstance(spec, list):
+        raise SchemaError("a subset must be \"all\" or a list of point indices")
+    for x in spec:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
+            raise SchemaError(f"subset index {x!r} out of range")
+    return indices_mask(spec)
 
 
 # the array stage: spaces, capacities, values and subset rows from columns
@@ -388,7 +343,7 @@ def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
     spec, else None), functions and subset masks: the decoder's one-row
     case, so scenario files and replayed scenarios are read alike, with
     the same checks and errors."""
-    d = decode_specs([(space, capacity, functions, subsets)])
+    d = decode_spec(space, capacity, functions, subsets)
     space = d.spaces[0]
     return (space, d.caps[0], {name: SampleFunction(space, F.row(0)) for name, F in d.fns.items()},
             {name: bools_mask(rows[0]) for name, rows in d.subsets.items()})
@@ -396,23 +351,23 @@ def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
 
 def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
     """Build a space; grid mode also yields the Lebesgue capacity."""
-    (space,), (cap,) = _space_rows(*_parse_spaces([spec]))
+    (space,), (cap,) = _space_rows(*_parse_space(spec))
     return space, cap
 
 
 def capacity_from_spec(spec: dict, space: GroundSpace,
                        grid_capacity: Optional[Capacity] = None) -> Capacity:
     caps = [grid_capacity]
-    _capacity_rows(*_parse_capacities([spec]), [space], caps)
+    _capacity_rows(*_parse_capacity(spec), [space], caps)
     return caps[0]
 
 
 def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
-    return SampleFunction(space, _function_rows(_parse_functions([spec]), [space]).row(0))
+    return SampleFunction(space, _function_rows(_parse_function(spec), [space]).row(0))
 
 
 def subset_from_spec(spec, space: GroundSpace) -> int:
-    return _parse_subsets([spec], [space.n])[0]
+    return _parse_subset(spec, space.n)
 
 
 def capacity_to_spec(c: Capacity) -> dict:
@@ -442,8 +397,6 @@ def validate_document(doc: dict) -> dict:
     if "op" in doc:
         _require_keys(doc["op"], {"op"}, "op")
         _str(doc["op"], "op", "op.op")
-    if "exponents" in doc:
-        _require_keys(doc["exponents"], EXPONENT_KEYS, "exponents")
     if "audit" in doc:
         _require_keys(doc["audit"], AUDIT_KEYS, "audit")
         for key, least in (("trials", 1), ("seed", 0)):

@@ -12,10 +12,11 @@ scenario, and row-wise as one pass over every row's whole cross product),
 the sorted comonotonicity test, the exhaustive
 structural checks in one pass (every pair of the 4^n grid at once, and
 monotonicity as a gather of the sets without each bit), the Chebyshev
-condition sampler with every point at once, and the scenario decoder one
+condition sampler with every point at once, the scenario decoder one
 scenario at a time (each list validated alone, then each capacity and
-space by its constructor's checks, and the stack filled row by row). The
-kernels must give what these give, bit for bit.
+space by its constructor's checks, and the stack filled row by row), and
+the shrink candidates of a scenario built dict by dict. The kernels must
+give what these give, bit for bit.
 """
 
 import math
@@ -25,6 +26,7 @@ import numpy as np
 from capax.capacity import (Capacity, GroundSpace, InvalidCapacityError, make_grid_lebesgue,
                             make_sup_capacity, mask_bools, subset_rows)
 from capax.dependence import DependenceReport, DependenceRows, _level_rows
+from capax.falsifier import Scenario
 from capax.integrals import IntegralResult, from_formula, sample_function
 from capax.operators import (COND_TOL, ConditionReport, _domain_grid, _random_points,
                              min_op, rows_vec)
@@ -544,3 +546,30 @@ def values(fns):
         v = np.zeros(valid.shape)
         v[valid] = np.concatenate([f.values for f in fns])
     return v, n, valid
+
+
+def _snap(v):
+    return round(v * 8.0) / 8.0
+
+
+def shrink_candidates(scn):
+    """A scenario's shrink candidates, built dict by dict: for a weighted
+    capacity on a space without coordinates, the scenario without each
+    point in turn (skipped if a subset loses its last point), then its
+    values snapped to eighths, if that changes any."""
+    n = scn.space.get("n", 0)
+    if "coords" not in scn.space and scn.capacity["type"] in ("additive", "distorted") and n > 1:
+        for drop in range(n):
+            keep = [i for i in range(n) if i != drop]
+            cap = dict(scn.capacity)
+            cap["weights"] = [cap["weights"][i] for i in keep]
+            fns = {k: [v[i] for i in keep] for k, v in scn.functions.items()}
+            subs = {}
+            for k, v in scn.subsets.items():
+                subs[k] = "all" if v == "all" else [keep.index(i) for i in v if i in keep]
+            if all(subs.values()):
+                yield Scenario(scn.theorem, scn.seed, {"n": n - 1}, cap, fns, subs, scn.params)
+    snapped = {k: [_snap(x) for x in v] for k, v in scn.functions.items()}
+    if snapped != scn.functions:
+        yield Scenario(scn.theorem, scn.seed, dict(scn.space), dict(scn.capacity), snapped,
+                       dict(scn.subsets), scn.params)

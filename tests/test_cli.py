@@ -62,6 +62,29 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_a_constant_that_is_not_a_number_is_a_domain_error(tmp_path, capsys):
+    doc = {"space": {"grid": {"a": 0, "b": 1, "steps": 4}}, "functions": {"f": "const:abc"}}
+    assert main(["integrate", write(tmp_path, doc), "--integral", "choquet"]) == 3
+    assert "unknown formula 'const:abc'" in capsys.readouterr().err
+
+
+def test_brute_force_takes_the_files_operator(tmp_path, capsys):
+    doc = {"space": {"n": 3}, "capacity": {"type": "additive", "weights": [0.2, 0.3, 0.5]},
+           "functions": {"f": [0.2, 0.6, 0.9]}, "op": {"op": "prod"}}
+    path = write(tmp_path, doc)
+    values = []
+    for kind in ("generalized", "brute"):
+        assert main(["integrate", path, "--integral", kind]) == 0
+        values.append(capsys.readouterr().out.splitlines()[0])
+    assert values == ["value          0.48"] * 2
+
+
+@pytest.mark.parametrize("key, value", [("exponents", {"p": 7}), ("system", "min")])
+def test_keys_that_no_command_reads_are_input_errors(tmp_path, capsys, key, value):
+    assert main(["integrate", write(tmp_path, dict(BASIC, **{key: value}))]) == 2
+    assert f"unknown keys in document: ['{key}']" in capsys.readouterr().err
+
+
 def test_check_capacity_property_exit_codes(tmp_path, capsys):
     path = write(tmp_path, BASIC)
     assert main(["check", path, "--what", "capacity:modular"]) == 0

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from capax import capacity, falsifier, scenario
 from capax.falsifier import (DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_ALIASES,
                              THEOREM_IDS, Scenario, Theorem, _pick, audit, canonical_theorem,
@@ -165,50 +166,62 @@ def test_hunt_rejects_undroppable_hypothesis():
     assert ("chebyshev_choquet", "comonotone") in DROPPABLE
 
 
-def test_shrink_preserves_violation():
-    # find an unshrunk violating scenario first
-    from capax.falsifier import _unconstrained_scenario
-    found = None
+def _violating_chunk(theorem, dropped, seed):
+    """A chunk of one trial: the first unshrunk violating one."""
     for i in range(5000):
-        scn = _unconstrained_scenario("chebyshev_choquet", "comonotone", 77, i)
-        if is_violation(run_scenario(scn), require_hypotheses=False):
-            found = scn
-            break
-    assert found is not None
-    small = shrink(found)
-    assert small.space["n"] <= found.space["n"]
+        chunk = falsifier.Chunk(theorem, seed, dropped)
+        chunk.draw(i)
+        if is_violation(run_scenario(chunk[0]), require_hypotheses=False):
+            return chunk
+    raise AssertionError("no violating trial")
+
+
+def test_shrink_preserves_violation():
+    chunk = _violating_chunk("chebyshev_choquet", "comonotone", 77)
+    small = shrink(chunk, 0)
+    assert small.space["n"] <= chunk[0].space["n"]
     assert is_violation(run_scenario(small), require_hypotheses=False)
 
 
-def _violating_scenario():
-    for i in range(5000):
-        scn = falsifier._unconstrained_scenario("holder_choquet", "submodular", 3, i)
-        if is_violation(run_scenario(scn), require_hypotheses=False):
-            return scn
-    raise AssertionError("no violating scenario")
+def _decoding_fails(monkeypatch, error):
+    """Every evaluation, of a stack of candidates or of one, decodes first:
+    make both decoder entries raise ``error``."""
+    def fails(*args):
+        raise error("rejected")
+    monkeypatch.setattr(falsifier, "decode_columns", fails)
+    monkeypatch.setattr(falsifier, "decode", fails)
 
 
 def test_shrink_lets_unexpected_value_errors_through(monkeypatch):
-    scn = _violating_scenario()
-
-    def broken(scenarios):
-        raise ValueError("not a schema or domain error")
-
-    # every evaluation, of a stack of candidates or of one, decodes first
-    monkeypatch.setattr(falsifier, "decode", broken)
-    with pytest.raises(ValueError, match="not a schema or domain error"):
-        shrink(scn)
+    chunk = _violating_chunk("holder_choquet", "submodular", 3)
+    _decoding_fails(monkeypatch, ValueError)
+    with pytest.raises(ValueError, match="rejected"):
+        shrink(chunk, 0)
 
 
 @pytest.mark.parametrize("error", [DomainError, SchemaError])
 def test_shrink_skips_candidates_that_fail_validation(monkeypatch, error):
-    scn = _violating_scenario()
+    chunk = _violating_chunk("holder_choquet", "submodular", 3)
+    _decoding_fails(monkeypatch, error)
+    assert shrink(chunk, 0) == chunk[0]
 
-    def rejects(scenarios):
-        raise error("rejected")
 
-    monkeypatch.setattr(falsifier, "decode", rejects)
-    assert shrink(scn) is scn
+def test_a_stacking_fault_is_raised_by_hunts_and_shrink(monkeypatch):
+    # a runner that fails on every stack of more than one row: each row
+    # replays cleanly alone, so no row explains the failure
+    theorem, dropped = "holder_choquet", "submodular"
+    chunk = _violating_chunk(theorem, dropped, 3)
+    record = falsifier.THEOREMS[theorem]
+
+    def run(st):
+        if len(st.params) > 1:
+            raise RuntimeError("stacking fault")
+        return record.run(st)
+    monkeypatch.setitem(falsifier.THEOREMS, theorem, dataclasses.replace(record, run=run))
+    with pytest.raises(RuntimeError, match="stacking fault"):
+        hunt_counterexample(theorem, dropped, 10_000, 3)
+    with pytest.raises(RuntimeError, match="stacking fault"):
+        shrink(chunk, 0)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -311,16 +324,6 @@ def test_audit_chunks_give_the_per_trial_summary():
     assert (s.hypothesis_pass, repr(s.min_slack), s.violations) == (hyp, repr(slack), bad)
 
 
-def test_a_failing_stack_raises_its_first_failing_trial(monkeypatch):
-    scns = [random_scenario("jensen_choquet", 2, i) for i in range(6)]
-    scns[4].functions["f"][0] = -1.0
-    scns[2].subsets["A"] = [99]
-    with pytest.raises(SchemaError, match="subset index 99"):
-        falsifier.run_stack(scns)
-    with pytest.raises(SchemaError, match="function values: number must be nonnegative"):
-        falsifier.run_stack(scns[3:])
-
-
 def _hunt_one_by_one(theorem, dropped, trials, seed):
     """A hunt and its shrink with every scenario replayed on its own."""
     for i in range(trials):
@@ -330,7 +333,7 @@ def _hunt_one_by_one(theorem, dropped, trials, seed):
     else:
         return None
     for _ in range(falsifier.MAX_SHRINK_STEPS):
-        for cand in falsifier._shrink_candidates(scn):
+        for cand in oracles.shrink_candidates(scn):
             if is_violation(run_scenario(cand), require_hypotheses=False):
                 scn = cand
                 break
@@ -365,8 +368,7 @@ def _cut(theorem, dropped, seed, trials, every):
 
 
 def _chunk_reports(chunks):
-    return [repr(rep) for chunk in chunks
-            for rep in falsifier._reports(chunk.theorem, chunk.stack, chunk)]
+    return [repr(rep) for chunk in chunks for rep in falsifier._reports(chunk)]
 
 
 @pytest.mark.parametrize("seed", [2024, 7])
@@ -380,8 +382,8 @@ def test_chunk_written_stacks_equal_dict_decoded_stacks(theorem, dropped, seed):
              else falsifier._unconstrained_scenario(theorem, dropped, seed, i)
              for i in range(trials))
     assert [s.to_dict() for s in rendered] == [s.to_dict() for s in alone]
-    # the chunks' reports are those of the rendered dicts decoded as one stack
-    want = [repr(rep) for rep in falsifier.run_stack(rendered)]
+    # the chunks' reports are those of the rendered dicts replayed one by one
+    want = [repr(run_scenario(s)) for s in rendered]
     assert _chunk_reports(chunks) == want
     # and do not depend on where the chunks end
     for every in (1, 7):
@@ -420,3 +422,15 @@ def test_generated_rows_are_still_checked(monkeypatch, theorem, spoil):
     want = _error(run_scenario, random_scenario(theorem, 2024, first))
     assert want[0] is SchemaError
     assert _error(audit, theorem, 100, 2024) == want
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+@pytest.mark.parametrize("theorem, dropped", _streams())
+def test_shrunk_rows_render_the_dict_shrinkers_candidates(theorem, dropped, seed):
+    # rows with explicit tables, coordinates, sup and grid capacities, and
+    # rows without functions
+    for chunk in falsifier._chunks(theorem, seed, 60, dropped):
+        for j in range(len(chunk)):
+            shrunk = chunk.shrunk(j)
+            assert ([shrunk[i].to_dict() for i in range(len(shrunk))]
+                    == [c.to_dict() for c in oracles.shrink_candidates(chunk[j])])

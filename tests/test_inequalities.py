@@ -9,9 +9,9 @@ from scipy.integrate import quad
 
 from capax import (DomainError, GroundSpace, INF, check_chebyshev_condition,
                    check_power_condition, choquet, from_formula, get_system,
-                   make_additive, make_distorted, make_explicit, make_grid_lebesgue,
-                   make_random_monotone, make_sup_capacity, min_op, normalize, power,
-                   prod_op, sample_function, table_op)
+                   lukasiewicz_op, make_additive, make_distorted, make_explicit,
+                   make_grid_lebesgue, make_random_monotone, make_sup_capacity, min_op,
+                   normalize, power, prod_op, sample_function, table_op)
 from capax import inequalities
 from capax.operators import OperatorSystem
 from capax.inequalities import (HpqResult, _cheb_ok, _power_ok, carlson_choquet_comonotone,
@@ -478,6 +478,18 @@ def test_chebyshev_verdict_is_not_shared_by_systems_with_one_name():
     assert _cheb_ok(passing).passed
     assert not check_chebyshev_condition(failing, seed=7).holds_on_grid
     assert not _cheb_ok(failing).passed
+
+
+def test_condition_details_count_every_violation():
+    # a report keeps at most 20 violations per kind; the detail counts them all
+    luk = lukasiewicz_op()
+    rep = check_power_condition(luk, [2.0], seed=7)
+    assert rep.violation_count == 721 and len(rep.violations) == 20
+    assert _power_ok(luk, 2.0).detail == "721 grid violations"
+    system = _box_system(np.zeros((5, 5)))
+    rep = check_chebyshev_condition(system, seed=7)
+    assert len(rep.violations) == 20 < rep.violation_count
+    assert _cheb_ok(system).detail == f"{rep.violation_count} grid violations"
 
 
 def _count_sampler_runs(monkeypatch) -> list:

@@ -204,7 +204,8 @@ def test_extended_scalar_call_at_zero_and_infinity(name):
 
 def _per_trial_random_part(op, seed, random_trials=2000):
     """The per-trial loop check_nondecreasing ran before it drew all its
-    trials at once: the random-pair violations, in order."""
+    trials at once: the random-pair violations, in order, at the points
+    the operator was evaluated at."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(random_trials):
@@ -213,11 +214,10 @@ def _per_trial_random_part(op, seed, random_trials=2000):
         else:
             a, b = np.exp(rng.uniform(math.log(2.0**-6), math.log(2.0**6), size=2))
         da, db = rng.uniform(0, 0.5, size=2)
-        hi = op(min(a + da, 1.0) if op.domain == "unit" else a + da,
-                min(b + db, 1.0) if op.domain == "unit" else b + db)
-        lo = op(a, b)
+        a2, b2 = (min(a + da, 1.0), min(b + db, 1.0)) if op.domain == "unit" else (a + da, b + db)
+        hi, lo = op(a2, b2), op(a, b)
         if hi < lo - 1e-12:
-            out.append(((a, b), (a + da, b + db), lo, hi))
+            out.append(((float(a), float(b)), (float(a2), float(b2)), lo, hi))
     return out
 
 
@@ -239,6 +239,9 @@ def test_batched_nondecreasing_matches_per_trial_loop(op, seed):
     # each part keeps its first 20 violations, in draw order
     assert rep.violations == grid_part + random_part[:20]
     assert rep.holds_on_grid == (not rep.violations)
+    points = [x for p, q, _, _ in rep.violations for x in p + q]
+    assert all(type(x) is float for x in points)
+    assert op.domain != "unit" or all(0.0 <= x <= 1.0 for x in points)
 
 
 def test_condition_reports_count_the_violations_they_do_not_keep():

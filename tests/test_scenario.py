@@ -12,7 +12,7 @@ import oracles
 from capax import INF, falsifier, make_uniform_example
 from capax.falsifier import DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_IDS, random_scenario
 from capax.scenario import (SchemaError, _num, capacity_from_spec, capacity_to_spec,
-                            context_from_specs, decode_specs, dump_result, function_from_spec,
+                            context_from_specs, decode_spec, dump_result, function_from_spec,
                             load_document, space_from_spec, subset_from_spec, validate_document)
 from capax.xreal import UNIT
 from capax.capacity import (make_additive, make_distorted, make_explicit,
@@ -241,15 +241,16 @@ def _streams():
 @pytest.mark.parametrize("name, seed, dropped, size", list(_streams()),
                          ids=[name for name, *_ in _streams()])
 def test_batched_decoder_equals_the_per_scenario_oracle(name, seed, dropped, size):
-    # a generated chunk's stack (the array entry) and the stack of its
-    # rendered scenarios (the spec entry) both decode as the oracle
+    # a generated chunk's stack (the array entry) and each of its rendered
+    # scenarios (the spec entry) decode as the oracle
     theorem = name.split("-")[0]
     for chunk in falsifier._chunks(theorem, seed, 150, dropped, size):
         scenarios = [chunk[j] for j in range(len(chunk))]
         if not scenarios[0].functions:  # the checker builds its own space
             return
         _assert_decodes_as_the_oracle(chunk.stack(), scenarios)
-        _assert_decodes_as_the_oracle(falsifier.decode(scenarios), scenarios)
+        for scn in scenarios:
+            _assert_decodes_as_the_oracle(falsifier.decode(scn), [scn])
 
 
 def _outcome_of(call, *args):
@@ -257,16 +258,6 @@ def _outcome_of(call, *args):
         call(*args)
     except Exception as e:
         return type(e), str(e)
-    return "ok"
-
-
-def _first_error(chunk):
-    """The first error of the scenarios read one by one by the oracle."""
-    for scn in chunk:
-        out = _outcome_of(oracles.context_from_specs, scn.space, scn.capacity,
-                          scn.functions, scn.subsets)
-        if out != "ok":
-            return out
     return "ok"
 
 
@@ -320,18 +311,14 @@ def _bad_rows():
 
 @pytest.mark.parametrize("row", [0, 3])
 def test_a_bad_row_raises_the_oracles_first_error(row):
-    # the bad row goes among good ones, and a second bad row after it
+    # trial ``row`` with one field broken, replayed and read as a file
     for tid, change in _bad_rows():
-        chunk = copy.deepcopy([random_scenario(tid, 2024, i) for i in range(6)])
-        change(chunk[row])
-        chunk[row + 2].functions[next(iter(chunk[row + 2].functions))] = "x"
-        want = _first_error(chunk)
-        assert _outcome_of(falsifier.decode, chunk) == want, (tid, chunk[row])
-        alone = _first_error(chunk[row:row + 1])
-        assert alone == "ok" or want == alone
-        one = chunk[row]
-        assert (_outcome_of(context_from_specs, one.space, one.capacity, one.functions,
-                            one.subsets) == _first_error([one]))
+        one = copy.deepcopy(random_scenario(tid, 2024, row))
+        change(one)
+        specs = one.space, one.capacity, one.functions, one.subsets
+        want = _outcome_of(oracles.context_from_specs, *specs)
+        assert _outcome_of(falsifier.decode, one) == want, (tid, one)
+        assert _outcome_of(context_from_specs, *specs) == want
 
 
 @pytest.mark.parametrize("doc", [
@@ -378,25 +365,13 @@ def test_one_scenario_reads_as_the_oracle_reads_it(doc):
 def test_a_recorded_lukasiewicz_scenario_reads_back():
     # its generator writes {"n": n} with {"type": "grid"}: the grid of n cells
     # of [0, 1] that its checker builds from the params
-    chunk = [random_scenario("lukasiewicz_example", 2024, i) for i in range(4)]
-    d = decode_specs([(s.space, s.capacity, s.functions, s.subsets) for s in chunk])
-    for scn, space, cap in zip(chunk, d.spaces, d.caps):
+    for i in range(4):
+        scn = random_scenario("lukasiewicz_example", 2024, i)
+        d = decode_spec(scn.space, scn.capacity, scn.functions, scn.subsets)
+        (space,), (cap,) = d.spaces, d.caps
         P = make_uniform_example(scn.params["phi"], scn.params["psi"], scn.params["n"])[2]
         assert (cap.kind, cap.range, space.n, cap.space) == ("grid", UNIT, scn.params["n"], space)
         assert _same(space.coords, P.space.coords) and _same(cap.weights, P.weights)
-    one = chunk[0]
-    space, cap, fns, masks = context_from_specs(one.space, one.capacity, one.functions,
-                                                one.subsets)
-    assert _same(space.coords, d.spaces[0].coords) and (fns, masks) == ({}, {})
-
-
-def test_scenarios_decoded_together_name_the_same_functions_and_subsets():
-    a, b = (random_scenario("jensen_choquet", 2024, i) for i in range(2))
-    b.functions["g"] = b.functions.pop("f")
-    rows = [(s.space, s.capacity, s.functions, s.subsets) for s in (a, b)]
-    with pytest.raises(SchemaError, match="must name the same functions and subsets"):
-        decode_specs(rows)
-    b.functions["f"] = b.functions.pop("g")
-    b.subsets.pop("A")
-    with pytest.raises(SchemaError, match="must name the same functions and subsets"):
-        decode_specs(rows)
+        space2, cap2, fns, masks = context_from_specs(scn.space, scn.capacity, scn.functions,
+                                                      scn.subsets)
+        assert _same(space2.coords, space.coords) and (fns, masks) == ({}, {})
