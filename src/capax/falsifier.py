@@ -20,10 +20,10 @@ its ``Scenario`` only when asked (a violation, a hunt's witness,
 and a shrink step writes its row's candidates into a new chunk
 (``Chunk.shrunk``).  Audits, hunts and shrink steps read a chunk's
 reports by one rule (``_reports``): a chunk whose stack fails is replayed
-row by row from its rendered scenarios.  Replay reads a scenario's specs
-with the decoder's spec entry (``scenario.decode_spec``) as a stack of
-one row, the case the CLI reads a scenario file with, so both raise the
-same checks and errors.
+row by row from its rendered scenarios.  Replay reads a scenario with
+``scenario.context_from_specs``, as the CLI reads a scenario file, so
+both raise the same checks and errors, and stacks it as a single public
+call stacks its arguments (``integrals.one_row``).
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ import numpy as np
 
 from . import inequalities as ineq
 from .capacity import CapacityStack, mask_indices, monotone_rows
+from .integrals import one_row
 from .operators import builtin_systems, get_op, get_system
-from .scenario import Columns, Decoded, SchemaError, decode_columns, decode_spec
+from .scenario import Columns, Decoded, SchemaError, context_from_specs, decode_columns
 from .xreal import DomainError
 
 MAX_SHRINK_STEPS = 200
@@ -208,12 +209,12 @@ class Chunk:
             return Stack.of(self.params, None)
         weighted = [(w, g) for kind, w, g in self.caps if kind in ("additive", "distorted")]
         return Stack.of(self.params, decode_columns(Columns(
-            self.n, [None] * len(self), self.coords,
+            self.n, self.coords,
             [None if c is None else np.full(n, 1.0 / n) for n, c in zip(self.n, self.coords)],
             [kind for kind, _, _ in self.caps],
             (*_joined([w for w, _ in weighted]), [g for _, g in weighted]),
             _joined([self.tables[n][j] for kind, n, j in self.caps if kind == "explicit"]),
-            {name: (*_joined(rows), {}) for name, rows in self.fns.items()}, self.masks)))
+            {name: _joined(rows) for name, rows in self.fns.items()}, self.masks)))
 
     def shrunk(self, j: int) -> "Chunk":
         """Row j's shrink candidates as a new chunk, in order: for a
@@ -557,10 +558,17 @@ class Stack:
 
 
 def decode(scn: Scenario) -> Stack:
-    """A scenario as a stack of one row, decoded by ``scenario.decode_spec``
-    as the CLI decodes a scenario file."""
-    return Stack.of([scn.params], decode_spec(scn.space, scn.capacity, scn.functions, scn.subsets)
-                    if scn.functions else None)
+    """A scenario as a stack of one row: read by ``scenario.context_from_specs``
+    as the CLI reads a scenario file, and stacked as a single public call
+    stacks its arguments (``integrals.one_row``)."""
+    if not scn.functions:
+        return Stack.of([scn.params], None)
+    _, cap, fns, masks = context_from_specs(scn.space, scn.capacity, scn.functions, scn.subsets)
+    if cap is None:
+        raise SchemaError("a scenario with functions needs a capacity")
+    a = masks.get("A")  # None: the whole space
+    F, (A, B), C = one_row(list(fns.values()), cap, [a, masks.get("B", a)])
+    return Stack(dict(zip(fns, F)), A, B, C, [scn.params])
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:

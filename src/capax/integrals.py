@@ -67,14 +67,15 @@ FORMULAS = {
 def from_formula(space: GroundSpace, formula: str) -> SampleFunction:
     """Sample one of the named formulas ("x", "x^2", "1/(1+x^2)", "const:k")
     on the space coordinates."""
-    try:
-        if formula.startswith("const:"):
-            values = np.full(space.n, float(formula.split(":", 1)[1]))
-        else:
-            values = FORMULAS[formula](space.coord_array())
-    except (KeyError, ValueError):  # no such formula, or a constant that is not a number
+    if formula.startswith("const:"):
+        try:
+            k = float(formula.split(":", 1)[1])
+        except ValueError:  # a constant that is not a number
+            raise DomainError(f"unknown formula {formula!r}")
+        return sample_function(space, np.full(space.n, k))
+    if formula not in FORMULAS:
         raise DomainError(f"unknown formula {formula!r}")
-    return sample_function(space, values)
+    return sample_function(space, FORMULAS[formula](space.coord_array()))
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,6 @@ class Values:
         if not (np.where(self.valid, v, 0.0).min(1) >= 0).all():  # NaN fails too
             raise DomainError("sample values must be nonnegative")
         return Values(v, self.n, self.valid, self.spaces)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.v[i, :self.n[i]]
 
 
 def one_row(fns: Sequence[SampleFunction], c: Optional[Capacity] = None,

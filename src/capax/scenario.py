@@ -5,19 +5,18 @@ except that the literal "inf" is permitted in function values.  Result
 files embed the original input under "input" so they can be re-read as
 input (round-trip stability).
 
-There is one decoder, in two stages.  Spec parsing reads one scenario's
-specs (keys, types, numbers, subset indices), each field's numbers as one
-array, into one-row columns (``Columns``).  The array stage builds and
-checks the spaces, capacities, values and subset rows of a stack of k
-rows from its columns (``GroundSpace.rows``, ``weighted_rows``,
-``explicit_rows``, ``Values.rows``, ``subset_rows``).  The decoder has
-two entries.  ``decode_spec`` parses each field and runs its array step
-in turn, so a scenario raises its first bad field's error; scenario files
-and replayed scenarios are read with it (``context_from_specs``), and
-each per-field reader is its one-field case.  ``decode_columns`` takes
-the columns of k scenarios that a generator wrote directly, tests their
-function values as ``_nums`` tests parsed ones (``_checked``) and runs
-the array stage.
+A scenario file or a replayed scenario is read one field at a time by
+the per-field readers (``space_from_spec``, ``capacity_from_spec``,
+``function_from_spec``, ``subset_from_spec``), which ``context_from_specs``
+calls in turn, so a scenario raises its first bad field's error.  Each
+reader parses its field and builds it with the library's constructor,
+whose checks are the ones a generated row passes.  Generated scenarios
+skip the dicts: an audit's generators write k rows straight into columns
+(``Columns``), and the array stage (``decode_columns``) checks their
+function values as ``_nums`` checks parsed ones and builds the k rows'
+spaces, capacities, values and subset rows at once
+(``GroundSpace.rows``, ``weighted_rows``, ``explicit_rows``,
+``Values.rows``, ``subset_rows``).
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .capacity import (Capacity, GroundSpace, bools_mask, explicit_rows, indices_mask,
-                       make_grid_lebesgue, make_sup_capacity, subset_rows, weighted_rows)
+from .capacity import (Capacity, GroundSpace, explicit_rows, indices_mask, make_grid_lebesgue,
+                       make_sup_capacity, subset_rows, weighted_rows)
 from .integrals import SampleFunction, Values, from_formula
 from .xreal import INF
 
@@ -105,30 +104,125 @@ def _checked(a: np.ndarray, where: str, allow_inf: bool = False) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the decoder: one scenario from its specs, or k generated ones from columns
+# one scenario, field by field
+
+
+def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
+                       subsets: dict) -> tuple:
+    """A scenario's space, capacity (a grid space's own if there is no
+    spec, else None), functions and subset masks, each field read in turn
+    by its reader, so a scenario raises its first bad field's error.  A
+    capacity's own space replaces the space (a grid capacity on n points
+    alone is the grid of n cells of [0, 1])."""
+    space, cap = space_from_spec(space)
+    if capacity is not None:
+        cap = capacity_from_spec(capacity, space, cap)
+        space = cap.space
+    return (space, cap,
+            {name: function_from_spec(spec, space) for name, spec in functions.items()},
+            {name: subset_from_spec(spec, space) for name, spec in subsets.items()})
+
+
+def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
+    """Build a space; grid mode also yields the Lebesgue capacity."""
+    _require_keys(spec, SPACE_KEYS, "space")
+    if "grid" in spec:
+        g = spec["grid"]
+        _require_keys(g, GRID_KEYS, "space.grid")
+        try:
+            return make_grid_lebesgue(_num(g["a"], "grid.a"), _num(g["b"], "grid.b"),
+                                      _int(g["steps"], "grid.steps", 1))
+        except (KeyError, ValueError) as e:
+            raise SchemaError(f"space.grid: {e}")
+    if "n" not in spec:
+        raise SchemaError("space needs either n or grid")
+    try:
+        coords, widths = (None if spec.get(key) is None else _nums(spec[key], key)
+                          for key in ("coords", "widths"))
+        return GroundSpace(_int(spec["n"], "n", 1), coords, widths), None
+    except ValueError as e:
+        raise SchemaError(f"space: {e}")
+
+
+def capacity_from_spec(spec: dict, space: GroundSpace,
+                       grid_capacity: Optional[Capacity] = None) -> Capacity:
+    """Build a capacity on the space; type grid is the grid space's own
+    capacity, or the grid of n cells of [0, 1] on a space of n points
+    alone."""
+    _require_keys(spec, CAPACITY_KEYS, "capacity")
+    kind = spec.get("type")
+    try:
+        if kind in ("additive", "distorted"):
+            w = _nums(spec["weights"], "weights")
+            gamma = _num(spec["gamma"], "gamma") if kind == "distorted" else None
+            return weighted_rows(w, [len(w)], [gamma], [space])[0]
+        if kind == "explicit":
+            t = _nums(spec["table"], "table")
+            return explicit_rows(t, [len(t)], [space])[0]
+        if kind == "sup":
+            return make_sup_capacity(space)
+        if kind == "grid":
+            if grid_capacity is not None:
+                return grid_capacity
+            if space.coords is not None:
+                raise SchemaError("capacity type grid requires a grid space "
+                                  "or a space of n points alone")
+            return make_grid_lebesgue(0.0, 1.0, space.n)[1]
+    except KeyError as e:
+        raise SchemaError(f"capacity: missing {e.args[0]!r}")
+    except ValueError as e:
+        raise SchemaError(f"capacity: {e}")
+    raise SchemaError(f"unknown capacity type {kind!r}")
+
+
+def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
+    """A formula id sampled on the space, or a list of one value per
+    point."""
+    if isinstance(spec, str):
+        return from_formula(space, spec)
+    if not isinstance(spec, list):
+        raise SchemaError("a function must be a formula id or a value list")
+    v = _nums(spec, "function values", allow_inf=True)
+    if len(v) != space.n:
+        raise SchemaError(f"function has {len(v)} values for a {space.n}-point space")
+    return SampleFunction(space, v)
+
+
+def subset_from_spec(spec, space: GroundSpace) -> int:
+    """A subset's int mask: "all" (or null) is the whole space, a list of
+    point indices its points."""
+    if spec == "all" or spec is None:
+        return space.full_mask
+    if not isinstance(spec, list):
+        raise SchemaError("a subset must be \"all\" or a list of point indices")
+    for x in spec:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < space.n:
+            raise SchemaError(f"subset index {x!r} out of range")
+    return indices_mask(spec)
+
+
+# ---------------------------------------------------------------------------
+# the array stage: k generated scenarios from their columns
 
 
 class Columns(NamedTuple):
-    """k scenarios as the decoder's array stage reads them, row i of each
+    """k generated scenarios as the array stage reads them, row i of each
     list being scenario i's:
 
-    - ``n``: its point count (a grid space's cell count);
-    - ``grids``: (a, b) if its space is the grid of n cells of [a, b],
-      else None;
+    - ``n``: its point count;
     - ``coords``, ``widths``: its points' coordinates and cell widths as
       float arrays, or None;
-    - ``kinds``: its capacity type, None without a capacity spec;
+    - ``kinds``: its capacity type ("additive", "distorted", "explicit"
+      or "sup");
     - ``weights``: the weighted rows' weights concatenated in one float
       array, their lengths and their gammas (None: additive);
     - ``tables``: the explicit rows' tables concatenated in one float
       array, and their lengths;
-    - ``fns``: per function name, the value lists concatenated in one
-      float array, their lengths, and the formula id of each row that
-      names one, by row;
+    - ``fns``: per function name, the rows' values concatenated in one
+      float array, and their lengths;
     - ``subsets``: per subset name, each row's int mask."""
 
     n: list
-    grids: list
     coords: list
     widths: list
     kinds: list
@@ -140,234 +234,47 @@ class Columns(NamedTuple):
 
 class Decoded(NamedTuple):
     """k decoded scenarios, row i of each field being scenario i's: its
-    ground space, its capacity (a grid space's own if there is no spec,
-    else None), its functions' values by name and its subsets' (k, N)
+    capacity, its functions' values by name and its subsets' (k, N)
     membership rows by name."""
 
-    spaces: list
     caps: list
     fns: dict
     subsets: dict
 
 
-def decode_spec(space: dict, capacity: Optional[dict], functions: dict,
-                subsets: dict) -> Decoded:
-    """One scenario's specs, decoded as a stack of one row.  Each field is
-    parsed and then built by its array step before the next field is
-    parsed, so the scenario raises its first bad field's error."""
-    spaces, caps = _space_rows(*_parse_space(space))
-    _capacity_rows(*_parse_capacity(capacity), spaces, caps)
-    fns = {name: _function_rows(_parse_function(spec), spaces) for name, spec in functions.items()}
-    return _decoded(spaces, caps, fns, {name: [_parse_subset(spec, spaces[0].n)]
-                                        for name, spec in subsets.items()})
-
-
 def decode_columns(c: Columns) -> Decoded:
-    """Generated scenarios, written straight into columns: the array
-    stage, after each function's values pass the test ``_nums`` applies
-    (``_checked``).  A failing row is not told apart: read its scenario
-    with ``decode_spec`` for its own error."""
-    for v, _, _ in c.fns.values():
+    """Generated scenarios, written straight into columns, checked and
+    built as k rows at once: each function's values pass the test
+    ``_nums`` applies (``_checked``), then the spaces, capacities, values
+    and subset rows are built by the library's row constructors, which
+    check them as the one-scenario readers do.  A failing row is not told
+    apart: read its scenario with ``context_from_specs`` for its own
+    error."""
+    for v, _ in c.fns.values():
         _checked(v, "function values", allow_inf=True)
-    return _build(c)
-
-
-# spec parsing: one spec's keys, types, numbers and subset indices, as the
-# one-row columns of the array stage
-
-
-def _parse_space(spec) -> tuple:
-    """The space's point count, grid, coordinates and widths."""
-    _require_keys(spec, SPACE_KEYS, "space")
-    grid = coords = widths = None
-    if "grid" in spec:
-        g = spec["grid"]
-        _require_keys(g, GRID_KEYS, "space.grid")
-        try:
-            grid = _num(g["a"], "grid.a"), _num(g["b"], "grid.b")
-            n = _int(g["steps"], "grid.steps", 1)
-        except (KeyError, ValueError) as e:
-            raise SchemaError(f"space.grid: {e}")
-    elif "n" not in spec:
-        raise SchemaError("space needs either n or grid")
-    else:
-        try:
-            if spec.get("coords") is not None:
-                coords = _nums(spec["coords"], "coords")
-            if spec.get("widths") is not None:
-                widths = _nums(spec["widths"], "widths")
-            n = _int(spec["n"], "n", 1)
-        except ValueError as e:
-            raise SchemaError(f"space: {e}")
-    return [n], [grid], [coords], [widths]
-
-
-def _parse_capacity(spec) -> tuple:
-    """The capacity's type, and its weights and gamma or its table (None
-    for any other type)."""
-    kind = weights = table = None
-    if spec is not None:
-        _require_keys(spec, CAPACITY_KEYS, "capacity")
-        kind = spec.get("type")
-        if kind not in ("additive", "distorted", "explicit", "sup", "grid"):
-            raise SchemaError(f"unknown capacity type {kind!r}")
-        try:
-            if kind in ("additive", "distorted"):
-                w = _nums(spec["weights"], "weights")
-                weights = w, [len(w)], [_num(spec["gamma"], "gamma")
-                                        if kind == "distorted" else None]
-            elif kind == "explicit":
-                t = _nums(spec["table"], "table")
-                table = t, [len(t)]
-        except KeyError as e:
-            raise SchemaError(f"capacity: missing {e.args[0]!r}")
-        except ValueError as e:
-            raise SchemaError(f"capacity: {e}")
-    return [kind], weights, table
-
-
-def _parse_function(spec) -> tuple:
-    """A function's values, their length and its formula id, if it names
-    one (by row, as ``Columns.fns`` holds them)."""
-    if isinstance(spec, str):
-        return np.empty(0), [], {0: spec}
-    if not isinstance(spec, list):
-        raise SchemaError("a function must be a formula id or a value list")
-    v = _nums(spec, "function values", allow_inf=True)
-    return v, [len(v)], {}
-
-
-def _parse_subset(spec, n: int) -> int:
-    """A subset's int mask on n points: "all" (or null) is the whole
-    space, a list of point indices its points."""
-    if spec == "all" or spec is None:
-        return (1 << n) - 1
-    if not isinstance(spec, list):
-        raise SchemaError("a subset must be \"all\" or a list of point indices")
-    for x in spec:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-            raise SchemaError(f"subset index {x!r} out of range")
-    return indices_mask(spec)
-
-
-# the array stage: spaces, capacities, values and subset rows from columns
-
-
-def _build(c: Columns) -> Decoded:
-    """The array stage, field by field."""
-    spaces, caps = _space_rows(c.n, c.grids, c.coords, c.widths)
-    _capacity_rows(c.kinds, c.weights, c.tables, spaces, caps)
-    return _decoded(spaces, caps, {name: _function_rows(f, spaces) for name, f in c.fns.items()},
-                    c.subsets)
-
-
-def _decoded(spaces, caps, fns, subsets) -> Decoded:
-    """The decoded rows, with each subset's masks as (k, N) rows."""
-    n = np.array([space.n for space in spaces])
-    return Decoded(spaces, caps, fns,
-                   {name: subset_rows(masks, n, int(n.max())) for name, masks in subsets.items()})
-
-
-def _space_rows(n, grids, coords, widths) -> tuple[list, list]:
-    """Each row's space, and its Lebesgue capacity if it is a grid."""
-    spaces, caps = [None] * len(n), [None] * len(n)
-    points = []
-    for i, grid in enumerate(grids):
-        if grid is None:
-            points.append(i)
-            continue
-        try:
-            spaces[i], caps[i] = make_grid_lebesgue(*grid, n[i])
-        except ValueError as e:
-            raise SchemaError(f"space.grid: {e}")
-    if points:
-        try:
-            rows = GroundSpace.rows(*([x[i] for i in points] for x in (n, coords, widths)))
-        except ValueError as e:
-            raise SchemaError(f"space: {e}")
-        for i, space in zip(points, rows):
-            spaces[i] = space
-    return spaces, caps
-
-
-def _capacity_rows(kinds, weights, tables, spaces, caps) -> None:
-    """Each row's capacity into caps (a row without a spec keeps its grid's
-    capacity, or None); a grid capacity on n points alone makes the row's
-    space the grid of n cells of [0, 1]."""
-    weighted, explicit = [], []
-    for i, kind in enumerate(kinds):
-        if kind in ("additive", "distorted"):
-            weighted.append(i)
-        elif kind == "explicit":
-            explicit.append(i)
-        elif kind == "sup":
-            caps[i] = make_sup_capacity(spaces[i])
-        elif kind == "grid" and caps[i] is None:
-            if spaces[i].coords is not None:
-                raise SchemaError("capacity: capacity type grid requires a grid space "
-                                  "or a space of n points alone")
-            spaces[i], caps[i] = make_grid_lebesgue(0.0, 1.0, spaces[i].n)
     try:
-        if weighted:
-            for i, cap in zip(weighted, weighted_rows(*weights, [spaces[i] for i in weighted])):
-                caps[i] = cap
-        if explicit:
-            for i, cap in zip(explicit, explicit_rows(*tables, [spaces[i] for i in explicit])):
-                caps[i] = cap
+        spaces = GroundSpace.rows(c.n, c.coords, c.widths)
+    except ValueError as e:
+        raise SchemaError(f"space: {e}")
+    caps = [make_sup_capacity(space) if kind == "sup" else None
+            for kind, space in zip(c.kinds, spaces)]
+    try:
+        for kinds, build, columns in ((("additive", "distorted"), weighted_rows, c.weights),
+                                      (("explicit",), explicit_rows, c.tables)):
+            rows = [i for i, kind in enumerate(c.kinds) if kind in kinds]
+            if rows:
+                for i, cap in zip(rows, build(*columns, [spaces[i] for i in rows])):
+                    caps[i] = cap
     except ValueError as e:
         raise SchemaError(f"capacity: {e}")
-
-
-def _function_rows(f, spaces) -> Values:
-    """A function's values on its rows' spaces: its value lists, each as
-    long as its space, or its formula ids sampled on their spaces."""
-    v, lengths, formulas = f
-    sampled = {i: from_formula(spaces[i], formula).values for i, formula in formulas.items()}
-    listed = [i for i in range(len(spaces)) if i not in sampled]
-    for i, m in zip(listed, lengths):
-        if m != spaces[i].n:
-            raise SchemaError(f"function has {m} values for a {spaces[i].n}-point space")
-    if sampled:
-        listed = dict(zip(listed, np.split(v, np.cumsum(lengths)[:-1])))
-        v = np.concatenate([sampled[i] if i in sampled else listed[i]
-                            for i in range(len(spaces))])
-    return Values.rows(v, spaces)
-
-
-# one scenario, or one of its fields, is a stack of one row
-
-
-def context_from_specs(space: dict, capacity: Optional[dict], functions: dict,
-                       subsets: dict) -> tuple:
-    """A scenario's space, capacity (a grid space's own if there is no
-    spec, else None), functions and subset masks: the decoder's one-row
-    case, so scenario files and replayed scenarios are read alike, with
-    the same checks and errors."""
-    d = decode_spec(space, capacity, functions, subsets)
-    space = d.spaces[0]
-    return (space, d.caps[0], {name: SampleFunction(space, F.row(0)) for name, F in d.fns.items()},
-            {name: bools_mask(rows[0]) for name, rows in d.subsets.items()})
-
-
-def space_from_spec(spec: dict) -> tuple[GroundSpace, Optional[Capacity]]:
-    """Build a space; grid mode also yields the Lebesgue capacity."""
-    (space,), (cap,) = _space_rows(*_parse_space(spec))
-    return space, cap
-
-
-def capacity_from_spec(spec: dict, space: GroundSpace,
-                       grid_capacity: Optional[Capacity] = None) -> Capacity:
-    caps = [grid_capacity]
-    _capacity_rows(*_parse_capacity(spec), [space], caps)
-    return caps[0]
-
-
-def function_from_spec(spec, space: GroundSpace) -> SampleFunction:
-    return SampleFunction(space, _function_rows(_parse_function(spec), [space]).row(0))
-
-
-def subset_from_spec(spec, space: GroundSpace) -> int:
-    return _parse_subset(spec, space.n)
+    for v, lengths in c.fns.values():
+        for m, space in zip(lengths, spaces):
+            if m != space.n:
+                raise SchemaError(f"function has {m} values for a {space.n}-point space")
+    n = np.array(c.n)
+    N = int(n.max())
+    return Decoded(caps, {name: Values.rows(v, spaces) for name, (v, _) in c.fns.items()},
+                   {name: subset_rows(masks, n, N) for name, masks in c.subsets.items()})
 
 
 def capacity_to_spec(c: Capacity) -> dict:

@@ -826,3 +826,21 @@ def test_sampled_checks_agree_with_and_without_the_value_table(prop):
     margins = _margins(prop, c.values().__getitem__, a, b)[None]
     ((slack, witness),) = _worst(1, [(margins, lambda j: (int(a[j]), int(b[j])))])
     assert (repr(got.slack), got.witness) == (repr(slack), witness)
+
+
+def test_constructors_reject_degenerate_arguments():
+    with pytest.raises(ValueError, match="^a ground space needs at least one point$"):
+        GroundSpace(0)
+    for gamma in (0.0, math.nan):
+        with pytest.raises(InvalidCapacityError, match="^distortion exponent must be positive"):
+            make_distorted([0.5, 0.5], gamma)
+    with pytest.raises(InvalidCapacityError, match="^grid requires at least one cell$"):
+        make_grid_lebesgue(0.0, 1.0, 0)
+    with pytest.raises(InvalidCapacityError, match="^random explicit capacities are capped"):
+        make_random_monotone(21, np.random.default_rng(0))
+
+
+def test_a_stack_does_not_mix_derived_and_plain_capacities():
+    c = make_additive([0.5, 0.5])
+    with pytest.raises(DomainError, match="derived capacities only with each other"):
+        CapacityStack([normalize(c, 0b01), c])

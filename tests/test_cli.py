@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from capax import cli, falsifier
+from capax import GroundSpace, cli, falsifier, sample_function
 from capax.cli import DEMOS, main
+from capax.inequalities import sharpness_demo
 from capax.scenario import SchemaError
 
 BASIC = {
@@ -66,6 +67,13 @@ def test_a_constant_that_is_not_a_number_is_a_domain_error(tmp_path, capsys):
     doc = {"space": {"grid": {"a": 0, "b": 1, "steps": 4}}, "functions": {"f": "const:abc"}}
     assert main(["integrate", write(tmp_path, doc), "--integral", "choquet"]) == 3
     assert "unknown formula 'const:abc'" in capsys.readouterr().err
+
+
+def test_a_formula_on_a_space_without_coordinates_is_a_domain_error(tmp_path, capsys):
+    doc = {"space": {"n": 2}, "capacity": {"type": "additive", "weights": [1, 1]},
+           "functions": {"f": "x"}}
+    assert main(["integrate", write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err == "domain error: space has no coordinates\n"
 
 
 def test_brute_force_takes_the_files_operator(tmp_path, capsys):
@@ -388,3 +396,56 @@ def test_a_coordinate_space_from_a_file_reaches_the_shilkret_example(tmp_path):
     assert rep.hypotheses_pass and rep.holds
     assert ((repr(rep.lhs), repr(rep.rhs), repr(rep.slack), repr(rep.extra["K"]))
             == ("0.45", "0.8877707439226876", "0.4377707439226876", "0.41109609582188933"))
+
+
+def test_falsify_without_a_witness_exits_0_and_says_so(tmp_path, capsys):
+    doc = {"theorem": "3.1", "audit": {"trials": 1, "seed": 0, "drop": "comonotone"}}
+    out_file = tmp_path / "none.json"
+    assert main(["falsify", write(tmp_path, doc), "--out", str(out_file)]) == 0
+    assert "no violation found for 3.1 without 'comonotone' in 1 trials" in capsys.readouterr().out
+    saved = json.loads(out_file.read_text())
+    assert (saved["report"], saved["input"]) == ({"found": False}, doc)
+
+
+def test_audit_and_check_write_their_reports(tmp_path, capsys):
+    doc = {"theorem": "jensen_choquet", "audit": {"trials": 10, "seed": 5}}
+    out_file = tmp_path / "audit.out.json"
+    assert main(["audit", write(tmp_path, doc), "--out", str(out_file)]) == 0
+    report = json.loads(out_file.read_text())["report"]
+    assert (report["theorem"], report["trials"], report["violations"]) == ("jensen_choquet", 10, [])
+    # an antitone pair is not positively dependent: the witness is printed and saved
+    anti = dict(BASIC, functions={"f": [0.2, 0.6, 0.9], "g": [0.9, 0.5, 0.1]})
+    out_file = tmp_path / "check.out.json"
+    assert main(["check", write(tmp_path, anti, "anti.json"), "--what", "posdep",
+                 "--out", str(out_file)]) == 1
+    out = capsys.readouterr().out
+    saved = json.loads(out_file.read_text())
+    assert saved["command"] == "check --what posdep" and saved["report"]["holds"] is False
+    assert f"witness levels: {tuple(saved['report']['witness'])}" in out
+
+
+def test_integrate_shilkret(tmp_path, capsys):
+    # max over levels a of a * mu(f >= a): 0.2 * 1, 0.6 * 2/3, 0.9 * 1/3
+    assert main(["integrate", write(tmp_path, BASIC), "--integral", "shilkret"]) == 0
+    value = capsys.readouterr().out.splitlines()[0]
+    assert value.startswith("value ") and float(value.split()[1]) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("argv", [["integrate"], ["check", "--what", "capacity:monotone"],
+                                  ["check", "--what", "posdep"]])
+def test_commands_that_need_a_capacity_say_so(tmp_path, capsys, argv):
+    doc = {"space": {"n": 3}, "functions": BASIC["functions"]}
+    assert main([argv[0], write(tmp_path, doc), *argv[1:]]) == 2
+    assert capsys.readouterr().err == "error: no capacity in scenario file\n"
+
+
+def test_an_unknown_check_is_an_input_error(tmp_path, capsys):
+    assert main(["check", write(tmp_path, BASIC), "--what", "bogus"]) == 2
+    assert capsys.readouterr().err == "error: unknown check 'bogus'\n"
+
+
+def test_a_degenerate_report_prints_its_reason(capsys):
+    space = GroundSpace(2)
+    f, zero = sample_function(space, [0.5, 1.0]), sample_function(space, [0.0, 0.0])
+    cli._print_report(sharpness_demo(f, zero, f, None, 1.0, 1.0))
+    assert "  degenerate: sup g = 0.0, sup h = 1.0\n" in capsys.readouterr().out

@@ -89,6 +89,18 @@ def test_audit_skips_degenerate_and_hypothesis_failing_trials(monkeypatch):
     assert (s.hypothesis_pass, s.violations, math.isnan(s.min_slack)) == (0, [], True)
 
 
+def test_a_replayed_scenario_with_functions_needs_a_capacity():
+    scn = random_scenario("jensen_choquet", 2024, 0)
+    scn.capacity = None
+    with pytest.raises(SchemaError, match="needs a capacity"):
+        run_scenario(scn)
+    # a grid space's own capacity still applies
+    grid = Scenario("jensen_choquet", 0, {"grid": {"a": 0, "b": 1, "steps": 4}}, None,
+                    {"f": [0.1, 0.4, 0.2, 0.3]}, {"A": [0, 2, 3]}, {"exponent": 2.0})
+    spelled = dataclasses.replace(grid, capacity={"type": "grid"})
+    assert repr(run_scenario(grid)) == repr(run_scenario(spelled))
+
+
 def test_replay_has_no_decoder_of_its_own():
     # scenarios are read by scenario.context_from_specs, as the CLI reads files
     assert not {"space_from_spec", "capacity_from_spec", "subset_from_spec",
@@ -434,3 +446,26 @@ def test_shrunk_rows_render_the_dict_shrinkers_candidates(theorem, dropped, seed
             shrunk = chunk.shrunk(j)
             assert ([shrunk[i].to_dict() for i in range(len(shrunk))]
                     == [c.to_dict() for c in oracles.shrink_candidates(chunk[j])])
+
+
+def test_a_violation_counts_only_if_its_hypotheses_hold_unless_told_otherwise():
+    rep = _report("stub", [HypothesisCheck("h", False)], 2.0, 1.0)
+    assert not is_violation(rep)
+    assert is_violation(rep, require_hypotheses=False)
+
+
+def test_a_hypothesis_that_cannot_be_dropped_is_a_domain_error():
+    with pytest.raises(DomainError, match="'comonotone' cannot be dropped for 'jensen_choquet'"):
+        falsifier.Chunk("jensen_choquet", 0, "comonotone")
+
+
+def test_a_row_without_shrink_candidates_is_its_own_witness():
+    # an explicit capacity drops no point, and eighths snap to themselves
+    chunk = falsifier.Chunk("jensen_choquet", 0)
+    chunk.space(2)
+    chunk.monotone_table(np.random.default_rng(0), 2)
+    chunk.values(f=np.array([0.5, 0.125]))
+    chunk.subsets(A=0b11)
+    chunk.params.append({"exponent": 2.0})
+    assert not chunk.shrunk(0)
+    assert shrink(chunk, 0) == chunk[0]

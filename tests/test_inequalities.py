@@ -550,3 +550,26 @@ def test_slack_of_infinite_and_nan_sides(lhs, rhs, slack, holds):
     # is rhs - lhs, whatever the signs of its infinities
     rep = inequalities._report("t", [], lhs, rhs)
     assert (repr(rep.slack), rep.holds) == (repr(slack), holds)
+
+
+def test_a_vanishing_normalizing_integral_is_a_degenerate_row():
+    space = GroundSpace(3)
+    c = make_additive([0.2, 0.3, 0.5])
+    f, h = (sample_function(space, v) for v in ([0.2, 0.5, 0.9], [0.1, 0.4, 0.6]))
+    zero = sample_function(space, [0.0, 0.0, 0.0])
+    rep = carlson_sugeno_wang(f, zero, h, space.full_mask, c, 2.0, 3.0)
+    assert rep.degenerate == "K = 0 (a normalizing integral vanishes)" and rep.extra["K"] == 0
+    rep = carlson_choquet_comonotone(f, zero, h, space.full_mask, c, 2.0, 2.0, 1.0, 1.0)
+    assert rep.degenerate.startswith("normalizing integrals int g = 0.0, int h = ")
+    assert math.isnan(rep.rhs)
+    rep = sharpness_demo(f, zero, h, None, 1.0, 2.0)
+    assert (rep.degenerate, math.isnan(rep.rhs)) == ("sup g = 0.0, sup h = 0.6", True)
+
+
+def test_demos_need_their_inputs_on_one_space():
+    g = sample_function(GroundSpace(2), [0.5, 0.5])
+    h = sample_function(GroundSpace(3), [0.5, 0.5, 0.5])
+    with pytest.raises(DomainError, match="share a space"):
+        impossibility_demo(g, h)
+    with pytest.raises(DomainError, match="^space has no coordinates$"):
+        shilkret_carlson_example(g, None, make_additive([0.5, 0.5]))

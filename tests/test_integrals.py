@@ -366,6 +366,16 @@ def test_from_formula_and_power_and_pointwise():
         from_formula(space, "cos")
 
 
+def test_a_formula_on_a_space_without_coordinates_says_so():
+    # a known formula needs coordinates; it is not an unknown formula
+    with pytest.raises(DomainError, match="^space has no coordinates$"):
+        from_formula(GroundSpace(2), "x")
+    assert from_formula(GroundSpace(2), "const:2").values.tolist() == [2.0, 2.0]
+    for formula in ("cos", "const:abc"):
+        with pytest.raises(DomainError, match=f"^unknown formula '{formula}'$"):
+            from_formula(GroundSpace(2), formula)
+
+
 def test_power_conventions_at_zero_and_infinity():
     sp = GroundSpace(3)
     f = sample_function(sp, [0.0, 2.0, INF])
@@ -414,3 +424,23 @@ def test_choquet_comonotone_additive(vals, seed):
     fg = sample_function(c.space, np.array(vals) + g_vals)
     assert choquet(fg, c).value == pytest.approx(
         choquet(f, c).value + choquet(g, c).value, abs=1e-10)
+
+
+def test_pointwise_needs_a_common_space():
+    f = sample_function(GroundSpace(2), [0.1, 0.2])
+    g = sample_function(GroundSpace(3), [0.1, 0.2, 0.3])
+    with pytest.raises(DomainError, match="common space"):
+        pointwise(prod_op(), f, g)
+
+
+def test_small_accessors_and_guards():
+    space = GroundSpace(2)
+    f = sample_function(space, [0.25, 0.5])
+    res = sugeno(f, make_additive([0.5, 0.5]))
+    assert float(res) == res.value == 0.5
+    F = Values.build([f])
+    assert F.coords is None  # a space without coordinates
+    with pytest.raises(DomainError, match="nonnegative"):
+        F.like(np.array([[-1.0, 0.5]]))
+    with pytest.raises(DomainError, match="at least two points"):
+        brute_force_generalized_sugeno(f, make_additive([0.5, 0.5]), alpha_grid_size=1)

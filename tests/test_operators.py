@@ -310,3 +310,14 @@ def test_chebyshev_sampler_memory_is_bounded(peak_of_second_call):
     # 17^4 grid points and 10^4 random ones evaluated at once traced about 7 MB
     rep, peak = peak_of_second_call(lambda: check_chebyshev_condition(get_system("min_luk")))
     assert rep.holds_on_grid and peak <= 2e6
+
+
+def test_a_table_operator_needs_a_square_table():
+    for values in ([[0.0, 1.0]], [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], [[1.0]], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="^table must be square"):
+            table_op(values)
+
+
+def test_the_power_condition_is_stated_for_s_at_least_1():
+    with pytest.raises(DomainError, match="stated for s >= 1"):
+        check_power_condition(prod_op(), [2.0, 0.5])

@@ -12,10 +12,10 @@ import oracles
 from capax import INF, falsifier, make_uniform_example
 from capax.falsifier import DROPPABLE, SUGENO_SYSTEM_NAMES, THEOREM_IDS, random_scenario
 from capax.scenario import (SchemaError, _num, capacity_from_spec, capacity_to_spec,
-                            context_from_specs, decode_spec, dump_result, function_from_spec,
+                            context_from_specs, dump_result, function_from_spec,
                             load_document, space_from_spec, subset_from_spec, validate_document)
 from capax.xreal import UNIT
-from capax.capacity import (make_additive, make_distorted, make_explicit,
+from capax.capacity import (make_additive, make_distorted, make_explicit, normalize,
                             make_random_monotone, make_sup_capacity)
 
 
@@ -367,11 +367,40 @@ def test_a_recorded_lukasiewicz_scenario_reads_back():
     # of [0, 1] that its checker builds from the params
     for i in range(4):
         scn = random_scenario("lukasiewicz_example", 2024, i)
-        d = decode_spec(scn.space, scn.capacity, scn.functions, scn.subsets)
-        (space,), (cap,) = d.spaces, d.caps
+        space, cap, fns, masks = context_from_specs(scn.space, scn.capacity, scn.functions,
+                                                    scn.subsets)
         P = make_uniform_example(scn.params["phi"], scn.params["psi"], scn.params["n"])[2]
         assert (cap.kind, cap.range, space.n, cap.space) == ("grid", UNIT, scn.params["n"], space)
         assert _same(space.coords, P.space.coords) and _same(cap.weights, P.weights)
-        space2, cap2, fns, masks = context_from_specs(scn.space, scn.capacity, scn.functions,
-                                                      scn.subsets)
-        assert _same(space2.coords, space.coords) and (fns, masks) == ({}, {})
+        assert (fns, masks) == ({}, {})
+
+
+@pytest.mark.parametrize("theorem, spoil", [
+    ("carlson_choquet_subadditive", lambda c, j: c.coords.__setitem__(j, c.coords[j][::-1])),
+    ("jensen_choquet", lambda c, j: c.fns["f"].__setitem__(j, np.append(c.fns["f"][j], 0.5))),
+])
+def test_a_spoiled_generated_row_raises_as_its_scenario_does(theorem, spoil):
+    # decreasing coordinates, one function value too many
+    chunk = next(falsifier._chunks(theorem, 2024, 20))
+    spoil(chunk, 2)
+    scn = chunk[2]
+    want = _outcome_of(context_from_specs, scn.space, scn.capacity, scn.functions, scn.subsets)
+    assert want[0] is SchemaError and _outcome_of(chunk.stack) == want
+
+
+def test_a_derived_capacity_has_no_spec():
+    with pytest.raises(ValueError, match="'derived' is not serializable"):
+        capacity_to_spec(normalize(make_additive([0.5, 0.5]), 0b01))
+
+
+@pytest.mark.parametrize("key, message", [("functions", "functions must be an object"),
+                                          ("subsets", "subsets must be an object")])
+def test_named_parts_of_a_document_are_objects(key, message):
+    with pytest.raises(SchemaError, match=message):
+        validate_document({"space": {"n": 1}, key: [[0.5]]})
+
+
+def test_results_write_numpy_ints_and_nan(tmp_path):
+    path = tmp_path / "out.json"
+    dump_result(str(path), {"n": np.int64(3), "x": math.nan, "y": np.float64(INF)})
+    assert json.loads(path.read_text()) == {"n": 3, "x": "nan", "y": "inf"}
