@@ -69,6 +69,19 @@ def _print_report(rep: ineq.InequalityReport):
     print(f"  verdict   {'holds' if rep.holds else 'VIOLATED'}")
 
 
+#: ``integrate --integral``'s integrals, each called as (f, capacity, A,
+#: operator name); the brute-force oracle checks the generalized integral.
+#: Each looks its integral up at call time, so ``benchmark/tracer.py``'s
+#: rebinding of this module's names applies.
+INTEGRALS = {
+    "sugeno": lambda f, c, A, op: sugeno(f, c, A),
+    "shilkret": lambda f, c, A, op: shilkret(f, c, A),
+    "choquet": lambda f, c, A, op: choquet(f, c, A),
+    "generalized": lambda f, c, A, op: generalized_sugeno(f, c, A, get_op(op, c.range)),
+    "brute": lambda f, c, A, op: brute_force_generalized_sugeno(f, c, A, get_op(op, c.range)),
+}
+
+
 def cmd_integrate(args) -> int:
     doc, space, capacity, functions, subsets = _load_context(args.file)
     if capacity is None:
@@ -76,18 +89,7 @@ def cmd_integrate(args) -> int:
     f = _need(functions, args.function, "function")
     A = subsets.get("A", space.full_mask)
     kind = args.integral
-    if kind == "sugeno":
-        res = sugeno(f, capacity, A)
-    elif kind == "shilkret":
-        res = shilkret(f, capacity, A)
-    elif kind == "choquet":
-        res = choquet(f, capacity, A)
-    elif kind in ("generalized", "brute"):  # the oracle checks the same integral
-        op = get_op(args.op or doc.get("op", {}).get("op", "min"), capacity.range)
-        res = (generalized_sugeno if kind == "generalized"
-               else brute_force_generalized_sugeno)(f, capacity, A, op)
-    else:  # unreachable via argparse choices
-        raise CliError(EXIT_SCHEMA, f"unknown integral {kind!r}")
+    res = INTEGRALS[kind](f, capacity, A, args.op or doc.get("op", {}).get("op", "min"))
     exactness = "exact" if res.exact else f"grid-approx(bound={_fmt(res.bound)})"
     print(f"value          {_fmt(res.value)}")
     print(f"achieving level {_fmt(res.argmax_level) if res.argmax_level is not None else '-'}")
@@ -302,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("integrate", help="evaluate an integral from a scenario file")
     pi.add_argument("file")
-    pi.add_argument("--integral", default="sugeno",
-                    choices=["sugeno", "shilkret", "choquet", "generalized", "brute"])
+    pi.add_argument("--integral", default="sugeno", choices=list(INTEGRALS))
     pi.add_argument("--op", default=None, help="operator name for --integral generalized or brute")
     pi.add_argument("--function", default="f", help="which named function to integrate")
     pi.add_argument("--out", default=None)

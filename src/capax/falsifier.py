@@ -11,19 +11,19 @@ lists, the alias table, ``DROPPABLE``, scenario generation, replay, audits
 and hunts all read that table.
 
 An audit draws its trials a chunk at a time: each generator writes its
-trial's draws straight into the chunk's columns (``Chunk``), the input of
-the decoder's array stage (``scenario.decode_columns``), which checks and
-builds the chunk's one stack; its record's runner evaluates all rows at
-once.  No scenario dict is built on that path: a chunk renders a row as
-its ``Scenario`` only when asked (a violation, a hunt's witness,
-``random_scenario``).  A hunt draws its trials in chunks of 1, 2, 4, ...,
-and a shrink step writes its row's candidates into a new chunk
-(``Chunk.shrunk``).  Audits, hunts and shrink steps read a chunk's
-reports by one rule (``_reports``): a chunk whose stack fails is replayed
-row by row from its rendered scenarios.  Replay reads a scenario with
-``scenario.context_from_specs``, as the CLI reads a scenario file, so
-both raise the same checks and errors, and stacks it as a single public
-call stacks its arguments (``integrals.one_row``).
+trial's draws straight into the chunk's columns (``Chunk``), and the
+chunk checks and builds them as its one stack (``Chunk.stack``) with the
+constructors and checks that read a scenario file; its record's runner
+evaluates all rows at once.  No scenario dict is built on that path: a
+chunk renders a row as its ``Scenario`` only when asked (a violation, a
+hunt's witness, ``random_scenario``).  A hunt draws its trials in chunks
+of 1, 2, 4, ..., and a shrink step writes its row's candidates into a
+new chunk (``Chunk.shrunk``).  Audits, hunts and shrink steps read a
+chunk's reports by one rule (``_reports``): a chunk whose stack fails is
+replayed row by row from its rendered scenarios.  Replay reads a
+scenario with ``scenario.context_from_specs``, as the CLI reads a
+scenario file, so both raise the same checks and errors, and stacks it
+as a single public call stacks its arguments (``integrals.one_row``).
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import inequalities as ineq
-from .capacity import CapacityStack, mask_indices, monotone_rows
-from .integrals import one_row
+from .capacity import (CapacityStack, GroundSpace, explicit_rows, make_sup_capacity, mask_indices,
+                       monotone_rows, subset_rows, weighted_rows)
+from .integrals import Values, one_row
 from .operators import builtin_systems, get_op, get_system
-from .scenario import Columns, Decoded, SchemaError, context_from_specs, decode_columns
+from .scenario import SchemaError, _checked, context_from_specs
 from .xreal import DomainError
 
 MAX_SHRINK_STEPS = 200
@@ -135,13 +136,12 @@ def _comonotone_family(rng, n: int, k: int, low: float = 0.0) -> np.ndarray:
 
 
 class Chunk:
-    """Consecutive trials of one theorem, drawn straight into the columns
-    that the decoder's array stage reads (``scenario.Columns``), one row
-    per trial.  A generator writes its row with ``space``,
+    """Consecutive trials of one theorem, drawn straight into columns, one
+    row per trial.  A generator writes its row with ``space``,
     ``monotone_table`` or ``capacity``, ``values``, ``subsets`` and
     ``params.append``.  The random tables are made monotone in one pass
     per point count (``capacity.monotone_rows``) when the chunk is first
-    read.  ``stack()`` decodes all rows as one stack; ``chunk[j]``
+    read.  ``stack()`` builds all rows as one stack; ``chunk[j]``
     renders row j as the Scenario its trial replays as, and
     ``shrunk(j)`` writes row j's shrink candidates into a new chunk."""
 
@@ -204,17 +204,51 @@ class Chunk:
         return {n: monotone_rows(np.array(rows)) for n, rows in self.uniforms.items()}
 
     def stack(self) -> "Stack":
-        """The rows as one stack, decoded by ``scenario.decode_columns``."""
+        """The rows as one stack: each function's values pass the test
+        ``scenario._nums`` applies (``_checked``), then the spaces,
+        capacities, values and subset rows are built by the library's row
+        constructors, which check them as the one-scenario readers do.  A
+        failing row is not told apart: replay its scenario for its own
+        error."""
         if not self.fns:
-            return Stack.of(self.params, None)
-        weighted = [(w, g) for kind, w, g in self.caps if kind in ("additive", "distorted")]
-        return Stack.of(self.params, decode_columns(Columns(
-            self.n, self.coords,
-            [None if c is None else np.full(n, 1.0 / n) for n, c in zip(self.n, self.coords)],
-            [kind for kind, _, _ in self.caps],
-            (*_joined([w for w, _ in weighted]), [g for _, g in weighted]),
-            _joined([self.tables[n][j] for kind, n, j in self.caps if kind == "explicit"]),
-            {name: _joined(rows) for name, rows in self.fns.items()}, self.masks)))
+            return Stack(self.params)
+        fns = {name: _joined(rows) for name, rows in self.fns.items()}
+        for v, _ in fns.values():
+            _checked(v, "function values", allow_inf=True)
+        try:
+            spaces = GroundSpace.rows(self.n, self.coords, [
+                None if c is None else np.full(n, 1.0 / n) for n, c in zip(self.n, self.coords)])
+        except ValueError as e:
+            raise SchemaError(f"space: {e}")
+        caps = [make_sup_capacity(space) if kind == "sup" else None
+                for (kind, _, _), space in zip(self.caps, spaces)]
+        weighted = [i for i, (kind, _, _) in enumerate(self.caps) if kind in ("additive", "distorted")]
+        explicit = [i for i, (kind, _, _) in enumerate(self.caps) if kind == "explicit"]
+        try:
+            if weighted:
+                w, lengths = _joined([self.caps[i][1] for i in weighted])
+                built = weighted_rows(w, lengths, [self.caps[i][2] for i in weighted],
+                                      [spaces[i] for i in weighted])
+                for i, cap in zip(weighted, built):
+                    caps[i] = cap
+            if explicit:
+                tables = [self.tables[n][j] for kind, n, j in self.caps if kind == "explicit"]
+                t, lengths = _joined(tables)
+                built = explicit_rows(t, lengths, [spaces[i] for i in explicit])
+                for i, cap in zip(explicit, built):
+                    caps[i] = cap
+        except ValueError as e:
+            raise SchemaError(f"capacity: {e}")
+        for _, lengths in fns.values():
+            for m, space in zip(lengths, spaces):
+                if m != space.n:
+                    raise SchemaError(f"function has {m} values for a {space.n}-point space")
+        n = np.array(self.n)
+        N = int(n.max())
+        F = {name: Values.rows(v, spaces) for name, (v, _) in fns.items()}
+        masks = {name: subset_rows(m, n, N) for name, m in self.masks.items()}
+        A = masks.get("A", next(iter(F.values())).valid)  # else the whole spaces
+        return Stack(self.params, F, A, masks.get("B", A), CapacityStack(caps))
 
     def shrunk(self, j: int) -> "Chunk":
         """Row j's shrink candidates as a new chunk, in order: for a
@@ -534,27 +568,19 @@ def _drawn(theorem: str, seed: int, trial: int, dropped: Optional[str] = None) -
 
 @dataclass
 class Stack:
-    """Decoded scenarios of one theorem, one row each: the functions'
-    values by name, the subset rows A and B (A defaults to the whole
-    space, B to A), the capacities and each row's params."""
+    """Scenarios of one theorem as one stack, a row each: each row's
+    params, the functions' values by name, the subset rows A and B (A
+    defaults to the whole space, B to A) and the capacities.  Without
+    functions the checker builds its own space from the params."""
 
-    fns: dict
-    A: Optional[np.ndarray]
-    B: Optional[np.ndarray]
-    cap: Optional[CapacityStack]
     params: list
+    fns: dict = field(default_factory=dict)
+    A: Optional[np.ndarray] = None
+    B: Optional[np.ndarray] = None
+    cap: Optional[CapacityStack] = None
 
     def p(self, key: str) -> list:
         return [p[key] for p in self.params]
-
-    @classmethod
-    def of(cls, params: list, d: Optional[Decoded]) -> "Stack":
-        """The stack of decoded rows and their params; without functions
-        (d None) the checker builds its own space from the params."""
-        if d is None:
-            return cls({}, None, None, None, params)
-        A = d.subsets.get("A", next(iter(d.fns.values())).valid)  # else the whole spaces
-        return cls(d.fns, A, d.subsets.get("B", A), CapacityStack(d.caps), params)
 
 
 def decode(scn: Scenario) -> Stack:
@@ -562,13 +588,13 @@ def decode(scn: Scenario) -> Stack:
     as the CLI reads a scenario file, and stacked as a single public call
     stacks its arguments (``integrals.one_row``)."""
     if not scn.functions:
-        return Stack.of([scn.params], None)
+        return Stack([scn.params])
     _, cap, fns, masks = context_from_specs(scn.space, scn.capacity, scn.functions, scn.subsets)
     if cap is None:
         raise SchemaError("a scenario with functions needs a capacity")
     a = masks.get("A")  # None: the whole space
     F, (A, B), C = one_row(list(fns.values()), cap, [a, masks.get("B", a)])
-    return Stack(dict(zip(fns, F)), A, B, C, [scn.params])
+    return Stack([scn.params], dict(zip(fns, F)), A, B, C)
 
 
 def run_scenario(scn: Scenario) -> ineq.InequalityReport:

@@ -11,25 +11,21 @@ the per-field readers (``space_from_spec``, ``capacity_from_spec``,
 calls in turn, so a scenario raises its first bad field's error.  Each
 reader parses its field and builds it with the library's constructor,
 whose checks are the ones a generated row passes.  Generated scenarios
-skip the dicts: an audit's generators write k rows straight into columns
-(``Columns``), and the array stage (``decode_columns``) checks their
-function values as ``_nums`` checks parsed ones and builds the k rows'
-spaces, capacities, values and subset rows at once
-(``GroundSpace.rows``, ``weighted_rows``, ``explicit_rows``,
-``Values.rows``, ``subset_rows``).
+skip the dicts: ``falsifier.Chunk`` builds its rows' stack with the same
+constructors and checks (``_checked`` is the test ``_nums`` applies).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .capacity import (Capacity, GroundSpace, explicit_rows, indices_mask, make_grid_lebesgue,
-                       make_sup_capacity, subset_rows, weighted_rows)
-from .integrals import SampleFunction, Values, from_formula
+                       make_sup_capacity, weighted_rows)
+from .integrals import SampleFunction, from_formula
 from .xreal import INF
 
 
@@ -199,82 +195,6 @@ def subset_from_spec(spec, space: GroundSpace) -> int:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < space.n:
             raise SchemaError(f"subset index {x!r} out of range")
     return indices_mask(spec)
-
-
-# ---------------------------------------------------------------------------
-# the array stage: k generated scenarios from their columns
-
-
-class Columns(NamedTuple):
-    """k generated scenarios as the array stage reads them, row i of each
-    list being scenario i's:
-
-    - ``n``: its point count;
-    - ``coords``, ``widths``: its points' coordinates and cell widths as
-      float arrays, or None;
-    - ``kinds``: its capacity type ("additive", "distorted", "explicit"
-      or "sup");
-    - ``weights``: the weighted rows' weights concatenated in one float
-      array, their lengths and their gammas (None: additive);
-    - ``tables``: the explicit rows' tables concatenated in one float
-      array, and their lengths;
-    - ``fns``: per function name, the rows' values concatenated in one
-      float array, and their lengths;
-    - ``subsets``: per subset name, each row's int mask."""
-
-    n: list
-    coords: list
-    widths: list
-    kinds: list
-    weights: tuple
-    tables: tuple
-    fns: dict
-    subsets: dict
-
-
-class Decoded(NamedTuple):
-    """k decoded scenarios, row i of each field being scenario i's: its
-    capacity, its functions' values by name and its subsets' (k, N)
-    membership rows by name."""
-
-    caps: list
-    fns: dict
-    subsets: dict
-
-
-def decode_columns(c: Columns) -> Decoded:
-    """Generated scenarios, written straight into columns, checked and
-    built as k rows at once: each function's values pass the test
-    ``_nums`` applies (``_checked``), then the spaces, capacities, values
-    and subset rows are built by the library's row constructors, which
-    check them as the one-scenario readers do.  A failing row is not told
-    apart: read its scenario with ``context_from_specs`` for its own
-    error."""
-    for v, _ in c.fns.values():
-        _checked(v, "function values", allow_inf=True)
-    try:
-        spaces = GroundSpace.rows(c.n, c.coords, c.widths)
-    except ValueError as e:
-        raise SchemaError(f"space: {e}")
-    caps = [make_sup_capacity(space) if kind == "sup" else None
-            for kind, space in zip(c.kinds, spaces)]
-    try:
-        for kinds, build, columns in ((("additive", "distorted"), weighted_rows, c.weights),
-                                      (("explicit",), explicit_rows, c.tables)):
-            rows = [i for i, kind in enumerate(c.kinds) if kind in kinds]
-            if rows:
-                for i, cap in zip(rows, build(*columns, [spaces[i] for i in rows])):
-                    caps[i] = cap
-    except ValueError as e:
-        raise SchemaError(f"capacity: {e}")
-    for v, lengths in c.fns.values():
-        for m, space in zip(lengths, spaces):
-            if m != space.n:
-                raise SchemaError(f"function has {m} values for a {space.n}-point space")
-    n = np.array(c.n)
-    N = int(n.max())
-    return Decoded(caps, {name: Values.rows(v, spaces) for name, (v, _) in c.fns.items()},
-                   {name: subset_rows(masks, n, N) for name, masks in c.subsets.items()})
 
 
 def capacity_to_spec(c: Capacity) -> dict:

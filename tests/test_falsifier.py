@@ -107,12 +107,27 @@ def test_replay_has_no_decoder_of_its_own():
                 "sample_function"} & set(vars(falsifier))
 
 
+def test_coordinates_are_drawn_again_until_distinct():
+    draws = iter([np.array([0.5, 0.2, 0.5]), np.array([0.7, 0.2, 0.5])])
+
+    class Rng:  # its first draw repeats a coordinate
+        def uniform(self, low, high, size):
+            assert (low, high, size) == (0.02, 1.0, 3)
+            return next(draws)
+
+    chunk = falsifier.Chunk("shilkret_example", 0)
+    falsifier._coord_space(Rng(), 3, chunk)
+    assert chunk.n == [3] and chunk.coords[0].tolist() == [0.2, 0.5, 0.7]
+
+
 def test_each_generated_table_is_validated_once(monkeypatch):
-    # the decoder checks a chunk's tables as rows of one array
+    # a chunk's stack checks its tables as rows of one array, and no table
+    # is checked again through a replay's one-scenario reader
     rows, singles = [], []
-    validate, single = scenario.explicit_rows, capacity._explicit
-    monkeypatch.setattr(scenario, "explicit_rows",
-                        lambda t, lengths, *a: rows.extend(lengths) or validate(t, lengths, *a))
+    validate, single = falsifier.explicit_rows, capacity._explicit
+    for module in (falsifier, scenario):
+        monkeypatch.setattr(module, "explicit_rows",
+                            lambda t, lengths, *a: rows.extend(lengths) or validate(t, lengths, *a))
     monkeypatch.setattr(capacity, "_explicit", lambda *a: singles.append(1) or single(*a))
     audit("jensen_choquet", 50, 2024)
     assert len(rows) == 50 and not singles
@@ -196,11 +211,12 @@ def test_shrink_preserves_violation():
 
 
 def _decoding_fails(monkeypatch, error):
-    """Every evaluation, of a stack of candidates or of one, decodes first:
-    make both decoder entries raise ``error``."""
+    """Every evaluation, of a stack of candidates or of one, builds its
+    stack first: make both builders (``Chunk.stack``, ``decode``) raise
+    ``error``."""
     def fails(*args):
         raise error("rejected")
-    monkeypatch.setattr(falsifier, "decode_columns", fails)
+    monkeypatch.setattr(falsifier.Chunk, "stack", fails)
     monkeypatch.setattr(falsifier, "decode", fails)
 
 
@@ -429,7 +445,7 @@ def test_generated_rows_are_still_checked(monkeypatch, theorem, spoil):
                  if random_scenario(theorem, 2024, i).space["n"] == 5)
     chunk = next(falsifier._chunks(theorem, 2024, 100))
     assert 0 < first < len(chunk)  # the first failing trial is not the chunk's first
-    with pytest.raises(SchemaError):  # the array stage itself rejects the chunk
+    with pytest.raises(SchemaError):  # the chunk's own stack rejects it
         chunk.stack()
     want = _error(run_scenario, random_scenario(theorem, 2024, first))
     assert want[0] is SchemaError
