@@ -1,19 +1,20 @@
 """Finite ground spaces, monotone measures (capacities), and structural checkers.
 
 A subset of an n-point space is an n-bit integer mask at the public
-boundary (``Capacity.__call__``, function arguments, scenario files).  A
-capacity is one of four families: weighted (per-point weights, summed and
-raised to a power gamma; gamma = 1 is modular), sup, explicit (all 2^n
-values in a table, capped at n = 20) and derived (a normalized capacity
-over a base).
+boundary (``Capacity.__call__``, function arguments, scenario files) and
+a boolean membership row inside.  ``subset_rows`` alone unpacks masks:
+k of them into (k, N) rows at once, from the bytes of one little-endian
+int64 array below 63 points, else from each mask's own bytes
+(``mask_bools`` is its one row).  A capacity is one of four families:
+weighted (per-point weights, summed and raised to a power gamma;
+gamma = 1 is modular), sup, explicit (all 2^n values in a table, capped
+at n = 20) and derived (a normalized capacity over a base).
 
-A ``CapacityStack`` holds k capacities as the rows of one stack, and
-``subset_rows`` one subset per row as a (k, N) boolean membership row;
-the stack's measures, value tables, chains and level meets (the rows'
+A ``CapacityStack`` holds k capacities as the rows of one stack: its
+measures of subset rows, value tables, chains and level meets (the rows'
 level cross products side by side, walked in bands by ``level_bands``)
 each sum per-point weights over their sets and finish the sums by one
-rule per family.  A single capacity is a stack of one, which every
-measure of it reads.
+rule per family.  A single capacity is a stack of one.
 
 ``check_rows`` checks a property on k capacities, and each ``check_*`` is
 its one-row case.  Exhaustive rows read their stack's value tables (an
@@ -47,6 +48,7 @@ _BLOCK_CELLS = 2**16
 #: (2^13 to 2^14 measured fastest at n = 8 and 9, 2^16 two to three times slower)
 _BLOCK_PAIRS = 2**14
 _MODES = ("auto", "exhaustive", "sampled", "structural")
+_PROPERTIES = ("monotone", "submodular", "subadditive", "modular")
 MODULAR_TOL = 1e-12
 #: 2^x for x = 0, ..., MAX_EXPLICIT_N - 1: an explicit capacity's point weights
 _POW2 = 2.0 ** np.arange(MAX_EXPLICIT_N)
@@ -67,8 +69,6 @@ class GroundSpace:
     widths: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.coords is None and self.widths is None and self.n >= 1:
-            return  # a plain space: nothing to check or copy
         ((coords, widths),) = _point_rows([self.n], [self.coords], [self.widths])
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "widths", widths)
@@ -97,10 +97,11 @@ class GroundSpace:
 
 def _point_rows(n: Sequence[int], coords: Sequence, widths: Sequence) -> list:
     """A ground space's checks, made for k spaces at once: point counts
-    n[i] and, per row, coordinates and cell widths (or None and None).
-    Returns each row's (coords, widths) as read-only float views of one
-    copy of the rows' values, or (None, None)."""
-    if min(n) < 1:
+    n[i] (integers: any other number raises TypeError) and, per row,
+    coordinates and cell widths (or None and None).  Returns each row's
+    (coords, widths) as read-only float views of one copy of the rows'
+    values, or (None, None)."""
+    if min(map(operator.index, n)) < 1:
         raise ValueError("a ground space needs at least one point")
     out = [(None, None)] * len(n)
     rows = [i for i, (c, w) in enumerate(zip(coords, widths)) if c is not None or w is not None]
@@ -130,21 +131,10 @@ def _point_rows(n: Sequence[int], coords: Sequence, widths: Sequence) -> list:
     return out
 
 
-#: row b holds the bits of the byte b, least significant first
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                           bitorder="little").view(bool)
-_BYTE_BITS.setflags(write=False)
-
-
 def mask_bools(mask: int, n: int) -> np.ndarray:
     """Membership vector of the subset ``mask`` of an n-point space (bits
-    at positions n and above are ignored).  The result may be a read-only
-    view."""
-    if n <= 8:  # one table row: cheaper than unpacking at this size
-        return _BYTE_BITS[mask & 0xFF, :n]
-    data = (mask & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n,
-                         bitorder="little").view(bool)
+    at positions n and above are ignored): ``subset_rows``' one row."""
+    return subset_rows([mask], [n], n)[0]
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -291,6 +281,8 @@ def grid_rows(a: float, b: float, steps: Sequence[int]) -> tuple[np.ndarray, lis
     if not a < b:
         raise InvalidCapacityError("grid requires a < b")
     steps = np.asarray(steps)
+    if steps.dtype.kind not in "iu":
+        raise InvalidCapacityError("grid cell counts must be integers")
     if steps.min() < 1:
         raise InvalidCapacityError("grid requires at least one cell")
     h = (b - a) / steps
@@ -408,19 +400,18 @@ def along(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a[np.arange(len(a))[:, None], idx]
 
 
-def subset_rows(masks: Sequence[int], n: np.ndarray, N: int) -> np.ndarray:
+def subset_rows(masks: Sequence[int], n: Sequence[int], N: int) -> np.ndarray:
     """(k, N) membership rows of int masks, row i on its first n[i] points
-    (bits at or above n[i] are ignored)."""
-    if N >= 63:  # each mask's little-endian bytes, unpacked at once
+    (bits at or above n[i] are ignored), unpacked at once from the bytes of
+    one little-endian int64 array below 63 points, else of each mask's own."""
+    kept = [m & ((1 << ni) - 1) for m, ni in zip(masks, np.asarray(n).tolist())]
+    if N < 63:
+        data = np.array(kept, dtype="<i8").reshape(-1, 1).view(np.uint8)
+    else:
         nb = (N + 7) // 8
-        data = b"".join((m & ((1 << ni) - 1)).to_bytes(nb, "little")
-                        for m, ni in zip(masks, n.tolist()))
-        return np.unpackbits(np.frombuffer(data, np.uint8).reshape(-1, nb), axis=1, count=N,
-                             bitorder="little").view(bool)
-    m = np.array([m & ((1 << ni) - 1) for m, ni in zip(masks, n.tolist())], dtype=np.int64)
-    if N <= 8:
-        return _BYTE_BITS[m, :N]
-    return (m[:, None] >> np.arange(N)) & 1 == 1
+        data = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in kept),
+                             np.uint8).reshape(-1, nb)
+    return np.unpackbits(data, axis=1, count=N, bitorder="little").view(bool)
 
 
 class CapacityStack:
@@ -839,6 +830,8 @@ def check_rows(prop: str, caps: Sequence[Capacity], mode: str = "auto", seed: in
     normalization, in parts of at most _BLOCK_PAIRS >> n rows."""
     if mode not in _MODES:
         raise DomainError(f"unknown check mode {mode!r}: expected one of {', '.join(_MODES)}")
+    if prop not in _PROPERTIES:
+        raise DomainError(f"unknown property {prop!r}: expected one of {', '.join(_PROPERTIES)}")
     out, groups = [None] * len(caps), {}
     for i, c in enumerate(caps):
         n, known, m = c.space.n, c.structural(prop), mode

@@ -15,7 +15,7 @@ from capax import (GroundSpace, InvalidCapacityError, check_modular,
                    mask_indices, normalize)
 import oracles
 from capax import capacity
-from capax.capacity import CapacityStack, mask_bools
+from capax.capacity import CapacityStack, mask_bools, subset_rows
 from capax.xreal import DegenerateInputError, DomainError
 
 
@@ -66,6 +66,23 @@ def test_mask_helpers_match_bit_walk(mask, n):
 def test_mask_bools_ignores_bits_beyond_the_space():
     assert mask_bools(0b111111111, 3).tolist() == [True, True, True]
     assert mask_bools((1 << 20) | 0b101, 10).tolist() == [True, False, True] + [False] * 7
+
+
+@pytest.mark.parametrize("N", [0, 1, 8, 9, 62, 63, 64, 1000])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_subset_rows_match_bit_walk_at_every_width(N, k):
+    # 62 and 63 straddle the split between the int64 bytes and each mask's own
+    rng = np.random.default_rng(N * 10 + k)
+    n = [N, *rng.integers(0, N + 1, size=4).tolist()][:k]  # mixed n[i] <= N
+    # random bits past each row's width, and the two bits at and just above n[i]
+    masks = [int.from_bytes(rng.bytes(N // 8 + 2), "little") | 3 << ni for ni in n]
+    rows = subset_rows(masks, n, N)
+    assert rows.dtype == bool and rows.shape == (k, N)
+    for row, m, ni in zip(rows, masks, n):
+        assert np.flatnonzero(row).tolist() == _bit_walk(m, ni)
+        one = mask_bools(m, ni)
+        assert one.dtype == bool and one.tolist() == subset_rows([m], [ni], ni)[0].tolist()
+        assert one.tolist() == row[:ni].tolist()
 
 
 def _capacity_of_each_kind(rng):
@@ -702,6 +719,14 @@ def test_unknown_check_mode_is_rejected(prop, mode):
         CHECKS[prop](c, mode=mode)
 
 
+@pytest.mark.parametrize("prop", ["bogus", "Monotone", ""])
+def test_unknown_property_is_rejected(prop):
+    c = make_additive([0.5, 0.5])
+    with pytest.raises(DomainError, match="^unknown property .*: expected one of monotone, "
+                                          "submodular, subadditive, modular$"):
+        capacity.check_rows(prop, [c])
+
+
 @pytest.mark.parametrize("prop", list(CHECKS))
 @pytest.mark.parametrize("trials", [0, -1])
 def test_sampled_check_needs_a_trial(prop, trials):
@@ -836,6 +861,11 @@ def test_constructors_reject_degenerate_arguments():
             make_distorted([0.5, 0.5], gamma)
     with pytest.raises(InvalidCapacityError, match="^grid requires at least one cell$"):
         make_grid_lebesgue(0.0, 1.0, 0)
+    for n in (math.nan, 2.5, 4.0):  # a point count is an integer, 4.0 included
+        with pytest.raises(TypeError):
+            GroundSpace(n)
+        with pytest.raises(InvalidCapacityError, match="^grid cell counts must be integers$"):
+            make_grid_lebesgue(0.0, 1.0, n)
     with pytest.raises(InvalidCapacityError, match="^random explicit capacities are capped"):
         make_random_monotone(21, np.random.default_rng(0))
 

@@ -15,7 +15,7 @@ from capax.dependence import (INCREASING_BIJECTIONS, _level_rows, level_dependen
                               level_ranks, positive_dependence_rows)
 from capax.integrals import Values
 from capax.operators import AggOperator
-from capax.xreal import DomainError
+from capax.xreal import EXTENDED, DomainError
 
 
 def _fn(vals):
@@ -143,6 +143,15 @@ def test_uniform_example_lukasiewicz_dependence_is_exact():
         rep = check_positive_dependence(f, X, h, X, P, lukasiewicz_op())
         assert rep.holds
         assert abs(rep.slack) <= 1e-12  # equality, not just dominance
+
+
+def test_unit_domain_operator_needs_a_unit_range_capacity():
+    # the integrals refuse this pair too: Lukasiewicz of measures up to 5 means nothing
+    f, g = _fn([0.2, 0.9]), _fn([0.9, 0.2])
+    c = make_additive([2.0, 3.0])
+    with pytest.raises(DomainError, match="^operator lukasiewicz needs a unit-range capacity$"):
+        check_positive_dependence(f, 3, g, 3, c, lukasiewicz_op())
+    assert check_positive_dependence(f, 3, g, 3, c, min_op(EXTENDED)).op == "min"
 
 
 def test_uniform_example_unknown_bijection():
