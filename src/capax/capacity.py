@@ -3,12 +3,11 @@
 A subset of an n-point space is an n-bit integer mask at the public
 boundary (``Capacity.__call__``, function arguments, scenario files) and
 a boolean membership row inside.  ``subset_rows`` alone unpacks masks:
-k of them into (k, N) rows at once, from the bytes of one little-endian
-int64 array below 63 points, else from each mask's own bytes
-(``mask_bools`` is its one row).  A capacity is one of four families:
-weighted (per-point weights, summed and raised to a power gamma;
-gamma = 1 is modular), sup, explicit (all 2^n values in a table, capped
-at n = 20) and derived (a normalized capacity over a base).
+k of them into (k, N) rows at once, from each mask's own little-endian
+bytes, joined (``mask_bools`` is its one row).  A capacity is one of four
+families: weighted (per-point weights, summed and raised to a power
+gamma; gamma = 1 is modular), sup, explicit (all 2^n values in a table,
+capped at n = 20) and derived (a normalized capacity over a base).
 
 A ``CapacityStack`` holds k capacities as the rows of one stack: its
 measures of subset rows, value tables, chains and level meets (the rows'
@@ -69,7 +68,8 @@ class GroundSpace:
     widths: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        ((coords, widths),) = _point_rows([self.n], [self.coords], [self.widths])
+        ((n, coords, widths),) = _point_rows([self.n], [self.coords], [self.widths])
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "widths", widths)
 
@@ -79,7 +79,7 @@ class GroundSpace:
         None for a space without), checked all at once as each space checks
         its own."""
         out = []
-        for ni, (cs, ws) in zip(n, _point_rows(n, coords, widths)):
+        for ni, cs, ws in _point_rows(n, coords, widths):
             space = object.__new__(cls)  # checked above: set the fields as __init__ would
             vars(space).update(n=ni, coords=cs, widths=ws)
             out.append(space)
@@ -97,13 +97,16 @@ class GroundSpace:
 
 def _point_rows(n: Sequence[int], coords: Sequence, widths: Sequence) -> list:
     """A ground space's checks, made for k spaces at once: point counts
-    n[i] (integers: any other number raises TypeError) and, per row,
-    coordinates and cell widths (or None and None).  Returns each row's
-    (coords, widths) as read-only float views of one copy of the rows'
-    values, or (None, None)."""
-    if min(map(operator.index, n)) < 1:
+    n[i] (integers, not bools) and, per row, coordinates and cell widths
+    (or None and None).  Returns each row's (n, coords, widths), n a Python
+    int and coords and widths read-only float views of one copy of the
+    rows' values, or None and None."""
+    if any(isinstance(x, bool) or not hasattr(type(x), "__index__") for x in n):
+        raise ValueError("point counts must be integers")
+    n = list(map(operator.index, n))
+    if min(n) < 1:
         raise ValueError("a ground space needs at least one point")
-    out = [(None, None)] * len(n)
+    out = [(ni, None, None) for ni in n]
     rows = [i for i, (c, w) in enumerate(zip(coords, widths)) if c is not None or w is not None]
     if not rows:
         return out
@@ -127,7 +130,7 @@ def _point_rows(n: Sequence[int], coords: Sequence, widths: Sequence) -> list:
     cs.setflags(write=False)
     ws.setflags(write=False)
     for i, end in zip(rows, ends):
-        out[i] = cs[end - n[i]:end], ws[end - n[i]:end]
+        out[i] = n[i], cs[end - n[i]:end], ws[end - n[i]:end]
     return out
 
 
@@ -402,16 +405,12 @@ def along(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def subset_rows(masks: Sequence[int], n: Sequence[int], N: int) -> np.ndarray:
     """(k, N) membership rows of int masks, row i on its first n[i] points
-    (bits at or above n[i] are ignored), unpacked at once from the bytes of
-    one little-endian int64 array below 63 points, else of each mask's own."""
-    kept = [m & ((1 << ni) - 1) for m, ni in zip(masks, np.asarray(n).tolist())]
-    if N < 63:
-        data = np.array(kept, dtype="<i8").reshape(-1, 1).view(np.uint8)
-    else:
-        nb = (N + 7) // 8
-        data = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in kept),
-                             np.uint8).reshape(-1, nb)
-    return np.unpackbits(data, axis=1, count=N, bitorder="little").view(bool)
+    (bits at or above n[i] are ignored), unpacked at once from each mask's
+    own little-endian bytes, joined."""
+    nb, n = (N + 7) // 8, np.asarray(n).tolist()
+    data = b"".join((m & ((1 << ni) - 1)).to_bytes(nb, "little") for m, ni in zip(masks, n))
+    return np.unpackbits(np.frombuffer(data, np.uint8).reshape(len(n), nb), axis=1, count=N,
+                         bitorder="little").view(bool)
 
 
 class CapacityStack:

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import Capacity, CapacityStack, along, grid_rows
-from .integrals import SampleFunction, Values, one_row, sample_function
+from .integrals import SampleFunction, Values, _check_compat, one_row, sample_function
 from .operators import AggOperator, row_groups
-from .xreal import UNIT, DomainError
+from .xreal import DomainError
 
 POSDEP_TOL = 1e-12
 #: level cross-product cells per band of the walk, which holds whole rows
@@ -136,9 +136,8 @@ def level_dependence_rows(f: tuple, g: tuple, C: CapacityStack,
     POSDEP_BLOCK_CELLS) per stack, a and b being the rows' level counts
     summed.  Among equal margins the first cell in C order is the witness,
     as in one pass over each row's cross product.  A unit-domain operator
-    needs a unit-range capacity, as in the integrals."""
-    if bad := [t.name for t, unit in zip(tris, C.unit.tolist()) if t.domain == UNIT and not unit]:
-        raise DomainError(f"operator {bad[0]} needs a unit-range capacity")
+    needs a unit-range capacity, checked as the integrals check it."""
+    _check_compat(None, C, tris)
     (levels_a, na, RF), (levels_b, nb, RG) = f, g
     rows = np.argsort(-na, kind="stable")
     walk = _Walk(na[rows] + 1, nb[rows] + 1, [tris[i] for i in rows.tolist()])

@@ -157,15 +157,17 @@ def one_row(fns: Sequence[SampleFunction], c: Optional[Capacity] = None,
     return [Values.build([f]) for f in fns], subs, None if c is None else CapacityStack([c])
 
 
-def _check_compat(F: Values, C: CapacityStack, ops: Sequence[AggOperator]) -> np.ndarray:
+def _check_compat(F: Optional[Values], C: CapacityStack,
+                  ops: Sequence[AggOperator]) -> np.ndarray:
     """The rows whose operator has the unit domain, each checked to have a
-    unit-range capacity and values at most 1 (one masked maximum over the
-    stack); the first failing row raises, its capacity checked first."""
+    unit-range capacity and, given F, values at most 1 (one masked maximum
+    over the stack); the first failing row raises, its capacity checked first."""
     unit_dom = np.array([op.domain == UNIT for op in ops])
     if unit_dom.any():
-        top = np.maximum.reduce(F.v, axis=1, where=F.valid, initial=0.0)
-        bad = np.flatnonzero(unit_dom & (~C.unit | (top > 1.0)))
-        if len(bad):
+        bad = ~C.unit
+        if F is not None:
+            bad = bad | (np.maximum.reduce(F.v, axis=1, where=F.valid, initial=0.0) > 1.0)
+        if len(bad := np.flatnonzero(unit_dom & bad)):
             i = bad[0]
             what = "unit-range function values" if C.unit[i] else "a unit-range capacity"
             raise DomainError(f"operator {ops[i].name} needs {what}")

@@ -861,13 +861,23 @@ def test_constructors_reject_degenerate_arguments():
             make_distorted([0.5, 0.5], gamma)
     with pytest.raises(InvalidCapacityError, match="^grid requires at least one cell$"):
         make_grid_lebesgue(0.0, 1.0, 0)
-    for n in (math.nan, 2.5, 4.0):  # a point count is an integer, 4.0 included
-        with pytest.raises(TypeError):
+    for n in (math.nan, 2.5, 4.0, True, "3"):  # an integer, not 4.0 nor a bool
+        with pytest.raises(ValueError, match="^point counts must be integers$"):
             GroundSpace(n)
+        with pytest.raises(ValueError, match="^point counts must be integers$"):
+            GroundSpace.rows([2, n], [None, None], [None, None])
         with pytest.raises(InvalidCapacityError, match="^grid cell counts must be integers$"):
             make_grid_lebesgue(0.0, 1.0, n)
     with pytest.raises(InvalidCapacityError, match="^random explicit capacities are capped"):
         make_random_monotone(21, np.random.default_rng(0))
+
+
+def test_a_numpy_point_count_is_kept_as_a_python_int():
+    # a numpy count of 64 points or more would wrap the full mask
+    for space in (GroundSpace(np.int64(70)),
+                  *GroundSpace.rows(np.array([70, 3]), [None, None], [None, None])):
+        assert type(space.n) is int and space.full_mask == (1 << space.n) - 1
+    assert make_sup_capacity(GroundSpace(np.int64(70))).total == 1.0
 
 
 def test_a_stack_does_not_mix_derived_and_plain_capacities():
