@@ -1,10 +1,12 @@
 """Randomized audits and counterexample hunting for the inequality
 checkers.
 
-Per-trial generators derive their RNG from (master seed, trial index), so
-summaries are deterministic and independent of scheduling.  Scenarios are
-fully materialized (explicit tables and value lists), so every recorded
-violation replays without reference to the generator.
+Trial i of a seed draws from PCG64 seeded with ``trial_words``' hash of
+(seed, i), bit for bit the stream of ``numpy.random.default_rng([seed,
+i])``, so summaries are deterministic and independent of scheduling; the
+keys are hashed a block at a time.  Scenarios are fully materialized
+(explicit tables and value lists), so every recorded violation replays
+without reference to the generator.
 
 Each audited theorem is one ``Theorem`` record in ``THEOREMS``; the id
 lists, the alias table, ``DROPPABLE``, scenario generation, replay, audits
@@ -29,11 +31,14 @@ as a single public call stacks its arguments (``integrals.one_row``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, asdict
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from . import inequalities as ineq
 from .capacity import (CapacityStack, GroundSpace, explicit_rows, make_sup_capacity, mask_indices,
@@ -49,6 +54,8 @@ MAX_SHRINK_STEPS = 200
 #: cells gave under 10 % more audit throughput for about 1 MB more peak
 #: memory (measurements in CHANGES.md)
 AUDIT_CHUNK_CELLS = 1 << 12
+#: audits and hunts hash their trials' seeds this many at a time, as reached
+_SEED_BLOCK = 1024
 
 SUGENO_SYSTEM_NAMES = [s.name for s in builtin_systems()]
 
@@ -113,8 +120,58 @@ class Theorem:
 # scenario generation: each trial drawn straight into a chunk's columns
 
 
-def _trial_rng(seed: int, i: int) -> np.random.Generator:
-    return np.random.default_rng([seed, i])
+def _index(value, what: str) -> int:
+    """A seed or trial index as an int (numpy integers pass), else DomainError."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__") \
+            or operator.index(value) < 0:
+        raise DomainError(f"{what} must be a non-negative integer, got {value!r}")
+    return operator.index(value)
+
+
+@cache
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**t mod 2**32, for t < count, as a uint32 column."""
+    return np.array([init * pow(mult, t, 2**32) % 2**32 for t in range(count)], np.uint32)[:, None]
+
+
+def _hashed(v: np.ndarray, c: np.ndarray, t: int, k: int) -> np.ndarray:
+    """SeedSequence's hash calls t to t + k - 1 with constants c: call t + j on lane j of v."""
+    v = (v ^ c[t:t + k]) * c[t + 1:t + k + 1]
+    return v ^ v >> 16
+
+
+def trial_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 seeds of trials start, ..., stop - 1: row j holds the four
+    uint64 words of ``SeedSequence([seed, start + j]).generate_state(4,
+    np.uint64)``, hashed for all keys at once in wrapping uint32 lanes."""
+    seed, start = _index(seed, "seed"), _index(start, "trial index")
+    high, low = divmod(start, 1 << 32)
+    mid = min(stop, high + 1 << 32)
+    if mid < stop:  # the keys from mid on have other high words
+        return np.concatenate([trial_words(seed, start, mid), trial_words(seed, mid, stop)])
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = seed_words + [low] + [high >> s & 0xFFFFFFFF for s in range(0, high.bit_length(), 32)]
+    entropy = np.array(words + [0] * (4 - len(words)), np.uint32)[:, None].repeat(stop - start, 1)
+    entropy[len(seed_words)] += np.arange(stop - start, dtype=np.uint32)  # low + j < 2**32
+    a = _powers(0x43B0D7E5, 0x931E8875, 4 * len(entropy) + 1)
+    pool, t = _hashed(entropy[:4], a, 0, 4), 4
+    for src in range(len(entropy)):  # each pool word into the other three, then
+        dst = [d for d in range(4) if d != src]  # each word past the pool into all four
+        r = _hashed(pool[src] if src < 4 else entropy[src], a, t, len(dst))
+        r = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * r
+        pool[dst], t = r ^ r >> 16, t + len(dst)
+    w = _hashed(pool[[0, 1, 2, 3] * 2], _powers(0x8B51F9DD, 0x58F38DED, 9), 0, 8).astype(np.uint64)
+    return np.ascontiguousarray((w[0::2] | w[1::2] << np.uint64(32)).T)
+
+
+class _Words(ISeedSequence):
+    """A ``trial_words`` row, as the seed sequence PCG64 reads it from."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.row
 
 
 def _pick(rng, seq):
@@ -166,9 +223,9 @@ class Chunk:
     def __len__(self) -> int:
         return len(self.n)
 
-    def draw(self, i: int) -> None:
-        """Trial i, drawn from its own stream into a new row."""
-        rng = _trial_rng(self.seed, i)
+    def draw(self, words: np.ndarray) -> None:
+        """A trial, drawn into a new row from the stream its ``trial_words`` row seeds."""
+        rng = Generator(PCG64(_Words(words)))
         self.generate(rng, int(rng.integers(2, self.points)), self.system, self)
         n = self.n[-1]
         self.cells += n + (2**n if self.caps[-1][0] == "explicit" else 0)
@@ -557,8 +614,9 @@ def random_scenario(theorem_id: str, seed: int, trial: int = 0) -> Scenario:
 
 
 def _drawn(theorem: str, seed: int, trial: int, dropped: Optional[str] = None) -> Scenario:
+    seed, trial = _index(seed, "seed"), _index(trial, "trial index")
     chunk = Chunk(theorem, seed, dropped)
-    chunk.draw(trial)
+    chunk.draw(trial_words(seed, trial, trial + 1)[0])
     return chunk[0]
 
 
@@ -651,19 +709,21 @@ def _chunks(theorem: str, seed: int, trials: int, dropped: Optional[str] = None,
     entries and points or, given a first ``size``, that many trials, the
     size doubling from chunk to chunk."""
     chunk = Chunk(theorem, seed, dropped)
-    for i in range(trials):
-        chunk.draw(i)
-        if chunk.cells >= AUDIT_CHUNK_CELLS or len(chunk) == size or i == trials - 1:
-            yield chunk
-            chunk = Chunk(theorem, seed, dropped)
-            size = size and 2 * size
+    for start in range(0, trials, _SEED_BLOCK):
+        block = trial_words(seed, start, min(start + _SEED_BLOCK, trials))
+        for i, words in enumerate(block, start):
+            chunk.draw(words)
+            if chunk.cells >= AUDIT_CHUNK_CELLS or len(chunk) == size or i == trials - 1:
+                yield chunk
+                chunk = Chunk(theorem, seed, dropped)
+                size = size and 2 * size
 
 
 def audit(theorem_id: str, trials: int, seed: int) -> AuditSummary:
     """Run seeded hypothesis-satisfying scenarios and count violations.
     Trials are drawn a chunk at a time and evaluated as its stack; only
     violations are rendered as scenarios."""
-    theorem = canonical_theorem(theorem_id)
+    theorem, seed = canonical_theorem(theorem_id), _index(seed, "seed")
     if trials < 1:
         raise DomainError(f"an audit needs at least one trial, got {trials}")
     hyp_pass = 0
@@ -713,7 +773,7 @@ def hunt_counterexample(theorem_id: str, dropped_hypothesis: str,
                         trials: int, seed: int) -> Optional[Scenario]:
     """Search for a violating scenario with a hypothesis dropped; returns
     a minimized witness or None (absence is not a proof)."""
-    theorem = canonical_theorem(theorem_id)
+    theorem, seed = canonical_theorem(theorem_id), _index(seed, "seed")
     droppable = sorted(_record(theorem).drop)
     if dropped_hypothesis not in droppable:
         raise DomainError(

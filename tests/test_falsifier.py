@@ -3,6 +3,7 @@ dropping."""
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -195,9 +196,9 @@ def test_hunt_rejects_undroppable_hypothesis():
 
 def _violating_chunk(theorem, dropped, seed):
     """A chunk of one trial: the first unshrunk violating one."""
-    for i in range(5000):
+    for words in falsifier.trial_words(seed, 0, 5000):
         chunk = falsifier.Chunk(theorem, seed, dropped)
-        chunk.draw(i)
+        chunk.draw(words)
         if is_violation(run_scenario(chunk[0]), require_hypotheses=False):
             return chunk
     raise AssertionError("no violating trial")
@@ -268,6 +269,90 @@ def test_pick_draws_like_rng_choice():
         for seq in seqs:
             assert _pick(r1, seq) == r2.choice(seq)
         assert r1.integers(2**62) == r2.integers(2**62)  # same stream position
+
+
+# seeds of one to five 32-bit words: 2**96 + 7 makes a key of more words
+# than SeedSequence's pool of four, which runs its extra mixing loop
+HASH_SEEDS = [0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**130 + 11]
+HASH_STARTS = [0, 2**32 - 300, 2**40]  # blocks over 0, 2**32 - 1, 2**32 and 2**40
+
+
+def _keys():
+    """(seed, first, last + 1) blocks of over 10**5 trial keys in all."""
+    seeds = HASH_SEEDS + np.random.default_rng(30).integers(2**63, size=16).tolist()
+    for seed in seeds:
+        for start in HASH_STARTS:
+            yield seed, start, start + (10_000 if start == 0 and seed in HASH_SEEDS else 600)
+
+
+def _seed_sequence_words(seed, start, stop):
+    return np.array([np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                     for i in range(start, stop)])
+
+
+def test_trial_words_are_seed_sequence_states():
+    keys = 0
+    for seed, start, stop in _keys():
+        words = falsifier.trial_words(seed, start, stop)
+        assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+        np.testing.assert_array_equal(words, _seed_sequence_words(seed, start, stop))
+        keys += stop - start
+    assert keys >= 10**5
+
+
+def test_trial_words_seed_pcg64_as_default_rng_does():
+    for seed, start, _ in _keys():
+        for i, words in enumerate(falsifier.trial_words(seed, start, start + 3), start):
+            ours = np.random.Generator(np.random.PCG64(falsifier._Words(words)))
+            ref = np.random.default_rng([seed, i])
+            assert ours.bit_generator.state == ref.bit_generator.state
+            for draw in (lambda r: r.integers(2, 9, size=5), lambda r: r.integers(2**62),
+                         lambda r: r.uniform(0.05, 1.0, size=7), lambda r: r.permutation(8),
+                         lambda r: r.random(3)):
+                np.testing.assert_array_equal(draw(ours), draw(ref))
+
+
+def test_trial_words_of_a_later_start_are_rows_of_the_earlier_block():
+    for seed in HASH_SEEDS:
+        block = falsifier.trial_words(seed, 0, 3000)
+        for start, stop in [(1, 2), (1023, 2049), (2999, 3000)]:
+            np.testing.assert_array_equal(falsifier.trial_words(seed, start, stop),
+                                          block[start:stop])
+        # a block across 2**32, where the keys gain a word, is its keys one by one
+        np.testing.assert_array_equal(
+            falsifier.trial_words(seed, 2**32 - 3, 2**32 + 3),
+            np.concatenate([falsifier.trial_words(seed, i, i + 1)
+                            for i in range(2**32 - 3, 2**32 + 3)]))
+
+
+BAD_KEYS = [-1, -3, 1.5, 2.0, True, False, np.True_, "7", None]
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS, ids=repr)
+def test_audit_and_hunt_reject_a_bad_seed(bad):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        audit("2.1", 2, bad)
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        hunt_counterexample("chebyshev_choquet", "comonotone", 10, bad)
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS, ids=repr)
+def test_random_scenario_rejects_a_bad_seed_or_trial(bad):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        random_scenario("2.1", bad, 0)
+    with pytest.raises(DomainError, match="trial index must be a non-negative integer"):
+        random_scenario("2.1", 2024, bad)
+
+
+def test_numpy_integer_seeds_and_trials_are_ints():
+    # the same draws, and a seed that renders as JSON
+    scn = random_scenario("2.3", np.uint64(2024), np.int32(5))
+    assert scn == random_scenario("2.3", 2024, 5) and type(scn.seed) is int
+    json.dumps(scn.to_dict())
+    summary = audit("2.1", 30, np.int64(7))
+    assert summary == audit("2.1", 30, 7) and type(summary.seed) is int
+    w = hunt_counterexample("2.2", "positive_dependence", 200, np.uint8(3))
+    assert w == hunt_counterexample("2.2", "positive_dependence", 200, 3) and type(w.seed) is int
 
 
 @pytest.mark.parametrize("tid", THEOREM_IDS)
@@ -390,8 +475,8 @@ def _cut(theorem, dropped, seed, trials, every):
     """The trials drawn into chunks of ``every`` trials."""
     for start in range(0, trials, every):
         chunk = falsifier.Chunk(theorem, seed, dropped)
-        for i in range(start, min(start + every, trials)):
-            chunk.draw(i)
+        for words in falsifier.trial_words(seed, start, min(start + every, trials)):
+            chunk.draw(words)
         yield chunk
 
 
